@@ -232,10 +232,6 @@ def parse_word(text: str, monoid: str, n: int, semiring: Semiring = ZMAX) -> Wor
     return Word(monoid, n, semiring, _Cat(leaves))
 
 
-def word_to_text(w: Word) -> str:
-    return w.text()
-
-
 def simplify(w: Word) -> Word:
     """Drop adjacent letter pairs that multiply to the identity.
 

@@ -4,37 +4,27 @@ and prime certificates.
 These run over matrices of either semiring, but every interesting finite
 case here is Boolean (tropical closures are infinite and stop at the
 element cap, which is a supported, flagged outcome rather than an
-error).  Boolean matrices are keyed by an n^2-bit integer packing for
-closure bookkeeping and the heavy pair scans.
+error).  Matrices are met only at the boundary: closure multiplies them
+out once, keyed by their rows, and from then on an element is its index.
+
+Closure records the right Cayley graph and, for every element but the
+identity, the (parent, generator) edge by which the breadth-first walk
+first reached it.  That spanning tree turns every product into a walk
+in the Cayley graph (Froidure & Pin, 1997): u * v follows v's tree word
+from u, and a whole row u * S fills in breadth-first order.  J-classes
+are the strongly connected components of the two-sided Cayley graph,
+found by an iterative Tarjan whose sinks-first emission order also
+fills the class order.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 from collections import deque
 
-from .matrix import (
-    Matrix,
-    format_matrix,
-    identity,
-    is_invertible,
-    mat_mul,
-    matrix_to_json,
-)
+from .matrix import Matrix, format_matrix, identity, is_invertible, mat_mul, matrix_to_json
 
 DEFAULT_CAP = 10 ** 6
-
-
-def _key(m: Matrix):
-    if m.semiring.name == "boolean":
-        bits = 0
-        pos = 0
-        for row in m.rows:
-            for x in row:
-                bits |= x << pos
-                pos += 1
-        return bits
-    return m.rows
 
 
 class FiniteMonoid:
@@ -42,29 +32,34 @@ class FiniteMonoid:
     of the generators inside the element list, and the right Cayley
     action cayley[e][g] = index of elements[e] * generator g.
 
-    closed is False when the cap cut the walk short; in that case cayley
-    rows exist only for the elements whose products were explored.
+    For e > 0, elements[e] = elements[parent[e]] * generator last[e] is
+    the edge by which closure first reached e, so parent[e] < e.
+
+    closed is False when the cap cut the walk short; the products that
+    would have passed the cap are -1 in cayley.
     """
 
-    __slots__ = ("n", "semiring", "elements", "gens", "cayley", "closed", "_index")
+    __slots__ = ("n", "semiring", "elements", "gens", "cayley", "parent", "last", "closed", "_index")
 
-    def __init__(self, n, semiring, elements, gens, cayley, closed):
+    def __init__(self, n, semiring, elements, gens, cayley, parent, last, closed):
         self.n = n
         self.semiring = semiring
         self.elements = elements
         self.gens = gens
         self.cayley = cayley
+        self.parent = parent
+        self.last = last
         self.closed = closed
-        self._index = {_key(m): i for i, m in enumerate(elements)}
+        self._index = {m.rows: i for i, m in enumerate(elements)}
 
     def __len__(self):
         return len(self.elements)
 
     def index_of(self, m: Matrix):
-        return self._index.get(_key(m))
+        return self._index.get(m.rows) if m.semiring is self.semiring else None
 
     def __contains__(self, m: Matrix):
-        return _key(m) in self._index
+        return self.index_of(m) is not None
 
 
 def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
@@ -82,42 +77,67 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     else:
         raise ValueError("closure needs at least one matrix to fix n; pass [identity(n, sr)]")
     elements = [identity(n, semiring)]
-    index = {_key(elements[0]): 0}
+    index = {elements[0].rows: 0}
+    parent, last = [-1], [-1]
     gen_idx = []
-    for g in gens:
-        k = _key(g)
-        if k not in index:
-            index[k] = len(elements)
+    for gi, g in enumerate(gens):
+        if g.rows not in index:
+            index[g.rows] = len(elements)
             elements.append(g)
-        gen_idx.append(index[k])
-    cayley: list = []
+            parent.append(0)
+            last.append(gi)
+        gen_idx.append(index[g.rows])
+    cayley = []
     closed = True
-    queue = deque(range(len(elements)))
-    while queue:
-        e = queue.popleft()
-        if e < len(cayley):
-            continue
-        while len(cayley) <= e:
-            cayley.append(None)
+    # Elements are explored in index order, which is breadth-first order.
+    while len(cayley) < len(elements):
+        e = len(cayley)
         row = []
-        for g in gens:
+        for gi, g in enumerate(gens):
             p = mat_mul(elements[e], g)
-            k = _key(p)
-            i = index.get(k)
+            i = index.get(p.rows)
             if i is None:
                 if len(elements) >= cap:
                     closed = False
                     row.append(-1)
                     continue
                 i = len(elements)
-                index[k] = i
+                index[p.rows] = i
                 elements.append(p)
-                queue.append(i)
+                parent.append(e)
+                last.append(gi)
             row.append(i)
-        cayley[e] = row
-    while len(cayley) < len(elements):
-        cayley.append(None)
-    return FiniteMonoid(n, semiring, elements, gen_idx, cayley, closed)
+        cayley.append(row)
+    return FiniteMonoid(n, semiring, elements, gen_idx, cayley, parent, last, closed)
+
+
+# -- products as Cayley walks ------------------------------------------------
+
+def _products(fm: FiniteMonoid, u: int) -> list:
+    """The row u * v over every element v of a closed monoid: v's parent
+    comes first, so row[v] is one Cayley step from row[parent[v]]."""
+    cayley, parent, last = fm.cayley, fm.parent, fm.last
+    row = [u]
+    for v in range(1, len(cayley)):
+        row.append(cayley[row[parent[v]]][last[v]])
+    return row
+
+
+def _word(fm: FiniteMonoid, f: int) -> list:
+    """The generator columns spelling f along the spanning tree."""
+    word = []
+    while f:
+        word.append(fm.last[f])
+        f = fm.parent[f]
+    word.reverse()
+    return word
+
+
+def _walk(fm: FiniteMonoid, e: int, word) -> int:
+    """e times the product of the word's generators."""
+    for g in word:
+        e = fm.cayley[e][g]
+    return e
 
 
 # -- J-classes -------------------------------------------------------------
@@ -139,84 +159,89 @@ class JClassDecomposition:
     def leq(self, ci: int, cj: int) -> bool:
         """Class order: ci below cj when ci's ideal is contained in cj's,
         i.e. ci's members are reachable from cj's by multiplication."""
-        rep_i = self.classes[ci][0]
-        rep_j = self.classes[cj][0]
-        return bool(self._reach[rep_j] >> rep_i & 1)
+        return bool(self._reach[cj] >> ci & 1)
 
     def __len__(self):
         return len(self.classes)
+
+
+def _sccs(succ) -> list:
+    """Strongly connected components of the graph v -> succ[v], all of
+    whose vertices vertex 0 reaches, sinks first (Tarjan, with an
+    explicit stack of vertices and edge iterators)."""
+    order = [-1] * len(succ)
+    low = [0] * len(succ)
+    done = [False] * len(succ)
+    order[0] = low[0] = 0
+    count = 1
+    stack, out = [0], []
+    work = [(0, iter(succ[0]))]
+    while work:
+        v, edges = work[-1]
+        for w in edges:
+            if order[w] < 0:
+                order[w] = low[w] = count
+                count += 1
+                stack.append(w)
+                work.append((w, iter(succ[w])))
+                break
+            if not done[w] and order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == order[v]:
+                comp = []
+                while not comp or comp[-1] != v:
+                    comp.append(stack.pop())
+                    done[comp[-1]] = True
+                out.append(comp)
+    return out
 
 
 def jclasses(fm: FiniteMonoid) -> JClassDecomposition:
     """J-classes of a closed monoid: x and y share a class exactly when
     each lies in the other's two-sided ideal.
 
-    Ideals are computed by breadth-first walks that multiply by the
-    generators on both sides (left and right steps commute, so the
-    walks reach exactly S^1 x S^1).
+    The ideal of x is what x reaches in the two-sided Cayley graph (left
+    and right steps commute, so walks reach exactly S^1 x S^1), so the
+    classes are its strongly connected components, numbered by least
+    member.  The identity reaches every element by right steps.
     """
     if not fm.closed:
         raise ValueError("jclasses needs a closed monoid (closure hit its cap)")
-    size = len(fm.elements)
-    gmats = [fm.elements[g] for g in fm.gens]
-    succ = [[] for _ in range(size)]
-    for e in range(size):
-        row = fm.cayley[e]
-        for i, g in enumerate(gmats):
-            succ[e].append(row[i])
-            left = fm.index_of(mat_mul(g, fm.elements[e]))
-            succ[e].append(left)
-    reach = []
-    for start in range(size):
-        seen = 1 << start
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in succ[v]:
-                if not (seen >> w & 1):
-                    seen |= 1 << w
-                    stack.append(w)
-        reach.append(seen)
-    class_of = [-1] * size
-    classes = []
-    for e in range(size):
-        if class_of[e] >= 0:
-            continue
-        members = [
-            f
-            for f in range(e, size)
-            if class_of[f] < 0 and (reach[e] >> f & 1) and (reach[f] >> e & 1)
-        ]
-        ci = len(classes)
-        for f in members:
-            class_of[f] = ci
-        classes.append(members)
+    lefts = [_products(fm, g) for g in fm.gens]
+    succ = [row + [left[e] for left in lefts] for e, row in enumerate(fm.cayley)]
+    sccs = _sccs(succ)
+    classes = sorted(sorted(members) for members in sccs)
+    class_of = [0] * len(succ)
+    for c, members in enumerate(classes):
+        for e in members:
+            class_of[e] = c
+    # Sinks first: every class a component reaches already has its bits.
+    reach = [0] * len(classes)
+    for members in sccs:
+        c = class_of[members[0]]
+        bits = 1 << c
+        for e in members:
+            for f in succ[e]:
+                bits |= reach[class_of[f]]
+        reach[c] = bits
     return JClassDecomposition(classes, class_of, reach)
 
 
 # -- generation and rank -----------------------------------------------------
 
-def _product_table(fm: FiniteMonoid):
-    size = len(fm.elements)
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            table[i][j] = fm.index_of(mat_mul(fm.elements[i], fm.elements[j]))
-    return table
-
-
-def _generated_indices(fm: FiniteMonoid, subset, table=None) -> set:
+def _generated_indices(fm: FiniteMonoid, subset) -> set:
     """Indices of the submonoid generated by the subset (identity included)."""
-    ident = fm.index_of(identity(fm.n, fm.semiring))
-    seen = {ident} | set(subset)
+    words = [_word(fm, f) for f in subset]
+    seen = {0} | set(subset)
     queue = deque(seen)
     while queue:
         e = queue.popleft()
-        for g in subset:
-            if table is not None:
-                p = table[e][g]
-            else:
-                p = fm.index_of(mat_mul(fm.elements[e], fm.elements[g]))
+        for word in words:
+            p = _walk(fm, e, word)
             if p not in seen:
                 seen.add(p)
                 queue.append(p)
@@ -245,7 +270,16 @@ def _unit_flags(fm: FiniteMonoid):
     return [is_invertible(m) for m in fm.elements]
 
 
-def _prime_orbits(fm: FiniteMonoid, table):
+def _is_prime(x: int, rows, units) -> bool:
+    """No product rows[u][v] = u * v equals x with both factors units or
+    both non-units; rows may be produced one at a time."""
+    for u, row in enumerate(rows):
+        if x in row and any(p == x and units[v] == units[u] for v, p in enumerate(row)):
+            return False
+    return True
+
+
+def _prime_orbits(fm: FiniteMonoid, rows):
     """Orbits (under unit multiples on both sides) of the prime elements.
 
     A generating set must meet every such orbit: a prime never splits as
@@ -253,25 +287,13 @@ def _prime_orbits(fm: FiniteMonoid, table):
     """
     units = _unit_flags(fm)
     unit_idx = [i for i, u in enumerate(units) if u]
-    size = len(fm.elements)
     orbits = []
     seen_orbit = set()
-    for x in range(size):
+    for x in range(len(rows)):
         if units[x] or x in seen_orbit:
             continue
-        prime = True
-        for u in range(size):
-            row = table[u]
-            for v in range(size):
-                if row[v] == x and units[u] == units[v]:
-                    # Either two units (impossible for non-unit x) or two
-                    # non-units: not exactly one unit factor.
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            orbit = frozenset(table[table[u][x]][v] for u in unit_idx for v in unit_idx)
+        if _is_prime(x, rows, units):
+            orbit = frozenset(rows[rows[u][x]][v] for u in unit_idx for v in unit_idx)
             seen_orbit |= orbit
             orbits.append(orbit)
     return orbits
@@ -290,16 +312,13 @@ def rank_search(fm: FiniteMonoid, k: int):
         raise ValueError(f"rank_search supports at most 64 elements, got {len(fm.elements)}")
     if k > 4:
         raise ValueError(f"rank_search supports k <= 4, got {k}")
-    table = _product_table(fm)
-    orbits = _prime_orbits(fm, table)
     size = len(fm.elements)
-    import itertools
-
+    orbits = _prime_orbits(fm, [_products(fm, u) for u in range(size)])
     for subset in itertools.combinations(range(size), k):
         ss = set(subset)
         if any(not (orbit & ss) for orbit in orbits):
             continue
-        if len(_generated_indices(fm, list(subset), table)) == size:
+        if len(_generated_indices(fm, subset)) == size:
             return list(subset)
     return None
 
@@ -308,9 +327,9 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
     """Certify that x is prime in fm: every two-factor product equal to
     x has exactly one unit factor.
 
-    Scans all |fm|^2 ordered pairs.  Units are excluded from being
-    prime by convention (a unit splits as unit times unit), so passing
-    one raises ValueError.
+    Scans all |fm|^2 ordered pairs, one row of products at a time.
+    Units are excluded from being prime by convention (a unit splits as
+    unit times unit), so passing one raises ValueError.
     """
     if not fm.closed:
         raise ValueError("prime_certificate needs a closed monoid")
@@ -319,47 +338,8 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
         raise ValueError(f"matrix not in the monoid: {format_matrix(x)}")
     if is_invertible(x):
         raise ValueError("units are excluded from primality")
-    units = _unit_flags(fm)
-    if fm.semiring.name == "boolean":
-        packed = [_key(m) for m in fm.elements]
-        rows = [
-            [tuple((p >> (r * fm.n + c)) & 1 for c in range(fm.n)) for r in range(fm.n)]
-            for p in packed
-        ]
-        # Pack each element as a tuple of row bitmasks for fast products.
-        rmask = [
-            tuple(sum(bit << c for c, bit in enumerate(row)) for row in rs) for rs in rows
-        ]
-        target = rmask[xi]
-        n = fm.n
-        full = (1 << n) - 1
-        for u in range(len(rmask)):
-            au = rmask[u]
-            for v in range(len(rmask)):
-                bv = rmask[v]
-                prod = []
-                ok = True
-                for r in range(n):
-                    acc = 0
-                    arow = au[r]
-                    c = 0
-                    while arow:
-                        if arow & 1:
-                            acc |= bv[c]
-                        arow >>= 1
-                        c += 1
-                    if acc != target[r]:
-                        ok = False
-                        break
-                    prod.append(acc)
-                if ok and units[u] == units[v]:
-                    return False
-        return True
-    for u, mu in enumerate(fm.elements):
-        for v, mv in enumerate(fm.elements):
-            if mat_mul(mu, mv) == x and units[u] == units[v]:
-                return False
-    return True
+    rows = (_products(fm, u) for u in range(len(fm)))
+    return _is_prime(xi, rows, _unit_flags(fm))
 
 
 def x_family_j_related(s: int, t: int) -> bool:
@@ -376,21 +356,11 @@ def x_family_j_related(s: int, t: int) -> bool:
 
 
 def monoid_to_json(fm: FiniteMonoid) -> dict:
-    flat = []
-    for row in fm.cayley:
-        if row is None:
-            flat.extend([-1] * len(fm.gens))
-        else:
-            flat.extend(row)
     return {
         "n": fm.n,
         "semiring": fm.semiring.name,
         "closed": fm.closed,
         "elements": [matrix_to_json(m)["rows"] for m in fm.elements],
         "gens": list(fm.gens),
-        "cayley": flat,
+        "cayley": [i for row in fm.cayley for i in row],
     }
-
-
-def monoid_to_json_text(fm: FiniteMonoid) -> str:
-    return json.dumps(monoid_to_json(fm))

@@ -31,25 +31,17 @@ class Semiring:
     """One of the two ground semirings, as a bundle of scalar operations.
 
     Instances are the module constants ZMAX and BOOLEAN; nothing else
-    should ever construct one.  All five structural flags are True for
-    both instances (commutative, zero-divisor-free, totally ordered,
-    semifield, and anti-negative: the only additively invertible element
-    is the zero).
+    should ever construct one.  Both are commutative, zero-divisor-free,
+    totally ordered semifields, and anti-negative: the only additively
+    invertible element is the zero.
     """
 
-    __slots__ = ("name", "zero", "one", "properties")
+    __slots__ = ("name", "zero", "one")
 
     def __init__(self, name, zero, one):
         self.name = name
         self.zero = zero
         self.one = one
-        self.properties = {
-            "commutative": True,
-            "anti_negative": True,
-            "semifield": True,
-            "zero_divisor_free": True,
-            "totally_ordered": True,
-        }
 
     def __repr__(self):
         return f"Semiring({self.name})"

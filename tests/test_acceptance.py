@@ -131,16 +131,54 @@ def test_criterion_5_prime_certificate_in_3x3_boolean():
     print(f"criterion 5: PASS (512 elements, 262144-pair scan, {elapsed:.2f}s)")
 
 
+def corner(s):
+    """X(s) for any integer s: bottom diagonal, s in slot (1,3), 0 elsewhere."""
+    return matrix([[BOTTOM, 0, s], [0, BOTTOM, 0], [0, 0, BOTTOM]])
+
+
+def permanent_spread(m):
+    """Largest minus smallest finite term sum_i m[i][p(i)] of the 3x3
+    tropical permanent.  For X(s) the only finite terms are its two
+    3-cycle weights, 0 and s, so this is their difference up to sign."""
+    terms = [sum(m.entry(i, p[i - 1]) for i in (1, 2, 3)) for p in itertools.permutations((1, 2, 3))]
+    finite = [x for x in terms if is_finite(x)]
+    return max(finite) - min(finite)
+
+
 def test_criterion_6_corner_family_j_classes():
     """The family relation is s = t or s + t = 0 on the whole grid
     [-10,10]^2, so the eleven realized corner letters land in eleven
     distinct classes (the desk-scale witness that the 3x3 tropical
-    monoid cannot be finitely generated)."""
+    monoid cannot be finitely generated).
+
+    The paper proves that corner matrices are J-related only through
+    unit (monomial) multiples.  Checked here by multiplication: for
+    t = -s, monomial u and v with u X(s) v = X(t) exist; and a monomial
+    factor on either side shifts every permanent term by one constant
+    and permutes them, so the spread of the finite terms (|s| for X(s))
+    is kept and no unit multiple of X(s) is X(t) when |t| != |s|."""
+    swap = construct_P(Perm((1, 3, 2)))
+    rng = random.Random(20260817)
+    monomials = [
+        mat_mul(diag([rng.randint(-5, 5) for _ in range(3)]), construct_P(Perm(p)))
+        for p in itertools.permutations((1, 2, 3))
+        for _ in range(3)
+    ]
+    for s in range(-10, 11):
+        x = corner(s)
+        assert mat_mul(mat_mul(mat_mul(construct_A(1, -s, 3), swap), x), swap) == corner(-s)
+        assert permanent_spread(x) == abs(s)
+        for u in monomials:
+            assert permanent_spread(mat_mul(u, x)) == abs(s)
+            assert permanent_spread(mat_mul(x, u)) == abs(s)
     for s in range(-10, 11):
         for t in range(-10, 11):
-            assert x_family_j_related(s, t) == (s == t or s + t == 0)
+            related = x_family_j_related(s, t)
+            assert related == (permanent_spread(corner(s)) == permanent_spread(corner(t)))
+            assert related == (s == t or s + t == 0)
     # the letters realize to distinct matrices, pairwise unrelated
     mats = [x_letter(i).realize(3, ZMAX) for i in range(11)]
+    assert mats == [corner(i) for i in range(11)]
     assert len(set(mats)) == 11
     classes = []
     for s in range(11):
@@ -151,7 +189,7 @@ def test_criterion_6_corner_family_j_classes():
         else:
             classes.append([s])
     assert len(classes) == 11
-    print("criterion 6: PASS (relation exact on [-10,10]^2, 11 distinct classes)")
+    print("criterion 6: PASS (relation exact on [-10,10]^2, monomial witnesses and invariant, 11 distinct classes)")
 
 
 def test_criterion_7_regularity():

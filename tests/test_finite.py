@@ -6,6 +6,9 @@ monoids are small enough to enumerate blindly.
 import random
 
 from tropmono.finite import (
+    _products,
+    _walk,
+    _word,
     closure,
     irredundant,
     is_generating,
@@ -19,6 +22,7 @@ from tropmono.genset import (
     gens_m2_zmax,
     gens_m3_zmax,
     gens_ut_boolean,
+    parse_generator,
     x_letter,
 )
 from tropmono.matrix import (
@@ -38,6 +42,10 @@ def m2_boolean_gens():
 
 def m3_boolean_gens(max_x=0):
     return [boolean_image(g) for g in gens_m3_zmax(max_x).realized()]
+
+
+def ut_boolean_gens(n):
+    return [g.realize(n, BOOLEAN) for g in gens_ut_boolean(n).letters]
 
 
 # -- closures -------------------------------------------------------------------
@@ -106,6 +114,38 @@ def test_cayley_table_is_right_action():
             assert fm.elements[fm.cayley[e][gi]] == expected
 
 
+def test_cayley_walk_products_match_mat_mul():
+    # Every product inside finite.py is a walk in the right Cayley graph:
+    # whole rows u * S, and v's spanning-tree word walked from u.  The
+    # rows of the generators are the left steps the J-classes use.
+    for gens in (m2_boolean_gens(), ut_boolean_gens(3)):
+        fm = closure(gens)
+        for v in range(1, len(fm)):
+            assert fm.parent[v] < v
+            assert fm.elements[v] == mat_mul(fm.elements[fm.parent[v]], gens[fm.last[v]])
+        for u, mu in enumerate(fm.elements):
+            row = _products(fm, u)
+            for v, mv in enumerate(fm.elements):
+                assert fm.elements[row[v]] == mat_mul(mu, mv)
+                assert _walk(fm, u, _word(fm, v)) == row[v]
+
+
+def test_zero_bottom_zmax_closure_runs_the_same_path():
+    # tropical letters with entries in {0, -inf}: a zmax copy of M_3(B)
+    tokens = ["P((1,2,3))", "P((1,2))", "Ai(1,-inf)", "E(1,2,0)", "X(0)"]
+    fm = closure([parse_generator(t, "m3", 3, ZMAX).realize(3, ZMAX) for t in tokens])
+    assert len(fm) == 512 and fm.closed
+    assert len(jclasses(fm)) == 11
+    assert prime_certificate(x_letter(0).realize(3, ZMAX), fm)
+    assert irredundant(fm, fm.gens) == [True] * 5
+    rng = random.Random(56)
+    for _ in range(300):
+        u, v = rng.randrange(512), rng.randrange(512)
+        expected = mat_mul(fm.elements[u], fm.elements[v])
+        assert fm.elements[_products(fm, u)[v]] == expected
+        assert fm.elements[_walk(fm, u, _word(fm, v))] == expected
+
+
 # -- J-classes -------------------------------------------------------------------
 
 def naive_ideal(elements, x):
@@ -123,19 +163,35 @@ def naive_ideal(elements, x):
 
 
 def test_jclasses_match_naive_oracle_on_full_2x2():
-    fm = closure(m2_boolean_gens())
-    jd = jclasses(fm)
-    ideals = [naive_ideal(fm.elements, x) for x in fm.elements]
-    for i, x in enumerate(fm.elements):
-        for j, y in enumerate(fm.elements):
-            same = (x in ideals[j]) and (y in ideals[i])
-            assert (jd.class_of(i) == jd.class_of(j)) == same
-    # the class order must agree with ideal containment on representatives
-    for ci in range(len(jd)):
-        for cj in range(len(jd)):
-            ri = fm.elements[jd.classes[ci][0]]
-            rj = fm.elements[jd.classes[cj][0]]
-            assert jd.leq(ci, cj) == (ri in ideals[fm.elements.index(rj)])
+    # the full 2x2 monoid M_2(B) and the upper triangular UT_2(B)
+    for gens in (m2_boolean_gens(), ut_boolean_gens(2)):
+        fm = closure(gens)
+        jd = jclasses(fm)
+        ideals = [naive_ideal(fm.elements, x) for x in fm.elements]
+        for i, x in enumerate(fm.elements):
+            for j, y in enumerate(fm.elements):
+                same = (x in ideals[j]) and (y in ideals[i])
+                assert (jd.class_of(i) == jd.class_of(j)) == same
+        # the class order must agree with ideal containment on representatives
+        for ci in range(len(jd)):
+            for cj in range(len(jd)):
+                ri = fm.elements[jd.classes[ci][0]]
+                rj = fm.elements[jd.classes[cj][0]]
+                assert jd.leq(ci, cj) == (ri in ideals[fm.elements.index(rj)])
+
+
+def test_jclass_counts_pinned():
+    # UT_2(B), UT_3(B), UT_4(B), M_2(B), M_3(B)
+    cases = [ut_boolean_gens(2), ut_boolean_gens(3), ut_boolean_gens(4), m2_boolean_gens(), m3_boolean_gens()]
+    counts = []
+    for gens in cases:
+        fm = closure(gens)
+        jd = jclasses(fm)
+        assert sorted(e for c in jd.classes for e in c) == list(range(len(fm)))
+        assert all(c == sorted(c) for c in jd.classes)
+        assert [c[0] for c in jd.classes] == sorted(c[0] for c in jd.classes)
+        counts.append(len(jd))
+    assert counts == [6, 33, 384, 4, 11]
 
 
 def test_jclasses_of_full_2x2_boolean_structure():
@@ -229,7 +285,7 @@ def test_zero_matrix_is_not_prime():
 
 
 def test_prime_certificate_brute_force_cross_check():
-    # check the fast packed scan against plain matrix multiplication on
+    # check the Cayley-walk scan against plain matrix multiplication on
     # the 16-element monoid, for every non-unit element
     fm = closure(m2_boolean_gens())
     from tropmono.matrix import is_invertible
