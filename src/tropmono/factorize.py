@@ -5,10 +5,19 @@ A Word is internally a DAG of leaf / concatenation / power nodes rather
 than a flat letter list: the group-case words repeat large sub-words
 (powers of rotation words, conjugated diagonal scalings) whose flattened
 length grows with the entries, while the node count stays small.
-Evaluation memoizes per node, and power nodes use binary exponentiation,
-so verifying a factorization costs a few hundred 3x3 products even when
-the flat word would have tens of thousands of letters.  Flat letter
-sequences are produced lazily for printing and round-trips.
+
+Evaluation computes one value per node and keeps it on the node, per
+alphabet.  A value is a monomial (a column image and a finite shift per
+row) or dense rows.  Every unit letter starts as a monomial, and most of
+every word is a product of them: two monomials multiply in O(n), a power
+of a monomial follows the cycles of its permutation, so its cost does
+not depend on the exponent, and a monomial times dense rows is a row
+gather or a column scatter.  Only dense times dense is a matrix product,
+with binary exponentiation for dense powers.  Each leaf is checked
+against the word's alphabet when it is evaluated, and a Matrix is built
+only for the result.  The text form is likewise built once per node, a
+power repeating its part's text; flat letter sequences are produced
+lazily for round-trips.
 
 The five factorizations:
 
@@ -49,8 +58,12 @@ from .genset import (
     x_letter,
 )
 from .matrix import (
+    MAX_DIM,
     Matrix,
     Perm,
+    _identity_rows,
+    _mk,
+    _row_product,
     diag,
     format_matrix,
     identity,
@@ -58,7 +71,6 @@ from .matrix import (
     is_unitriangular,
     is_upper_triangular,
     mat_mul,
-    mat_pow,
     matrix,
     permute,
 )
@@ -108,26 +120,6 @@ def _cat(parts):
 _EMPTY = _Cat(())
 
 
-def _node_eval(node, n: int, semiring: Semiring) -> Matrix:
-    key = (n, semiring.name)
-    hit = node._vals.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, _Leaf):
-        val = node.g.realize(n, semiring)
-    elif isinstance(node, _Cat):
-        val = None
-        for p in node.parts:
-            v = _node_eval(p, n, semiring)
-            val = v if val is None else mat_mul(val, v)
-        if val is None:
-            val = identity(n, semiring)
-    else:
-        val = mat_pow(_node_eval(node.node, n, semiring), node.k)
-    node._vals[key] = val
-    return val
-
-
 def _node_letters(node):
     if isinstance(node, _Leaf):
         yield node.g
@@ -150,6 +142,24 @@ def _node_len(node, memo) -> int:
         out = sum(_node_len(p, memo) for p in node.parts)
     else:
         out = node.k * _node_len(node.node, memo)
+    memo[key] = out
+    return out
+
+
+def _node_text(node, memo) -> str:
+    # The flat text of a node, built once per node: a power repeats its
+    # part's text k times, an empty part contributes nothing.
+    key = id(node)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(node, _Leaf):
+        out = node.g.text()
+    elif isinstance(node, _Cat):
+        out = " ".join([t for t in (_node_text(p, memo) for p in node.parts) if t])
+    else:
+        t = _node_text(node.node, memo)
+        out = " ".join([t] * node.k) if t else ""
     memo[key] = out
     return out
 
@@ -192,8 +202,7 @@ class Word:
         return out
 
     def text(self) -> str:
-        toks = [g.text() for g in self.letters()]
-        return " ".join(toks) if toks else "ε"
+        return _node_text(self.root, {}) or "ε"
 
     def __repr__(self):
         k = self.letter_count()
@@ -207,20 +216,161 @@ def word_alphabet(w: Word) -> "GeneratingSet":
     return generating_set(monoid, w.n)
 
 
+# -- evaluation -------------------------------------------------------------
+#
+# A node's value is a _Mono or dense rows (a tuple of row tuples), cached
+# in node._vals under the alphabet's key: a value cached for one alphabet
+# says nothing about the node's letters in another.
+
+class _Mono:
+    """A monomial zmax matrix: row i holds sh[i] in column img[i]
+    (0-based), every other entry is -inf."""
+
+    __slots__ = ("img", "sh")
+
+    def __init__(self, img, sh):
+        self.img = img
+        self.sh = sh
+
+
+def _times(a, b, mul):
+    """The product of two values; mul multiplies dense rows."""
+    if type(a) is _Mono:
+        img, sh = a.img, a.sh
+        if type(b) is _Mono:
+            bimg, bsh = b.img, b.sh
+            return _Mono(tuple([bimg[k] for k in img]), tuple([s + bsh[k] for k, s in zip(img, sh)]))
+        # Row i of the product is row img[i] of b, shifted by sh[i].
+        return tuple([tuple([s + x for x in b[k]]) for k, s in zip(img, sh)])
+    if type(b) is _Mono:
+        # Column img[k] of the product is column k of a, shifted by sh[k].
+        img, sh = b.img, b.sh
+        src = [0] * len(img)
+        for k, j in enumerate(img):
+            src[j] = k
+        return tuple([tuple([row[k] + sh[k] for k in src]) for row in a])
+    return mul(a, b)
+
+
+def _mono_pow(a: _Mono, k: int) -> _Mono:
+    """a^k along the cycles of a's permutation: on a cycle of length L
+    with shift sum S, write k = qL + r; row i moves r steps along its
+    cycle and picks up q*S plus the r shifts it passes."""
+    img, sh = a.img, a.sh
+    n = len(img)
+    out_img = list(range(n))
+    # A fixed point keeps its column and multiplies its shift by k.
+    out_sh = [k * s for s in sh]
+    seen = [i == j for i, j in enumerate(img)]
+    for start in range(n):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = img[i]
+        size = len(cyc)
+        q, r = divmod(k, size)
+        shifts = [sh[i] for i in cyc]
+        whole = q * sum(shifts)
+        ring = shifts + shifts
+        for p, i in enumerate(cyc):
+            out_img[i] = cyc[(p + r) % size]
+            out_sh[i] = whole + sum(ring[p:p + r])
+    return _Mono(tuple(out_img), tuple(out_sh))
+
+
+def _power(v, k: int, ev):
+    if k == 0:
+        return ev.unit
+    if type(v) is _Mono:
+        return _mono_pow(v, k)
+    mul = ev.mul
+    acc = None
+    while k:
+        if k & 1:
+            acc = v if acc is None else mul(acc, v)
+        k >>= 1
+        if k:
+            v = mul(v, v)
+    return acc
+
+
+class _Eval:
+    """What evaluation needs at every node of a word with this monoid,
+    n and semiring; key names the alphabet the cached values belong to."""
+
+    __slots__ = ("key", "monoid", "alphabet", "n", "semiring", "mul", "unit")
+
+    def __init__(self, w: Word):
+        self.alphabet = word_alphabet(w)
+        self.key = (self.alphabet.monoid, w.n, w.semiring.name)
+        self.monoid = w.monoid
+        self.n = w.n
+        self.semiring = w.semiring
+        self.mul = _row_product(w.n, w.semiring)
+        if w.semiring is ZMAX:
+            self.unit = _Mono(tuple(range(w.n)), (0,) * w.n)
+        else:
+            self.unit = _identity_rows(w.n, w.semiring)
+
+
+# One _Eval per (monoid, n, semiring) seen.
+_EVALS: dict = {}
+
+
+def _leaf_value(g: Generator, ev: _Eval):
+    if not ev.alphabet.contains(g):
+        raise MembershipError(f"letter {g.text()} outside the {ev.monoid} alphabet")
+    m = g.realize(ev.n, ev.semiring)
+    if ev.semiring is ZMAX:
+        mono = is_monomial(m)
+        if mono is not None:
+            perm, vals = mono
+            return _Mono(tuple([j - 1 for j in perm.img]), vals)
+    return m.rows
+
+
+def _value(node, key, ev: _Eval):
+    hit = node._vals.get(key)
+    if hit is not None:
+        return hit
+    if type(node) is _Leaf:
+        val = _leaf_value(node.g, ev)
+    elif type(node) is _Cat:
+        val = None
+        for p in node.parts:
+            v = _value(p, key, ev)
+            val = v if val is None else _times(val, v, ev.mul)
+        if val is None:
+            val = ev.unit
+    else:
+        # The part is evaluated even for k = 0, so its letters are checked.
+        val = _power(_value(node.node, key, ev), node.k, ev)
+    node._vals[key] = val
+    return val
+
+
 def evaluate(w: Word) -> Matrix:
     """Multiply the word out.  The empty word is the identity.
 
     Every letter must belong to the word's monoid alphabet (including
-    the symbolic E and X families); a stray letter raises
-    MembershipError.
+    the symbolic E and X families, and letters under a zero power); a
+    stray letter raises MembershipError.
     """
-    alphabet = word_alphabet(w)
-    for g in w.distinct_letters():
-        if not alphabet.contains(g):
-            raise MembershipError(
-                f"letter {g.text()} outside the {w.monoid} alphabet"
-            )
-    return _node_eval(w.root, w.n, w.semiring)
+    ev = _EVALS.get((w.monoid, w.n, w.semiring.name))
+    if ev is None:
+        ev = _EVALS[w.monoid, w.n, w.semiring.name] = _Eval(w)
+    v = _value(w.root, ev.key, ev)
+    n = w.n
+    if type(v) is _Mono:
+        rows = [[BOTTOM] * n for _ in range(n)]
+        for i, (j, s) in enumerate(zip(v.img, v.sh)):
+            rows[i][j] = s
+        v = tuple([tuple(r) for r in rows])
+    return _mk(n, w.semiring, v)
 
 
 def parse_word(text: str, monoid: str, n: int, semiring: Semiring = ZMAX) -> Word:
@@ -261,11 +411,16 @@ def simplify(w: Word) -> Word:
 
 # -- upper triangular / unitriangular -------------------------------------
 
-# Node caches shared across factorizations: the same sub-word reuses
-# its evaluation cache, which matters when thousands of matrices are
-# factored in one process.
-_UT_DIAG: dict = {}
-_UT_ELEM: dict = {}
+# Shared leaves for the ut letters, indexed by slot; their values are
+# cached once per dimension.
+_NEG_I = _Leaf(NEG_I)
+_UT_UP = {i: _Leaf(diag_letter(i, 1)) for i in range(1, MAX_DIM + 1)}
+_UT_BOT = {i: _Leaf(diag_letter(i, BOTTOM)) for i in range(1, MAX_DIM + 1)}
+_UT_E = {
+    (i, j): _Leaf(elem_letter(i, j, 0))
+    for i in range(1, MAX_DIM + 1)
+    for j in range(i + 1, MAX_DIM + 1)
+}
 
 
 def _ut_diag_node(n: int, i: int, a):
@@ -274,37 +429,23 @@ def _ut_diag_node(n: int, i: int, a):
     # of (-1 * I) compensated by +1 letters in every other slot.
     if a == 0:
         return None
-    key = (n, i, a)
-    node = _UT_DIAG.get(key)
-    if node is not None:
-        return node
     if a == BOTTOM:
-        node = _Leaf(diag_letter(i, BOTTOM))
-    elif a > 0:
-        node = _Pow(_Leaf(diag_letter(i, 1)), a)
-    else:
-        k = -a
-        parts = [_Pow(_Leaf(NEG_I), k)]
-        parts += [_Pow(_Leaf(diag_letter(j, 1)), k) for j in range(1, n + 1) if j != i]
-        node = _Cat(parts)
-    _UT_DIAG[key] = node
-    return node
+        return _UT_BOT[i]
+    if a > 0:
+        return _Pow(_UT_UP[i], a)
+    k = -a
+    parts = [_Pow(_NEG_I, k)]
+    parts += [_Pow(_UT_UP[j], k) for j in range(1, n + 1) if j != i]
+    return _Cat(parts)
 
 
 def _ut_elem_node(n: int, i: int, j: int, a):
     if a == BOTTOM:
         return None
-    key = (n, i, j, a)
-    node = _UT_ELEM.get(key)
-    if node is not None:
-        return node
-    e = _Leaf(elem_letter(i, j, 0))
+    e = _UT_E[i, j]
     if a == 0:
-        node = e
-    else:
-        node = _Cat((_ut_diag_node(n, i, a), e, _ut_diag_node(n, i, -a)))
-    _UT_ELEM[key] = node
-    return node
+        return e
+    return _Cat((_ut_diag_node(n, i, a), e, _ut_diag_node(n, i, -a)))
 
 
 def factor_ut(m: Matrix) -> Word:
@@ -359,6 +500,8 @@ _GLB = _Leaf(GL_B)
 
 _GL_BITS: dict = {}
 _GL_PERM: dict = {}
+# The +1 and -1 scalings of one slot, keyed by (n, slot, sign).
+_GL_SLOT: dict = {}
 
 
 def _gl_bits(n: int) -> dict:
@@ -426,12 +569,15 @@ def _gl_slot_node(n: int, i: int, d: int):
     """Word for the diagonal matrix with d in slot i, zero elsewhere."""
     if d == 0:
         return None
-    bits = _gl_bits(n)
-    base = bits["A1p"] if d > 0 else bits["A1m"]
-    if i != 1:
-        t = Perm.transposition(n, 1, i)
-        conj = _gl_perm_node(n, t)
-        base = _Cat((conj, base, conj))
+    key = (n, i, d > 0)
+    base = _GL_SLOT.get(key)
+    if base is None:
+        bits = _gl_bits(n)
+        base = bits["A1p"] if d > 0 else bits["A1m"]
+        if i != 1:
+            conj = _gl_perm_node(n, Perm.transposition(n, 1, i))
+            base = _Cat((conj, base, conj))
+        _GL_SLOT[key] = base
     return _Pow(base, abs(d))
 
 
@@ -568,9 +714,9 @@ def factor_m2(m: Matrix) -> Word:
 
 # -- the full 3x3 monoid ----------------------------------------------------
 
-_E12 = _Leaf(elem_letter(1, 2, 0))
+_E12 = _UT_E[1, 2]
 _ID3 = Perm.identity(3)
-_A1INF = _Leaf(diag_letter(1, BOTTOM))
+_A1INF = _UT_BOT[1]
 
 _M3_BITS: dict = {}
 

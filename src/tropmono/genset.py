@@ -39,11 +39,12 @@ from .semiring import BOOLEAN, BOTTOM, Semiring, ZMAX, format_scalar, is_finite,
 class Generator:
     """A symbolic alphabet letter: kind tag plus parameter tuple."""
 
-    __slots__ = ("kind", "params")
+    __slots__ = ("kind", "params", "_mats")
 
     def __init__(self, kind: str, params=()):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", tuple(params))
+        object.__setattr__(self, "_mats", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
@@ -86,14 +87,13 @@ class Generator:
         raise AssertionError(f"unknown generator kind {k}")
 
     def realize(self, n: int, semiring: Semiring) -> Matrix:
-        key = (self.kind, self.params, n, semiring.name)
-        hit = _REALIZED.get(key)
+        # Cached on the letter, so a realization lives as long as the
+        # letter object and no module-level table grows with parameters.
+        key = (n, semiring.name)
+        hit = self._mats.get(key)
         if hit is None:
-            hit = _REALIZED[key] = _realize(self, n, semiring)
+            hit = self._mats[key] = _realize(self, n, semiring)
         return hit
-
-
-_REALIZED: dict = {}
 
 
 def _rotation(n: int, upto: int) -> Perm:

@@ -12,6 +12,8 @@ residuation and never escapes a returned witness.
 
 from __future__ import annotations
 
+from operator import add
+
 from .semiring import (
     BOOLEAN,
     BOTTOM,
@@ -134,30 +136,34 @@ def _mul3(a, b):
     )
 
 
+def _mulz(a, b):
+    bcols = tuple(zip(*b))
+    return tuple([tuple([max(map(add, row, col)) for col in bcols]) for row in a])
+
+
+def _mulb(a, b):
+    bcols = tuple(zip(*b))
+    return tuple(
+        tuple(max(min(x, y) for x, y in zip(row, col)) for col in bcols)
+        for row in a
+    )
+
+
+def _row_product(n: int, semiring: Semiring):
+    """The product of two n x n row tuples over semiring, as a function:
+    unrolled for 2x2 and 3x3 tropical matrices."""
+    if semiring.name == "zmax":
+        return _mul3 if n == 3 else _mul2 if n == 2 else _mulz
+    return _mulb
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Product (ab)_ij = max over k of a_ik * b_kj, * the semiring product."""
     if a.semiring is not b.semiring:
         raise ValueError(f"semiring mismatch: {a.semiring.name} vs {b.semiring.name}")
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    n = a.n
-    if a.semiring.name == "zmax":
-        if n == 3:
-            return _mk(3, a.semiring, _mul3(a.rows, b.rows))
-        if n == 2:
-            return _mk(2, a.semiring, _mul2(a.rows, b.rows))
-        bcols = tuple(zip(*b.rows))
-        out = tuple(
-            tuple(max(x + y for x, y in zip(row, col)) for col in bcols)
-            for row in a.rows
-        )
-        return _mk(n, a.semiring, out)
-    bcols = tuple(zip(*b.rows))
-    out = tuple(
-        tuple(max(min(x, y) for x, y in zip(row, col)) for col in bcols)
-        for row in a.rows
-    )
-    return _mk(n, a.semiring, out)
+    return _mk(a.n, a.semiring, _row_product(a.n, a.semiring)(a.rows, b.rows))
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:

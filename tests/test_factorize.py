@@ -6,14 +6,18 @@ entry for entry, no tolerance.
 import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tropmono.factorize import (
     MembershipError,
     Word,
     _Cat,
     _Leaf,
+    _Mono,
     _Pow,
+    _mono_pow,
+    _times,
     _m3_route,
     evaluate,
     factor,
@@ -25,7 +29,7 @@ from tropmono.factorize import (
     parse_word,
     simplify,
 )
-from tropmono.genset import diag_letter, elem_letter, x_letter
+from tropmono.genset import GL_A, GL_B, diag_letter, elem_letter, generating_set, x_letter
 from tropmono.matrix import (
     Perm,
     construct_A,
@@ -37,6 +41,7 @@ from tropmono.matrix import (
     is_invertible,
     is_upper_triangular,
     mat_mul,
+    mat_pow,
     matrix,
     parse_matrix,
     permute,
@@ -96,6 +101,145 @@ def test_evaluate_rejects_foreign_letters():
         assert False
     except MembershipError:
         pass
+
+
+@st.composite
+def random_dags(draw):
+    """A word over a whole alphabet, built as a DAG of shared _Cat and
+    _Pow nodes (empty cats and k = 0 included) on top of one leaf per
+    letter, with its flat letter count kept small enough to fold."""
+    # Half the words use m2 or m3, whose alphabets mix permuting
+    # monomial letters with dense ones.
+    name, n = draw(st.one_of(
+        st.tuples(st.sampled_from(["ut", "gl", "ut_boolean"]), st.integers(2, 6)),
+        st.sampled_from([("m2", 2), ("m3", 3)]),
+    ))
+    alphabet = generating_set(name, n)
+    monoid, semiring = ("ut", BOOLEAN) if name == "ut_boolean" else (name, ZMAX)
+    pool = [_Leaf(g) for g in alphabet.letters]
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
+            pool.append(_Cat([pool[i] for i in picks]))
+        else:
+            pool.append(_Pow(pool[draw(st.integers(0, len(pool) - 1))], draw(st.integers(0, 3))))
+    w = Word(monoid, n, semiring, pool[-1])
+    assume(w.letter_count() <= 3000)
+    return w
+
+
+@given(random_dags(), st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_random_dag_eval_matches_fold(w, k):
+    # monomial and dense values, their mixed products and powers, against
+    # the letter-by-letter left fold and against mat_pow for a large power
+    assert evaluate(w) == fold_letters(w)
+    assert w.text() == (" ".join(g.text() for g in w.letters()) or "ε")
+    big = Word(w.monoid, w.n, w.semiring, _Pow(w.root, k))
+    assert evaluate(big) == mat_pow(evaluate(w), k)
+
+
+@st.composite
+def monomials_and_dense(draw):
+    """Two monomial values and a dense matrix, all n x n."""
+    n = draw(st.integers(2, 8))
+    monos = [
+        _Mono(tuple(draw(st.permutations(range(n)))),
+              tuple(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))))
+        for _ in range(2)
+    ]
+    entry = st.one_of(st.just(BOTTOM), st.integers(-50, 50))
+    dense = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return monos, matrix(dense)
+
+
+def mono_matrix(v):
+    # diag(sh) times the permutation matrix of img, built by mat_mul
+    return mat_mul(diag(v.sh), construct_P(Perm([j + 1 for j in v.img])))
+
+
+@given(monomials_and_dense(), st.integers(0, 10 ** 4))
+@settings(max_examples=200, deadline=None)
+def test_value_products_match_mat_mul(values, k):
+    (a, b), dense = values
+    mul = lambda x, y: mat_mul(matrix(x), matrix(y)).rows  # noqa: E731
+    assert matrix(_times(a, dense.rows, mul)) == mat_mul(mono_matrix(a), dense)
+    assert matrix(_times(dense.rows, a, mul)) == mat_mul(dense, mono_matrix(a))
+    assert mono_matrix(_times(a, b, mul)) == mat_mul(mono_matrix(a), mono_matrix(b))
+    assert mono_matrix(_mono_pow(a, k)) == mat_pow(mono_matrix(a), k)
+
+
+def test_monomial_powers_with_huge_exponents_are_exact():
+    for n in range(2, 7):
+        # B is Ai(1,-1) times the full n-cycle, so B^n = -1 * I
+        w = Word("gl", n, ZMAX, _Pow(_Leaf(GL_B), n * 10 ** 20))
+        assert evaluate(w) == diag((-(10 ** 20),) * n)
+        for i in range(1, n + 1):
+            w = Word("ut", n, ZMAX, _Pow(_Leaf(diag_letter(i, 1)), 10 ** 30))
+            assert evaluate(w) == construct_A(i, 10 ** 30, n)
+
+
+def test_cached_values_do_not_vouch_for_another_alphabet():
+    shared = _Cat((_Leaf(diag_letter(1, 1)), _Leaf(diag_letter(2, 1))))
+    ut = Word("ut", 3, ZMAX, _Cat((shared, _Leaf(elem_letter(1, 2, 0)))))
+    assert evaluate(ut) == mat_mul(diag((1, 1, 0)), construct_E(1, 2, 3))
+    # the same node, already evaluated for ut, inside a gl word
+    gl = Word("gl", 3, ZMAX, _Cat((_Leaf(GL_A), shared)))
+    with pytest.raises(MembershipError):
+        evaluate(gl)
+    # a foreign letter under a zero power is still rejected
+    with pytest.raises(MembershipError):
+        evaluate(Word("gl", 3, ZMAX, _Cat((_Leaf(GL_A), _Pow(shared, 0)))))
+
+
+def test_module_caches_do_not_grow_with_entry_values():
+    """The module-level tables are keyed by structure only (dimension,
+    permutation, slot, bottom mask, alphabet), never by entry values: once
+    every structural key is covered, factoring and evaluating fresh
+    random matrices with large entries adds nothing to any of them."""
+    from tropmono import factorize, genset
+
+    sizes_n = (3, 4, 5, 6)
+    for mask in range(512):
+        _m3_route(mask)
+    for n in sizes_n:
+        for img in itertools.permutations(range(1, n + 1)):
+            for d in (1, -1):
+                m = mat_mul(diag([d] * n), construct_P(Perm(img)))
+                assert evaluate(factor_gl(m)) == m
+    rng = random.Random(108)
+
+    def fresh(count):
+        for _ in range(count):
+            kind = rng.choice(("u", "ut", "gl", "m3"))
+            n = 3 if kind == "m3" else rng.choice(sizes_n)
+            big = lambda: rng.randint(-10 ** 6, 10 ** 6)  # noqa: E731
+            if kind == "m3":
+                rows = [[BOTTOM if rng.random() < 0.3 else big() for _ in range(3)] for _ in range(3)]
+            elif kind == "gl":
+                img = list(range(1, n + 1))
+                rng.shuffle(img)
+                rows = mat_mul(diag([big() for _ in range(n)]), construct_P(Perm(img))).rows
+            else:
+                rows = [
+                    [(0 if kind == "u" else big()) if i == j else big() if j > i else BOTTOM for j in range(n)]
+                    for i in range(n)
+                ]
+            m = matrix(rows)
+            assert evaluate(factor(m, kind)) == m
+
+    def sizes():
+        return {
+            f"{mod.__name__}.{name}": len(v)
+            for mod in (factorize, genset)
+            for name, v in vars(mod).items()
+            if isinstance(v, dict) and not name.startswith("__")
+        }
+
+    fresh(100)
+    after_100 = sizes()
+    fresh(200)
+    assert sizes() == after_100
 
 
 def test_word_text_round_trip():
