@@ -28,7 +28,11 @@ The five factorizations:
 * factor_m2: every 2x2 tropical matrix over the four-letter alphabet.
 * factor_m3: every 3x3 tropical matrix over the m3 alphabet; a case
   dispatcher, looked up by the positions of the -inf entries, that
-  recurses on strictly easier matrices.
+  recurses on strictly easier matrices, kept as plain row tuples.
+
+The triangular walk takes the words for its scalings and elementary
+letters, and the 2x2 words are written over a letter set (A, B, C, D),
+so factor_m3 reuses both, with m3 words for those letters.
 
 The dispatcher's tie-breaking is fixed and documented inline: searches
 over permutation pairs run in lexicographic order and take the first
@@ -64,15 +68,12 @@ from .matrix import (
     _identity_rows,
     _mk,
     _row_product,
-    diag,
     format_matrix,
     identity,
     is_monomial,
     is_unitriangular,
     is_upper_triangular,
     mat_mul,
-    matrix,
-    permute,
 )
 from .semiring import BOTTOM, Semiring, ZMAX, is_finite
 
@@ -306,6 +307,10 @@ class _Eval:
 
     def __init__(self, w: Word):
         self.alphabet = word_alphabet(w)
+        if self.alphabet.semiring is not w.semiring:
+            raise ValueError(
+                f"{w.monoid} words live over {self.alphabet.semiring.name}, not {w.semiring.name}"
+            )
         self.key = (self.alphabet.monoid, w.n, w.semiring.name)
         self.monoid = w.monoid
         self.n = w.n
@@ -358,7 +363,9 @@ def evaluate(w: Word) -> Matrix:
 
     Every letter must belong to the word's monoid alphabet (including
     the symbolic E and X families, and letters under a zero power); a
-    stray letter raises MembershipError.
+    stray letter raises MembershipError.  A word over another semiring
+    than its alphabet's (only ut words have a Boolean alphabet) raises
+    ValueError.
     """
     ev = _EVALS.get((w.monoid, w.n, w.semiring.name))
     if ev is None:
@@ -439,20 +446,40 @@ def _ut_diag_node(n: int, i: int, a):
     return _Cat(parts)
 
 
-def _ut_elem_node(n: int, i: int, j: int, a):
-    if a == BOTTOM:
-        return None
-    e = _UT_E[i, j]
+def _elem_word(slot, e, i: int, a):
+    """E(i, j, a) for finite a: the word e for E(i, j, 0) conjugated by
+    the slot-i scalings slot(i, a) and slot(i, -a)."""
     if a == 0:
         return e
-    return _Cat((_ut_diag_node(n, i, a), e, _ut_diag_node(n, i, -a)))
+    return _cat([slot(i, a), e, slot(i, -a)])
+
+
+def _ut_walk(g, slot, elems):
+    """The triangular factorization of the upper triangular rows g.
+
+    Emits columns right to left and each column bottom-up, so the
+    diagonal cell of a column comes first.  slot(i, a) is the word for
+    the diagonal with a in slot i (None for 0) and elems[i, j] the word
+    for E(i, j, 0); a finite entry above the diagonal is that letter
+    conjugated by slot-i scalings, a -inf one emits nothing.
+    """
+    n = len(g)
+    parts = []
+    for j in range(n, 0, -1):
+        for i in range(j, 0, -1):
+            a = g[i - 1][j - 1]
+            if i == j:
+                parts.append(slot(i, a))
+            elif a != BOTTOM:
+                parts.append(_elem_word(slot, elems[i, j], i, a))
+    return _cat(parts)
 
 
 def factor_ut(m: Matrix) -> Word:
     """Upper triangular factorization over the ut alphabet.
 
     Emits columns right to left, each column bottom-up, the diagonal
-    cell of the column last; multiplying back is exact for every upper
+    cell of the column first; multiplying back is exact for every upper
     triangular input.
     """
     if m.semiring is not ZMAX:
@@ -460,17 +487,7 @@ def factor_ut(m: Matrix) -> Word:
     if not is_upper_triangular(m):
         raise MembershipError(f"matrix is not upper triangular: {format_matrix(m)}")
     n = m.n
-    parts = []
-    for l in range(n):
-        j = n - l
-        for k in range(n - l):
-            i = n - l - k
-            a = m.entry(i, j)
-            if i == j:
-                parts.append(_ut_diag_node(n, i, a))
-            else:
-                parts.append(_ut_elem_node(n, i, j, a))
-    return Word("ut", n, ZMAX, _cat(parts))
+    return Word("ut", n, ZMAX, _ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E))
 
 
 def factor_unitriangular(m: Matrix) -> Word:
@@ -581,14 +598,6 @@ def _gl_slot_node(n: int, i: int, d: int):
     return _Pow(base, abs(d))
 
 
-def _factor_gl_node(m: Matrix):
-    mono = is_monomial(m)
-    if mono is None or not all(is_finite(v) for v in mono[1]):
-        raise MembershipError(f"matrix is not invertible: {format_matrix(m)}")
-    perm, vals = mono
-    return _gl_word(m.n, vals, perm)
-
-
 def _gl_word(n: int, vals, perm: Perm):
     """Word for the monomial matrix diag(vals) * P_perm, vals finite."""
     parts = [_gl_slot_node(n, i, d) for i, d in enumerate(vals, start=1)]
@@ -607,96 +616,109 @@ def factor_gl(m: Matrix) -> Word:
         raise MembershipError("factor_gl expects a zmax matrix")
     if m.n < 2:
         raise MembershipError("the invertible-group factorization needs n >= 2")
-    return Word("gl", m.n, ZMAX, _factor_gl_node(m))
+    mono = is_monomial(m)
+    if mono is None or not all(is_finite(v) for v in mono[1]):
+        raise MembershipError(f"matrix is not invertible: {format_matrix(m)}")
+    perm, vals = mono
+    return Word("gl", m.n, ZMAX, _gl_word(m.n, vals, perm))
 
 
 # -- the full 2x2 monoid ----------------------------------------------------
 
-_M2A = _Leaf(M2_A)
-_M2B = _Leaf(M2_B)
-_M2C = _Leaf(M2_C)
-_M2D = _Leaf(M2_D)
-# F = B A swaps the two rows (on the left) or columns (on the right); F F = I.
-_M2F = _Cat((_M2B, _M2A))
-# B(-1) = A B A, so negative diagonal powers are powers of this word.
-_M2BNEG = _Cat((_M2A, _M2B, _M2A))
+class _M2Letters:
+    """The words the 2x2 factorization writes for its letters A, B, C
+    and D: B, C and D, then F = B A, which swaps the two rows (on the
+    left) or columns (on the right), F F = I, and BNEG = A B A = B(-1),
+    whose powers are the negative diagonal powers."""
+
+    __slots__ = ("B", "C", "D", "F", "BNEG")
+
+    def __init__(self, a, b, c, d):
+        self.B, self.C, self.D = b, c, d
+        self.F = _Cat((b, a))
+        self.BNEG = _Cat((a, b, a))
 
 
-def _b2(z):
+_M2 = _M2Letters(_Leaf(M2_A), _Leaf(M2_B), _Leaf(M2_C), _Leaf(M2_D))
+
+
+def _b2(L, z):
     """Word for the diagonal matrix (z, 0): powers of B, or of A B A."""
     if z == 0:
         return None
     if z > 0:
-        return _Pow(_M2B, z)
-    return _Pow(_M2BNEG, -z)
+        return _Pow(L.B, z)
+    return _Pow(L.BNEG, -z)
 
 
-def _m2_corner(x, y, z):
+def _m2_corner(L, x, y, z):
     # [[-inf, x], [y, z]] = B(x) F B(z) D F B(y - z)
-    return _cat([_b2(x), _M2F, _b2(z), _M2D, _M2F, _b2(y - z)])
+    return _cat([_b2(L, x), L.F, _b2(L, z), L.D, L.F, _b2(L, y - z)])
 
 
-def _m2_row1(x, y):
+def _m2_row1(L, x, y):
     # [[-inf, -inf], [x, y]] = C F B(y) D B(x - y)
-    return _cat([_M2C, _M2F, _b2(y), _M2D, _b2(x - y)])
+    return _cat([L.C, L.F, _b2(L, y), L.D, _b2(L, x - y)])
 
 
-def _m2_col1(x, y):
+def _m2_col1(L, x, y):
     # [[-inf, x], [-inf, y]] = B(x) F B(y) D F C
-    return _cat([_b2(x), _M2F, _b2(y), _M2D, _M2F, _M2C])
+    return _cat([_b2(L, x), L.F, _b2(L, y), L.D, L.F, L.C])
 
 
-def _factor_m2_node(m: Matrix):
-    (a, b), (c, d) = m.rows
+def _factor_m2_node(g, L):
+    """The word for the 2x2 rows g, written in the letters L."""
+    (a, b), (c, d) = g
     bottoms = frozenset(
-        (i, j) for i, row in enumerate(m.rows, 1) for j, x in enumerate(row, 1) if x == BOTTOM
+        (i, j) for i, row in enumerate(g, 1) for j, x in enumerate(row, 1) if x == BOTTOM
     )
+    C, F = L.C, L.F
     z = len(bottoms)
     if z == 4:
-        return _Cat((_M2C, _M2F, _M2C))
+        return _Cat((C, F, C))
     if z == 3:
         # Route the single finite entry to (2,1), where C F B(x) puts it.
         if (1, 1) not in bottoms:
-            return _cat([_M2F, _M2C, _M2F, _b2(a)])
+            return _cat([F, C, F, _b2(L, a)])
         if (1, 2) not in bottoms:
-            return _cat([_M2F, _M2C, _M2F, _b2(b), _M2F])
+            return _cat([F, C, F, _b2(L, b), F])
         if (2, 1) not in bottoms:
-            return _cat([_M2C, _M2F, _b2(c)])
-        return _cat([_M2C, _M2F, _b2(d), _M2F])
+            return _cat([C, F, _b2(L, c)])
+        return _cat([C, F, _b2(L, d), F])
     if z == 2:
         if bottoms == {(1, 1), (1, 2)}:
-            return _m2_row1(c, d)
+            return _m2_row1(L, c, d)
         if bottoms == {(2, 1), (2, 2)}:
-            return _cat([_M2F, _m2_row1(a, b)])
+            return _cat([F, _m2_row1(L, a, b)])
         if bottoms == {(1, 1), (2, 1)}:
-            return _m2_col1(b, d)
+            return _m2_col1(L, b, d)
         if bottoms == {(1, 2), (2, 2)}:
-            return _cat([_m2_col1(a, c), _M2F])
+            return _cat([_m2_col1(L, a, c), F])
         if bottoms == {(1, 1), (2, 2)}:
-            return _cat([_b2(b), _M2F, _b2(c)])
+            return _cat([_b2(L, b), F, _b2(L, c)])
         # Diagonal (x, y): the anti-diagonal word times a column swap.
-        return _cat([_b2(a), _M2F, _b2(d), _M2F])
+        return _cat([_b2(L, a), F, _b2(L, d), F])
     if z == 1:
         if (1, 1) in bottoms:
-            return _m2_corner(b, c, d)
+            return _m2_corner(L, b, c, d)
         if (1, 2) in bottoms:
-            return _cat([_m2_corner(a, d, c), _M2F])
+            return _cat([_m2_corner(L, a, d, c), F])
         if (2, 1) in bottoms:
-            return _cat([_M2F, _m2_corner(d, a, b)])
-        return _cat([_M2F, _m2_corner(c, b, a), _M2F])
+            return _cat([F, _m2_corner(L, d, a, b)])
+        return _cat([F, _m2_corner(L, c, b, a), F])
     # No bottoms.  m = G B(b) F B(a) where G = [[0, 0], [x, y]] collects
     # the row differences; G itself splits into two one-bottom matrices,
     # by cases on the order of x and y.
     x = d - b
     y = c - a
     if y <= x:
-        g = _cat([_m2_corner(0, y, y), _m2_corner(x - y, 0, 0), _M2F])
+        g = _cat([_m2_corner(L, 0, y, y), _m2_corner(L, x - y, 0, 0), F])
     else:
         g = _cat([
-            _M2F, _m2_corner(0, -x, -y), _M2F,
-            _M2F, _m2_corner(x, y, x), _M2F,
+            F, _m2_corner(L, 0, -x, -y), F,
+            F, _m2_corner(L, x, y, x), F,
         ])
-    return _cat([g, _b2(b), _M2F, _b2(a)])
+    return _cat([g, _b2(L, b), F, _b2(L, a)])
 
 
 def factor_m2(m: Matrix) -> Word:
@@ -709,7 +731,7 @@ def factor_m2(m: Matrix) -> Word:
         raise MembershipError("factor_m2 expects a zmax matrix")
     if m.n != 2:
         raise MembershipError(f"factor_m2 expects 2x2, got {m.n}x{m.n}")
-    return Word("m2", 2, ZMAX, _factor_m2_node(m))
+    return Word("m2", 2, ZMAX, _factor_m2_node(m.rows, _M2))
 
 
 # -- the full 3x3 monoid ----------------------------------------------------
@@ -717,59 +739,28 @@ def factor_m2(m: Matrix) -> Word:
 _E12 = _UT_E[1, 2]
 _ID3 = Perm.identity(3)
 _A1INF = _UT_BOT[1]
+_P12, _P13, _P23 = (_gl_perm_node(3, Perm.transposition(3, a, b)) for a, b in ((1, 2), (1, 3), (2, 3)))
 
-_M3_BITS: dict = {}
-
-
-def _m3_perm(perm: Perm):
-    return _gl_perm_node(3, perm)
-
-
-def _m3_bits() -> dict:
-    """Cached lift words: the elementary letters E13 and E23 and the
-    bottom-diagonal letters in slots 2 and 3 as conjugates of the two
-    m3 letters, and the 2x2 alphabet embedded in the lower block."""
-    bits = _M3_BITS.get(3)
-    if bits is not None:
-        return bits
-    p23 = _m3_perm(Perm.from_cycles(3, [(2, 3)]))
-    p12 = _m3_perm(Perm.from_cycles(3, [(1, 2)]))
-    p13 = _m3_perm(Perm.from_cycles(3, [(1, 3)]))
-    bits = {
-        "e13": _cat([p23, _E12, p23]),
-        "e23": _cat([
-            _m3_perm(Perm.from_cycles(3, [(2, 1, 3)])),
-            _E12,
-            _m3_perm(Perm.from_cycles(3, [(2, 3, 1)])),
-        ]),
-        "a2inf": _cat([p12, _A1INF, p12]),
-        "a3inf": _cat([p13, _A1INF, p13]),
-        # One plus the 2x2 letters: lifts of A, B, C, D.
-        "m2A": _factor_gl_node(matrix([[0, BOTTOM, BOTTOM], [BOTTOM, BOTTOM, -1], [BOTTOM, 0, BOTTOM]])),
-        "m2B": _factor_gl_node(diag((0, 1, 0))),
-        "m2C": _cat([p12, _A1INF, p12]),
-        "m2D": _cat([
-            _m3_perm(Perm.from_cycles(3, [(1, 3, 2)])),
-            _E12,
-            _m3_perm(Perm.from_cycles(3, [(1, 3)])),
-        ]),
-    }
-    _M3_BITS[3] = bits
-    return bits
-
-
-def _m3_elem(i: int, j: int):
-    if (i, j) == (1, 2):
-        return _E12
-    bits = _m3_bits()
-    return bits["e13"] if (i, j) == (1, 3) else bits["e23"]
-
-
-def _m3_slot_inf(i: int):
-    if i == 1:
-        return _A1INF
-    bits = _m3_bits()
-    return bits["a2inf"] if i == 2 else bits["a3inf"]
+# The other letters the m3 words need, as conjugates of the two m3
+# letters E(1,2,0) and Ai(1,-inf) by permutation words: E(1,3,0) and
+# E(2,3,0), the bottom-diagonal letters of every slot, and the 2x2
+# letters lifted into the lower block (one plus A, B, C, D).
+_M3_E = {
+    (1, 2): _E12,
+    (1, 3): _cat([_P23, _E12, _P23]),
+    (2, 3): _cat([
+        _gl_perm_node(3, Perm.from_cycles(3, [(2, 1, 3)])),
+        _E12,
+        _gl_perm_node(3, Perm.from_cycles(3, [(2, 3, 1)])),
+    ]),
+}
+_M3_SLOT_INF = {1: _A1INF, 2: _cat([_P12, _A1INF, _P12]), 3: _cat([_P13, _A1INF, _P13])}
+_M3_BLOCK = _M2Letters(
+    _gl_word(3, (0, -1, 0), Perm((1, 3, 2))),
+    _gl_word(3, (0, 1, 0), _ID3),
+    _M3_SLOT_INF[2],
+    _cat([_gl_perm_node(3, Perm.from_cycles(3, [(1, 3, 2)])), _E12, _P13]),
+)
 
 
 def _m3_scale(i: int, a):
@@ -778,58 +769,18 @@ def _m3_scale(i: int, a):
     if a == 0:
         return None
     if a == BOTTOM:
-        return _m3_slot_inf(i)
+        return _M3_SLOT_INF[i]
     return _gl_word(3, tuple(a if k == i else 0 for k in (1, 2, 3)), _ID3)
-
-
-def _m3_ut_node(g):
-    """The triangular factorization of the rows g re-targeted at the m3
-    alphabet: same column order as factor_ut, with each ut letter lifted."""
-    parts = []
-    for l in range(3):
-        j = 3 - l
-        for k in range(3 - l):
-            i = 3 - l - k
-            a = g[i - 1][j - 1]
-            if i == j:
-                parts.append(_m3_scale(i, a))
-            elif a != BOTTOM:
-                if a == 0:
-                    parts.append(_m3_elem(i, j))
-                else:
-                    parts.append(_cat([_m3_scale(i, a), _m3_elem(i, j), _m3_scale(i, -a)]))
-    return _cat(parts)
-
-
-def _m3_lift_m2(node, memo):
-    """Structurally substitute the 2x2 letters by their 3x3 lift words,
-    preserving concatenation and power structure."""
-    hit = memo.get(id(node))
-    if hit is not None:
-        return hit
-    bits = _m3_bits()
-    if isinstance(node, _Leaf):
-        out = {
-            "M2_A": bits["m2A"],
-            "M2_B": bits["m2B"],
-            "M2_C": bits["m2C"],
-            "M2_D": bits["m2D"],
-        }[node.g.kind]
-    elif isinstance(node, _Cat):
-        out = _Cat([_m3_lift_m2(p, memo) for p in node.parts])
-    else:
-        out = _Pow(_m3_lift_m2(node.node, memo), node.k)
-    memo[id(node)] = out
-    return out
 
 
 _S3 = [Perm(img) for img in itertools.permutations((1, 2, 3))]
 _ALL3 = {1, 2, 3}
+_REV3 = Perm((3, 2, 1))
 
 # The dispatcher's case analysis reads only where the -inf entries sit,
 # so every decision except the dense split is looked up here by bottom
 # mask (bit 3(i-1) + (j-1) set when entry (i, j) is -inf), one mask at
-# a time, the first time it is seen.
+# a time, the first time it is seen (_m3_fill).
 _M3_ROUTES: dict = {}
 
 
@@ -837,9 +788,30 @@ def _m3_route(mask: int):
     """(branch, s, t) for a bottom mask: the case that handles it and the
     row and column permutations of its normal form P_s m P_t (None for
     gl and dense, which use m as it is; branch None has no rule)."""
-    route = _M3_ROUTES.get(mask)
-    if route is None:
-        route = _M3_ROUTES[mask] = _m3_find_route(mask)
+    return (_M3_ROUTES.get(mask) or _m3_fill(mask))[:3]
+
+
+def _m3_fill(mask: int):
+    """The table entry (branch, s, t, step) of one mask.
+
+    With a permutation pair, step is (cells, left, right): row i of the
+    normal form P_s m P_t is the entries cells[i] of m's rows laid end
+    to end, and the permutation words left = P_{s^-1} and right =
+    P_{t^-1} (None for x, whose t is the identity) wrap the branch's
+    word.  For gl, step is (cells, perm) with m = diag(the entries at
+    cells) * P_perm; dense has no step.
+    """
+    branch, s, t = _m3_find_route(mask)
+    step = None
+    if branch == "gl":
+        img = tuple(j for i in range(3) for j in (1, 2, 3) if not mask >> (3 * i + j - 1) & 1)
+        step = (tuple(3 * i + j - 1 for i, j in enumerate(img)), Perm(img))
+    elif s is not None:
+        tinv = t.inverse()
+        cells = tuple(tuple(3 * s(i) + tinv(j) - 4 for j in (1, 2, 3)) for i in (1, 2, 3))
+        right = None if branch == "x" else _gl_perm_node(3, tinv)
+        step = (cells, _gl_perm_node(3, s.inverse()), right)
+    route = _M3_ROUTES[mask] = (branch, s, t, step)
     return route
 
 
@@ -908,27 +880,20 @@ def _m3_find_route(mask: int):
     return "clear", sigma, Perm(img)
 
 
-def _m3_e12_node(lam):
-    """E_12 with a finite parameter: conjugate the letter by slot-1 scalings."""
-    if lam == 0:
-        return _E12
-    return _cat([_m3_scale(1, lam), _E12, _m3_scale(1, -lam)])
-
-
 # Each branch below gets g, the rows of its normal form P_s m P_t, and
 # returns the word parts that go between the two permutation words.
 
 def _m3_block(g, depth: int):
-    sub = matrix([[g[1][1], g[1][2]], [g[2][1], g[2][2]]])
-    return [_m3_scale(1, g[0][0]), _m3_lift_m2(_factor_m2_node(sub), {})]
+    sub = ((g[1][1], g[1][2]), (g[2][1], g[2][2]))
+    return [_m3_scale(1, g[0][0]), _factor_m2_node(sub, _M3_BLOCK)]
 
 
 def _m3_split_row(g, depth: int):
     # Row 3 holds the bottom pair (plus a possible third) in columns 1
     # and 2; it peels off:
     # [[a,b,c],[d,e,x],[-,-,y]] = [[0,-,c],[-,0,x],[-,-,y]] * [[a,b,-],[d,e,-],[-,-,0]].
-    left = matrix([[0, BOTTOM, g[0][2]], [BOTTOM, 0, g[1][2]], [BOTTOM, BOTTOM, g[2][2]]])
-    right = matrix([[g[0][0], g[0][1], BOTTOM], [g[1][0], g[1][1], BOTTOM], [BOTTOM, BOTTOM, 0]])
+    left = ((0, BOTTOM, g[0][2]), (BOTTOM, 0, g[1][2]), (BOTTOM, BOTTOM, g[2][2]))
+    right = ((g[0][0], g[0][1], BOTTOM), (g[1][0], g[1][1], BOTTOM), (BOTTOM, BOTTOM, 0))
     return [_m3_node(left, depth + 1), _m3_node(right, depth + 1)]
 
 
@@ -936,8 +901,8 @@ def _m3_split_col(g, depth: int):
     # Dual: column 3 holds the bottom pair in rows 1 and 2; it peels
     # off on the right:
     # [[a,b,-],[d,e,-],[f,g,y]] = [[a,b,-],[d,e,-],[-,-,0]] * [[0,-,-],[-,0,-],[f,g,y]].
-    left = matrix([[g[0][0], g[0][1], BOTTOM], [g[1][0], g[1][1], BOTTOM], [BOTTOM, BOTTOM, 0]])
-    right = matrix([[0, BOTTOM, BOTTOM], [BOTTOM, 0, BOTTOM], [g[2][0], g[2][1], g[2][2]]])
+    left = ((g[0][0], g[0][1], BOTTOM), (g[1][0], g[1][1], BOTTOM), (BOTTOM, BOTTOM, 0))
+    right = ((0, BOTTOM, BOTTOM), (BOTTOM, 0, BOTTOM), g[2])
     return [_m3_node(left, depth + 1), _m3_node(right, depth + 1)]
 
 
@@ -949,43 +914,32 @@ def _m3_x_route(g, depth: int):
     e, f = g[2][0], g[2][1]
     x, y, z = b - a, c - d, f - e
     s = x + y + z
-    strip = _gl_word(3, (a, d, e), _ID3)
+    # The stripped matrix is diag(l) X(i) diag(r) for s >= 0; for s < 0
+    # it is [[-,-,0],[-,-x,-],[z,-,-]] X(-s) [[-,-,x],[-,0,-],[s-z,-,-]].
     if s >= 0:
-        middle = _cat([
-            _gl_word(3, (0, s - x, z), _ID3),
-            _Leaf(x_letter(s)),
-            _gl_word(3, (-z, 0, x - s), _ID3),
-        ])
+        perm, l, r = _ID3, (0, s - x, z), (-z, 0, x - s)
     else:
-        i = -s
-        left = matrix([[BOTTOM, BOTTOM, 0], [BOTTOM, -x, BOTTOM], [z, BOTTOM, BOTTOM]])
-        rightm = matrix([[BOTTOM, BOTTOM, x], [BOTTOM, 0, BOTTOM], [-z - i, BOTTOM, BOTTOM]])
-        middle = _cat([
-            _factor_gl_node(left),
-            _Leaf(x_letter(i)),
-            _factor_gl_node(rightm),
-        ])
-    return [strip, middle]
+        perm, l, r = _REV3, (0, -x, z), (x, 0, s - z)
+    middle = _cat([_gl_word(3, l, perm), _Leaf(x_letter(abs(s))), _gl_word(3, r, perm)])
+    return [_gl_word(3, (a, d, e), _ID3), middle]
 
 
 def _m3_clear(g, depth: int):
     # One bottom at (2,3), or two at (2,3) and (3,2): peel one
     # parametrized E_12 off the left, which plants a new bottom at (1,2)
     # or (1,1).
-    a, b = g[0][0], g[0][1]
-    d, e = g[1][0], g[1][1]
-    cleared = [list(r) for r in g]
+    (a, b, c), (d, e, _), _ = g
     if a + e >= b + d:
         lam = b - e
-        cleared[0][1] = BOTTOM
+        top = (a, BOTTOM, c)
     else:
         lam = a - d
-        cleared[0][0] = BOTTOM
-    return [_m3_e12_node(lam), _m3_node(matrix(cleared), depth + 1)]
+        top = (BOTTOM, b, c)
+    return [_elem_word(_m3_scale, _E12, 1, lam), _m3_node((top, g[1], g[2]), depth + 1)]
 
 
 _M3_BRANCHES = {
-    "ut": lambda g, depth: [_m3_ut_node(g)],
+    "ut": lambda g, depth: [_ut_walk(g, _m3_scale, _M3_E)],
     "block": _m3_block,
     "split-row": _m3_split_row,
     "split-col": _m3_split_col,
@@ -994,77 +948,76 @@ _M3_BRANCHES = {
 }
 
 
-def _m3_dense(m: Matrix, depth: int):
+def _m3_dense(g, depth: int):
     # No bottoms: normalize the top row to zeros, sort columns by the
     # second row, and split by where the third row's first entry sits.
-    g = m.rows
     top = g[0]
-    m0 = matrix([[g[i][j] - top[j] for j in range(3)] for i in range(3)])
-    order = sorted(range(3), key=lambda j: m0.rows[1][j])
-    tau_inv = Perm(tuple(o + 1 for o in order))
-    m1 = permute(m0, Perm.identity(3), tau_inv.inverse())
-    a, b, c = m1.rows[1]
-    d, e, f = m1.rows[2]
+    m0 = [[x - y for x, y in zip(row, top)] for row in g]
+    order = sorted(range(3), key=m0[1].__getitem__)
+    (a, b, c), (d, e, f) = ([row[o] for o in order] for row in m0[1:])
     if d <= e and d <= f:
-        left = matrix([[0, BOTTOM, BOTTOM], [a, b, c], [d, e, f]])
-        right = matrix([[0, 0, 0], [BOTTOM, 0, BOTTOM], [BOTTOM, BOTTOM, 0]])
+        left = ((0, BOTTOM, BOTTOM), (a, b, c), (d, e, f))
+        right = ((0, 0, 0), (BOTTOM, 0, BOTTOM), (BOTTOM, BOTTOM, 0))
     elif d >= e:
-        left = matrix([[0, -b, -d], [c, 0, BOTTOM], [f, BOTTOM, 0]])
-        right = matrix([[BOTTOM, BOTTOM, 0], [a, b, BOTTOM], [d, e, BOTTOM]])
+        left = ((0, -b, -d), (c, 0, BOTTOM), (f, BOTTOM, 0))
+        right = ((BOTTOM, BOTTOM, 0), (a, b, BOTTOM), (d, e, BOTTOM))
     else:
-        left = matrix([[0, -c, -d], [b, 0, BOTTOM], [e, BOTTOM, 0]])
-        right = matrix([[BOTTOM, 0, BOTTOM], [a, BOTTOM, c], [d, BOTTOM, f]])
+        left = ((0, -c, -d), (b, 0, BOTTOM), (e, BOTTOM, 0))
+        right = ((BOTTOM, 0, BOTTOM), (a, BOTTOM, c), (d, BOTTOM, f))
     return _cat([
         _m3_node(left, depth + 1),
         _m3_node(right, depth + 1),
-        _m3_perm(tau_inv),
+        _gl_perm_node(3, Perm(tuple(o + 1 for o in order))),
         _gl_word(3, top, _ID3),
     ])
 
 
-def _m3_node(m: Matrix, depth: int):
+def _m3_node(g, depth: int):
     if depth > 6:
         raise AssertionError(
-            f"factor_m3 dispatcher exceeded its recursion bound on {format_matrix(m)}"
+            f"factor_m3 dispatcher exceeded its recursion bound on {format_matrix(_mk(3, ZMAX, g))}"
         )
-    r = m.rows
+    f = g[0] + g[1] + g[2]
     mask = 0
-    for k, x in enumerate(r[0] + r[1] + r[2]):
+    for k, x in enumerate(f):
         if x == BOTTOM:
             mask |= 1 << k
-    branch, s, t = _m3_route(mask)
+    branch, _, _, step = _M3_ROUTES.get(mask) or _m3_fill(mask)
     if branch == "gl":
-        return _factor_gl_node(m)
+        cells, perm = step
+        return _gl_word(3, tuple([f[k] for k in cells]), perm)
     if branch == "dense":
-        return _m3_dense(m, depth)
+        return _m3_dense(g, depth)
     if branch is None:
-        raise AssertionError(f"no triangular or block form for {format_matrix(m)}")
-    parts = _M3_BRANCHES[branch](permute(m, s, t).rows, depth)
-    # The X route's column permutation is the identity and is not written.
-    tail = [] if branch == "x" else [_m3_perm(t.inverse())]
-    return _cat([_m3_perm(s.inverse()), *parts, *tail])
+        raise AssertionError(f"no triangular or block form for {format_matrix(_mk(3, ZMAX, g))}")
+    cells, left, right = step
+    parts = _M3_BRANCHES[branch](tuple([tuple([f[k] for k in row]) for row in cells]), depth)
+    return _cat([left, *parts, right])
 
 
 def factor_m3(m: Matrix) -> Word:
     """Factor any 3x3 tropical matrix over the m3 alphabet.
 
-    Each step looks its case and its row and column permutations up by
-    the bottom mask (the positions of the -inf entries) in a table that
-    is filled the first time a mask is seen: invertible patterns go to
-    the group word; three or more bottoms take the first permutation
-    pair, in lexicographic order, to a triangular form, and four or
-    more otherwise to a scalar-plus-block form; collinear bottom pairs
-    split a triangular or block factor off; a diagonal bottom pattern
-    lands in the X family; one or two scattered bottoms are grown by
-    clearing an entry with a parametrized E_12; a dense matrix splits
-    into easier pieces after column sorting.  Each recursion strictly
-    increases the bottom count, so the depth is bounded (asserted at 6).
+    Each step works on the matrix's rows as plain tuples and looks its
+    case up by the bottom mask (the positions of the -inf entries) in a
+    table that is filled the first time a mask is seen, together with
+    the cells that gather the case's normal form and the permutation
+    words around it: invertible patterns go to the group word; three or
+    more bottoms take the first permutation pair, in lexicographic
+    order, to a triangular form (the ut walk over the m3 letters), and
+    four or more otherwise to a scalar-plus-block form (the 2x2 words
+    over the lifted block letters); collinear bottom pairs split a
+    triangular or block factor off; a diagonal bottom pattern lands in
+    the X family; one or two scattered bottoms are grown by clearing an
+    entry with a parametrized E_12; a dense matrix splits into easier
+    pieces after column sorting.  Each recursion strictly increases the
+    bottom count, so the depth is bounded (asserted at 6).
     """
     if m.semiring is not ZMAX:
         raise MembershipError("factor_m3 expects a zmax matrix")
     if m.n != 3:
         raise MembershipError(f"factor_m3 expects 3x3, got {m.n}x{m.n}")
-    return Word("m3", 3, ZMAX, _m3_node(m, 0))
+    return Word("m3", 3, ZMAX, _m3_node(m.rows, 0))
 
 
 def factor(m: Matrix, monoid: str) -> Word:

@@ -130,6 +130,8 @@ def _realize(g: Generator, n: int, semiring: Semiring) -> Matrix:
         if semiring is not ZMAX or n < 2:
             raise ValueError("the invertible-group letters live in zmax, n >= 2")
         return mat_mul(construct_A(1, -1, n, ZMAX), construct_P(_rotation(n, n), ZMAX))
+    if k.startswith(("M2_", "M3_")) and semiring is not ZMAX:
+        raise ValueError(f"letter {g.text()} lives in zmax, not {semiring.name}")
     if k == "M2_A":
         return Matrix(2, ZMAX, ((BOTTOM, -1), (0, BOTTOM)))
     if k == "M2_B":

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import tropmono
 from tropmono.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -126,6 +127,27 @@ def test_eval_foreign_letter_exits_3(capsys):
     rc, _, err = run(["eval", "--monoid", "u", "-n", "3", "X(5)"], capsys)
     assert rc == 3
     assert "outside the" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--monoid", "m2", "--semiring", "boolean", "A B"],
+    ["eval", "--monoid", "m3", "--semiring", "boolean", "X(4)", "--json"],
+    # ut_boolean letters are Boolean; zmax is the default semiring
+    ["eval", "--monoid", "ut_boolean", "-n", "2", "Ai(1,0) E(1,2,1)"],
+])
+def test_eval_over_the_wrong_semiring_exits_2(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert "words live over" in err
+
+
+def test_eval_ut_boolean_word(capsys):
+    for monoid in ("ut", "ut_boolean"):
+        argv = ["eval", "--monoid", monoid, "-n", "2", "--semiring", "boolean", "Ai(1,0) E(1,2,1)"]
+        rc, out, _ = run(argv, capsys)
+        assert rc == 0
+        assert out == "0 0; 0 1\n"
 
 
 def test_eval_needs_dimension(capsys):
@@ -273,11 +295,15 @@ def test_json_matches_golden(name, capsys):
 # -- subprocess smoke ---------------------------------------------------------------------
 
 def test_subprocess_entry_point():
+    # The child imports the same tropmono tree as this process.
+    src = os.path.dirname(os.path.dirname(tropmono.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "tropmono.cli", "factor", "--monoid", "m3",
          "-inf 0 5; 0 -inf 0; 0 0 -inf"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "X(5)\nverified: true\n"

@@ -3,6 +3,7 @@ multiply-back as the universal oracle: evaluate(factor(m)) must equal m
 entry for entry, no tolerance.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -15,7 +16,9 @@ from tropmono.factorize import (
     _Cat,
     _Leaf,
     _Mono,
+    _M3_ROUTES,
     _Pow,
+    _gl_perm_node,
     _mono_pow,
     _times,
     _m3_route,
@@ -39,6 +42,7 @@ from tropmono.matrix import (
     diag,
     identity,
     is_invertible,
+    is_monomial,
     is_upper_triangular,
     mat_mul,
     mat_pow,
@@ -507,6 +511,7 @@ def test_factor_m3_route_table_matches_first_hit_search():
     # (s, t) in lexicographic order making P_s m P_t upper triangular
     # (three or more bottoms), then scalar-plus-block (four or more).
     # The remaining branches must at least land on their normal forms.
+    # Each table entry also holds the step that gathers that form.
     perms = [Perm(img) for img in itertools.permutations((1, 2, 3))]
 
     def is_block(u):
@@ -520,6 +525,8 @@ def test_factor_m3_route_table_matches_first_hit_search():
         "clear": [(2, 3)],
         "dense": [],
     }
+    distinct = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    distinct_flat = sum(distinct.rows, ())
     for mask in range(512):
         m = matrix([[BOTTOM if mask >> (3 * i + j) & 1 else 0 for j in range(3)] for i in range(3)])
         z = count_bottoms(m)
@@ -530,6 +537,21 @@ def test_factor_m3_route_table_matches_first_hit_search():
                 if hits:
                     expected = (branch, *hits[0])
         branch, s, t = _m3_route(mask)
+        step = _M3_ROUTES[mask][3]
+        if s is not None:
+            # The stored cells gather P_s m P_t out of m's nine entries,
+            # and the stored words are P_{s^-1} and P_{t^-1} (none for x).
+            cells, left, right = step
+            assert tuple(tuple(distinct_flat[k] for k in row) for row in cells) == permute(distinct, s, t).rows
+            assert left is _gl_perm_node(3, s.inverse())
+            assert right is (None if branch == "x" else _gl_perm_node(3, t.inverse()))
+        elif branch == "gl":
+            # m = diag(the entries at cells) * P_perm
+            cells, perm = step
+            mono = matrix([[BOTTOM if x == BOTTOM else y for x, y in zip(*rows)] for rows in zip(m.rows, distinct.rows)])
+            assert is_monomial(mono) == (perm, tuple(distinct_flat[k] for k in cells))
+        else:
+            assert step is None
         if expected is not None:
             assert (branch, s and s.img, t and t.img) == expected, mask
             continue
@@ -550,6 +572,29 @@ def test_factor_m3_route_table_matches_first_hit_search():
 def test_factor_m3_hypothesis(rows):
     m = matrix(rows)
     assert evaluate(factor_m3(m)) == m
+
+
+def test_factor_word_text_digest_pinned():
+    # The factorizers' words are fixed output (the CLI prints them), so
+    # their bytes are pinned: every m3 bottom mask with seeded finite
+    # fillings (thirty for the dense mask, so each dense split and each
+    # branch is reached), seeded ut matrices for n = 1..6, seeded m2.
+    rng = random.Random(55)
+    h = hashlib.sha256()
+    words = []
+    for mask in range(512):
+        for _ in range(30 if mask == 0 else 3):
+            rows = [[BOTTOM if mask >> (3 * i + j) & 1 else rng.randint(-9, 9) for j in range(3)] for i in range(3)]
+            words.append(factor_m3(matrix(rows)))
+    for n in range(1, 7):
+        for _ in range(40):
+            rows = [[BOTTOM if j < i or rng.random() < 0.2 else rng.randint(-6, 6) for j in range(n)] for i in range(n)]
+            words.append(factor_ut(matrix(rows)))
+    for _ in range(300):
+        words.append(factor_m2(matrix([[rnd_entry(rng, lo=-9, hi=9) for _ in range(2)] for _ in range(2)])))
+    for w in words:
+        h.update(w.text().encode() + b"\n")
+    assert h.hexdigest() == "649b603a5b0b848d9ce48aadac10169b2a18490a49e76015d6a24e8b5357a379"
 
 
 def test_factor_dispatch():

@@ -3,10 +3,13 @@ and the letter token grammar."""
 
 import random
 
+import pytest
+
 from tropmono.genset import (
     GL_A,
     GL_B,
     IDENTITY_LETTER,
+    M2_A,
     NEG_I,
     diag_letter,
     elem_letter,
@@ -130,6 +133,18 @@ def test_neg_i_is_zmax_only():
         assert False
     except ValueError:
         pass
+
+
+def test_x_letter_is_zmax_only():
+    assert x_letter(0).realize(3, ZMAX) == parse_matrix("-inf 0 0; 0 -inf 0; 0 0 -inf")
+    with pytest.raises(ValueError):
+        x_letter(0).realize(3, BOOLEAN)
+
+
+def test_m2_letters_are_zmax_only():
+    assert M2_A.realize(2, ZMAX) == parse_matrix("-inf -1; 0 -inf")
+    with pytest.raises(ValueError):
+        M2_A.realize(2, BOOLEAN)
 
 
 def test_perm_letter_realizes_to_perm_matrix():
