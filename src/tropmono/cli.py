@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import factorize, finite, genset
-from .factorize import MembershipError, evaluate, parse_word, simplify
+from .factorize import MembershipError, evaluate, parse_word
 from .matrix import (
     boolean_image,
     format_matrix,
@@ -80,8 +80,6 @@ def _cmd_factor(args):
     code = 0
     for m in matrices:
         w = factorize.factor(m, args.monoid)
-        if args.simplify:
-            w = simplify(w)
         ok = evaluate(w) == m
         if not ok:
             code = 4
@@ -357,7 +355,6 @@ def build_parser():
 
     p = sub.add_parser("factor", help="factor a matrix into a generator word")
     p.add_argument("--monoid", required=True, choices=FACTOR_MONOIDS)
-    p.add_argument("--simplify", action="store_true", help="drop adjacent inverse pairs")
     _add_matrix_inputs(p)
     p.set_defaults(func=_cmd_factor)
 

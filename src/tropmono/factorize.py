@@ -38,7 +38,7 @@ The dispatcher's tie-breaking is fixed and documented inline: searches
 over permutation pairs run in lexicographic order and take the first
 hit, collinear detection scans rows then columns, and every ordered
 comparison sends ties to the first-listed branch.  Words are not
-minimized; simplify() is available but nothing applies it by default.
+minimized.
 """
 
 from __future__ import annotations
@@ -69,11 +69,9 @@ from .matrix import (
     _mk,
     _row_product,
     format_matrix,
-    identity,
     is_monomial,
     is_unitriangular,
     is_upper_triangular,
-    mat_mul,
 )
 from .semiring import BOTTOM, Semiring, ZMAX, is_finite
 
@@ -387,33 +385,6 @@ def parse_word(text: str, monoid: str, n: int, semiring: Semiring = ZMAX) -> Wor
         toks = []
     leaves = [_Leaf(parse_generator(t, monoid, n, semiring)) for t in toks]
     return Word(monoid, n, semiring, _Cat(leaves))
-
-
-def simplify(w: Word) -> Word:
-    """Drop adjacent letter pairs that multiply to the identity.
-
-    Off by default everywhere; factorization output is returned as
-    constructed.  This flattens the word, so it is meant for words of
-    modest length (CLI --simplify).
-    """
-    letters = list(w.letters())
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        out = []
-        while i < len(letters):
-            if i + 1 < len(letters):
-                a = letters[i].realize(w.n, w.semiring)
-                b = letters[i + 1].realize(w.n, w.semiring)
-                if mat_mul(a, b) == identity(w.n, w.semiring):
-                    i += 2
-                    changed = True
-                    continue
-            out.append(letters[i])
-            i += 1
-        letters = out
-    return Word(w.monoid, w.n, w.semiring, _Cat([_Leaf(g) for g in letters]))
 
 
 # -- upper triangular / unitriangular -------------------------------------
@@ -757,7 +728,7 @@ _M3_E = {
 _M3_SLOT_INF = {1: _A1INF, 2: _cat([_P12, _A1INF, _P12]), 3: _cat([_P13, _A1INF, _P13])}
 _M3_BLOCK = _M2Letters(
     _gl_word(3, (0, -1, 0), Perm((1, 3, 2))),
-    _gl_word(3, (0, 1, 0), _ID3),
+    _gl_slot_node(3, 2, 1),
     _M3_SLOT_INF[2],
     _cat([_gl_perm_node(3, Perm.from_cycles(3, [(1, 3, 2)])), _E12, _P13]),
 )
@@ -770,7 +741,7 @@ def _m3_scale(i: int, a):
         return None
     if a == BOTTOM:
         return _M3_SLOT_INF[i]
-    return _gl_word(3, tuple(a if k == i else 0 for k in (1, 2, 3)), _ID3)
+    return _gl_slot_node(3, i, a)
 
 
 _S3 = [Perm(img) for img in itertools.permutations((1, 2, 3))]

@@ -13,8 +13,8 @@ are fixed.  The six generating-set builders below give the alphabets:
 * gens_ut_boolean(n): upper triangular Boolean matrices.
 
 Letter text forms (used by the CLI word syntax, one token per letter):
-``A``, ``B``, ``C``, ``D``, ``I``, ``NEG_I``, ``Ai(i,v)``, ``E(i,j,v)``,
-``P(cycles)`` and ``X(i)``.  Bare ``A``/``B`` are resolved by monoid
+``A``, ``B``, ``C``, ``D``, ``I``, ``NEG_I``, ``Ai(i,v)``, ``E(i,j,v)``
+and ``X(i)``.  Bare ``A``/``B`` are resolved by monoid
 context: the invertible-group letters in gl and m3 words, the 2x2
 letters in m2 words.
 """
@@ -78,9 +78,6 @@ class Generator:
         if k == "ELEM_E":
             i, j, v = self.params
             return f"E({i},{j},{format_scalar(v)})"
-        if k == "PERM_P":
-            (p,) = self.params
-            return f"P({p.cycle_string()})"
         if k == "M3_X":
             (i,) = self.params
             return f"X({i})"
@@ -117,11 +114,6 @@ def _realize(g: Generator, n: int, semiring: Semiring) -> Matrix:
     if k == "ELEM_E":
         i, j, v = g.params
         return construct_E(i, j, n, semiring, v)
-    if k == "PERM_P":
-        (p,) = g.params
-        if p.n != n:
-            raise ValueError(f"permutation letter has degree {p.n}, word has n={n}")
-        return construct_P(p, semiring)
     if k == "GL_A":
         if semiring is not ZMAX or n < 2:
             raise ValueError("the invertible-group letters live in zmax, n >= 2")
@@ -130,8 +122,10 @@ def _realize(g: Generator, n: int, semiring: Semiring) -> Matrix:
         if semiring is not ZMAX or n < 2:
             raise ValueError("the invertible-group letters live in zmax, n >= 2")
         return mat_mul(construct_A(1, -1, n, ZMAX), construct_P(_rotation(n, n), ZMAX))
-    if k.startswith(("M2_", "M3_")) and semiring is not ZMAX:
-        raise ValueError(f"letter {g.text()} lives in zmax, not {semiring.name}")
+    if k.startswith(("M2_", "M3_")):
+        size = 2 if k.startswith("M2_") else 3
+        if semiring is not ZMAX or n != size:
+            raise ValueError(f"letter {g.text()} is a {size}x{size} zmax matrix, not {n}x{n} over {semiring.name}")
     if k == "M2_A":
         return Matrix(2, ZMAX, ((BOTTOM, -1), (0, BOTTOM)))
     if k == "M2_B":
@@ -163,10 +157,6 @@ def diag_letter(i: int, v) -> Generator:
 
 def elem_letter(i: int, j: int, v) -> Generator:
     return Generator("ELEM_E", (i, j, v))
-
-
-def perm_letter(p: Perm) -> Generator:
-    return Generator("PERM_P", (p,))
 
 
 def x_letter(i: int) -> Generator:
@@ -285,7 +275,6 @@ def gens_ut_boolean(n: int) -> GeneratingSet:
 _AI_RE = re.compile(r"^Ai\((\d+),([^)]+)\)$")
 _E_RE = re.compile(r"^E\((\d+),(\d+),([^)]+)\)$")
 _X_RE = re.compile(r"^X\((\d+)\)$")
-_P_RE = re.compile(r"^P\((.*)\)$")
 
 _BARE = {
     "gl": {"A": GL_A, "B": GL_B},
@@ -312,9 +301,6 @@ def parse_generator(token: str, monoid: str, n: int, semiring: Semiring) -> Gene
     m = _X_RE.match(token)
     if m:
         return x_letter(int(m.group(1)))
-    m = _P_RE.match(token)
-    if m:
-        return perm_letter(Perm.parse_cycles(n, m.group(1)))
     raise ValueError(f"bad letter token {token!r}")
 
 

@@ -249,49 +249,6 @@ class Perm:
             inv[x - 1] = i + 1
         return Perm(inv)
 
-    def cycles(self):
-        """Non-trivial cycles, each starting at its least element, sorted."""
-        out = []
-        seen = set()
-        for start in range(1, len(self.img) + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self(x)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        return "".join("(" + ",".join(str(x) for x in c) + ")" for c in self.cycles())
-
-    @classmethod
-    def parse_cycles(cls, n, text: str) -> "Perm":
-        text = text.strip()
-        if not text:
-            return cls.identity(n)
-        cycles = []
-        rest = text
-        while rest:
-            if not rest.startswith("("):
-                raise ValueError(f"bad cycle notation {text!r}")
-            close = rest.find(")")
-            if close < 0:
-                raise ValueError(f"bad cycle notation {text!r}")
-            body = rest[1:close].strip()
-            if body:
-                try:
-                    cycles.append(tuple(int(t) for t in body.split(",")))
-                except ValueError:
-                    raise ValueError(f"bad cycle notation {text!r}") from None
-            rest = rest[close + 1 :].strip()
-        return cls.from_cycles(n, cycles)
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.img == other.img
 
@@ -302,12 +259,9 @@ class Perm:
         return f"Perm{self.img}"
 
 
-def construct_P(perm: Perm, semiring: Semiring = ZMAX, n: int | None = None) -> Matrix:
+def construct_P(perm: Perm, semiring: Semiring = ZMAX) -> Matrix:
     """Permutation matrix: entry (i, j) is one exactly when j = perm(i)."""
-    if n is None:
-        n = perm.n
-    elif n != perm.n:
-        raise ValueError(f"permutation degree {perm.n} does not match n={n}")
+    n = perm.n
     z, o = semiring.zero, semiring.one
     return Matrix(n, semiring, tuple(tuple(o if perm(i) == j else z for j in range(1, n + 1)) for i in range(1, n + 1)))
 

@@ -62,12 +62,15 @@ def test_factor_gl_rejects_non_invertible(capsys):
     assert rc == 3
 
 
-def test_factor_simplify_flag(capsys):
-    rc, out, _ = run(
-        ["factor", "--monoid", "u", "--simplify", "0 3 1; -inf 0 -4; -inf -inf 0"], capsys
-    )
-    assert rc == 0
-    assert out.splitlines()[0] == "E(1,3,1) E(2,3,-4) E(1,2,3)"
+def test_removed_permutation_letter_and_simplify_flag_exit_2(capsys):
+    rc, out, err = run(["eval", "--monoid", "ut", "-n", "2", "P((1,2))"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "bad letter token" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--monoid", "u", "--simplify", "0 3 1; -inf 0 -4; -inf -inf 0"])
+    assert exc.value.code == 2
+    assert "--simplify" in capsys.readouterr().err
 
 
 def test_factor_batch(tmp_path, capsys):

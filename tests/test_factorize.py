@@ -30,7 +30,6 @@ from tropmono.factorize import (
     factor_unitriangular,
     factor_ut,
     parse_word,
-    simplify,
 )
 from tropmono.genset import GL_A, GL_B, diag_letter, elem_letter, generating_set, x_letter
 from tropmono.matrix import (
@@ -258,21 +257,6 @@ def test_word_text_round_trip():
         w = parse_word(text, monoid, n)
         assert w.text() == text
         assert parse_word(w.text(), monoid, n).text() == text
-
-
-def test_simplify_drops_inverse_pairs():
-    w = parse_word("I I E(1,2,3)", "u", 2)
-    s = simplify(w)
-    assert s.text() == "E(1,2,3)"
-    assert evaluate(s) == evaluate(w)
-    # perm letters square to the identity; simplify spots the pair even
-    # though P letters belong to no built-in alphabet (evaluate would
-    # refuse the unsimplified word)
-    w2 = parse_word("P((1,2)) P((1,2)) Ai(1,1)", "ut", 2)
-    assert simplify(w2).text() == "Ai(1,1)"
-    # nothing to do: unchanged letter sequence
-    w3 = parse_word("Ai(1,1) E(1,2,0)", "ut", 2)
-    assert simplify(w3).text() == w3.text()
 
 
 # -- upper triangular -----------------------------------------------------------

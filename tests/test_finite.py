@@ -26,7 +26,9 @@ from tropmono.genset import (
     x_letter,
 )
 from tropmono.matrix import (
+    Perm,
     boolean_image,
+    construct_P,
     identity,
     mat_mul,
     matrix,
@@ -132,8 +134,9 @@ def test_cayley_walk_products_match_mat_mul():
 
 def test_zero_bottom_zmax_closure_runs_the_same_path():
     # tropical letters with entries in {0, -inf}: a zmax copy of M_3(B)
-    tokens = ["P((1,2,3))", "P((1,2))", "Ai(1,-inf)", "E(1,2,0)", "X(0)"]
-    fm = closure([parse_generator(t, "m3", 3, ZMAX).realize(3, ZMAX) for t in tokens])
+    perms = [construct_P(Perm.from_cycles(3, c), ZMAX) for c in ([(1, 2, 3)], [(1, 2)])]
+    tokens = ["Ai(1,-inf)", "E(1,2,0)", "X(0)"]
+    fm = closure(perms + [parse_generator(t, "m3", 3, ZMAX).realize(3, ZMAX) for t in tokens])
     assert len(fm) == 512 and fm.closed
     assert len(jclasses(fm)) == 11
     assert prime_certificate(x_letter(0).realize(3, ZMAX), fm)

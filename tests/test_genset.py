@@ -10,6 +10,7 @@ from tropmono.genset import (
     GL_B,
     IDENTITY_LETTER,
     M2_A,
+    M2_D,
     NEG_I,
     diag_letter,
     elem_letter,
@@ -21,12 +22,9 @@ from tropmono.genset import (
     gens_ut_boolean,
     gens_ut_zmax,
     parse_generator,
-    perm_letter,
     x_letter,
 )
 from tropmono.matrix import (
-    Perm,
-    construct_P,
     identity,
     is_invertible,
     mat_mul,
@@ -108,7 +106,7 @@ def test_m3_letters():
     x1 = gs.letters[5].realize(3, ZMAX)
     assert x1 == parse_matrix("-inf 0 1; 0 -inf 0; 0 0 -inf")
     assert gs.contains(x_letter(10 ** 9))
-    assert not gs.contains(perm_letter(Perm((2, 1, 3))))
+    assert not gs.contains(NEG_I)
 
 
 def test_ut_boolean_letters():
@@ -147,9 +145,10 @@ def test_m2_letters_are_zmax_only():
         M2_A.realize(2, BOOLEAN)
 
 
-def test_perm_letter_realizes_to_perm_matrix():
-    p = Perm((2, 3, 1))
-    assert perm_letter(p).realize(3, ZMAX) == construct_P(p)
+def test_fixed_size_letters_reject_other_dimensions():
+    for g, n in ((M2_A, 3), (M2_D, 1), (x_letter(1), 2), (x_letter(0), 4)):
+        with pytest.raises(ValueError):
+            g.realize(n, ZMAX)
 
 
 def test_x_letter_rejects_negative():
@@ -186,9 +185,8 @@ def test_parse_generator_grammar():
     assert parse_generator("Ai(2,-inf)", "ut", 3, ZMAX) == diag_letter(2, BOTTOM)
     assert parse_generator("E(1,3,-7)", "u", 3, ZMAX) == elem_letter(1, 3, -7)
     assert parse_generator("X(4)", "m3", 3, ZMAX) == x_letter(4)
-    assert parse_generator("P((1,2))", "ut", 2, ZMAX) == perm_letter(Perm((2, 1)))
     assert parse_generator("I", "u", 3, ZMAX) is IDENTITY_LETTER
-    for bad in ("Q", "A", "E(1,2)", "X(-1)", "Ai(0)", "E(0,1,2"):
+    for bad in ("Q", "A", "E(1,2)", "X(-1)", "Ai(0)", "E(0,1,2", "P((1,2))"):
         try:
             parse_generator(bad, "ut", 3, ZMAX)
             assert False, bad
