@@ -115,9 +115,8 @@ def _monoid_n(args):
 
 
 def _cmd_eval(args):
-    semiring = semiring_by_name(args.semiring)
     n = _monoid_n(args)
-    w = parse_word(args.word, args.monoid, n, semiring)
+    w = parse_word(args.word, args.monoid, n)
     m = evaluate(w)
     if args.json:
         _print_json(
@@ -135,10 +134,9 @@ def _cmd_eval(args):
 
 
 def _cmd_verify(args):
-    semiring = semiring_by_name(args.semiring)
     n = _monoid_n(args)
-    w = parse_word(args.word, args.monoid, n, semiring)
-    (m,) = _input_matrices(args, semiring)
+    w = parse_word(args.word, args.monoid, n)
+    (m,) = _input_matrices(args, genset.generating_set(args.monoid, n).semiring)
     if m.n != n:
         raise ValueError(f"word is {n}x{n} but matrix is {m.n}x{m.n}")
     ok = evaluate(w) == m
@@ -361,14 +359,12 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a generator word to a matrix")
     p.add_argument("--monoid", required=True, choices=FACTOR_MONOIDS + ("ut_boolean",))
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--semiring", choices=("zmax", "boolean"), default="zmax")
     p.add_argument("word", help='generator word, e.g. "Ai(1,1) E(1,2,0)" or "ε"')
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="check that a word evaluates to a matrix")
     p.add_argument("--monoid", required=True, choices=FACTOR_MONOIDS + ("ut_boolean",))
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--semiring", choices=("zmax", "boolean"), default="zmax")
     p.add_argument("word")
     _add_matrix_inputs(p, batch=False)
     p.set_defaults(func=_cmd_verify)

@@ -48,7 +48,6 @@ import itertools
 from .genset import (
     GL_A,
     GL_B,
-    GeneratingSet,
     Generator,
     M2_A,
     M2_B,
@@ -73,7 +72,7 @@ from .matrix import (
     is_unitriangular,
     is_upper_triangular,
 )
-from .semiring import BOTTOM, Semiring, ZMAX, is_finite
+from .semiring import BOTTOM, ZMAX, is_finite
 
 
 class MembershipError(ValueError):
@@ -110,10 +109,11 @@ class _Pow:
 
 
 def _cat(parts):
+    # None parts are dropped, and so is a concatenation of nothing.
     flat = [p for p in parts if p is not None]
-    if len(flat) == 1:
-        return flat[0]
-    return _Cat(flat)
+    if len(flat) > 1:
+        return _Cat(flat)
+    return flat[0] if flat else None
 
 
 _EMPTY = _Cat(())
@@ -179,12 +179,11 @@ def _node_distinct(node, seen, out):
 class Word:
     """A word over one monoid's alphabet.  Immutable once built."""
 
-    __slots__ = ("monoid", "n", "semiring", "root")
+    __slots__ = ("monoid", "n", "root")
 
-    def __init__(self, monoid: str, n: int, semiring: Semiring, root=None):
+    def __init__(self, monoid: str, n: int, root=None):
         self.monoid = monoid
         self.n = n
-        self.semiring = semiring
         self.root = _EMPTY if root is None else root
 
     def letters(self):
@@ -208,18 +207,12 @@ class Word:
         return f"Word({self.monoid}, n={self.n}, {k} letters)"
 
 
-def word_alphabet(w: Word) -> "GeneratingSet":
-    monoid = w.monoid
-    if monoid == "ut" and w.semiring.name == "boolean":
-        monoid = "ut_boolean"
-    return generating_set(monoid, w.n)
-
-
 # -- evaluation -------------------------------------------------------------
 #
 # A node's value is a _Mono or dense rows (a tuple of row tuples), cached
-# in node._vals under the alphabet's key: a value cached for one alphabet
-# says nothing about the node's letters in another.
+# in node._vals under the word's (monoid, n), which names its alphabet: a
+# value cached for one alphabet says nothing about the node's letters in
+# another.
 
 class _Mono:
     """A monomial zmax matrix: row i holds sh[i] in column img[i]
@@ -298,29 +291,24 @@ def _power(v, k: int, ev):
 
 
 class _Eval:
-    """What evaluation needs at every node of a word with this monoid,
-    n and semiring; key names the alphabet the cached values belong to."""
+    """What evaluation needs at every node of a word with this monoid
+    and n, all read off its alphabet."""
 
-    __slots__ = ("key", "monoid", "alphabet", "n", "semiring", "mul", "unit")
+    __slots__ = ("monoid", "alphabet", "n", "semiring", "mul", "unit")
 
-    def __init__(self, w: Word):
-        self.alphabet = word_alphabet(w)
-        if self.alphabet.semiring is not w.semiring:
-            raise ValueError(
-                f"{w.monoid} words live over {self.alphabet.semiring.name}, not {w.semiring.name}"
-            )
-        self.key = (self.alphabet.monoid, w.n, w.semiring.name)
-        self.monoid = w.monoid
-        self.n = w.n
-        self.semiring = w.semiring
-        self.mul = _row_product(w.n, w.semiring)
-        if w.semiring is ZMAX:
-            self.unit = _Mono(tuple(range(w.n)), (0,) * w.n)
+    def __init__(self, monoid: str, n: int):
+        self.alphabet = generating_set(monoid, n)
+        self.monoid = monoid
+        self.n = n
+        self.semiring = semiring = self.alphabet.semiring
+        self.mul = _row_product(n, semiring)
+        if semiring is ZMAX:
+            self.unit = _Mono(tuple(range(n)), (0,) * n)
         else:
-            self.unit = _identity_rows(w.n, w.semiring)
+            self.unit = _identity_rows(n, semiring)
 
 
-# One _Eval per (monoid, n, semiring) seen.
+# One _Eval per (monoid, n) seen; that pair also keys the node values.
 _EVALS: dict = {}
 
 
@@ -361,30 +349,31 @@ def evaluate(w: Word) -> Matrix:
 
     Every letter must belong to the word's monoid alphabet (including
     the symbolic E and X families, and letters under a zero power); a
-    stray letter raises MembershipError.  A word over another semiring
-    than its alphabet's (only ut words have a Boolean alphabet) raises
-    ValueError.
+    stray letter raises MembershipError.
     """
-    ev = _EVALS.get((w.monoid, w.n, w.semiring.name))
+    key = (w.monoid, w.n)
+    ev = _EVALS.get(key)
     if ev is None:
-        ev = _EVALS[w.monoid, w.n, w.semiring.name] = _Eval(w)
-    v = _value(w.root, ev.key, ev)
+        ev = _EVALS[key] = _Eval(w.monoid, w.n)
+    v = _value(w.root, key, ev)
     n = w.n
     if type(v) is _Mono:
         rows = [[BOTTOM] * n for _ in range(n)]
         for i, (j, s) in enumerate(zip(v.img, v.sh)):
             rows[i][j] = s
         v = tuple([tuple(r) for r in rows])
-    return _mk(n, w.semiring, v)
+    return _mk(n, ev.semiring, v)
 
 
-def parse_word(text: str, monoid: str, n: int, semiring: Semiring = ZMAX) -> Word:
-    """Parse a space-separated letter sequence; 'ε' (or nothing) is empty."""
+def parse_word(text: str, monoid: str, n: int) -> Word:
+    """Parse a space-separated letter sequence; 'ε' (or nothing) is empty.
+    Scalars are read over the semiring of the monoid's alphabet."""
+    semiring = generating_set(monoid, n).semiring
     toks = text.split()
     if toks == ["ε"]:
         toks = []
-    leaves = [_Leaf(parse_generator(t, monoid, n, semiring)) for t in toks]
-    return Word(monoid, n, semiring, _Cat(leaves))
+    leaves = [_Leaf(parse_generator(t, monoid, semiring)) for t in toks]
+    return Word(monoid, n, _Cat(leaves))
 
 
 # -- upper triangular / unitriangular -------------------------------------
@@ -458,7 +447,7 @@ def factor_ut(m: Matrix) -> Word:
     if not is_upper_triangular(m):
         raise MembershipError(f"matrix is not upper triangular: {format_matrix(m)}")
     n = m.n
-    return Word("ut", n, ZMAX, _ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E))
+    return Word("ut", n, _ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E))
 
 
 def factor_unitriangular(m: Matrix) -> Word:
@@ -478,7 +467,7 @@ def factor_unitriangular(m: Matrix) -> Word:
             a = m.entry(i, j)
             if a != BOTTOM:
                 parts.append(_Leaf(elem_letter(i, j, a)))
-    return Word("u", n, ZMAX, _cat(parts))
+    return Word("u", n, _cat(parts))
 
 
 # -- the invertible group --------------------------------------------------
@@ -528,16 +517,16 @@ def _gl_adjacent_node(n: int, k: int):
 
 
 def _gl_perm_node(n: int, perm: Perm):
-    """Word realizing the permutation matrix of perm.
+    """Word realizing the permutation matrix of perm; None for the
+    identity, which needs no letters.
 
     Bubble-sorts the one-line form, recording adjacent swaps; the swaps
     applied first-to-last compose (diagrammatically) back to perm, so
     their matrices concatenate in recorded order.
     """
     key = (n, perm.img)
-    hit = _GL_PERM.get(key)
-    if hit is not None:
-        return hit
+    if key in _GL_PERM:
+        return _GL_PERM[key]
     line = list(perm.img)
     swaps = []
     changed = True
@@ -591,7 +580,7 @@ def factor_gl(m: Matrix) -> Word:
     if mono is None or not all(is_finite(v) for v in mono[1]):
         raise MembershipError(f"matrix is not invertible: {format_matrix(m)}")
     perm, vals = mono
-    return Word("gl", m.n, ZMAX, _gl_word(m.n, vals, perm))
+    return Word("gl", m.n, _gl_word(m.n, vals, perm))
 
 
 # -- the full 2x2 monoid ----------------------------------------------------
@@ -702,7 +691,7 @@ def factor_m2(m: Matrix) -> Word:
         raise MembershipError("factor_m2 expects a zmax matrix")
     if m.n != 2:
         raise MembershipError(f"factor_m2 expects 2x2, got {m.n}x{m.n}")
-    return Word("m2", 2, ZMAX, _factor_m2_node(m.rows, _M2))
+    return Word("m2", 2, _factor_m2_node(m.rows, _M2))
 
 
 # -- the full 3x3 monoid ----------------------------------------------------
@@ -988,7 +977,7 @@ def factor_m3(m: Matrix) -> Word:
         raise MembershipError("factor_m3 expects a zmax matrix")
     if m.n != 3:
         raise MembershipError(f"factor_m3 expects 3x3, got {m.n}x{m.n}")
-    return Word("m3", 3, ZMAX, _m3_node(m.rows, 0))
+    return Word("m3", 3, _m3_node(m.rows, 0))
 
 
 def factor(m: Matrix, monoid: str) -> Word:

@@ -283,7 +283,7 @@ _BARE = {
 }
 
 
-def parse_generator(token: str, monoid: str, n: int, semiring: Semiring) -> Generator:
+def parse_generator(token: str, monoid: str, semiring: Semiring) -> Generator:
     """One letter token to a Generator; monoid context resolves bare names."""
     bare = _BARE.get(monoid, {})
     if token in bare:

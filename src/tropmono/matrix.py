@@ -143,10 +143,7 @@ def _mulz(a, b):
 
 def _mulb(a, b):
     bcols = tuple(zip(*b))
-    return tuple(
-        tuple(max(min(x, y) for x, y in zip(row, col)) for col in bcols)
-        for row in a
-    )
+    return tuple([tuple([max(map(min, row, col)) for col in bcols]) for row in a])
 
 
 def _row_product(n: int, semiring: Semiring):

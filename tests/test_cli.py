@@ -3,16 +3,18 @@ batch and stdin plumbing.  Everything runs in-process through main()
 except one subprocess smoke test at the end.
 """
 
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import tropmono
-from tropmono.cli import main
+from tropmono.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -133,24 +135,24 @@ def test_eval_foreign_letter_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "--monoid", "m2", "--semiring", "boolean", "A B"],
-    ["eval", "--monoid", "m3", "--semiring", "boolean", "X(4)", "--json"],
-    # ut_boolean letters are Boolean; zmax is the default semiring
-    ["eval", "--monoid", "ut_boolean", "-n", "2", "Ai(1,0) E(1,2,1)"],
-])
-def test_eval_over_the_wrong_semiring_exits_2(argv, capsys):
-    rc, out, err = run(argv, capsys)
-    assert rc == 2
-    assert out == ""
-    assert "words live over" in err
+    ["eval", "--monoid", "ut_boolean", "-n", "2", "--semiring", "boolean", "E(1,2,1)"],
+    ["verify", "--monoid", "ut_boolean", "-n", "2", "--semiring", "boolean", "E(1,2,1)", "1 1; 0 1"],
+], ids=["eval", "verify"])
+def test_word_commands_take_no_semiring_option(argv, capsys):
+    # a word's semiring is its alphabet's, so there is nothing to choose
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--semiring" in capsys.readouterr().err
 
 
 def test_eval_ut_boolean_word(capsys):
-    for monoid in ("ut", "ut_boolean"):
-        argv = ["eval", "--monoid", monoid, "-n", "2", "--semiring", "boolean", "Ai(1,0) E(1,2,1)"]
-        rc, out, _ = run(argv, capsys)
-        assert rc == 0
-        assert out == "0 0; 0 1\n"
+    rc, out, _ = run(["eval", "--monoid", "ut_boolean", "-n", "2", "Ai(1,0) E(1,2,1)"], capsys)
+    assert rc == 0
+    assert out == "0 0; 0 1\n"
+    rc, out, _ = run(["verify", "--monoid", "ut_boolean", "-n", "2", "E(1,2,1)", "1 1; 0 1"], capsys)
+    assert rc == 0
+    assert out == "verified: true\n"
 
 
 def test_eval_needs_dimension(capsys):
@@ -293,6 +295,33 @@ def test_json_matches_golden(name, capsys):
     with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
         assert out == fh.read()
     json.loads(out)  # stays parseable, not just byte-stable
+
+
+# -- README synopsis ----------------------------------------------------------------------
+
+README = os.path.join(os.path.dirname(GOLDEN), os.pardir, "README.md")
+
+
+def _readme_synopsis():
+    # The fenced block whose lines all start with "tropmono ".
+    with open(README, "r", encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    for block in blocks:
+        lines = [ln for ln in block.splitlines() if ln.strip()]
+        if lines and all(ln.startswith("tropmono ") for ln in lines):
+            return [ln.split(None, 2)[1:] for ln in lines]
+    raise AssertionError("README has no synopsis block")
+
+
+def test_readme_synopsis_matches_the_parser():
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    synopsis = _readme_synopsis()
+    assert sorted(cmd for cmd, *_ in synopsis) == sorted(subs.choices)
+    assert len(synopsis) == 10
+    for cmd, *rest in synopsis:
+        for opt in re.findall(r"(?<![\w-])--?[a-z][\w-]*", " ".join(rest)):
+            assert opt in subs.choices[cmd]._option_string_actions, f"tropmono {cmd} {opt}"
 
 
 # -- subprocess smoke ---------------------------------------------------------------------

@@ -49,7 +49,7 @@ from tropmono.matrix import (
     parse_matrix,
     permute,
 )
-from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
+from tropmono.semiring import BOOLEAN, BOTTOM
 
 
 def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
@@ -58,16 +58,17 @@ def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
 
 def fold_letters(w):
     # the naive oracle for the word DAG evaluator
-    m = identity(w.n, w.semiring)
+    semiring = generating_set(w.monoid, w.n).semiring
+    m = identity(w.n, semiring)
     for g in w.letters():
-        m = mat_mul(m, g.realize(w.n, w.semiring))
+        m = mat_mul(m, g.realize(w.n, semiring))
     return m
 
 
 # -- words and evaluation ------------------------------------------------------
 
 def test_empty_word_is_identity():
-    w = Word("ut", 3, ZMAX)
+    w = Word("ut", 3)
     assert w.letter_count() == 0
     assert w.text() == "ε"
     assert evaluate(w) == identity(3)
@@ -79,26 +80,26 @@ def test_dag_eval_matches_naive_fold():
     e = _Leaf(elem_letter(1, 2, 0))
     inner = _Cat((a, e, a))
     root = _Cat((_Pow(inner, 5), e, _Pow(a, 3), inner))
-    w = Word("ut", 2, ZMAX, root)
+    w = Word("ut", 2, root)
     assert evaluate(w) == fold_letters(w)
     assert w.letter_count() == 5 * 3 + 1 + 3 + 3
 
 
 def test_pow_zero_is_identity():
-    w = Word("ut", 2, ZMAX, _Pow(_Leaf(diag_letter(1, 1)), 0))
+    w = Word("ut", 2, _Pow(_Leaf(diag_letter(1, 1)), 0))
     assert evaluate(w) == identity(2)
     assert w.letter_count() == 0
 
 
 def test_evaluate_rejects_foreign_letters():
-    w = Word("u", 3, ZMAX, _Leaf(x_letter(2)))
+    w = Word("u", 3, _Leaf(x_letter(2)))
     try:
         evaluate(w)
         assert False
     except MembershipError:
         pass
     # E letters below the diagonal are not in the unitriangular alphabet
-    w2 = Word("u", 3, ZMAX, _Leaf(elem_letter(2, 1, 5)))
+    w2 = Word("u", 3, _Leaf(elem_letter(2, 1, 5)))
     try:
         evaluate(w2)
         assert False
@@ -118,7 +119,6 @@ def random_dags(draw):
         st.sampled_from([("m2", 2), ("m3", 3)]),
     ))
     alphabet = generating_set(name, n)
-    monoid, semiring = ("ut", BOOLEAN) if name == "ut_boolean" else (name, ZMAX)
     pool = [_Leaf(g) for g in alphabet.letters]
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.booleans()):
@@ -126,7 +126,7 @@ def random_dags(draw):
             pool.append(_Cat([pool[i] for i in picks]))
         else:
             pool.append(_Pow(pool[draw(st.integers(0, len(pool) - 1))], draw(st.integers(0, 3))))
-    w = Word(monoid, n, semiring, pool[-1])
+    w = Word(name, n, pool[-1])
     assume(w.letter_count() <= 3000)
     return w
 
@@ -138,7 +138,7 @@ def test_random_dag_eval_matches_fold(w, k):
     # the letter-by-letter left fold and against mat_pow for a large power
     assert evaluate(w) == fold_letters(w)
     assert w.text() == (" ".join(g.text() for g in w.letters()) or "ε")
-    big = Word(w.monoid, w.n, w.semiring, _Pow(w.root, k))
+    big = Word(w.monoid, w.n, _Pow(w.root, k))
     assert evaluate(big) == mat_pow(evaluate(w), k)
 
 
@@ -175,24 +175,24 @@ def test_value_products_match_mat_mul(values, k):
 def test_monomial_powers_with_huge_exponents_are_exact():
     for n in range(2, 7):
         # B is Ai(1,-1) times the full n-cycle, so B^n = -1 * I
-        w = Word("gl", n, ZMAX, _Pow(_Leaf(GL_B), n * 10 ** 20))
+        w = Word("gl", n, _Pow(_Leaf(GL_B), n * 10 ** 20))
         assert evaluate(w) == diag((-(10 ** 20),) * n)
         for i in range(1, n + 1):
-            w = Word("ut", n, ZMAX, _Pow(_Leaf(diag_letter(i, 1)), 10 ** 30))
+            w = Word("ut", n, _Pow(_Leaf(diag_letter(i, 1)), 10 ** 30))
             assert evaluate(w) == construct_A(i, 10 ** 30, n)
 
 
 def test_cached_values_do_not_vouch_for_another_alphabet():
     shared = _Cat((_Leaf(diag_letter(1, 1)), _Leaf(diag_letter(2, 1))))
-    ut = Word("ut", 3, ZMAX, _Cat((shared, _Leaf(elem_letter(1, 2, 0)))))
+    ut = Word("ut", 3, _Cat((shared, _Leaf(elem_letter(1, 2, 0)))))
     assert evaluate(ut) == mat_mul(diag((1, 1, 0)), construct_E(1, 2, 3))
     # the same node, already evaluated for ut, inside a gl word
-    gl = Word("gl", 3, ZMAX, _Cat((_Leaf(GL_A), shared)))
+    gl = Word("gl", 3, _Cat((_Leaf(GL_A), shared)))
     with pytest.raises(MembershipError):
         evaluate(gl)
     # a foreign letter under a zero power is still rejected
     with pytest.raises(MembershipError):
-        evaluate(Word("gl", 3, ZMAX, _Cat((_Leaf(GL_A), _Pow(shared, 0)))))
+        evaluate(Word("gl", 3, _Cat((_Leaf(GL_A), _Pow(shared, 0)))))
 
 
 def test_module_caches_do_not_grow_with_entry_values():
@@ -259,6 +259,14 @@ def test_word_text_round_trip():
         assert parse_word(w.text(), monoid, n).text() == text
 
 
+def test_parse_word_reads_scalars_over_the_alphabet_semiring():
+    w = parse_word("Ai(1,0) E(1,2,1)", "ut_boolean", 2)
+    assert evaluate(w) == matrix([[0, 0], [0, 1]], BOOLEAN)
+    # a monoid without an alphabet at this n fails when the word is read
+    with pytest.raises(ValueError):
+        parse_word("A", "m2", 3)
+
+
 # -- upper triangular -----------------------------------------------------------
 
 def test_factor_ut_examples():
@@ -286,9 +294,7 @@ def test_factor_ut_random():
             w = factor_ut(m)
             assert evaluate(w) == m, m
             # every letter really comes from the finite ut alphabet
-            from tropmono.factorize import word_alphabet
-
-            alph = word_alphabet(w)
+            alph = generating_set(w.monoid, w.n)
             for g in w.distinct_letters():
                 assert g in alph.letters
 
@@ -449,12 +455,10 @@ def test_factor_m3_negative_corner_uses_mirror_letter():
 
 def test_factor_m3_letter_legality():
     rng = random.Random(105)
-    from tropmono.factorize import word_alphabet
-
     for _ in range(300):
         m = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
         w = factor_m3(m)
-        alph = word_alphabet(w)
+        alph = generating_set(w.monoid, w.n)
         for g in w.distinct_letters():
             assert alph.contains(g), g.text()
         assert evaluate(w) == m
@@ -579,6 +583,25 @@ def test_factor_word_text_digest_pinned():
     for w in words:
         h.update(w.text().encode() + b"\n")
     assert h.hexdigest() == "649b603a5b0b848d9ce48aadac10169b2a18490a49e76015d6a24e8b5357a379"
+
+
+def test_m3_words_hold_no_empty_concatenation():
+    # Below a word's root every _Cat has parts: a sub-word with no
+    # letters (the identity permutation, a zero scaling) is left out.
+    for vals in itertools.product((BOTTOM, 0, 2), repeat=9):
+        w = factor_m3(matrix([vals[0:3], vals[3:6], vals[6:9]]))
+        seen = set()
+        stack = list(getattr(w.root, "parts", ())) + [getattr(w.root, "node", None)]
+        while stack:
+            node = stack.pop()
+            if node is None or id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, _Cat):
+                assert node.parts, vals
+                stack.extend(node.parts)
+            elif isinstance(node, _Pow):
+                stack.append(node.node)
 
 
 def test_factor_dispatch():

@@ -136,7 +136,7 @@ def test_zero_bottom_zmax_closure_runs_the_same_path():
     # tropical letters with entries in {0, -inf}: a zmax copy of M_3(B)
     perms = [construct_P(Perm.from_cycles(3, c), ZMAX) for c in ([(1, 2, 3)], [(1, 2)])]
     tokens = ["Ai(1,-inf)", "E(1,2,0)", "X(0)"]
-    fm = closure(perms + [parse_generator(t, "m3", 3, ZMAX).realize(3, ZMAX) for t in tokens])
+    fm = closure(perms + [parse_generator(t, "m3", ZMAX).realize(3, ZMAX) for t in tokens])
     assert len(fm) == 512 and fm.closed
     assert len(jclasses(fm)) == 11
     assert prime_certificate(x_letter(0).realize(3, ZMAX), fm)

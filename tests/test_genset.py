@@ -171,24 +171,24 @@ def test_letter_text_round_trip():
     ]
     for gs in gs_all:
         for g in gs.letters:
-            back = parse_generator(g.text(), gs.monoid, gs.n, gs.semiring)
+            back = parse_generator(g.text(), gs.monoid, gs.semiring)
             assert back == g, (gs.monoid, g.text())
     # symbolic members round-trip too
     for _ in range(50):
         g = elem_letter(1, rng.randint(2, 3), rng.randint(-99, 99))
-        assert parse_generator(g.text(), "u", 3, ZMAX) == g
+        assert parse_generator(g.text(), "u", ZMAX) == g
 
 
 def test_parse_generator_grammar():
-    assert parse_generator("A", "m2", 2, ZMAX).kind == "M2_A"
-    assert parse_generator("A", "gl", 3, ZMAX) is GL_A
-    assert parse_generator("Ai(2,-inf)", "ut", 3, ZMAX) == diag_letter(2, BOTTOM)
-    assert parse_generator("E(1,3,-7)", "u", 3, ZMAX) == elem_letter(1, 3, -7)
-    assert parse_generator("X(4)", "m3", 3, ZMAX) == x_letter(4)
-    assert parse_generator("I", "u", 3, ZMAX) is IDENTITY_LETTER
+    assert parse_generator("A", "m2", ZMAX).kind == "M2_A"
+    assert parse_generator("A", "gl", ZMAX) is GL_A
+    assert parse_generator("Ai(2,-inf)", "ut", ZMAX) == diag_letter(2, BOTTOM)
+    assert parse_generator("E(1,3,-7)", "u", ZMAX) == elem_letter(1, 3, -7)
+    assert parse_generator("X(4)", "m3", ZMAX) == x_letter(4)
+    assert parse_generator("I", "u", ZMAX) is IDENTITY_LETTER
     for bad in ("Q", "A", "E(1,2)", "X(-1)", "Ai(0)", "E(0,1,2", "P((1,2))"):
         try:
-            parse_generator(bad, "ut", 3, ZMAX)
+            parse_generator(bad, "ut", ZMAX)
             assert False, bad
         except ValueError:
             pass
