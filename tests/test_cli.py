@@ -135,15 +135,22 @@ def test_eval_foreign_letter_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "--monoid", "ut_boolean", "-n", "2", "--semiring", "boolean", "E(1,2,1)"],
+    ["eval", "--monoid", "m2", "--semiring", "boolean", "A B"],
     ["verify", "--monoid", "ut_boolean", "-n", "2", "--semiring", "boolean", "E(1,2,1)", "1 1; 0 1"],
-], ids=["eval", "verify"])
-def test_word_commands_take_no_semiring_option(argv, capsys):
-    # a word's semiring is its alphabet's, so there is nothing to choose
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "--semiring" in capsys.readouterr().err
+    # ut_boolean letters are Boolean, so a scalar of 5 is outside their semiring
+    ["eval", "--monoid", "ut_boolean", "-n", "2", "Ai(1,0) E(1,2,5)"],
+])
+def test_eval_over_the_wrong_semiring_exits_2(argv, capsys):
+    # a word's semiring is its alphabet's: --semiring is no option of the word
+    # commands, and a scalar outside the alphabet's semiring is a usage error
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert ("--semiring" if "--semiring" in argv else "bad boolean scalar '5'") in err
 
 
 def test_eval_ut_boolean_word(capsys):
