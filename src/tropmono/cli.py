@@ -267,7 +267,7 @@ def _cmd_certify_prime(args):
     else:
         raise ValueError(f"certify-prime covers 2x2 and 3x3 matrices, got n={m.n}")
     gens = [boolean_image(g) for g in base.realized()]
-    fm = finite.closure(gens, cap=args.cap)
+    fm = finite.closure(gens)
     if m not in fm:
         raise MembershipError(f"matrix not in the ambient monoid: {format_matrix(m)}")
     prime = finite.prime_certificate(m, fm)
@@ -391,7 +391,6 @@ def build_parser():
 
     p = sub.add_parser("certify-prime", help="certify a Boolean matrix prime")
     _add_matrix_inputs(p, batch=False)
-    p.add_argument("--cap", type=int, default=finite.DEFAULT_CAP)
     p.set_defaults(func=_cmd_certify_prime)
 
     p = sub.add_parser("jrel-x", help="decide J-relatedness inside the X family")

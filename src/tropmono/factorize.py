@@ -1,10 +1,12 @@
 """Words over the generator alphabets, and the factorization algorithms
 that rewrite a matrix as such a word.
 
-A Word is internally a DAG of leaf / concatenation / power nodes rather
-than a flat letter list: the group-case words repeat large sub-words
-(powers of rotation words, conjugated diagonal scalings) whose flattened
-length grows with the entries, while the node count stays small.
+A Word is internally a DAG rather than a flat letter list: a letter (a
+Generator) is its own leaf, and every other node is the concatenation
+of its parts repeated k times.  The group-case words repeat large
+sub-words (powers of rotation words, conjugated diagonal scalings) whose
+flattened length grows with the entries, while the node count stays
+small.
 
 Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
@@ -15,9 +17,10 @@ not depend on the exponent, and a monomial times dense rows is a row
 gather or a column scatter.  Only dense times dense is a matrix product,
 with binary exponentiation for dense powers.  Each leaf is checked
 against the word's alphabet when it is evaluated, and a Matrix is built
-only for the result.  The text form is likewise built once per node, a
-power repeating its part's text; flat letter sequences are produced
-lazily for round-trips.
+only for the result.  The letter count, the text form and the set of
+distinct letters are each one bottom-up fold that visits every node
+once, a node repeating its parts' text k times; flat letter sequences
+are produced lazily for round-trips.
 
 The five factorizations:
 
@@ -81,29 +84,15 @@ class MembershipError(ValueError):
 
 # -- word nodes -----------------------------------------------------------
 
-class _Leaf:
-    __slots__ = ("g", "_vals")
+class _Node:
+    """The concatenation of parts (_Nodes or Generators), k times."""
 
-    def __init__(self, g: Generator):
-        self.g = g
-        self._vals = {}
+    __slots__ = ("parts", "k", "_vals")
 
-
-class _Cat:
-    __slots__ = ("parts", "_vals")
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        self._vals = {}
-
-
-class _Pow:
-    __slots__ = ("node", "k", "_vals")
-
-    def __init__(self, node, k: int):
+    def __init__(self, parts, k: int = 1):
         if k < 0:
             raise ValueError("negative word power")
-        self.node = node
+        self.parts = tuple(parts)
         self.k = k
         self._vals = {}
 
@@ -112,68 +101,48 @@ def _cat(parts):
     # None parts are dropped, and so is a concatenation of nothing.
     flat = [p for p in parts if p is not None]
     if len(flat) > 1:
-        return _Cat(flat)
+        return _Node(flat)
     return flat[0] if flat else None
 
 
-_EMPTY = _Cat(())
+def _pow(node, k: int):
+    return _Node((node,), k)
+
+
+_EMPTY = _Node(())
 
 
 def _node_letters(node):
-    if isinstance(node, _Leaf):
-        yield node.g
-    elif isinstance(node, _Cat):
-        for p in node.parts:
-            yield from _node_letters(p)
+    if type(node) is Generator:
+        yield node
     else:
         for _ in range(node.k):
-            yield from _node_letters(node.node)
+            for p in node.parts:
+                yield from _node_letters(p)
 
 
-def _node_len(node, memo) -> int:
+def _fold(node, leaf, inner, memo):
+    """Fold a word DAG bottom-up, once per node: leaf(g) at a letter,
+    inner(node, the values of its parts) at a _Node."""
     key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, _Leaf):
-        out = 1
-    elif isinstance(node, _Cat):
-        out = sum(_node_len(p, memo) for p in node.parts)
+    if key in memo:
+        return memo[key]
+    if type(node) is Generator:
+        out = leaf(node)
     else:
-        out = node.k * _node_len(node.node, memo)
-    memo[key] = out
-    return out
-
-
-def _node_text(node, memo) -> str:
-    # The flat text of a node, built once per node: a power repeats its
-    # part's text k times, an empty part contributes nothing.
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, _Leaf):
-        out = node.g.text()
-    elif isinstance(node, _Cat):
-        out = " ".join([t for t in (_node_text(p, memo) for p in node.parts) if t])
-    else:
-        t = _node_text(node.node, memo)
-        out = " ".join([t] * node.k) if t else ""
-    memo[key] = out
-    return out
-
-
-def _node_distinct(node, seen, out):
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    if isinstance(node, _Leaf):
-        out.add(node.g)
-    elif isinstance(node, _Cat):
+        # A loop: on Python 3.11 a comprehension costs a call per node.
+        vals = []
         for p in node.parts:
-            _node_distinct(p, seen, out)
-    else:
-        _node_distinct(node.node, seen, out)
+            vals.append(_fold(p, leaf, inner, memo))
+        out = inner(node, vals)
+    memo[key] = out
+    return out
+
+
+def _join_text(node, texts):
+    # The parts' texts, skipping empty ones, repeated k times.
+    t = " ".join([t for t in texts if t])
+    return " ".join([t] * node.k) if t else ""
 
 
 class Word:
@@ -192,15 +161,15 @@ class Word:
         return _node_letters(self.root)
 
     def letter_count(self) -> int:
-        return _node_len(self.root, {})
+        return _fold(self.root, lambda g: 1, lambda node, lens: node.k * sum(lens), {})
 
     def distinct_letters(self):
         out: set = set()
-        _node_distinct(self.root, set(), out)
+        _fold(self.root, out.add, lambda node, _: None, {})
         return out
 
     def text(self) -> str:
-        return _node_text(self.root, {}) or "ε"
+        return _fold(self.root, Generator.text, _join_text, {}) or "ε"
 
     def __repr__(self):
         k = self.letter_count()
@@ -210,9 +179,9 @@ class Word:
 # -- evaluation -------------------------------------------------------------
 #
 # A node's value is a _Mono or dense rows (a tuple of row tuples), cached
-# in node._vals under the word's (monoid, n), which names its alphabet: a
-# value cached for one alphabet says nothing about the node's letters in
-# another.
+# in node._vals (a leaf letter's own _vals) under the word's (monoid, n),
+# which names its alphabet: a value cached for one alphabet says nothing
+# about the node's letters in another.
 
 class _Mono:
     """A monomial zmax matrix: row i holds sh[i] in column img[i]
@@ -328,18 +297,19 @@ def _value(node, key, ev: _Eval):
     hit = node._vals.get(key)
     if hit is not None:
         return hit
-    if type(node) is _Leaf:
-        val = _leaf_value(node.g, ev)
-    elif type(node) is _Cat:
+    if type(node) is Generator:
+        val = _leaf_value(node, ev)
+    else:
+        # The parts are evaluated even for k = 0, so their letters are
+        # checked.
         val = None
         for p in node.parts:
             v = _value(p, key, ev)
             val = v if val is None else _times(val, v, ev.mul)
         if val is None:
             val = ev.unit
-    else:
-        # The part is evaluated even for k = 0, so its letters are checked.
-        val = _power(_value(node.node, key, ev), node.k, ev)
+        elif node.k != 1:
+            val = _power(val, node.k, ev)
     node._vals[key] = val
     return val
 
@@ -372,19 +342,18 @@ def parse_word(text: str, monoid: str, n: int) -> Word:
     toks = text.split()
     if toks == ["ε"]:
         toks = []
-    leaves = [_Leaf(parse_generator(t, monoid, semiring)) for t in toks]
-    return Word(monoid, n, _Cat(leaves))
+    leaves = [parse_generator(t, monoid, semiring) for t in toks]
+    return Word(monoid, n, _Node(leaves))
 
 
 # -- upper triangular / unitriangular -------------------------------------
 
-# Shared leaves for the ut letters, indexed by slot; their values are
-# cached once per dimension.
-_NEG_I = _Leaf(NEG_I)
-_UT_UP = {i: _Leaf(diag_letter(i, 1)) for i in range(1, MAX_DIM + 1)}
-_UT_BOT = {i: _Leaf(diag_letter(i, BOTTOM)) for i in range(1, MAX_DIM + 1)}
+# Shared ut letters, indexed by slot; their values are cached once per
+# dimension.
+_UT_UP = {i: diag_letter(i, 1) for i in range(1, MAX_DIM + 1)}
+_UT_BOT = {i: diag_letter(i, BOTTOM) for i in range(1, MAX_DIM + 1)}
 _UT_E = {
-    (i, j): _Leaf(elem_letter(i, j, 0))
+    (i, j): elem_letter(i, j, 0)
     for i in range(1, MAX_DIM + 1)
     for j in range(i + 1, MAX_DIM + 1)
 }
@@ -399,11 +368,11 @@ def _ut_diag_node(n: int, i: int, a):
     if a == BOTTOM:
         return _UT_BOT[i]
     if a > 0:
-        return _Pow(_UT_UP[i], a)
+        return _pow(_UT_UP[i], a)
     k = -a
-    parts = [_Pow(_NEG_I, k)]
-    parts += [_Pow(_UT_UP[j], k) for j in range(1, n + 1) if j != i]
-    return _Cat(parts)
+    parts = [_pow(NEG_I, k)]
+    parts += [_pow(_UT_UP[j], k) for j in range(1, n + 1) if j != i]
+    return _Node(parts)
 
 
 def _elem_word(slot, e, i: int, a):
@@ -466,14 +435,11 @@ def factor_unitriangular(m: Matrix) -> Word:
         for i in range(1, n - l + 1):
             a = m.entry(i, j)
             if a != BOTTOM:
-                parts.append(_Leaf(elem_letter(i, j, a)))
+                parts.append(elem_letter(i, j, a))
     return Word("u", n, _cat(parts))
 
 
 # -- the invertible group --------------------------------------------------
-
-_GLA = _Leaf(GL_A)
-_GLB = _Leaf(GL_B)
 
 _GL_BITS: dict = {}
 _GL_PERM: dict = {}
@@ -493,12 +459,12 @@ def _gl_bits(n: int) -> dict:
     bits = _GL_BITS.get(n)
     if bits is not None:
         return bits
-    Y = _Cat((_Pow(_GLB, n - 2), _Pow(_GLA, n - 1), _GLB))
-    Pc = _Pow(Y, n - 1)
-    Prho = _Cat((_GLB, Y, _GLA))
-    P12 = _Cat((_Pow(Pc, n - 2), Prho, Pc))
-    A1p = _Cat((_GLA, _Pow(Prho, n - 2)))
-    A1m = _Cat((_GLB, _Pow(Pc, n - 1)))
+    Y = _Node((_pow(GL_B, n - 2), _pow(GL_A, n - 1), GL_B))
+    Pc = _pow(Y, n - 1)
+    Prho = _Node((GL_B, Y, GL_A))
+    P12 = _Node((_pow(Pc, n - 2), Prho, Pc))
+    A1p = _Node((GL_A, _pow(Prho, n - 2)))
+    A1m = _Node((GL_B, _pow(Pc, n - 1)))
     bits = {"Y": Y, "Pc": Pc, "Prho": Prho, "P12": P12, "A1p": A1p, "A1m": A1m}
     _GL_BITS[n] = bits
     return bits
@@ -510,9 +476,9 @@ def _gl_adjacent_node(n: int, k: int):
     bits = _gl_bits(n)
     m = (1 - k) % n
     return _cat([
-        _Pow(bits["Pc"], m) if m else None,
+        _pow(bits["Pc"], m) if m else None,
         bits["P12"],
-        _Pow(bits["Pc"], (n - m) % n) if (n - m) % n else None,
+        _pow(bits["Pc"], (n - m) % n) if (n - m) % n else None,
     ])
 
 
@@ -553,9 +519,9 @@ def _gl_slot_node(n: int, i: int, d: int):
         base = bits["A1p"] if d > 0 else bits["A1m"]
         if i != 1:
             conj = _gl_perm_node(n, Perm.transposition(n, 1, i))
-            base = _Cat((conj, base, conj))
+            base = _Node((conj, base, conj))
         _GL_SLOT[key] = base
-    return _Pow(base, abs(d))
+    return _pow(base, abs(d))
 
 
 def _gl_word(n: int, vals, perm: Perm):
@@ -595,11 +561,11 @@ class _M2Letters:
 
     def __init__(self, a, b, c, d):
         self.B, self.C, self.D = b, c, d
-        self.F = _Cat((b, a))
-        self.BNEG = _Cat((a, b, a))
+        self.F = _Node((b, a))
+        self.BNEG = _Node((a, b, a))
 
 
-_M2 = _M2Letters(_Leaf(M2_A), _Leaf(M2_B), _Leaf(M2_C), _Leaf(M2_D))
+_M2 = _M2Letters(M2_A, M2_B, M2_C, M2_D)
 
 
 def _b2(L, z):
@@ -607,8 +573,8 @@ def _b2(L, z):
     if z == 0:
         return None
     if z > 0:
-        return _Pow(L.B, z)
-    return _Pow(L.BNEG, -z)
+        return _pow(L.B, z)
+    return _pow(L.BNEG, -z)
 
 
 def _m2_corner(L, x, y, z):
@@ -635,7 +601,7 @@ def _factor_m2_node(g, L):
     C, F = L.C, L.F
     z = len(bottoms)
     if z == 4:
-        return _Cat((C, F, C))
+        return _Node((C, F, C))
     if z == 3:
         # Route the single finite entry to (2,1), where C F B(x) puts it.
         if (1, 1) not in bottoms:
@@ -880,7 +846,7 @@ def _m3_x_route(g, depth: int):
         perm, l, r = _ID3, (0, s - x, z), (-z, 0, x - s)
     else:
         perm, l, r = _REV3, (0, -x, z), (x, 0, s - z)
-    middle = _cat([_gl_word(3, l, perm), _Leaf(x_letter(abs(s))), _gl_word(3, r, perm)])
+    middle = _cat([_gl_word(3, l, perm), x_letter(abs(s)), _gl_word(3, r, perm)])
     return [_gl_word(3, (a, d, e), _ID3), middle]
 
 

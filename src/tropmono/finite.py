@@ -41,7 +41,7 @@ class FiniteMonoid:
 
     __slots__ = ("n", "semiring", "elements", "gens", "cayley", "parent", "last", "closed", "_index")
 
-    def __init__(self, n, semiring, elements, gens, cayley, parent, last, closed):
+    def __init__(self, n, semiring, elements, gens, cayley, parent, last, closed, index):
         self.n = n
         self.semiring = semiring
         self.elements = elements
@@ -50,7 +50,7 @@ class FiniteMonoid:
         self.parent = parent
         self.last = last
         self.closed = closed
-        self._index = {m.rows: i for i, m in enumerate(elements)}
+        self._index = index
 
     def __len__(self):
         return len(self.elements)
@@ -108,7 +108,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                 last.append(gi)
             row.append(i)
         cayley.append(row)
-    return FiniteMonoid(n, semiring, elements, gen_idx, cayley, parent, last, closed)
+    return FiniteMonoid(n, semiring, elements, gen_idx, cayley, parent, last, closed, index)
 
 
 # -- products as Cayley walks ------------------------------------------------

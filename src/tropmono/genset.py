@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 
 from .matrix import (
+    MAX_DIM,
     Matrix,
     Perm,
     construct_A,
@@ -39,12 +40,14 @@ from .semiring import BOOLEAN, BOTTOM, Semiring, ZMAX, format_scalar, is_finite,
 class Generator:
     """A symbolic alphabet letter: kind tag plus parameter tuple."""
 
-    __slots__ = ("kind", "params", "_mats")
+    # _vals caches the letter's values as a word leaf (factorize._value).
+    __slots__ = ("kind", "params", "_mats", "_vals")
 
     def __init__(self, kind: str, params=()):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "_mats", {})
+        object.__setattr__(self, "_vals", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
@@ -212,8 +215,8 @@ def gens_ut_zmax(n: int) -> GeneratingSet:
 
     Cardinality 2n + 1 + n(n-1)/2.
     """
-    if not (1 <= n <= 8):
-        raise ValueError(f"n={n} outside supported range 1..8")
+    if not (1 <= n <= MAX_DIM):
+        raise ValueError(f"n={n} outside supported range 1..{MAX_DIM}")
     letters = [diag_letter(i, 1) for i in range(1, n + 1)]
     letters.append(NEG_I)
     letters += [elem_letter(i, j, 0) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -224,8 +227,8 @@ def gens_ut_zmax(n: int) -> GeneratingSet:
 def gens_u_zmax(n: int) -> GeneratingSet:
     """Unitriangular tropical alphabet: the identity plus every E_ij(z)
     with i < j and z an integer (a symbolic, infinite family)."""
-    if not (1 <= n <= 8):
-        raise ValueError(f"n={n} outside supported range 1..8")
+    if not (1 <= n <= MAX_DIM):
+        raise ValueError(f"n={n} outside supported range 1..{MAX_DIM}")
     symbolic = None if n == 1 else "E(i,j,z) for 1 <= i < j <= n and any integer z"
     return GeneratingSet("u", n, ZMAX, [IDENTITY_LETTER], symbolic)
 
@@ -234,8 +237,8 @@ def gens_gl_zmax(n: int) -> GeneratingSet:
     """The two-letter alphabet generating the invertible n x n tropical
     matrices: A scales slot 1 by 1 and rotates 1..n-1, B scales slot 1
     by -1 and rotates 1..n."""
-    if not (2 <= n <= 8):
-        raise ValueError(f"the invertible group needs n >= 2, got {n}")
+    if not (2 <= n <= MAX_DIM):
+        raise ValueError(f"the invertible group needs 2 <= n <= {MAX_DIM}, got {n}")
     return GeneratingSet("gl", n, ZMAX, [GL_A, GL_B])
 
 
@@ -262,8 +265,8 @@ def gens_m3_zmax(max_x: int = 0) -> GeneratingSet:
 def gens_ut_boolean(n: int) -> GeneratingSet:
     """Upper triangular Boolean alphabet: identity, E_ij(1) for i < j,
     and A_i(0) for every i."""
-    if not (1 <= n <= 8):
-        raise ValueError(f"n={n} outside supported range 1..8")
+    if not (1 <= n <= MAX_DIM):
+        raise ValueError(f"n={n} outside supported range 1..{MAX_DIM}")
     letters = [IDENTITY_LETTER]
     letters += [elem_letter(i, j, 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     letters += [diag_letter(i, 0) for i in range(1, n + 1)]

@@ -255,6 +255,18 @@ def test_certify_prime_zero_2x2(capsys):
     assert out == "prime: false\n"
 
 
+def test_certify_prime_has_no_cap(capsys):
+    # the ambient M_2(B) and M_3(B) are always closed in full: a cap would
+    # only truncate them and misjudge membership
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-prime", "--cap", "100", "0 0 0; 0 0 0; 0 0 0"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+    rc, out, _ = run(["certify-prime", "0 0 0; 0 0 0; 0 0 0"], capsys)
+    assert rc == 0
+    assert out == "prime: false\n"
+
+
 def test_certify_prime_rejects_units(capsys):
     rc, _, err = run(["certify-prime", "1 0; 0 1"], capsys)
     assert rc == 2

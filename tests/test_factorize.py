@@ -13,13 +13,12 @@ from hypothesis import assume, given, settings, strategies as st
 from tropmono.factorize import (
     MembershipError,
     Word,
-    _Cat,
-    _Leaf,
     _Mono,
     _M3_ROUTES,
-    _Pow,
+    _Node,
     _gl_perm_node,
     _mono_pow,
+    _pow,
     _times,
     _m3_route,
     evaluate,
@@ -76,30 +75,30 @@ def test_empty_word_is_identity():
 
 def test_dag_eval_matches_naive_fold():
     # build an unbalanced shared DAG by hand and compare against the fold
-    a = _Leaf(diag_letter(1, 1))
-    e = _Leaf(elem_letter(1, 2, 0))
-    inner = _Cat((a, e, a))
-    root = _Cat((_Pow(inner, 5), e, _Pow(a, 3), inner))
+    a = diag_letter(1, 1)
+    e = elem_letter(1, 2, 0)
+    inner = _Node((a, e, a))
+    root = _Node((_pow(inner, 5), e, _pow(a, 3), inner))
     w = Word("ut", 2, root)
     assert evaluate(w) == fold_letters(w)
     assert w.letter_count() == 5 * 3 + 1 + 3 + 3
 
 
 def test_pow_zero_is_identity():
-    w = Word("ut", 2, _Pow(_Leaf(diag_letter(1, 1)), 0))
+    w = Word("ut", 2, _pow(diag_letter(1, 1), 0))
     assert evaluate(w) == identity(2)
     assert w.letter_count() == 0
 
 
 def test_evaluate_rejects_foreign_letters():
-    w = Word("u", 3, _Leaf(x_letter(2)))
+    w = Word("u", 3, x_letter(2))
     try:
         evaluate(w)
         assert False
     except MembershipError:
         pass
     # E letters below the diagonal are not in the unitriangular alphabet
-    w2 = Word("u", 3, _Leaf(elem_letter(2, 1, 5)))
+    w2 = Word("u", 3, elem_letter(2, 1, 5))
     try:
         evaluate(w2)
         assert False
@@ -109,9 +108,11 @@ def test_evaluate_rejects_foreign_letters():
 
 @st.composite
 def random_dags(draw):
-    """A word over a whole alphabet, built as a DAG of shared _Cat and
-    _Pow nodes (empty cats and k = 0 included) on top of one leaf per
-    letter, with its flat letter count kept small enough to fold."""
+    """A word over a whole alphabet, built as a DAG of shared nodes on
+    top of the alphabet's letters: concatenations (k = 1, empty ones
+    included), powers of one node, and several parts repeated k times
+    (k = 0 included), with its flat letter count kept small enough to
+    fold."""
     # Half the words use m2 or m3, whose alphabets mix permuting
     # monomial letters with dense ones.
     name, n = draw(st.one_of(
@@ -119,13 +120,17 @@ def random_dags(draw):
         st.sampled_from([("m2", 2), ("m3", 3)]),
     ))
     alphabet = generating_set(name, n)
-    pool = [_Leaf(g) for g in alphabet.letters]
+    pool = list(alphabet.letters)
     for _ in range(draw(st.integers(1, 8))):
-        if draw(st.booleans()):
+        shape = draw(st.integers(0, 2))
+        if shape == 0:
             picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
-            pool.append(_Cat([pool[i] for i in picks]))
+            pool.append(_Node([pool[i] for i in picks]))
+        elif shape == 1:
+            pool.append(_pow(pool[draw(st.integers(0, len(pool) - 1))], draw(st.integers(0, 3))))
         else:
-            pool.append(_Pow(pool[draw(st.integers(0, len(pool) - 1))], draw(st.integers(0, 3))))
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=4))
+            pool.append(_Node([pool[i] for i in picks], draw(st.integers(0, 3))))
     w = Word(name, n, pool[-1])
     assume(w.letter_count() <= 3000)
     return w
@@ -138,7 +143,20 @@ def test_random_dag_eval_matches_fold(w, k):
     # the letter-by-letter left fold and against mat_pow for a large power
     assert evaluate(w) == fold_letters(w)
     assert w.text() == (" ".join(g.text() for g in w.letters()) or "ε")
-    big = Word(w.monoid, w.n, _Pow(w.root, k))
+    assert w.letter_count() == sum(1 for _ in w.letters())
+    # every leaf the parts reach, also under k = 0
+    leaves, seen, stack = set(), set(), [w.root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, _Node):
+            stack.extend(node.parts)
+        else:
+            leaves.add(node)
+    assert w.distinct_letters() == leaves
+    big = Word(w.monoid, w.n, _pow(w.root, k))
     assert evaluate(big) == mat_pow(evaluate(w), k)
 
 
@@ -175,24 +193,24 @@ def test_value_products_match_mat_mul(values, k):
 def test_monomial_powers_with_huge_exponents_are_exact():
     for n in range(2, 7):
         # B is Ai(1,-1) times the full n-cycle, so B^n = -1 * I
-        w = Word("gl", n, _Pow(_Leaf(GL_B), n * 10 ** 20))
+        w = Word("gl", n, _pow(GL_B, n * 10 ** 20))
         assert evaluate(w) == diag((-(10 ** 20),) * n)
         for i in range(1, n + 1):
-            w = Word("ut", n, _Pow(_Leaf(diag_letter(i, 1)), 10 ** 30))
+            w = Word("ut", n, _pow(diag_letter(i, 1), 10 ** 30))
             assert evaluate(w) == construct_A(i, 10 ** 30, n)
 
 
 def test_cached_values_do_not_vouch_for_another_alphabet():
-    shared = _Cat((_Leaf(diag_letter(1, 1)), _Leaf(diag_letter(2, 1))))
-    ut = Word("ut", 3, _Cat((shared, _Leaf(elem_letter(1, 2, 0)))))
+    shared = _Node((diag_letter(1, 1), diag_letter(2, 1)))
+    ut = Word("ut", 3, _Node((shared, elem_letter(1, 2, 0))))
     assert evaluate(ut) == mat_mul(diag((1, 1, 0)), construct_E(1, 2, 3))
     # the same node, already evaluated for ut, inside a gl word
-    gl = Word("gl", 3, _Cat((_Leaf(GL_A), shared)))
+    gl = Word("gl", 3, _Node((GL_A, shared)))
     with pytest.raises(MembershipError):
         evaluate(gl)
     # a foreign letter under a zero power is still rejected
     with pytest.raises(MembershipError):
-        evaluate(Word("gl", 3, _Cat((_Leaf(GL_A), _Pow(shared, 0)))))
+        evaluate(Word("gl", 3, _Node((GL_A, _pow(shared, 0)))))
 
 
 def test_module_caches_do_not_grow_with_entry_values():
@@ -586,22 +604,18 @@ def test_factor_word_text_digest_pinned():
 
 
 def test_m3_words_hold_no_empty_concatenation():
-    # Below a word's root every _Cat has parts: a sub-word with no
+    # Below a word's root every _Node has parts: a sub-word with no
     # letters (the identity permutation, a zero scaling) is left out.
     for vals in itertools.product((BOTTOM, 0, 2), repeat=9):
         w = factor_m3(matrix([vals[0:3], vals[3:6], vals[6:9]]))
         seen = set()
-        stack = list(getattr(w.root, "parts", ())) + [getattr(w.root, "node", None)]
+        stack = list(getattr(w.root, "parts", ()))
         while stack:
             node = stack.pop()
-            if node is None or id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, _Cat):
+            if isinstance(node, _Node) and id(node) not in seen:
+                seen.add(id(node))
                 assert node.parts, vals
                 stack.extend(node.parts)
-            elif isinstance(node, _Pow):
-                stack.append(node.node)
 
 
 def test_factor_dispatch():

@@ -25,6 +25,7 @@ from tropmono.genset import (
     x_letter,
 )
 from tropmono.matrix import (
+    MAX_DIM,
     identity,
     is_invertible,
     mat_mul,
@@ -149,6 +150,14 @@ def test_fixed_size_letters_reject_other_dimensions():
     for g, n in ((M2_A, 3), (M2_D, 1), (x_letter(1), 2), (x_letter(0), 4)):
         with pytest.raises(ValueError):
             g.realize(n, ZMAX)
+
+
+def test_generating_sets_reject_dimensions_outside_the_limit():
+    for monoid, lo in (("ut", 1), ("u", 1), ("ut_boolean", 1), ("gl", 2)):
+        for n in (lo - 1, MAX_DIM + 1):
+            with pytest.raises(ValueError, match=f"{MAX_DIM}, got {n}|range 1..{MAX_DIM}"):
+                generating_set(monoid, n)
+        assert generating_set(monoid, MAX_DIM).n == MAX_DIM
 
 
 def test_x_letter_rejects_negative():
