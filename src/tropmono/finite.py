@@ -7,14 +7,19 @@ element cap, which is a supported, flagged outcome rather than an
 error).  Matrices are met only at the boundary: closure multiplies them
 out once, keyed by their rows, and from then on an element is its index.
 
-Closure records the right Cayley graph and, for every element but the
-identity, the (parent, generator) edge by which the breadth-first walk
-first reached it.  That spanning tree turns every product into a walk
-in the Cayley graph (Froidure & Pin, 1997): u * v follows v's tree word
-from u, and a whole row u * S fills in breadth-first order.  J-classes
-are the strongly connected components of the two-sided Cayley graph,
-found by an iterative Tarjan whose sinks-first emission order also
-fills the class order.
+Closure is the Froidure-Pin enumeration (Froidure & Pin, 1997): a
+breadth-first walk that records, for every element but the identity,
+the (parent, generator) edge by which it was first reached.  Tree words
+are shortlex least, so e * g = first(e) * (suffix(e) * g) is read off
+the graph whenever suffix(e) * g is not itself a tree word, and only
+the remaining products are multiplied out; the left Cayley graph is
+filled from the right one, one word length at a time.  After closure
+the spanning tree turns any product into a walk in the Cayley graph:
+u * v follows v's tree word from u, and a whole row u * S fills in
+breadth-first order.  J-classes are the strongly connected components
+of the two-sided Cayley graph, found by an iterative Tarjan whose
+sinks-first emission order also fills the class order; a prime
+certificate scans the rows of the left divisors only.
 """
 
 from __future__ import annotations
@@ -29,24 +34,26 @@ DEFAULT_CAP = 10 ** 6
 
 class FiniteMonoid:
     """A closure result: elements (index 0 is the identity), the indices
-    of the generators inside the element list, and the right Cayley
-    action cayley[e][g] = index of elements[e] * generator g.
+    of the generators inside the element list, the right Cayley action
+    cayley[e][g] = index of elements[e] * generator g, and the left one,
+    left[e][g] = index of generator g * elements[e].
 
     For e > 0, elements[e] = elements[parent[e]] * generator last[e] is
     the edge by which closure first reached e, so parent[e] < e.
 
     closed is False when the cap cut the walk short; the products that
-    would have passed the cap are -1 in cayley.
+    would have passed the cap are -1 in cayley and left.
     """
 
-    __slots__ = ("n", "semiring", "elements", "gens", "cayley", "parent", "last", "closed", "_index")
+    __slots__ = ("n", "semiring", "elements", "gens", "cayley", "left", "parent", "last", "closed", "_index")
 
-    def __init__(self, n, semiring, elements, gens, cayley, parent, last, closed, index):
+    def __init__(self, n, semiring, elements, gens, cayley, left, parent, last, closed, index):
         self.n = n
         self.semiring = semiring
         self.elements = elements
         self.gens = gens
         self.cayley = cayley
+        self.left = left
         self.parent = parent
         self.last = last
         self.closed = closed
@@ -65,8 +72,17 @@ class FiniteMonoid:
 def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     """Multiply out the monoid generated by gens (plus the identity).
 
-    Breadth-first on right multiplication by the generators.  Stops when
-    the element count would pass cap and flags the result not closed.
+    Breadth-first on right multiplication by the generators, one word
+    length at a time (Froidure & Pin, 1997).  Element e's tree word is a
+    first letter a followed by the tree word of its suffix s, so e * g =
+    a * (s * g).  Unless the tree edge (s, g) reaches s * g, that product
+    has a smaller tree word and a * (s * g) is read off the graph; only
+    the other products are multiplied out.  The left graph of each
+    length is filled from the right graph.
+
+    Stops when the element count would pass cap and flags the result not
+    closed; from then on a lookup that meets a -1 edge multiplies.  A cap
+    below the identity plus the distinct generators raises ValueError.
     """
     gens = list(gens)
     if gens:
@@ -87,28 +103,53 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             parent.append(0)
             last.append(gi)
         gen_idx.append(index[g.rows])
-    cayley = []
+    if cap < len(elements):
+        raise ValueError(f"cap {cap} is below the {len(elements)} elements it starts from "
+                         "(the identity and the distinct generators)")
+    first, suffix = last[:], [0] * len(elements)
+    cayley, left = [list(gen_idx)], [list(gen_idx)]
     closed = True
-    # Elements are explored in index order, which is breadth-first order.
-    while len(cayley) < len(elements):
-        e = len(cayley)
-        row = []
-        for gi, g in enumerate(gens):
-            p = mat_mul(elements[e], g)
-            i = index.get(p.rows)
-            if i is None:
-                if len(elements) >= cap:
-                    closed = False
-                    row.append(-1)
-                    continue
-                i = len(elements)
-                index[p.rows] = i
-                elements.append(p)
-                parent.append(e)
-                last.append(gi)
-            row.append(i)
-        cayley.append(row)
-    return FiniteMonoid(n, semiring, elements, gen_idx, cayley, parent, last, closed, index)
+    lo = 1
+    # Elements are explored in index order, which is shortlex order of
+    # their tree words, so every edge read off below is already known.
+    while lo < len(elements):
+        hi = len(elements)
+        for e in range(lo, hi):
+            a, s = first[e], suffix[e]
+            row = []
+            cayley.append(row)
+            for gi, g in enumerate(gens):
+                r = cayley[s][gi]
+                i = -1
+                # s * g is no tree word: e * g = a * r = (a * parent[r]) * last[r]
+                if r == 0:
+                    i = gen_idx[a]
+                elif r > 0 and (parent[r] != s or last[r] != gi):
+                    i = left[parent[r]][a]
+                    i = cayley[i][last[r]] if i >= 0 else -1
+                if i < 0:
+                    p = mat_mul(elements[e], g)
+                    i = index.get(p.rows, -1)
+                    if i < 0 and len(elements) >= cap:
+                        closed = False
+                    elif i < 0:
+                        i = len(elements)
+                        index[p.rows] = i
+                        elements.append(p)
+                        parent.append(e)
+                        last.append(gi)
+                        first.append(a)
+                        suffix.append(r)
+                row.append(i)
+        # g * e = (g * parent[e]) * last[e]
+        for e in range(lo, hi):
+            row = [cayley[i][last[e]] if i >= 0 else -1 for i in left[parent[e]]]
+            for gi, i in enumerate(row):
+                if i < 0:
+                    row[gi] = index.get(mat_mul(gens[gi], elements[e]).rows, -1)
+            left.append(row)
+        lo = hi
+    return FiniteMonoid(n, semiring, elements, gen_idx, cayley, left, parent, last, closed, index)
 
 
 # -- products as Cayley walks ------------------------------------------------
@@ -204,15 +245,15 @@ def jclasses(fm: FiniteMonoid) -> JClassDecomposition:
     """J-classes of a closed monoid: x and y share a class exactly when
     each lies in the other's two-sided ideal.
 
-    The ideal of x is what x reaches in the two-sided Cayley graph (left
-    and right steps commute, so walks reach exactly S^1 x S^1), so the
-    classes are its strongly connected components, numbered by least
-    member.  The identity reaches every element by right steps.
+    The ideal of x is what x reaches in the two-sided Cayley graph, the
+    right and left graphs closure stored (left and right steps commute,
+    so walks reach exactly S^1 x S^1), so the classes are its strongly
+    connected components, numbered by least member.  The identity
+    reaches every element by right steps.
     """
     if not fm.closed:
         raise ValueError("jclasses needs a closed monoid (closure hit its cap)")
-    lefts = [_products(fm, g) for g in fm.gens]
-    succ = [row + [left[e] for left in lefts] for e, row in enumerate(fm.cayley)]
+    succ = [row + left for row, left in zip(fm.cayley, fm.left)]
     sccs = _sccs(succ)
     classes = sorted(sorted(members) for members in sccs)
     class_of = [0] * len(succ)
@@ -271,9 +312,10 @@ def _unit_flags(fm: FiniteMonoid):
 
 
 def _is_prime(x: int, rows, units) -> bool:
-    """No product rows[u][v] = u * v equals x with both factors units or
-    both non-units; rows may be produced one at a time."""
-    for u, row in enumerate(rows):
+    """No product row[v] = u * v equals x with both factors units or both
+    non-units, over the (u, row) pairs given, which may be produced one
+    at a time."""
+    for u, row in rows:
         if x in row and any(p == x and units[v] == units[u] for v, p in enumerate(row)):
             return False
     return True
@@ -292,7 +334,7 @@ def _prime_orbits(fm: FiniteMonoid, rows):
     for x in range(len(rows)):
         if units[x] or x in seen_orbit:
             continue
-        if _is_prime(x, rows, units):
+        if _is_prime(x, enumerate(rows), units):
             orbit = frozenset(rows[rows[u][x]][v] for u in unit_idx for v in unit_idx)
             seen_orbit |= orbit
             orbits.append(orbit)
@@ -327,9 +369,11 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
     """Certify that x is prime in fm: every two-factor product equal to
     x has exactly one unit factor.
 
-    Scans all |fm|^2 ordered pairs, one row of products at a time.
-    Units are excluded from being prime by convention (a unit splits as
-    unit times unit), so passing one raises ValueError.
+    A factor u of u * v = x has x in u S^1, so only the left divisors of
+    x need their row of products: the elements from which x is reached
+    by right Cayley steps, found by one walk back from x.  Units are
+    excluded from being prime by convention (a unit splits as unit times
+    unit), so passing one raises ValueError.
     """
     if not fm.closed:
         raise ValueError("prime_certificate needs a closed monoid")
@@ -338,7 +382,17 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
         raise ValueError(f"matrix not in the monoid: {format_matrix(x)}")
     if is_invertible(x):
         raise ValueError("units are excluded from primality")
-    rows = (_products(fm, u) for u in range(len(fm)))
+    preds = [[] for _ in fm.cayley]
+    for u, row in enumerate(fm.cayley):
+        for v in row:
+            preds[v].append(u)
+    divisors, todo = {xi}, [xi]
+    while todo:
+        for u in preds[todo.pop()]:
+            if u not in divisors:
+                divisors.add(u)
+                todo.append(u)
+    rows = ((u, _products(fm, u)) for u in sorted(divisors))
     return _is_prime(xi, rows, _unit_flags(fm))
 
 

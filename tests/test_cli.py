@@ -207,6 +207,16 @@ def test_closure_cap_reported_distinctly(capsys):
     assert "closed: false" in out and "cap 5 reached" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-3", "3"])
+@pytest.mark.parametrize("cmd", [["closure"], ["rank", "-k", "2"], ["irredundant"]])
+def test_cap_below_the_seed_exits_2(cmd, cap, capsys):
+    # M_2(B) starts from the identity and 3 distinct generator images, so
+    # a cap under 4 cannot bound the element count
+    rc, out, err = run(cmd + ["--monoid", "m2", "-n", "2", "--cap", cap], capsys)
+    assert rc == 2 and out == ""
+    assert f"error: cap {cap} is below the 4 elements it starts from" in err
+
+
 def test_closure_from_gens_file(tmp_path, capsys):
     f = tmp_path / "gens.txt"
     f.write_text("1 1; 0 1\n0 0; 0 1\n1 0; 0 0\n")

@@ -30,6 +30,7 @@ from tropmono.matrix import (
     boolean_image,
     construct_P,
     identity,
+    is_invertible,
     mat_mul,
     matrix,
     parse_matrix,
@@ -106,6 +107,79 @@ def test_closure_validates_input():
         assert False
     except ValueError:
         pass
+
+
+def test_cap_below_the_seed_is_refused():
+    # the identity and 3 distinct generator images: a smaller cap cannot
+    # bound the element count
+    for cap in (-3, 0, 3):
+        try:
+            closure(m2_boolean_gens(), cap=cap)
+            assert False
+        except ValueError as exc:
+            assert f"cap {cap} is below the 4 elements" in str(exc)
+    fm = closure(m2_boolean_gens(), cap=4)
+    assert len(fm) == 4 and not fm.closed
+
+
+def reference_closure(gens, limit):
+    """Plain breadth-first closure from the identity with one mat_mul per
+    (element, generator), keeping at most limit elements.  Returns the
+    elements, the right action (-1 outside), parents, last letters,
+    whether nothing fell outside, and the left action gens[b] * e."""
+    elements = [identity(gens[0].n, gens[0].semiring)]
+    where = {elements[0]: 0}
+    parent, last, right = [-1], [-1], []
+    while len(right) < len(elements):
+        e = len(right)
+        row = []
+        for b, g in enumerate(gens):
+            p = mat_mul(elements[e], g)
+            if p not in where and len(elements) < limit:
+                where[p] = len(elements)
+                elements.append(p)
+                parent.append(e)
+                last.append(b)
+            row.append(where.get(p, -1))
+        right.append(row)
+    left = [[where.get(mat_mul(g, m), -1) for g in gens] for m in elements]
+    closed = all(i >= 0 for row in right for i in row)
+    return elements, right, parent, last, closed, left
+
+
+def random_boolean_gens(rng, n):
+    """Two or three sparse random 0/1 matrices, sometimes with a
+    permutation matrix (so products can fall back to the identity), then
+    a repeated generator and the identity at random places."""
+    gens = [matrix([[int(rng.random() < 1.2 / n) for _ in range(n)] for _ in range(n)], BOOLEAN)
+            for _ in range(rng.randint(2, 3))]
+    if rng.random() < 0.5:
+        image = rng.sample(range(n), n)
+        gens.append(matrix([[int(image[i] == j) for j in range(n)] for i in range(n)], BOOLEAN))
+    gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
+    gens.insert(rng.randrange(len(gens) + 1), identity(n, BOOLEAN))
+    return gens
+
+
+def test_closure_matches_reference_at_every_cap():
+    rng = random.Random(20261018)
+    cases = [random_boolean_gens(rng, n) for n in (2, 3, 4) for _ in range(4)]
+    cases.append([parse_matrix("1 -inf; -inf 0")])  # zmax, never closes
+    for gens in cases:
+        elements, right, parent, last, closed, left = reference_closure(gens, 50 if gens[0].semiring is ZMAX else 300)
+        seed = len({elements[0], *gens})
+        for cap in range(seed, len(elements) + 1):
+            fm = closure(gens, cap=cap)
+
+            def cut(rows):
+                return [[i if i < cap else -1 for i in row] for row in rows[:cap]]
+
+            assert fm.elements == elements[:cap]
+            assert fm.gens == [elements.index(g) for g in gens]
+            assert fm.cayley == cut(right)
+            assert fm.parent == parent[:cap] and fm.last == last[:cap]
+            assert fm.closed == (closed and cap == len(elements))
+            assert fm.left == cut(left)
 
 
 def test_cayley_table_is_right_action():
@@ -195,6 +269,13 @@ def test_jclass_counts_pinned():
         assert [c[0] for c in jd.classes] == sorted(c[0] for c in jd.classes)
         counts.append(len(jd))
     assert counts == [6, 33, 384, 4, 11]
+
+
+def test_ut5_boolean_order_and_jclasses_pinned():
+    # all 2^15 upper triangular 0/1 patterns; 9772 classes as measured
+    fm = closure(ut_boolean_gens(5))
+    assert len(fm) == 2 ** 15 and fm.closed
+    assert len(jclasses(fm)) == 9772
 
 
 def test_jclasses_of_full_2x2_boolean_structure():
@@ -291,8 +372,6 @@ def test_prime_certificate_brute_force_cross_check():
     # check the Cayley-walk scan against plain matrix multiplication on
     # the 16-element monoid, for every non-unit element
     fm = closure(m2_boolean_gens())
-    from tropmono.matrix import is_invertible
-
     for x in fm.elements:
         if is_invertible(x):
             continue
@@ -302,6 +381,26 @@ def test_prime_certificate_brute_force_cross_check():
                 if mat_mul(u, v) == x and is_invertible(u) == is_invertible(v):
                     naive = False
         assert prime_certificate(x, fm) == naive
+
+
+def test_prime_certificate_matches_brute_force_on_random_monoids():
+    # only left divisors get a row scanned: E13 = E12 E23 in the monoid
+    # of {E12, E23} splits through E12, outside E13's own right ideal,
+    # and an idempotent e splits only as e e
+    nilpotent = [matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]], BOOLEAN), matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]], BOOLEAN)]
+    cases = [nilpotent, [matrix([[1, 1], [0, 0]], BOOLEAN)]]
+    rng = random.Random(20261019)
+    cases += [random_boolean_gens(rng, n) for n in (2, 3, 3, 4, 4)]
+    for gens in cases:
+        fm = closure(gens, cap=200)
+        if not fm.closed:
+            continue
+        units = [is_invertible(m) for m in fm.elements]
+        split = {mat_mul(u, v) for i, u in enumerate(fm.elements) for j, v in enumerate(fm.elements)
+                 if units[i] == units[j]}
+        for x, unit in zip(fm.elements, units):
+            if not unit:
+                assert prime_certificate(x, fm) == (x not in split)
 
 
 def test_prime_certificate_rejects_units_and_strangers():
