@@ -4,8 +4,9 @@ and prime certificates.
 These run over matrices of either semiring, but every interesting finite
 case here is Boolean (tropical closures are infinite and stop at the
 element cap, which is a supported, flagged outcome rather than an
-error).  Matrices are met only at the boundary: closure multiplies them
-out once, keyed by their rows, and from then on an element is its index.
+error).  Matrices are met only at the boundary: closure multiplies row
+tuples, keys elements by them and wraps a Matrix only around a new
+element, and from then on an element is its index.
 
 Closure is the Froidure-Pin enumeration (Froidure & Pin, 1997): a
 breadth-first walk that records, for every element but the identity,
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .matrix import Matrix, format_matrix, identity, is_invertible, mat_mul, matrix_to_json
+from .matrix import Matrix, _mk, _row_product, format_matrix, identity, is_invertible, matrix_to_json
 
 DEFAULT_CAP = 10 ** 6
 
@@ -78,7 +79,9 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     a * (s * g).  Unless the tree edge (s, g) reaches s * g, that product
     has a smaller tree word and a * (s * g) is read off the graph; only
     the other products are multiplied out.  The left graph of each
-    length is filled from the right graph.
+    length is filled from the right graph.  Products are taken on row
+    tuples, with the semiring's row product; a Matrix is built only for
+    an element seen for the first time.
 
     Stops when the element count would pass cap and flags the result not
     closed; from then on a lookup that meets a -1 edge multiplies.  A cap
@@ -92,6 +95,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                 raise ValueError("generators disagree on dimension or semiring")
     else:
         raise ValueError("closure needs at least one matrix to fix n; pass [identity(n, sr)]")
+    mul = _row_product(n, semiring)
     elements = [identity(n, semiring)]
     index = {elements[0].rows: 0}
     parent, last = [-1], [-1]
@@ -106,6 +110,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     if cap < len(elements):
         raise ValueError(f"cap {cap} is below the {len(elements)} elements it starts from "
                          "(the identity and the distinct generators)")
+    grows = [g.rows for g in gens]
     first, suffix = last[:], [0] * len(elements)
     cayley, left = [list(gen_idx)], [list(gen_idx)]
     closed = True
@@ -118,7 +123,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             a, s = first[e], suffix[e]
             row = []
             cayley.append(row)
-            for gi, g in enumerate(gens):
+            for gi, g in enumerate(grows):
                 r = cayley[s][gi]
                 i = -1
                 # s * g is no tree word: e * g = a * r = (a * parent[r]) * last[r]
@@ -128,14 +133,14 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                     i = left[parent[r]][a]
                     i = cayley[i][last[r]] if i >= 0 else -1
                 if i < 0:
-                    p = mat_mul(elements[e], g)
-                    i = index.get(p.rows, -1)
+                    p = mul(elements[e].rows, g)
+                    i = index.get(p, -1)
                     if i < 0 and len(elements) >= cap:
                         closed = False
                     elif i < 0:
                         i = len(elements)
-                        index[p.rows] = i
-                        elements.append(p)
+                        index[p] = i
+                        elements.append(_mk(n, semiring, p))
                         parent.append(e)
                         last.append(gi)
                         first.append(a)
@@ -146,7 +151,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             row = [cayley[i][last[e]] if i >= 0 else -1 for i in left[parent[e]]]
             for gi, i in enumerate(row):
                 if i < 0:
-                    row[gi] = index.get(mat_mul(gens[gi], elements[e]).rows, -1)
+                    row[gi] = index.get(mul(grows[gi], elements[e].rows), -1)
             left.append(row)
         lo = hi
     return FiniteMonoid(n, semiring, elements, gen_idx, cayley, left, parent, last, closed, index)

@@ -12,7 +12,9 @@ residuation and never escapes a returned witness.
 
 from __future__ import annotations
 
-from operator import add
+from functools import cache, reduce
+from itertools import compress, product
+from operator import add, or_
 
 from .semiring import (
     BOOLEAN,
@@ -141,9 +143,20 @@ def _mulz(a, b):
     return tuple([tuple([max(map(add, row, col)) for col in bcols]) for row in a])
 
 
+@cache
+def _bool_rows(n: int):
+    """The 2^n Boolean rows of length n in mask order (column 1 is the top
+    bit), and each row's mask; built on first use of the dimension."""
+    rows = tuple(product((0, 1), repeat=n))
+    return rows, {r: m for m, r in enumerate(rows)}
+
+
 def _mulb(a, b):
-    bcols = tuple(zip(*b))
-    return tuple([tuple([max(map(min, row, col)) for col in bcols]) for row in a])
+    # Row i of ab is the OR of the rows of b that row i of a selects:
+    # OR their masks and read the row of the result back from the table.
+    rows, mask = _bool_rows(len(b))
+    masks = [mask[r] for r in b]
+    return tuple([rows[reduce(or_, compress(masks, r), 0)] for r in a])
 
 
 def _row_product(n: int, semiring: Semiring):

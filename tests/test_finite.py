@@ -191,14 +191,23 @@ def test_cayley_table_is_right_action():
 
 
 def test_cayley_walk_products_match_mat_mul():
-    # Every product inside finite.py is a walk in the right Cayley graph:
-    # whole rows u * S, and v's spanning-tree word walked from u.  The
-    # rows of the generators are the left steps the J-classes use.
-    for gens in (m2_boolean_gens(), ut_boolean_gens(3)):
-        fm = closure(gens)
+    # Every product inside finite.py is a walk in the Cayley graphs:
+    # whole rows u * S, and v's spanning-tree word walked from u, in the
+    # right graph; the J-classes also take the left steps of
+    # FiniteMonoid.left, which closure reads off the right graph and,
+    # past a cap, fills by row products (-1 where g * e was cut off).
+    for gens, cap in ((m2_boolean_gens(), 10 ** 6), (ut_boolean_gens(3), 10 ** 6), (m3_boolean_gens(), 200)):
+        fm = closure(gens, cap)
+        assert fm.closed == (cap > 512)
         for v in range(1, len(fm)):
             assert fm.parent[v] < v
             assert fm.elements[v] == mat_mul(fm.elements[fm.parent[v]], gens[fm.last[v]])
+        for e, m in enumerate(fm.elements):
+            for gi, g in enumerate(gens):
+                i = fm.index_of(mat_mul(g, m))
+                assert fm.left[e][gi] == (-1 if i is None else i)
+        if not fm.closed:
+            continue
         for u, mu in enumerate(fm.elements):
             row = _products(fm, u)
             for v, mv in enumerate(fm.elements):

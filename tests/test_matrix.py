@@ -97,6 +97,54 @@ def test_zeros_absorb():
     assert mat_mul(z, m) == z
 
 
+def rnd_boolean_dense(rng, n, p):
+    return matrix([[int(rng.random() < p) for _ in range(n)] for _ in range(n)], BOOLEAN)
+
+
+def boolean_product_by_definition(a, b):
+    n = a.n
+    return tuple(
+        tuple(int(any(a.rows[i][k] and b.rows[k][j] for k in range(n))) for j in range(n))
+        for i in range(n)
+    )
+
+
+def assert_boolean_product(a, b):
+    p = mat_mul(a, b)
+    assert p.semiring is BOOLEAN
+    assert p.rows == boolean_product_by_definition(a, b)
+    assert all(type(x) is int for r in p.rows for x in r)
+
+
+def test_boolean_mul_matches_definition():
+    # Sparse, half and dense matrices at every dimension: a product of
+    # half-full 8x8 matrices is almost always all ones.
+    rng = random.Random(9090)
+    for n in range(1, MAX_DIM + 1):
+        for p in (0.15, 0.35, 0.5, 0.8):
+            for _ in range(60):
+                assert_boolean_product(rnd_boolean_dense(rng, n, p), rnd_boolean_dense(rng, n, p))
+
+
+def test_boolean_mul_exhaustive_2x2():
+    every = [matrix([bits[:2], bits[2:]], BOOLEAN) for bits in itertools.product((0, 1), repeat=4)]
+    for a in every:
+        for b in every:
+            assert_boolean_product(a, b)
+
+
+def test_boolean_associativity_and_identity():
+    rng = random.Random(9191)
+    for n in range(1, MAX_DIM + 1):
+        e = identity(n, BOOLEAN)
+        for p in (0.15, 0.35, 0.6):
+            for _ in range(40):
+                a, b, c = (rnd_boolean_dense(rng, n, p) for _ in range(3))
+                assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+                assert mat_mul(a, e) == a
+                assert mat_mul(e, a) == a
+
+
 def test_mul_by_hand():
     a = parse_matrix("1 -inf; 0 2")
     b = parse_matrix("0 3; -1 -inf")
