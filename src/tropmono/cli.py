@@ -95,7 +95,7 @@ def _cmd_factor(args):
             }
         )
     if args.json:
-        _print_json(reports if len(reports) > 1 else reports[0])
+        _print_json(reports if args.batch else reports[0])
     else:
         for r in reports:
             print(r["word"])
@@ -310,7 +310,7 @@ def _cmd_regular(args):
             }
             for m, witness, variant in results
         ]
-        _print_json(reports if len(reports) > 1 else reports[0])
+        _print_json(reports if args.batch else reports[0])
     else:
         for m, witness, variant in results:
             print(f"regular: {_bool(witness is not None)}")

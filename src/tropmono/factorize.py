@@ -710,15 +710,11 @@ _REV3 = Perm((3, 2, 1))
 _M3_ROUTES: dict = {}
 
 
-def _m3_route(mask: int):
-    """(branch, s, t) for a bottom mask: the case that handles it and the
-    row and column permutations of its normal form P_s m P_t (None for
-    gl and dense, which use m as it is; branch None has no rule)."""
-    return (_M3_ROUTES.get(mask) or _m3_fill(mask))[:3]
-
-
 def _m3_fill(mask: int):
-    """The table entry (branch, s, t, step) of one mask.
+    """The table entry (branch, s, t, step) of one mask: the case that
+    handles it, the row and column permutations of its normal form
+    P_s m P_t (None for gl and dense, which use m as it is; branch None
+    has no rule) and the step that builds the normal form.
 
     With a permutation pair, step is (cells, left, right): row i of the
     normal form P_s m P_t is the entries cells[i] of m's rows laid end

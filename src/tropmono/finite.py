@@ -18,8 +18,7 @@ filled from the right one, one word length at a time.  After closure
 the spanning tree turns any product into a walk in the Cayley graph:
 u * v follows v's tree word from u, and a whole row u * S fills in
 breadth-first order.  J-classes are the strongly connected components
-of the two-sided Cayley graph, found by an iterative Tarjan whose
-sinks-first emission order also fills the class order; a prime
+of the two-sided Cayley graph, found by an iterative Tarjan; a prime
 certificate scans the rows of the left divisors only.
 """
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .matrix import Matrix, _mk, _row_product, format_matrix, identity, is_invertible, matrix_to_json
+from .matrix import Matrix, _mk, _row_product, format_matrix, identity, is_invertible
 
 DEFAULT_CAP = 10 ** 6
 
@@ -190,22 +189,16 @@ def _walk(fm: FiniteMonoid, e: int, word) -> int:
 
 class JClassDecomposition:
     """The partition of a closed finite monoid by mutual two-sided-ideal
-    membership, with the ideal order between classes."""
+    membership."""
 
-    __slots__ = ("classes", "_class_of", "_reach")
+    __slots__ = ("classes", "_class_of")
 
-    def __init__(self, classes, class_of, reach):
+    def __init__(self, classes, class_of):
         self.classes = classes
         self._class_of = class_of
-        self._reach = reach
 
     def class_of(self, e: int) -> int:
         return self._class_of[e]
-
-    def leq(self, ci: int, cj: int) -> bool:
-        """Class order: ci below cj when ci's ideal is contained in cj's,
-        i.e. ci's members are reachable from cj's by multiplication."""
-        return bool(self._reach[cj] >> ci & 1)
 
     def __len__(self):
         return len(self.classes)
@@ -259,22 +252,12 @@ def jclasses(fm: FiniteMonoid) -> JClassDecomposition:
     if not fm.closed:
         raise ValueError("jclasses needs a closed monoid (closure hit its cap)")
     succ = [row + left for row, left in zip(fm.cayley, fm.left)]
-    sccs = _sccs(succ)
-    classes = sorted(sorted(members) for members in sccs)
+    classes = sorted(sorted(members) for members in _sccs(succ))
     class_of = [0] * len(succ)
     for c, members in enumerate(classes):
         for e in members:
             class_of[e] = c
-    # Sinks first: every class a component reaches already has its bits.
-    reach = [0] * len(classes)
-    for members in sccs:
-        c = class_of[members[0]]
-        bits = 1 << c
-        for e in members:
-            for f in succ[e]:
-                bits |= reach[class_of[f]]
-        reach[c] = bits
-    return JClassDecomposition(classes, class_of, reach)
+    return JClassDecomposition(classes, class_of)
 
 
 # -- generation and rank -----------------------------------------------------
@@ -357,8 +340,8 @@ def rank_search(fm: FiniteMonoid, k: int):
         raise ValueError("rank_search needs a closed monoid")
     if len(fm.elements) > 64:
         raise ValueError(f"rank_search supports at most 64 elements, got {len(fm.elements)}")
-    if k > 4:
-        raise ValueError(f"rank_search supports k <= 4, got {k}")
+    if not 0 <= k <= 4:
+        raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
     size = len(fm.elements)
     orbits = _prime_orbits(fm, [_products(fm, u) for u in range(size)])
     for subset in itertools.combinations(range(size), k):
@@ -412,14 +395,3 @@ def x_family_j_related(s: int, t: int) -> bool:
     X(-s) sits in the same class as X(s).
     """
     return s == t or s + t == 0
-
-
-def monoid_to_json(fm: FiniteMonoid) -> dict:
-    return {
-        "n": fm.n,
-        "semiring": fm.semiring.name,
-        "closed": fm.closed,
-        "elements": [matrix_to_json(m)["rows"] for m in fm.elements],
-        "gens": list(fm.gens),
-        "cayley": [i for row in fm.cayley for i in row],
-    }

@@ -275,9 +275,9 @@ def gens_ut_boolean(n: int) -> GeneratingSet:
 
 # -- letter token grammar --------------------------------------------------
 
-_AI_RE = re.compile(r"^Ai\((\d+),([^)]+)\)$")
-_E_RE = re.compile(r"^E\((\d+),(\d+),([^)]+)\)$")
-_X_RE = re.compile(r"^X\((\d+)\)$")
+_AI_RE = re.compile(r"^Ai\((\d+),([^)]+)\)$", re.ASCII)
+_E_RE = re.compile(r"^E\((\d+),(\d+),([^)]+)\)$", re.ASCII)
+_X_RE = re.compile(r"^X\((\d+)\)$", re.ASCII)
 
 _BARE = {
     "gl": {"A": GL_A, "B": GL_B},

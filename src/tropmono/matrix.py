@@ -25,7 +25,6 @@ from .semiring import (
     is_finite,
     parse_scalar,
     psi,
-    semiring_by_name,
 )
 
 MAX_DIM = 8
@@ -91,11 +90,6 @@ def _identity_rows(n: int, semiring: Semiring):
 
 def identity(n: int, semiring: Semiring = ZMAX) -> Matrix:
     return Matrix(n, semiring, _identity_rows(n, semiring))
-
-
-def zeros(n: int, semiring: Semiring = ZMAX) -> Matrix:
-    z = semiring.zero
-    return Matrix(n, semiring, ((z,) * n,) * n)
 
 
 def diag(values, semiring: Semiring = ZMAX) -> Matrix:
@@ -191,19 +185,10 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
     return _mk(m.n, m.semiring, _identity_rows(m.n, m.semiring)) if acc is None else acc
 
 
-def transpose(m: Matrix) -> Matrix:
-    return _mk(m.n, m.semiring, tuple(zip(*m.rows)))
-
-
 # -- permutations --------------------------------------------------------
 
 class Perm:
-    """A permutation of {1..n}, composed diagrammatically.
-
-    ``img[i-1]`` is the image of i.  compose(s, t) applies s first, then
-    t, so that matrix(s;t) = matrix(s) * matrix(t) for the row-style
-    permutation matrices built by construct_P.
-    """
+    """A permutation of {1..n}: ``img[i-1]`` is the image of i."""
 
     __slots__ = ("img",)
 
@@ -248,10 +233,6 @@ class Perm:
 
     def __call__(self, i: int) -> int:
         return self.img[i - 1]
-
-    def compose(self, other: "Perm") -> "Perm":
-        """self then other: (s;t)(i) = t(s(i))."""
-        return Perm(tuple(other.img[x - 1] for x in self.img))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.img)
@@ -350,25 +331,6 @@ def is_invertible(m: Matrix) -> bool:
     return all(m.semiring.is_unit(v) for v in vals)
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Two-sided inverse of an invertible matrix.
-
-    With m = D * P_sigma (diagonal times permutation), the inverse is
-    P_sigma^{-1} * D^{-1}: entry (sigma(i), i) holds the scalar inverse
-    of d_i, which tropically is -d_i and in the Boolean case 1.
-    """
-    mono = is_monomial(m)
-    if mono is None or not all(m.semiring.is_unit(v) for v in mono[1]):
-        raise ValueError("matrix is not invertible")
-    perm, vals = mono
-    z = m.semiring.zero
-    rows = [[z] * m.n for _ in range(m.n)]
-    for i in range(1, m.n + 1):
-        v = vals[i - 1]
-        rows[perm(i) - 1][i - 1] = -v if m.semiring is ZMAX else v
-    return Matrix(m.n, m.semiring, rows)
-
-
 def is_upper_triangular(m: Matrix) -> bool:
     z = m.semiring.zero
     return all(m.rows[i][j] == z for i in range(m.n) for j in range(i))
@@ -425,7 +387,9 @@ def regularity_witness(m: Matrix):
     The witness Y satisfies m*Y*m = m exactly.  variant is "exact" when
     the residuation produced no +inf entries, "clamped" when +inf slots
     (those multiplying only bottoms, hence irrelevant to the product)
-    were replaced by a small finite value.
+    were replaced by a small finite value.  The residuation is the
+    greatest candidate below m's constraints, so when it fails m*Y*m = m
+    every Y does, and m is not regular.
     """
     if m.semiring is not ZMAX:
         raise ValueError("regularity via residuation is defined for zmax matrices only")
@@ -441,16 +405,6 @@ def regularity_witness(m: Matrix):
     if mat_mul(mat_mul(m, wit), m) == m:
         return wit, variant
     return None, ""
-
-
-def is_regular(m: Matrix):
-    """A witness Y with m*Y*m = m, or None when no such Y exists.
-
-    The residuation Y above is the greatest candidate below m's
-    constraints, so failure of m*Y*m = m rules every Y out.
-    """
-    wit, _ = regularity_witness(m)
-    return wit
 
 
 # -- text and JSON forms --------------------------------------------------
@@ -480,20 +434,3 @@ def matrix_to_json(m: Matrix) -> dict:
         "semiring": m.semiring.name,
         "rows": [["-inf" if x == BOTTOM else x for x in r] for r in m.rows],
     }
-
-
-def matrix_from_json(d: dict) -> Matrix:
-    semiring = semiring_by_name(d["semiring"])
-    rows = []
-    for r in d["rows"]:
-        row = []
-        for x in r:
-            if x == "-inf":
-                row.append(BOTTOM)
-            elif isinstance(x, int) and not isinstance(x, bool):
-                row.append(x)
-            else:
-                raise ValueError(f"bad JSON entry {x!r}")
-        rows.append(row)
-    m = Matrix(int(d["n"]), semiring, rows)
-    return m

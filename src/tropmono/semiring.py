@@ -28,7 +28,7 @@ def is_finite(x) -> bool:
 
 
 class Semiring:
-    """One of the two ground semirings, as a bundle of scalar operations.
+    """One of the two ground semirings: its name, zero, one and scalar checks.
 
     Instances are the module constants ZMAX and BOOLEAN; nothing else
     should ever construct one.  Both are commutative, zero-divisor-free,
@@ -61,40 +61,11 @@ class Semiring:
             raise ValueError(f"not a {self.name} scalar: {x!r}")
         return x
 
-    # -- ring operations -----------------------------------------------
-
-    def add(self, a, b):
-        """Semiring addition, which is max in both instances."""
-        return max(a, b)
-
-    def mul(self, a, b):
-        if self.name == "zmax":
-            # int + int stays int; anything + -inf is -inf, exactly.
-            return a + b
-        return min(a, b)
-
     def is_unit(self, a) -> bool:
         """Multiplicatively invertible: every finite tropical int, or Boolean 1."""
         if self.name == "zmax":
             return a != BOTTOM
         return a == 1
-
-    def is_additively_invertible(self, a) -> bool:
-        """Only the zero has an additive inverse (anti-negativity)."""
-        return a == self.zero
-
-    def leq(self, x, y):
-        """The natural order: x <= y iff some t has t + y = x (addition max).
-
-        Solvable exactly when y is numerically at most x, and then t = x
-        is a witness: max(x, y) = x.  Returns (holds, witness), witness
-        None when the relation fails.  Note the semiring order runs
-        opposite to the numeric order; the numerically largest element is
-        the semiring-least.
-        """
-        if y <= x:
-            return True, x
-        return False, None
 
 
 ZMAX = Semiring("zmax", BOTTOM, 0)

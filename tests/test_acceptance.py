@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from tropmono.factorize import _m3_route, evaluate, factor_gl, factor_m2, factor_m3, factor_unitriangular, factor_ut
+from tropmono.factorize import _m3_fill, evaluate, factor_gl, factor_m2, factor_m3, factor_unitriangular, factor_ut
 from tropmono.finite import closure, is_generating, prime_certificate, rank_search, x_family_j_related
 from tropmono.genset import gens_m2_zmax, gens_m3_zmax, gens_ut_boolean, x_letter
 from tropmono.matrix import (
@@ -313,6 +313,6 @@ def test_criterion_9_bottom_pattern_coverage():
     # The dispatch table that factor_m3 runs agrees: every such pattern
     # goes to the triangular or block branch, except the six invertible
     # (monomial) patterns, which the group word takes first.
-    routed = [_m3_route(bits)[0] for bits in range(512) if bin(bits).count("1") >= 4]
+    routed = [_m3_fill(bits)[0] for bits in range(512) if bin(bits).count("1") >= 4]
     assert set(routed) <= {"ut", "block", "gl"} and routed.count("gl") == 6
     print("criterion 9: PASS (all >=4-bottom patterns covered, zero escapes)")

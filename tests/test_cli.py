@@ -84,13 +84,15 @@ def test_factor_batch(tmp_path, capsys):
 
 
 def test_factor_batch_json_is_an_array(tmp_path, capsys):
+    # one array for --batch, however many lines the file holds
     f = tmp_path / "batch.txt"
-    f.write_text("-inf 0 5; 0 -inf 0; 0 0 -inf\n-inf 0 2; 0 -inf 0; 0 0 -inf\n")
-    rc, out, _ = run(["factor", "--monoid", "m3", "--batch", str(f), "--json"], capsys)
-    assert rc == 0
-    payload = json.loads(out)
-    assert isinstance(payload, list) and len(payload) == 2
-    assert payload[0]["word"] == "X(5)" and payload[1]["word"] == "X(2)"
+    for lines, words in ((["-inf 0 5; 0 -inf 0; 0 0 -inf", "-inf 0 2; 0 -inf 0; 0 0 -inf"], ["X(5)", "X(2)"]),
+                         (["-inf 0 5; 0 -inf 0; 0 0 -inf"], ["X(5)"])):
+        f.write_text("".join(ln + "\n" for ln in lines))
+        rc, out, _ = run(["factor", "--monoid", "m3", "--batch", str(f), "--json"], capsys)
+        assert rc == 0
+        payload = json.loads(out)
+        assert isinstance(payload, list) and [r["word"] for r in payload] == words
 
 
 def test_factor_from_file_with_row_lines(tmp_path, capsys):
@@ -126,6 +128,14 @@ def test_eval_epsilon(capsys):
     rc, out, _ = run(["eval", "--monoid", "m3", "ε"], capsys)
     assert rc == 0
     assert out == "0 -inf -inf; -inf 0 -inf; -inf -inf 0\n"
+
+
+@pytest.mark.parametrize("word", ["X(\u0663)", "E(\u0661,2,0)"])
+def test_eval_non_ascii_digit_exits_2(word, capsys):
+    # letter indices are ASCII digits: an Arabic-Indic three or one is no index
+    rc, out, err = run(["eval", "--monoid", "m3", word], capsys)
+    assert rc == 2 and out == ""
+    assert "bad letter token" in err
 
 
 def test_eval_foreign_letter_exits_3(capsys):
@@ -299,6 +309,16 @@ def test_regular_verdicts(capsys):
     assert lines[0] == "regular: true"
     assert lines[1].startswith("witness: ")
     assert lines[2] in ("variant: exact", "variant: clamped")
+
+
+def test_regular_batch_json_is_an_array(tmp_path, capsys):
+    f = tmp_path / "batch.txt"
+    for text, verdicts in (("0 0; 0 -inf\n-inf 0 0; 0 -inf 0; 0 0 -inf\n", [True, False]), ("0 0; 0 -inf\n", [True])):
+        f.write_text(text)
+        rc, out, _ = run(["regular", "--batch", str(f), "--json"], capsys)
+        assert rc == 0
+        payload = json.loads(out)
+        assert isinstance(payload, list) and [r["regular"] for r in payload] == verdicts
 
 
 # -- golden JSON ------------------------------------------------------------------------

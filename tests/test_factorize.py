@@ -14,13 +14,12 @@ from tropmono.factorize import (
     MembershipError,
     Word,
     _Mono,
-    _M3_ROUTES,
     _Node,
     _gl_perm_node,
     _mono_pow,
     _pow,
     _times,
-    _m3_route,
+    _m3_fill,
     evaluate,
     factor,
     factor_gl,
@@ -222,7 +221,7 @@ def test_module_caches_do_not_grow_with_entry_values():
 
     sizes_n = (3, 4, 5, 6)
     for mask in range(512):
-        _m3_route(mask)
+        _m3_fill(mask)
     for n in sizes_n:
         for img in itertools.permutations(range(1, n + 1)):
             for d in (1, -1):
@@ -542,8 +541,7 @@ def test_factor_m3_route_table_matches_first_hit_search():
                 hits = [(s.img, t.img) for s in perms for t in perms if shape(permute(m, s, t))]
                 if hits:
                     expected = (branch, *hits[0])
-        branch, s, t = _m3_route(mask)
-        step = _M3_ROUTES[mask][3]
+        branch, s, t, step = _m3_fill(mask)
         if s is not None:
             # The stored cells gather P_s m P_t out of m's nine entries,
             # and the stored words are P_{s^-1} and P_{t^-1} (none for x).

@@ -13,7 +13,6 @@ from tropmono.finite import (
     irredundant,
     is_generating,
     jclasses,
-    monoid_to_json,
     prime_certificate,
     rank_search,
     x_family_j_related,
@@ -34,7 +33,6 @@ from tropmono.matrix import (
     mat_mul,
     matrix,
     parse_matrix,
-    zeros,
 )
 from tropmono.semiring import BOOLEAN, ZMAX
 
@@ -258,12 +256,6 @@ def test_jclasses_match_naive_oracle_on_full_2x2():
             for j, y in enumerate(fm.elements):
                 same = (x in ideals[j]) and (y in ideals[i])
                 assert (jd.class_of(i) == jd.class_of(j)) == same
-        # the class order must agree with ideal containment on representatives
-        for ci in range(len(jd)):
-            for cj in range(len(jd)):
-                ri = fm.elements[jd.classes[ci][0]]
-                rj = fm.elements[jd.classes[cj][0]]
-                assert jd.leq(ci, cj) == (ri in ideals[fm.elements.index(rj)])
 
 
 def test_jclass_counts_pinned():
@@ -296,13 +288,9 @@ def test_jclasses_of_full_2x2_boolean_structure():
     # units form the two permutation matrices
     unit_class = jd.class_of(fm.index_of(identity(2, BOOLEAN)))
     assert len(jd.classes[unit_class]) == 2
-    # the zero matrix sits alone at the bottom of the order
-    zero_class = jd.class_of(fm.index_of(zeros(2, BOOLEAN)))
+    # the zero matrix is a class of its own
+    zero_class = jd.class_of(fm.index_of(matrix([[0] * 2] * 2, BOOLEAN)))
     assert len(jd.classes[zero_class]) == 1
-    for c in range(len(jd)):
-        assert jd.leq(zero_class, c)
-        if c != unit_class:
-            assert not jd.leq(unit_class, c)
 
 
 def test_jclasses_need_closed_monoid():
@@ -342,11 +330,12 @@ def test_rank_of_full_2x2_boolean_is_3():
 
 def test_rank_search_respects_preconditions():
     fm = closure(m2_boolean_gens())
-    try:
-        rank_search(fm, 5)
-        assert False
-    except ValueError:
-        pass
+    for k in (5, -1):
+        try:
+            rank_search(fm, k)
+            assert False, k
+        except ValueError as exc:
+            assert "k = " in str(exc)
     big = closure(m3_boolean_gens())
     try:
         rank_search(big, 2)  # 512 elements > 64
@@ -374,7 +363,7 @@ def test_x_image_is_prime_in_3x3_boolean():
 
 def test_zero_matrix_is_not_prime():
     fm = closure(m2_boolean_gens())
-    assert not prime_certificate(zeros(2, BOOLEAN), fm)
+    assert not prime_certificate(matrix([[0] * 2] * 2, BOOLEAN), fm)
 
 
 def test_prime_certificate_brute_force_cross_check():
@@ -440,15 +429,3 @@ def test_x_family_relation_is_an_equivalence_on_the_grid():
         assert x_family_j_related(s, s)
         for t in pts:
             assert x_family_j_related(s, t) == x_family_j_related(t, s)
-
-
-# -- export ---------------------------------------------------------------------------
-
-def test_monoid_json_shape():
-    fm = closure(m2_boolean_gens())
-    d = monoid_to_json(fm)
-    assert d["n"] == 2 and d["semiring"] == "boolean" and d["closed"]
-    assert len(d["elements"]) == 16
-    assert len(d["cayley"]) == 16 * len(d["gens"])
-    # cayley entries index back into the element list
-    assert all(0 <= i < 16 for i in d["cayley"])

@@ -1,9 +1,11 @@
 """The package promises to run on the standard library alone
 (``dependencies = []`` in pyproject.toml): every absolute import in its
-modules must name a standard-library module."""
+modules must name a standard-library module.  And every name it exports
+is used by the package, the bench or the README, not by the tests only."""
 
 import ast
 import os
+import re
 import sys
 
 import tropmono
@@ -28,3 +30,38 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     foreign.append(f"{os.path.basename(path)}:{node.lineno} {name}")
     assert foreign == []
+
+
+def _referenced_names(path):
+    """Every bare name, attribute and import alias the module mentions."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    """A public name must earn its place: some package module (other than
+    the re-exporting __init__) or bench script refers to it, or the
+    README shows it in code.  Names only the tests call do not belong
+    in __all__."""
+    src = os.path.dirname(tropmono.__file__)
+    root = os.path.dirname(os.path.dirname(src))
+    bench = os.path.join(root, "perfbench")
+    paths = [os.path.join(src, f) for f in os.listdir(src) if f.endswith(".py") and f != "__init__.py"]
+    paths += [os.path.join(bench, f) for f in os.listdir(bench) if f.endswith(".py")]
+    used = set()
+    for path in paths:
+        used |= _referenced_names(path)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        spans = re.findall(r"(`+)(.+?)\1", fh.read(), re.DOTALL)
+    shown = {word for _, span in spans for word in re.findall(r"\w+", span)}
+    unused = [name for name in tropmono.__all__ if name not in used and name not in shown]
+    assert unused == []

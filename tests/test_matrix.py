@@ -22,22 +22,17 @@ from tropmono.matrix import (
     diag,
     format_matrix,
     identity,
-    inverse,
     is_invertible,
     is_monomial,
-    is_regular,
     is_unitriangular,
     is_upper_triangular,
     mat_mul,
     mat_pow,
     matrix,
-    matrix_from_json,
     matrix_to_json,
     parse_matrix,
     permute,
     regularity_witness,
-    transpose,
-    zeros,
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX, is_finite
 
@@ -92,7 +87,7 @@ def test_identity_neutral():
 def test_zeros_absorb():
     rng = random.Random(8)
     m = rnd_matrix(rng, 3)
-    z = zeros(3)
+    z = matrix([[BOTTOM] * 3] * 3)
     assert mat_mul(m, z) == z
     assert mat_mul(z, m) == z
 
@@ -181,13 +176,6 @@ def test_pow():
         p = mat_mul(p, m)
 
 
-def test_transpose_antihomomorphism():
-    rng = random.Random(9)
-    a, b = rnd_matrix(rng, 3), rnd_matrix(rng, 3)
-    assert transpose(mat_mul(a, b)) == mat_mul(transpose(b), transpose(a))
-    assert transpose(transpose(a)) == a
-
-
 def test_dimension_cap():
     try:
         identity(MAX_DIM + 1)
@@ -243,7 +231,7 @@ def test_perm_matrix_multiplies_like_composition():
         rng.shuffle(s)
         rng.shuffle(t)
         ps, pt = Perm(s), Perm(t)
-        assert mat_mul(construct_P(ps), construct_P(pt)) == construct_P(ps.compose(pt))
+        assert mat_mul(construct_P(ps), construct_P(pt)) == construct_P(Perm(pt(ps(i)) for i in range(1, n + 1)))
 
 
 def test_perm_basics():
@@ -285,7 +273,7 @@ def test_is_monomial_reads_off_perm_and_values():
     assert perm == Perm((3, 1, 2))
     assert vals == (5, -1, 2)
     assert is_monomial(parse_matrix("0 0; -inf 0")) is None
-    assert is_monomial(zeros(2)) is None
+    assert is_monomial(matrix([[BOTTOM] * 2] * 2)) is None
 
 
 def test_monomial_pattern_counts_boolean():
@@ -305,26 +293,9 @@ def test_monomial_pattern_counts_boolean():
     assert found4 == 24
 
 
-def test_inverse_law():
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        img = list(range(1, n + 1))
-        rng.shuffle(img)
-        m = mat_mul(diag([rng.randint(-9, 9) for _ in range(n)]), construct_P(Perm(img)))
-        assert is_invertible(m)
-        assert mat_mul(m, inverse(m)) == identity(n)
-        assert mat_mul(inverse(m), m) == identity(n)
-
-
 def test_invertible_needs_units():
     m = diag((BOTTOM, 0))
     assert not is_invertible(m)
-    try:
-        inverse(m)
-        assert False
-    except ValueError:
-        pass
     # boolean: permutation matrices only
     assert is_invertible(construct_P(Perm((2, 1)), BOOLEAN))
     assert not is_invertible(matrix([[1, 1], [0, 1]], BOOLEAN))
@@ -350,18 +321,18 @@ def test_triangular_predicates():
 # -- regularity ---------------------------------------------------------------
 
 def test_regular_examples():
-    assert is_regular(identity(3)) is not None
+    assert regularity_witness(identity(3))[0] is not None
     for i in (1, 2, 3):
-        w = is_regular(construct_A(i, BOTTOM, 3))
+        w = regularity_witness(construct_A(i, BOTTOM, 3))[0]
         assert w is not None
-    assert is_regular(construct_E(1, 2, 3)) is not None
-    assert is_regular(parse_matrix("0 0; 0 -inf")) is not None
+    assert regularity_witness(construct_E(1, 2, 3))[0] is not None
+    assert regularity_witness(parse_matrix("0 0; 0 -inf"))[0] is not None
 
 
 def test_irregular_corner_family():
     for s in range(6):
         x = parse_matrix(f"-inf 0 {s}; 0 -inf 0; 0 0 -inf")
-        assert is_regular(x) is None
+        assert regularity_witness(x)[0] is None
 
 
 def test_witness_actually_witnesses():
@@ -443,22 +414,15 @@ def test_json_round_trip():
     for _ in range(100):
         m = rnd_matrix(rng, rng.randint(1, 4))
         d = matrix_to_json(m)
-        assert matrix_from_json(d) == m
+        assert (d["n"], d["semiring"]) == (m.n, "zmax")
+        assert matrix([[BOTTOM if x == "-inf" else x for x in r] for r in d["rows"]]) == m
     d = matrix_to_json(parse_matrix("-inf 1; 0 -inf"))
     assert d == {"n": 2, "semiring": "zmax", "rows": [["-inf", 1], [0, "-inf"]]}
-
-
-def test_json_rejects_floats():
-    try:
-        matrix_from_json({"n": 1, "semiring": "zmax", "rows": [[1.5]]})
-        assert False
-    except ValueError:
-        pass
 
 
 def test_matrix_immutable_and_hashable():
     m = identity(2)
     assert m == identity(2)
     assert hash(m) == hash(identity(2))
-    s = {m, identity(2), zeros(2)}
+    s = {m, identity(2), matrix([[BOTTOM] * 2] * 2)}
     assert len(s) == 2
