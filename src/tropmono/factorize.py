@@ -10,17 +10,21 @@ small.
 
 Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
-row) or dense rows.  Every unit letter starts as a monomial, and most of
-every word is a product of them: two monomials multiply in O(n), a power
-of a monomial follows the cycles of its permutation, so its cost does
-not depend on the exponent, and a monomial times dense rows is a row
-gather or a column scatter.  Only dense times dense is a matrix product,
-with binary exponentiation for dense powers.  Each leaf is checked
-against the word's alphabet when it is evaluated, and a Matrix is built
-only for the result.  The letter count, the text form and the set of
-distinct letters are each one bottom-up fold that visits every node
-once, a node repeating its parts' text k times; flat letter sequences
-are produced lazily for round-trips.
+row), a monomial plus one finite entry, or dense rows.  Every unit
+letter starts as a monomial, and most of every word is a product of
+them: two monomials multiply in O(n), a power of a monomial follows the
+cycles of its permutation, so its cost does not depend on the exponent,
+and a monomial times dense rows is a row gather or a column scatter.
+For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
+entry: a monomial moves the entry in O(n), and with dense rows it is a
+gather or scatter plus one row or column max-update.  Two such values,
+or a power of one, are made dense first.  Only dense times dense is a
+matrix product, with binary exponentiation for dense powers.  Each leaf
+is checked against the word's alphabet when it is evaluated, and a
+Matrix is built only for the result.  The letter count, the text form
+and the set of distinct letters are each one bottom-up fold that visits
+every node once, a node repeating its parts' text k times; flat letter
+sequences are produced lazily for round-trips.
 
 The five factorizations:
 
@@ -178,10 +182,10 @@ class Word:
 
 # -- evaluation -------------------------------------------------------------
 #
-# A node's value is a _Mono or dense rows (a tuple of row tuples), cached
-# in node._vals (a leaf letter's own _vals) under the word's (monoid, n),
-# which names its alphabet: a value cached for one alphabet says nothing
-# about the node's letters in another.
+# A node's value is a _Mono, a _Plus or dense rows (a tuple of row
+# tuples), cached in node._vals (a leaf letter's own _vals) under the
+# word's (monoid, n), which names its alphabet: a value cached for one
+# alphabet says nothing about the node's letters in another.
 
 class _Mono:
     """A monomial zmax matrix: row i holds sh[i] in column img[i]
@@ -194,22 +198,67 @@ class _Mono:
         self.sh = sh
 
 
+class _Plus:
+    """The _Mono m plus the finite entry v at (r, c), with c != m.img[r]
+    (0-based): an elementary letter, moved by monomials."""
+
+    __slots__ = ("m", "r", "c", "v")
+
+    def __init__(self, m, r, c, v):
+        self.m, self.r, self.c, self.v = m, r, c, v
+
+
+def _rows(v):
+    """A value as dense rows."""
+    m = v.m if type(v) is _Plus else v
+    if type(m) is not _Mono:
+        return v
+    rows = [[BOTTOM] * len(m.img) for _ in m.img]
+    for i, (j, s) in enumerate(zip(m.img, m.sh)):
+        rows[i][j] = s
+    if m is not v:
+        rows[v.r][v.c] = v.v
+    return tuple([tuple(r) for r in rows])
+
+
 def _times(a, b, mul):
-    """The product of two values; mul multiplies dense rows."""
-    if type(a) is _Mono:
+    """The product of two values; mul multiplies dense rows.  A monomial
+    moves a _Plus's entry, a _Plus times dense rows adds one row
+    max-update and dense rows times a _Plus one column max-update; of two
+    _Plus values the left one is made dense first."""
+    ta, tb = type(a), type(b)
+    if ta is _Mono:
         img, sh = a.img, a.sh
-        if type(b) is _Mono:
+        if tb is _Mono:
             bimg, bsh = b.img, b.sh
             return _Mono(tuple([bimg[k] for k in img]), tuple([s + bsh[k] for k, s in zip(img, sh)]))
+        if tb is _Plus:
+            # Row i of the product gathers row r of b.
+            i = img.index(b.r)
+            return _Plus(_times(a, b.m, mul), i, b.c, sh[i] + b.v)
         # Row i of the product is row img[i] of b, shifted by sh[i].
         return tuple([tuple([s + x for x in b[k]]) for k, s in zip(img, sh)])
-    if type(b) is _Mono:
+    if ta is _Plus:
+        if tb is _Mono:
+            # Row r's entry meets row c of b: b.sh[c] in column b.img[c].
+            return _Plus(_times(a.m, b, mul), a.r, b.img[a.c], a.v + b.sh[a.c])
+        if tb is not _Plus:
+            # Row r of the product also takes v plus row c of b.
+            rows = list(_times(a.m, b, mul))
+            rows[a.r] = tuple([max(x, a.v + y) for x, y in zip(rows[a.r], b[a.c])])
+            return tuple(rows)
+        a = _rows(a)
+    if tb is _Mono:
         # Column img[k] of the product is column k of a, shifted by sh[k].
         img, sh = b.img, b.sh
         src = [0] * len(img)
         for k, j in enumerate(img):
             src[j] = k
         return tuple([tuple([row[k] + sh[k] for k in src]) for row in a])
+    if tb is _Plus:
+        # Column c of the product also takes column r of a plus v.
+        r, c, v = b.r, b.c, b.v
+        return tuple([row[:c] + (max(row[c], x[r] + v),) + row[c + 1:] for row, x in zip(_times(a, b.m, mul), a)])
     return mul(a, b)
 
 
@@ -248,6 +297,7 @@ def _power(v, k: int, ev):
         return ev.unit
     if type(v) is _Mono:
         return _mono_pow(v, k)
+    v = _rows(v)
     mul = ev.mul
     acc = None
     while k:
@@ -263,7 +313,7 @@ class _Eval:
     """What evaluation needs at every node of a word with this monoid
     and n, all read off its alphabet."""
 
-    __slots__ = ("monoid", "alphabet", "n", "semiring", "mul", "unit")
+    __slots__ = ("monoid", "alphabet", "n", "semiring", "mul", "unit", "plus")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
@@ -275,6 +325,8 @@ class _Eval:
             self.unit = _Mono(tuple(range(n)), (0,) * n)
         else:
             self.unit = _identity_rows(n, semiring)
+        # E letters start as _Plus values where the dense product is generic.
+        self.plus = semiring is ZMAX and n > 3
 
 
 # One _Eval per (monoid, n) seen; that pair also keys the node values.
@@ -284,6 +336,10 @@ _EVALS: dict = {}
 def _leaf_value(g: Generator, ev: _Eval):
     if not ev.alphabet.contains(g):
         raise MembershipError(f"letter {g.text()} outside the {ev.monoid} alphabet")
+    # A bool equals an int (E(1,2,False) is a ut letter); realize rejects it.
+    if ev.plus and g.kind == "ELEM_E" and type(g.params[2]) is int:
+        i, j, v = g.params
+        return _Plus(ev.unit, i - 1, j - 1, v)
     m = g.realize(ev.n, ev.semiring)
     if ev.semiring is ZMAX:
         mono = is_monomial(m)
@@ -325,14 +381,7 @@ def evaluate(w: Word) -> Matrix:
     ev = _EVALS.get(key)
     if ev is None:
         ev = _EVALS[key] = _Eval(w.monoid, w.n)
-    v = _value(w.root, key, ev)
-    n = w.n
-    if type(v) is _Mono:
-        rows = [[BOTTOM] * n for _ in range(n)]
-        for i, (j, s) in enumerate(zip(v.img, v.sh)):
-            rows[i][j] = s
-        v = tuple([tuple(r) for r in rows])
-    return _mk(n, ev.semiring, v)
+    return _mk(w.n, ev.semiring, _rows(_value(w.root, key, ev)))
 
 
 def parse_word(text: str, monoid: str, n: int) -> Word:

@@ -200,7 +200,7 @@ class GeneratingSet:
             return True
         if self.monoid == "u" and g.kind == "ELEM_E":
             i, j, v = g.params
-            return 1 <= i < j <= self.n and is_finite(v) and isinstance(v, int)
+            return 1 <= i < j <= self.n and is_finite(v) and ZMAX.contains(v)
         if self.monoid == "m3" and g.kind == "M3_X":
             return g.params[0] >= 0
         return False

@@ -13,11 +13,14 @@ from hypothesis import assume, given, settings, strategies as st
 from tropmono.factorize import (
     MembershipError,
     Word,
+    _Eval,
     _Mono,
     _Node,
+    _Plus,
     _gl_perm_node,
     _mono_pow,
     _pow,
+    _power,
     _times,
     _m3_fill,
     evaluate,
@@ -29,9 +32,10 @@ from tropmono.factorize import (
     factor_ut,
     parse_word,
 )
-from tropmono.genset import GL_A, GL_B, diag_letter, elem_letter, generating_set, x_letter
+from tropmono.genset import GL_A, GL_B, Generator, diag_letter, elem_letter, generating_set, x_letter
 from tropmono.matrix import (
     Perm,
+    _row_product,
     construct_A,
     construct_E,
     construct_P,
@@ -47,11 +51,20 @@ from tropmono.matrix import (
     parse_matrix,
     permute,
 )
-from tropmono.semiring import BOOLEAN, BOTTOM
+from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
 
 
 def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
     return BOTTOM if rng.random() < p_bot else rng.randint(lo, hi)
+
+
+def rnd_upper(rng, n, diagonal):
+    # upper triangular, diagonal() on the diagonal and entries up to
+    # ±10^9 with bottom probability 0.3 above it
+    return matrix([
+        [diagonal() if i == j else rnd_entry(rng, 0.3, -10 ** 9, 10 ** 9) if j > i else BOTTOM for j in range(n)]
+        for i in range(n)
+    ])
 
 
 def fold_letters(w):
@@ -105,6 +118,18 @@ def test_evaluate_rejects_foreign_letters():
         pass
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_evaluate_rejects_bool_scalars_in_u_letters(n):
+    # True == 1, but no zmax matrix holds a bool; at n >= 4 the letter's
+    # value is read off its parameters, so the alphabet must refuse it
+    for v in (True, False):
+        with pytest.raises(MembershipError):
+            evaluate(Word("u", n, _Node((elem_letter(1, 2, 3), elem_letter(1, n, v)))))
+    # E(1,2,False) == E(1,2,0), a ut letter, but it is no zmax matrix
+    with pytest.raises(ValueError, match="not a zmax scalar"):
+        evaluate(Word("ut", n, elem_letter(1, 2, False)))
+
+
 @st.composite
 def random_dags(draw):
     """A word over a whole alphabet, built as a DAG of shared nodes on
@@ -113,13 +138,17 @@ def random_dags(draw):
     (k = 0 included), with its flat letter count kept small enough to
     fold."""
     # Half the words use m2 or m3, whose alphabets mix permuting
-    # monomial letters with dense ones.
+    # monomial letters with dense ones; u words draw their E letters.
     name, n = draw(st.one_of(
-        st.tuples(st.sampled_from(["ut", "gl", "ut_boolean"]), st.integers(2, 6)),
+        st.tuples(st.sampled_from(["ut", "u", "gl", "ut_boolean"]), st.integers(2, 8)),
         st.sampled_from([("m2", 2), ("m3", 3)]),
     ))
     alphabet = generating_set(name, n)
     pool = list(alphabet.letters)
+    if name == "u":
+        above = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for i, j in draw(st.lists(st.sampled_from(above), min_size=1, max_size=4)):
+            pool.append(elem_letter(i, j, draw(st.integers(-10 ** 9, 10 ** 9))))
     for _ in range(draw(st.integers(1, 8))):
         shape = draw(st.integers(0, 2))
         if shape == 0:
@@ -159,18 +188,119 @@ def test_random_dag_eval_matches_fold(w, k):
     assert evaluate(big) == mat_pow(evaluate(w), k)
 
 
+def own_mul(a, b):
+    # the max-plus product by its definition: row of a against column of b
+    cols = list(zip(*b))
+    return tuple(tuple(max([x + y for x, y in zip(row, col)]) for col in cols) for row in a)
+
+
+def own_eval(w):
+    """A zmax word DAG multiplied out without the library's evaluator: a
+    memoized walk over the realized letters, with own_mul for products
+    and square-and-multiply for powers."""
+    n = w.n
+    memo = {}
+    # base^(2^i) for i = 0, 1, ..., shared by the powers of one letter
+    squares = {}
+
+    def times(x, y):
+        # None is the identity
+        return y if x is None else x if y is None else own_mul(x, y)
+
+    def walk(node):
+        if id(node) not in memo:
+            if isinstance(node, Generator):
+                out = node.realize(n, ZMAX).rows
+            else:
+                base = None
+                for p in node.parts:
+                    base = times(base, walk(p))
+                single = len(node.parts) == 1 and isinstance(node.parts[0], Generator)
+                chain = squares.setdefault(node.parts[0], [base]) if single else [base]
+                out, k, i = None, node.k, 0
+                while k:
+                    if i == len(chain):
+                        chain.append(times(chain[-1], chain[-1]))
+                    if k & 1:
+                        out = times(out, chain[i])
+                    k >>= 1
+                    i += 1
+            memo[id(node)] = out
+        return memo[id(node)]
+
+    out = walk(w.root)
+    return tuple(tuple(0 if i == j else BOTTOM for j in range(n)) for i in range(n)) if out is None else out
+
+
+def test_evaluate_matches_an_independent_dag_walk():
+    # the ut, u and gl words of criterion 2, at every n and with large
+    # entries, against a walk that shares no code with evaluate
+    rng = random.Random(20)
+    big = lambda: rng.randint(-10 ** 9, 10 ** 9)  # noqa: E731
+    for n in range(1, 9):
+        for _ in range(2):
+            m = rnd_upper(rng, n, lambda: rnd_entry(rng, 0.3, -10 ** 9, 10 ** 9))
+            u = rnd_upper(rng, n, lambda: 0)
+            cases = [(m, factor_ut(m)), (u, factor_unitriangular(u))]
+            if n >= 2:
+                img = list(range(1, n + 1))
+                rng.shuffle(img)
+                m = mat_mul(diag([big() for _ in range(n)]), construct_P(Perm(img)))
+                cases.append((m, factor_gl(m)))
+            for m, w in cases:
+                assert own_eval(w) == m.rows == evaluate(w).rows
+
+
+def test_u_and_finite_diagonal_ut_words_make_no_dense_products(monkeypatch):
+    from tropmono import factorize
+
+    calls = []
+
+    def counting(n, semiring):
+        mul = _row_product(n, semiring)
+
+        def counted(a, b):
+            calls.append(n)
+            return mul(a, b)
+
+        return counted
+
+    monkeypatch.setattr(factorize, "_EVALS", {})
+    monkeypatch.setattr(factorize, "_row_product", counting)
+    rng = random.Random(48)
+    for n in range(4, 9):
+        for _ in range(10):
+            m = rnd_upper(rng, n, lambda: rng.randint(-10 ** 9, 10 ** 9))
+            assert evaluate(factor_ut(m)) == m
+            u = rnd_upper(rng, n, lambda: 0)
+            assert evaluate(factor_unitriangular(u)) == u
+    assert calls == []
+    # the count sees dense products: two -inf diagonal cells are two
+    # dense letters
+    m = diag((BOTTOM, BOTTOM, 0, 0))
+    assert evaluate(factor_ut(m)) == m
+    assert calls == [4]
+
+
 @st.composite
 def monomials_and_dense(draw):
-    """Two monomial values and a dense matrix, all n x n."""
+    """Two monomials, two monomials plus one entry off their monomial's
+    cell, and dense rows, all n x n."""
     n = draw(st.integers(2, 8))
-    monos = [
-        _Mono(tuple(draw(st.permutations(range(n)))),
-              tuple(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))))
-        for _ in range(2)
-    ]
+
+    def mono():
+        return _Mono(tuple(draw(st.permutations(range(n)))),
+                     tuple(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))))
+
+    def plus():
+        m = mono()
+        r = draw(st.integers(0, n - 1))
+        c = draw(st.sampled_from([j for j in range(n) if j != m.img[r]]))
+        return _Plus(m, r, c, draw(st.integers(-50, 50)))
+
     entry = st.one_of(st.just(BOTTOM), st.integers(-50, 50))
-    dense = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    return monos, matrix(dense)
+    dense = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n))
+    return [mono(), mono()], [plus(), plus()], dense
 
 
 def mono_matrix(v):
@@ -178,15 +308,35 @@ def mono_matrix(v):
     return mat_mul(diag(v.sh), construct_P(Perm([j + 1 for j in v.img])))
 
 
+def value_matrix(v):
+    if type(v) is _Mono:
+        return mono_matrix(v)
+    if type(v) is _Plus:
+        assert v.c != v.m.img[v.r] and v.v != BOTTOM
+        rows = [list(r) for r in mono_matrix(v.m).rows]
+        rows[v.r][v.c] = v.v
+        return matrix(rows)
+    return matrix(v)
+
+
 @given(monomials_and_dense(), st.integers(0, 10 ** 4))
 @settings(max_examples=200, deadline=None)
 def test_value_products_match_mat_mul(values, k):
-    (a, b), dense = values
+    # all nine pairings of the three kinds
+    monos, pluses, dense = values
     mul = lambda x, y: mat_mul(matrix(x), matrix(y)).rows  # noqa: E731
-    assert matrix(_times(a, dense.rows, mul)) == mat_mul(mono_matrix(a), dense)
-    assert matrix(_times(dense.rows, a, mul)) == mat_mul(dense, mono_matrix(a))
-    assert mono_matrix(_times(a, b, mul)) == mat_mul(mono_matrix(a), mono_matrix(b))
+    for a, b in itertools.product((monos[0], pluses[0], dense), (monos[1], pluses[1], dense)):
+        product = _times(a, b, mul)
+        assert value_matrix(product) == mat_mul(value_matrix(a), value_matrix(b))
+        # two monomials make a monomial, a monomial and a _Plus a _Plus,
+        # everything else dense rows
+        kinds = {type(a), type(b)}
+        assert type(product) is (_Mono if kinds == {_Mono} else _Plus if kinds == {_Mono, _Plus} else tuple)
+    a = monos[0]
     assert mono_matrix(_mono_pow(a, k)) == mat_pow(mono_matrix(a), k)
+    ev = _Eval("ut", len(a.img))
+    for p in pluses:
+        assert value_matrix(_power(p, k, ev)) == mat_pow(value_matrix(p), k)
 
 
 def test_monomial_powers_with_huge_exponents_are_exact():

@@ -65,6 +65,9 @@ def test_u_alphabet_is_symbolic():
     assert not gs.contains(elem_letter(3, 1, 0))  # below the diagonal
     assert not gs.contains(elem_letter(1, 1, 0))
     assert not gs.contains(elem_letter(1, 2, BOTTOM))
+    # True == 1, but a bool is not a zmax scalar
+    assert not gs.contains(elem_letter(1, 2, True))
+    assert not gs.contains(elem_letter(1, 2, False))
     assert not gs.contains(x_letter(0))
     # n = 1 has nothing above the diagonal at all
     assert gens_u_zmax(1).symbolic is None
