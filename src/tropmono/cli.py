@@ -3,8 +3,9 @@
 Commands: factor, eval, verify, gens, closure, rank, irredundant,
 certify-prime, jrel-x, regular.  Matrices come from an argument, a
 file, or stdin; the `-inf` token is case-sensitive.  Every command
-takes --json for a machine-readable report (schemas are documented in
-the README and pinned by golden tests).
+returns a JSON report (schemas are documented in the README and pinned
+by golden tests) and its text lines, plus an exit code when that is
+not 0; main prints the report under --json and the lines otherwise.
 
 Exit codes: 0 success, 1 negative verify verdict, 2 parse or usage
 failure, 3 membership violation, 4 internal mismatch (a factorization
@@ -28,44 +29,37 @@ from .matrix import (
 )
 from .semiring import BOOLEAN, ZMAX, semiring_by_name
 
-FACTOR_MONOIDS = ("ut", "u", "gl", "m2", "m3")
+FACTOR_MONOIDS = tuple(factorize.FACTORIZERS)
+ALPHABETS = tuple(genset.BUILDERS)
 
 
-def _read_text(path):
+def _read_matrices(path, semiring, what):
+    """The matrices of a file that holds one per line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _normalize_matrix_text(text):
-    # Allow one row per line in files and on stdin.
-    lines = [ln.strip().rstrip(";") for ln in text.splitlines() if ln.strip()]
-    return "; ".join(lines)
+        lines = fh.read().splitlines()
+    out = [parse_matrix(ln.strip(), semiring) for ln in lines if ln.strip()]
+    if not out:
+        raise ValueError(f"{what} file {path} holds no matrices")
+    return out
 
 
 def _input_matrices(args, semiring):
     """Resolve the matrix inputs of a command: --batch file (one matrix
     per line), positional argument, --file, or stdin, in that order."""
     if getattr(args, "batch", None):
-        out = []
-        for ln in _read_text(args.batch).splitlines():
-            ln = ln.strip()
-            if ln:
-                out.append(parse_matrix(ln, semiring))
-        if not out:
-            raise ValueError(f"batch file {args.batch} holds no matrices")
-        return out
+        return _read_matrices(args.batch, semiring, "batch")
     if getattr(args, "matrix", None) is not None:
         return [parse_matrix(args.matrix, semiring)]
     if getattr(args, "file", None):
-        return [parse_matrix(_normalize_matrix_text(_read_text(args.file)), semiring)]
-    text = sys.stdin.read()
-    if not text.strip():
-        raise ValueError("no matrix given (argument, --file, --batch, or stdin)")
-    return [parse_matrix(_normalize_matrix_text(text), semiring)]
-
-
-def _print_json(payload):
-    print(json.dumps(payload))
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
+        if not text.strip():
+            raise ValueError("no matrix given (argument, --file, --batch, or stdin)")
+    # Allow one row per line in files and on stdin.
+    lines = [ln.strip().rstrip(";") for ln in text.splitlines() if ln.strip()]
+    return [parse_matrix("; ".join(lines), semiring)]
 
 
 def _bool(b):
@@ -75,14 +69,9 @@ def _bool(b):
 # -- factor ------------------------------------------------------------------
 
 def _cmd_factor(args):
-    matrices = _input_matrices(args, ZMAX)
     reports = []
-    code = 0
-    for m in matrices:
+    for m in _input_matrices(args, ZMAX):
         w = factorize.factor(m, args.monoid)
-        ok = evaluate(w) == m
-        if not ok:
-            code = 4
         reports.append(
             {
                 "command": "factor",
@@ -91,16 +80,12 @@ def _cmd_factor(args):
                 "matrix": matrix_to_json(m),
                 "word": w.text(),
                 "letters": w.letter_count(),
-                "verified": ok,
+                "verified": evaluate(w) == m,
             }
         )
-    if args.json:
-        _print_json(reports if args.batch else reports[0])
-    else:
-        for r in reports:
-            print(r["word"])
-            print(f"verified: {_bool(r['verified'])}")
-    return code
+    lines = [ln for r in reports for ln in (r["word"], f"verified: {_bool(r['verified'])}")]
+    code = 0 if all(r["verified"] for r in reports) else 4
+    return (reports if args.batch else reports[0]), lines, code
 
 
 # -- eval and verify ---------------------------------------------------------
@@ -108,7 +93,7 @@ def _cmd_factor(args):
 def _monoid_n(args):
     n = args.n
     if n is None:
-        n = {"m2": 2, "m3": 3}.get(args.monoid)
+        n = genset.FIXED_N.get(args.monoid)
     if n is None:
         raise ValueError(f"monoid {args.monoid} needs an explicit -n")
     return n
@@ -118,19 +103,14 @@ def _cmd_eval(args):
     n = _monoid_n(args)
     w = parse_word(args.word, args.monoid, n)
     m = evaluate(w)
-    if args.json:
-        _print_json(
-            {
-                "command": "eval",
-                "monoid": args.monoid,
-                "n": n,
-                "word": w.text(),
-                "matrix": matrix_to_json(m),
-            }
-        )
-    else:
-        print(format_matrix(m))
-    return 0
+    report = {
+        "command": "eval",
+        "monoid": args.monoid,
+        "n": n,
+        "word": w.text(),
+        "matrix": matrix_to_json(m),
+    }
+    return report, [format_matrix(m)]
 
 
 def _cmd_verify(args):
@@ -140,11 +120,8 @@ def _cmd_verify(args):
     if m.n != n:
         raise ValueError(f"word is {n}x{n} but matrix is {m.n}x{m.n}")
     ok = evaluate(w) == m
-    if args.json:
-        _print_json({"command": "verify", "monoid": args.monoid, "n": n, "verified": ok})
-    else:
-        print(f"verified: {_bool(ok)}")
-    return 0 if ok else 1
+    report = {"command": "verify", "monoid": args.monoid, "n": n, "verified": ok}
+    return report, [f"verified: {_bool(ok)}"], 0 if ok else 1
 
 
 # -- gens ----------------------------------------------------------------------
@@ -153,153 +130,118 @@ def _cmd_gens(args):
     n = _monoid_n(args)
     gs = genset.generating_set(args.monoid, n, max_x=args.max_x)
     texts = [g.text() for g in gs.letters]
-    if args.json:
-        _print_json(
-            {
-                "command": "gens",
-                "monoid": gs.monoid,
-                "n": gs.n,
-                "semiring": gs.semiring.name,
-                "symbolic": gs.symbolic,
-                "letters": texts,
-            }
-        )
-    else:
-        for t in texts:
-            print(t)
-        print(f"letters: {len(texts)}, symbolic: {_bool(gs.symbolic)}")
-    return 0
+    report = {
+        "command": "gens",
+        "monoid": gs.monoid,
+        "n": gs.n,
+        "semiring": gs.semiring.name,
+        "symbolic": gs.symbolic,
+        "letters": texts,
+    }
+    return report, texts + [f"letters: {len(texts)}, symbolic: {_bool(gs.symbolic)}"]
 
 
 # -- closure family ------------------------------------------------------------
 
-def _closure_gens(args):
-    """Generator matrices for closure-like commands, from --gens-file or
-    a built-in alphabet; --semiring boolean (the default) maps tropical
-    letters through the entrywise support morphism."""
-    semiring = semiring_by_name(args.semiring)
-    if args.gens_file:
-        gens = []
-        for ln in _read_text(args.gens_file).splitlines():
-            ln = ln.strip()
-            if ln:
-                gens.append(parse_matrix(ln, semiring))
-        if not gens:
-            raise ValueError(f"gens file {args.gens_file} holds no matrices")
-        return gens
-    if not args.monoid:
-        raise ValueError("closure needs --gens-file or --monoid")
-    n = _monoid_n(args)
-    gs = genset.generating_set(args.monoid, n, max_x=args.max_x)
+def _alphabet(monoid, n, semiring, max_x=0):
+    """The realized letters of a built-in alphabet; over the Booleans,
+    tropical letters pass through the entrywise support morphism."""
+    gs = genset.generating_set(monoid, n, max_x=max_x)
     gens = gs.realized()
     if semiring is BOOLEAN and gs.semiring is ZMAX:
         gens = [boolean_image(g) for g in gens]
     return gens
 
 
+def _closure(args):
+    """The finite monoid of closure-like commands, generated by
+    --gens-file or a built-in alphabet over --semiring (default
+    boolean)."""
+    semiring = semiring_by_name(args.semiring)
+    if args.gens_file:
+        gens = _read_matrices(args.gens_file, semiring, "gens")
+    elif not args.monoid:
+        raise ValueError("closure needs --gens-file or --monoid")
+    else:
+        gens = _alphabet(args.monoid, _monoid_n(args), semiring, args.max_x)
+    return finite.closure(gens, cap=args.cap)
+
+
 def _cmd_closure(args):
-    fm = finite.closure(_closure_gens(args), cap=args.cap)
+    fm = _closure(args)
     jcount = None
     if args.jclasses and fm.closed:
         jcount = len(finite.jclasses(fm))
-    if args.json:
-        payload = {
-            "command": "closure",
-            "n": fm.n,
-            "semiring": fm.semiring.name,
-            "elements": len(fm),
-            "closed": fm.closed,
-            "cap": args.cap,
-        }
-        if args.jclasses:
-            payload["jclasses"] = jcount
-        _print_json(payload)
-    else:
-        line = f"elements: {len(fm)}, closed: {_bool(fm.closed)}"
-        if not fm.closed:
-            line += f" (cap {args.cap} reached)"
-        print(line)
-        if jcount is not None:
-            print(f"jclasses: {jcount}")
-    return 0
+    report = {
+        "command": "closure",
+        "n": fm.n,
+        "semiring": fm.semiring.name,
+        "elements": len(fm),
+        "closed": fm.closed,
+        "cap": args.cap,
+    }
+    if args.jclasses:
+        report["jclasses"] = jcount
+    lines = [f"elements: {len(fm)}, closed: {_bool(fm.closed)}"]
+    if not fm.closed:
+        lines[0] += f" (cap {args.cap} reached)"
+    if jcount is not None:
+        lines.append(f"jclasses: {jcount}")
+    return report, lines
 
 
 def _cmd_rank(args):
-    fm = finite.closure(_closure_gens(args), cap=args.cap)
+    fm = _closure(args)
     subset = finite.rank_search(fm, args.k)
     found = subset is not None
-    if args.json:
-        _print_json(
-            {
-                "command": "rank",
-                "elements": len(fm),
-                "k": args.k,
-                "found": found,
-                "subset": subset,
-            }
-        )
-    else:
-        print(f"elements: {len(fm)}")
-        if found:
-            print(f"found: true, subset: {' '.join(str(i) for i in subset)}")
-        else:
-            print("found: false")
-    return 0
+    report = {
+        "command": "rank",
+        "elements": len(fm),
+        "k": args.k,
+        "found": found,
+        "subset": subset,
+    }
+    verdict = f"found: true, subset: {' '.join(str(i) for i in subset)}" if found else "found: false"
+    return report, [f"elements: {len(fm)}", verdict]
 
 
 def _cmd_irredundant(args):
-    fm = finite.closure(_closure_gens(args), cap=args.cap)
+    fm = _closure(args)
     flags = finite.irredundant(fm, fm.gens)
-    if args.json:
-        _print_json({"command": "irredundant", "gens": len(flags), "necessary": flags})
-    else:
-        for i, f in enumerate(flags):
-            print(f"gen {i}: {'necessary' if f else 'redundant'}")
-    return 0
+    lines = [f"gen {i}: {'necessary' if f else 'redundant'}" for i, f in enumerate(flags)]
+    return {"command": "irredundant", "gens": len(flags), "necessary": flags}, lines
 
 
 def _cmd_certify_prime(args):
     (m,) = _input_matrices(args, BOOLEAN)
-    if m.n == 2:
-        base = genset.generating_set("m2", 2)
-    elif m.n == 3:
-        base = genset.generating_set("m3", 3)
-    else:
+    ambient = {k: name for name, k in genset.FIXED_N.items()}.get(m.n)
+    if ambient is None:
         raise ValueError(f"certify-prime covers 2x2 and 3x3 matrices, got n={m.n}")
-    gens = [boolean_image(g) for g in base.realized()]
-    fm = finite.closure(gens)
+    fm = finite.closure(_alphabet(ambient, m.n, BOOLEAN))
     if m not in fm:
         raise MembershipError(f"matrix not in the ambient monoid: {format_matrix(m)}")
     prime = finite.prime_certificate(m, fm)
-    if args.json:
-        _print_json(
-            {
-                "command": "certify-prime",
-                "n": m.n,
-                "elements": len(fm),
-                "matrix": matrix_to_json(m),
-                "prime": prime,
-            }
-        )
-    else:
-        print(f"prime: {_bool(prime)}")
-    return 0
+    report = {
+        "command": "certify-prime",
+        "n": m.n,
+        "elements": len(fm),
+        "matrix": matrix_to_json(m),
+        "prime": prime,
+    }
+    return report, [f"prime: {_bool(prime)}"]
 
 
 def _cmd_jrel_x(args):
     related = finite.x_family_j_related(args.s, args.t)
-    if args.json:
-        _print_json({"command": "jrel-x", "s": args.s, "t": args.t, "related": related})
-    else:
-        print(f"related: {_bool(related)}")
-    return 0
+    return {"command": "jrel-x", "s": args.s, "t": args.t, "related": related}, [f"related: {_bool(related)}"]
 
 
 def _cmd_regular(args):
-    matrices = _input_matrices(args, ZMAX)
-    results = [(m,) + regularity_witness(m) for m in matrices]
-    if args.json:
-        reports = [
+    reports = []
+    lines = []
+    for m in _input_matrices(args, ZMAX):
+        witness, variant = regularity_witness(m)
+        reports.append(
             {
                 "command": "regular",
                 "n": m.n,
@@ -308,18 +250,11 @@ def _cmd_regular(args):
                 "witness": matrix_to_json(witness) if witness is not None else None,
                 "variant": variant,
             }
-            for m, witness, variant in results
-        ]
-        _print_json(reports if args.batch else reports[0])
-    else:
-        for m, witness, variant in results:
-            print(f"regular: {_bool(witness is not None)}")
-            if witness is not None:
-                print(f"witness: {format_matrix(witness)}")
-                print(f"variant: {variant}")
-    return 0
-
-
+        )
+        lines.append(f"regular: {_bool(witness is not None)}")
+        if witness is not None:
+            lines += [f"witness: {format_matrix(witness)}", f"variant: {variant}"]
+    return (reports if args.batch else reports[0]), lines
 # -- parser --------------------------------------------------------------------
 
 def _add_matrix_inputs(p, batch=True):
@@ -331,7 +266,7 @@ def _add_matrix_inputs(p, batch=True):
 
 def _add_closure_options(p):
     p.add_argument("--gens-file", help="file with one generator matrix per line")
-    p.add_argument("--monoid", choices=("ut", "u", "gl", "m2", "m3", "ut_boolean"))
+    p.add_argument("--monoid", choices=ALPHABETS)
     p.add_argument("-n", type=int, default=None, help="matrix dimension")
     p.add_argument("--max-x", type=int, default=0)
     p.add_argument(
@@ -357,20 +292,20 @@ def build_parser():
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("eval", help="evaluate a generator word to a matrix")
-    p.add_argument("--monoid", required=True, choices=FACTOR_MONOIDS + ("ut_boolean",))
+    p.add_argument("--monoid", required=True, choices=ALPHABETS)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("word", help='generator word, e.g. "Ai(1,1) E(1,2,0)" or "ε"')
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="check that a word evaluates to a matrix")
-    p.add_argument("--monoid", required=True, choices=FACTOR_MONOIDS + ("ut_boolean",))
+    p.add_argument("--monoid", required=True, choices=ALPHABETS)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("word")
     _add_matrix_inputs(p, batch=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gens", help="list the generating alphabet of a monoid")
-    p.add_argument("--monoid", required=True, choices=FACTOR_MONOIDS + ("ut_boolean",))
+    p.add_argument("--monoid", required=True, choices=ALPHABETS)
     p.add_argument("-n", type=int, default=None)
     p.add_argument("--max-x", type=int, default=0)
     p.set_defaults(func=_cmd_gens)
@@ -411,7 +346,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, lines, *code = args.func(args)
+        print(json.dumps(report) if args.json else "\n".join(lines))
+        return code[0] if code else 0
     except MembershipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

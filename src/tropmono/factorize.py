@@ -313,11 +313,10 @@ class _Eval:
     """What evaluation needs at every node of a word with this monoid
     and n, all read off its alphabet."""
 
-    __slots__ = ("monoid", "alphabet", "n", "semiring", "mul", "unit", "plus")
+    __slots__ = ("alphabet", "n", "semiring", "mul", "unit", "plus")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
-        self.monoid = monoid
         self.n = n
         self.semiring = semiring = self.alphabet.semiring
         self.mul = _row_product(n, semiring)
@@ -335,9 +334,8 @@ _EVALS: dict = {}
 
 def _leaf_value(g: Generator, ev: _Eval):
     if not ev.alphabet.contains(g):
-        raise MembershipError(f"letter {g.text()} outside the {ev.monoid} alphabet")
-    # A bool equals an int (E(1,2,False) is a ut letter); realize rejects it.
-    if ev.plus and g.kind == "ELEM_E" and type(g.params[2]) is int:
+        raise MembershipError(f"letter {g.text()} outside the {ev.alphabet.monoid} alphabet")
+    if ev.plus and g.kind == "ELEM_E":
         i, j, v = g.params
         return _Plus(ev.unit, i - 1, j - 1, v)
     m = g.realize(ev.n, ev.semiring)
@@ -991,16 +989,19 @@ def factor_m3(m: Matrix) -> Word:
     return Word("m3", 3, _m3_node(m.rows, 0))
 
 
+# The factorizer of each monoid family by name.
+FACTORIZERS = {
+    "ut": factor_ut,
+    "u": factor_unitriangular,
+    "gl": factor_gl,
+    "m2": factor_m2,
+    "m3": factor_m3,
+}
+
+
 def factor(m: Matrix, monoid: str) -> Word:
     """Dispatch by monoid name, as the CLI does."""
-    if monoid == "ut":
-        return factor_ut(m)
-    if monoid == "u":
-        return factor_unitriangular(m)
-    if monoid == "gl":
-        return factor_gl(m)
-    if monoid == "m2":
-        return factor_m2(m)
-    if monoid == "m3":
-        return factor_m3(m)
-    raise ValueError(f"unknown monoid {monoid!r}")
+    factorizer = FACTORIZERS.get(monoid)
+    if factorizer is None:
+        raise ValueError(f"unknown monoid {monoid!r}")
+    return factorizer(m)

@@ -37,6 +37,22 @@ from .matrix import (
 from .semiring import BOOLEAN, BOTTOM, Semiring, ZMAX, format_scalar, is_finite, parse_scalar
 
 
+# Letter names by kind; a letter with parameters lists them in brackets.
+_NAMES = {
+    "GL_A": "A",
+    "GL_B": "B",
+    "M2_A": "A",
+    "M2_B": "B",
+    "M2_C": "C",
+    "M2_D": "D",
+    "IDENTITY": "I",
+    "NEG_I": "NEG_I",
+    "DIAG_A": "Ai",
+    "ELEM_E": "E",
+    "M3_X": "X",
+}
+
+
 class Generator:
     """A symbolic alphabet letter: kind tag plus parameter tuple."""
 
@@ -62,29 +78,10 @@ class Generator:
         return f"Generator({self.text()!r})"
 
     def text(self) -> str:
-        k = self.kind
-        if k in ("GL_A", "M2_A"):
-            return "A"
-        if k in ("GL_B", "M2_B"):
-            return "B"
-        if k == "M2_C":
-            return "C"
-        if k == "M2_D":
-            return "D"
-        if k == "IDENTITY":
-            return "I"
-        if k == "NEG_I":
-            return "NEG_I"
-        if k == "DIAG_A":
-            i, v = self.params
-            return f"Ai({i},{format_scalar(v)})"
-        if k == "ELEM_E":
-            i, j, v = self.params
-            return f"E({i},{j},{format_scalar(v)})"
-        if k == "M3_X":
-            (i,) = self.params
-            return f"X({i})"
-        raise AssertionError(f"unknown generator kind {k}")
+        name = _NAMES[self.kind]
+        if not self.params:
+            return name
+        return f"{name}({','.join(format_scalar(p) for p in self.params)})"
 
     def realize(self, n: int, semiring: Semiring) -> Matrix:
         # Cached on the letter, so a realization lives as long as the
@@ -195,7 +192,10 @@ class GeneratingSet:
 
     def contains(self, g: Generator) -> bool:
         """Membership including the symbolic families (any E(i,j,z) for the
-        unitriangular alphabet, any X(i) for the 3x3 alphabet)."""
+        unitriangular alphabet, any X(i) for the 3x3 alphabet).  No letter
+        holds a bool, though True == 1 and False == 0."""
+        if any(type(p) is bool for p in g.params):
+            return False
         if g in self.letters:
             return True
         if self.monoid == "u" and g.kind == "ELEM_E":
@@ -279,22 +279,20 @@ _AI_RE = re.compile(r"^Ai\((\d+),([^)]+)\)$", re.ASCII)
 _E_RE = re.compile(r"^E\((\d+),(\d+),([^)]+)\)$", re.ASCII)
 _X_RE = re.compile(r"^X\((\d+)\)$", re.ASCII)
 
+# Letters without parameters by name; monoid context resolves A and B.
+_COMMON = {"I": IDENTITY_LETTER, "NEG_I": NEG_I}
 _BARE = {
-    "gl": {"A": GL_A, "B": GL_B},
-    "m3": {"A": GL_A, "B": GL_B},
-    "m2": {"A": M2_A, "B": M2_B, "C": M2_C, "D": M2_D},
+    "gl": {**_COMMON, "A": GL_A, "B": GL_B},
+    "m3": {**_COMMON, "A": GL_A, "B": GL_B},
+    "m2": {**_COMMON, "A": M2_A, "B": M2_B, "C": M2_C, "D": M2_D},
 }
 
 
 def parse_generator(token: str, monoid: str, semiring: Semiring) -> Generator:
     """One letter token to a Generator; monoid context resolves bare names."""
-    bare = _BARE.get(monoid, {})
+    bare = _BARE.get(monoid, _COMMON)
     if token in bare:
         return bare[token]
-    if token == "I":
-        return IDENTITY_LETTER
-    if token == "NEG_I":
-        return NEG_I
     m = _AI_RE.match(token)
     if m:
         return diag_letter(int(m.group(1)), parse_scalar(m.group(2), semiring))
@@ -307,22 +305,25 @@ def parse_generator(token: str, monoid: str, semiring: Semiring) -> Generator:
     raise ValueError(f"bad letter token {token!r}")
 
 
+# The builders by monoid name, each called with (n, max_x), and the
+# dimension of the families that fix one.
+BUILDERS = {
+    "ut": lambda n, max_x: gens_ut_zmax(n),
+    "u": lambda n, max_x: gens_u_zmax(n),
+    "gl": lambda n, max_x: gens_gl_zmax(n),
+    "m2": lambda n, max_x: gens_m2_zmax(),
+    "m3": lambda n, max_x: gens_m3_zmax(max_x),
+    "ut_boolean": lambda n, max_x: gens_ut_boolean(n),
+}
+FIXED_N = {"m2": 2, "m3": 3}
+
+
 def generating_set(monoid: str, n: int, max_x: int = 0) -> GeneratingSet:
     """Builder dispatch by monoid name, as the CLI uses it."""
-    if monoid == "ut":
-        return gens_ut_zmax(n)
-    if monoid == "u":
-        return gens_u_zmax(n)
-    if monoid == "gl":
-        return gens_gl_zmax(n)
-    if monoid == "m2":
-        if n != 2:
-            raise ValueError("the m2 monoid is 2x2")
-        return gens_m2_zmax()
-    if monoid == "m3":
-        if n != 3:
-            raise ValueError("the m3 monoid is 3x3")
-        return gens_m3_zmax(max_x)
-    if monoid == "ut_boolean":
-        return gens_ut_boolean(n)
-    raise ValueError(f"unknown monoid {monoid!r}")
+    build = BUILDERS.get(monoid)
+    if build is None:
+        raise ValueError(f"unknown monoid {monoid!r}")
+    size = FIXED_N.get(monoid, n)
+    if n != size:
+        raise ValueError(f"the {monoid} monoid is {size}x{size}")
+    return build(n, max_x)

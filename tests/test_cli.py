@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import tropmono
+import tropmono.cli as cli
 from tropmono.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -93,6 +94,22 @@ def test_factor_batch_json_is_an_array(tmp_path, capsys):
         assert rc == 0
         payload = json.loads(out)
         assert isinstance(payload, list) and [r["word"] for r in payload] == words
+
+
+def test_factor_mismatch_is_reported_and_exits_4(tmp_path, capsys, monkeypatch):
+    # a word that does not multiply back is a bug; make X(2) look like one
+    wrong = tropmono.matrix([[0, 0, 0]] * 3)
+    monkeypatch.setattr(cli, "evaluate", lambda w: wrong if w.text() == "X(2)" else tropmono.evaluate(w))
+    f = tmp_path / "batch.txt"
+    f.write_text("-inf 0 5; 0 -inf 0; 0 0 -inf\n-inf 0 2; 0 -inf 0; 0 0 -inf\n")
+    rc, out, err = run(["factor", "--monoid", "m3", "--batch", str(f)], capsys)
+    assert rc == 4 and err == ""
+    assert out == "X(5)\nverified: true\nX(2)\nverified: false\n"
+    rc, out, err = run(["factor", "--monoid", "m3", "--batch", str(f), "--json"], capsys)
+    assert rc == 4 and err == ""
+    assert [(r["word"], r["verified"]) for r in json.loads(out)] == [("X(5)", True), ("X(2)", False)]
+    rc, out, _ = run(["factor", "--monoid", "m3", "-inf 0 2; 0 -inf 0; 0 0 -inf"], capsys)
+    assert rc == 4 and out == "X(2)\nverified: false\n"
 
 
 def test_factor_from_file_with_row_lines(tmp_path, capsys):
@@ -334,7 +351,13 @@ GOLDEN_CASES = {
     "rank_m2_k3.json": ["rank", "--monoid", "m2", "-n", "2", "-k", "3", "--json"],
     "gens_m3.json": ["gens", "--monoid", "m3", "--json"],
     "eval_u_word.json": ["eval", "--monoid", "u", "-n", "3", "E(1,3,1) E(2,3,-4) E(1,2,3)", "--json"],
+    "verify_m3_x5_true.json": ["verify", "--monoid", "m3", "X(5)", "-inf 0 5; 0 -inf 0; 0 0 -inf", "--json"],
+    "irredundant_m2.json": ["irredundant", "--monoid", "m2", "-n", "2", "--json"],
+    "certify_prime_x0.json": ["certify-prime", "0 1 1; 1 0 1; 1 1 0", "--json"],
+    # the cap stops the closure, so there are no J-classes to count
+    "closure_m2_cap5_jclasses.json": ["closure", "--monoid", "m2", "-n", "2", "--cap", "5", "--jclasses", "--json"],
 }
+VERIFY_FALSE = ("verify_m3_x5_false.json", ["verify", "--monoid", "m3", "X(5)", "-inf 0 4; 0 -inf 0; 0 0 -inf", "--json"])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -344,6 +367,14 @@ def test_json_matches_golden(name, capsys):
     with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
         assert out == fh.read()
     json.loads(out)  # stays parseable, not just byte-stable
+
+
+def test_json_golden_of_a_negative_verify_exits_1(capsys):
+    name, argv = VERIFY_FALSE
+    rc, out, _ = run(argv, capsys)
+    assert rc == 1
+    with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 # -- README synopsis ----------------------------------------------------------------------
@@ -371,6 +402,38 @@ def test_readme_synopsis_matches_the_parser():
     for cmd, *rest in synopsis:
         for opt in re.findall(r"(?<![\w-])--?[a-z][\w-]*", " ".join(rest)):
             assert opt in subs.choices[cmd]._option_string_actions, f"tropmono {cmd} {opt}"
+
+
+def _readme_schemas():
+    # The fenced block of the "JSON reports" section: one command and its
+    # keys a line, then "plus <keys> under <flag>" lines for the last one.
+    with open(README, "r", encoding="utf-8") as fh:
+        (block,) = [b for b in fh.read().split("```")[1::2] if re.match(r"\s*factor\s+\{", b)]
+    schemas, extras = {}, {}
+    for ln in block.splitlines():
+        row = re.match(r"(\S+)\s+\{(.*)\}$", ln)
+        if row:
+            cmd = row.group(1)
+            schemas[cmd] = re.findall(r'"(\w+)"', row.group(2))
+        elif ln.strip():
+            extras[cmd] = (re.search(r"under (--[\w-]+)", ln).group(1), re.findall(r'"(\w+)"', ln))
+    return schemas, extras
+
+
+def test_readme_json_schemas_match_the_reports(capsys):
+    # each golden example prints its command's README keys in order, and
+    # together they cover every command
+    schemas, extras = _readme_schemas()
+    seen = set()
+    for name, argv in sorted(GOLDEN_CASES.items()) + [VERIFY_FALSE]:
+        rc, out, _ = run(argv, capsys)
+        report = json.loads(out)
+        cmd = report["command"]
+        flag, more = extras.get(cmd, (None, []))
+        assert list(report) == schemas[cmd] + (more if flag in argv else []), name
+        seen.add(cmd)
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert seen == set(schemas) == set(subs.choices)
 
 
 # -- subprocess smoke ---------------------------------------------------------------------

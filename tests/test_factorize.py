@@ -125,9 +125,11 @@ def test_evaluate_rejects_bool_scalars_in_u_letters(n):
     for v in (True, False):
         with pytest.raises(MembershipError):
             evaluate(Word("u", n, _Node((elem_letter(1, 2, 3), elem_letter(1, n, v)))))
-    # E(1,2,False) == E(1,2,0), a ut letter, but it is no zmax matrix
-    with pytest.raises(ValueError, match="not a zmax scalar"):
-        evaluate(Word("ut", n, elem_letter(1, 2, False)))
+    # E(1,2,False) == E(1,2,0) and Ai(1,True) == Ai(1,1) are ut letters,
+    # but no letter holds a bool
+    for letter in (elem_letter(1, 2, False), diag_letter(1, True)):
+        with pytest.raises(MembershipError):
+            evaluate(Word("ut", n, letter))
 
 
 @st.composite

@@ -73,6 +73,17 @@ def test_u_alphabet_is_symbolic():
     assert gens_u_zmax(1).symbolic is None
 
 
+def test_no_alphabet_holds_a_bool_letter():
+    # each bool equals a listed letter's parameter, and each is refused
+    assert gens_ut_zmax(2).contains(elem_letter(1, 2, 0)) and gens_ut_zmax(2).contains(diag_letter(1, 1))
+    assert not gens_ut_zmax(2).contains(elem_letter(1, 2, False))
+    assert not gens_ut_zmax(2).contains(diag_letter(1, True))
+    assert not gens_ut_boolean(2).contains(elem_letter(1, 2, True))
+    assert not gens_ut_boolean(2).contains(diag_letter(True, 0))
+    assert not gens_m3_zmax(1).contains(x_letter(True))
+    assert not gens_m3_zmax().contains(elem_letter(True, 2, 0))
+
+
 def test_gl_letters():
     gs = gens_gl_zmax(3)
     assert gs.letters == (GL_A, GL_B)
