@@ -143,10 +143,10 @@ def _cmd_gens(args):
 
 # -- closure family ------------------------------------------------------------
 
-def _alphabet(monoid, n, semiring, max_x=0):
+def _alphabet(monoid, n, semiring):
     """The realized letters of a built-in alphabet; over the Booleans,
     tropical letters pass through the entrywise support morphism."""
-    gs = genset.generating_set(monoid, n, max_x=max_x)
+    gs = genset.generating_set(monoid, n)
     gens = gs.realized()
     if semiring is BOOLEAN and gs.semiring is ZMAX:
         gens = [boolean_image(g) for g in gens]
@@ -163,7 +163,7 @@ def _closure(args):
     elif not args.monoid:
         raise ValueError("closure needs --gens-file or --monoid")
     else:
-        gens = _alphabet(args.monoid, _monoid_n(args), semiring, args.max_x)
+        gens = _alphabet(args.monoid, _monoid_n(args), semiring)
     return finite.closure(gens, cap=args.cap)
 
 
@@ -268,7 +268,6 @@ def _add_closure_options(p):
     p.add_argument("--gens-file", help="file with one generator matrix per line")
     p.add_argument("--monoid", choices=ALPHABETS)
     p.add_argument("-n", type=int, default=None, help="matrix dimension")
-    p.add_argument("--max-x", type=int, default=0)
     p.add_argument(
         "--semiring",
         choices=("zmax", "boolean"),

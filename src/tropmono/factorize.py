@@ -51,6 +51,7 @@ minimized.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .genset import (
     GL_A,
@@ -329,7 +330,7 @@ class _Eval:
 
 
 # One _Eval per (monoid, n) seen; that pair also keys the node values.
-_EVALS: dict = {}
+_eval_context = cache(_Eval)
 
 
 def _leaf_value(g: Generator, ev: _Eval):
@@ -376,9 +377,7 @@ def evaluate(w: Word) -> Matrix:
     stray letter raises MembershipError.
     """
     key = (w.monoid, w.n)
-    ev = _EVALS.get(key)
-    if ev is None:
-        ev = _EVALS[key] = _Eval(w.monoid, w.n)
+    ev = _eval_context(*key)
     return _mk(w.n, ev.semiring, _rows(_value(w.root, key, ev)))
 
 
@@ -488,12 +487,7 @@ def factor_unitriangular(m: Matrix) -> Word:
 
 # -- the invertible group --------------------------------------------------
 
-_GL_BITS: dict = {}
-_GL_PERM: dict = {}
-# The +1 and -1 scalings of one slot, keyed by (n, slot, sign).
-_GL_SLOT: dict = {}
-
-
+@cache
 def _gl_bits(n: int) -> dict:
     """Shared sub-words for dimension n, built once.
 
@@ -503,18 +497,13 @@ def _gl_bits(n: int) -> dict:
     and the slot-1 diagonal words A1p = A Prho^{n-2} (scale by +1) and
     A1m = B Pc^{n-1} (scale by -1).
     """
-    bits = _GL_BITS.get(n)
-    if bits is not None:
-        return bits
     Y = _Node((_pow(GL_B, n - 2), _pow(GL_A, n - 1), GL_B))
     Pc = _pow(Y, n - 1)
     Prho = _Node((GL_B, Y, GL_A))
     P12 = _Node((_pow(Pc, n - 2), Prho, Pc))
     A1p = _Node((GL_A, _pow(Prho, n - 2)))
     A1m = _Node((GL_B, _pow(Pc, n - 1)))
-    bits = {"Y": Y, "Pc": Pc, "Prho": Prho, "P12": P12, "A1p": A1p, "A1m": A1m}
-    _GL_BITS[n] = bits
-    return bits
+    return {"Y": Y, "Pc": Pc, "Prho": Prho, "P12": P12, "A1p": A1p, "A1m": A1m}
 
 
 def _gl_adjacent_node(n: int, k: int):
@@ -529,6 +518,7 @@ def _gl_adjacent_node(n: int, k: int):
     ])
 
 
+@cache
 def _gl_perm_node(n: int, perm: Perm):
     """Word realizing the permutation matrix of perm; None for the
     identity, which needs no letters.
@@ -537,9 +527,6 @@ def _gl_perm_node(n: int, perm: Perm):
     applied first-to-last compose (diagrammatically) back to perm, so
     their matrices concatenate in recorded order.
     """
-    key = (n, perm.img)
-    if key in _GL_PERM:
-        return _GL_PERM[key]
     line = list(perm.img)
     swaps = []
     changed = True
@@ -550,25 +537,25 @@ def _gl_perm_node(n: int, perm: Perm):
                 line[k], line[k + 1] = line[k + 1], line[k]
                 swaps.append(k + 1)
                 changed = True
-    node = _cat([_gl_adjacent_node(n, k) for k in swaps])
-    _GL_PERM[key] = node
-    return node
+    return _cat([_gl_adjacent_node(n, k) for k in swaps])
+
+
+@cache
+def _gl_slot_base(n: int, i: int, up: bool):
+    """Word for the diagonal matrix with +1 (up) or -1 in slot i; keyed
+    by the sign, never the value, so the table grows with n alone."""
+    base = _gl_bits(n)["A1p" if up else "A1m"]
+    if i == 1:
+        return base
+    conj = _gl_perm_node(n, Perm.transposition(n, 1, i))
+    return _Node((conj, base, conj))
 
 
 def _gl_slot_node(n: int, i: int, d: int):
     """Word for the diagonal matrix with d in slot i, zero elsewhere."""
     if d == 0:
         return None
-    key = (n, i, d > 0)
-    base = _GL_SLOT.get(key)
-    if base is None:
-        bits = _gl_bits(n)
-        base = bits["A1p"] if d > 0 else bits["A1m"]
-        if i != 1:
-            conj = _gl_perm_node(n, Perm.transposition(n, 1, i))
-            base = _Node((conj, base, conj))
-        _GL_SLOT[key] = base
-    return _pow(base, abs(d))
+    return _pow(_gl_slot_base(n, i, d > 0), abs(d))
 
 
 def _gl_word(n: int, vals, perm: Perm):
@@ -750,47 +737,35 @@ _S3 = [Perm(img) for img in itertools.permutations((1, 2, 3))]
 _ALL3 = {1, 2, 3}
 _REV3 = Perm((3, 2, 1))
 
+
 # The dispatcher's case analysis reads only where the -inf entries sit,
-# so every decision except the dense split is looked up here by bottom
-# mask (bit 3(i-1) + (j-1) set when entry (i, j) is -inf), one mask at
-# a time, the first time it is seen (_m3_fill).
-_M3_ROUTES: dict = {}
-
-
+# so every decision except the dense split is looked up by bottom mask
+# (bit 3(i-1) + (j-1) set when entry (i, j) is -inf), one mask at a
+# time, the first time it is seen.
+@cache
 def _m3_fill(mask: int):
-    """The table entry (branch, s, t, step) of one mask: the case that
-    handles it, the row and column permutations of its normal form
-    P_s m P_t (None for gl and dense, which use m as it is; branch None
-    has no rule) and the step that builds the normal form.
-
-    With a permutation pair, step is (cells, left, right): row i of the
-    normal form P_s m P_t is the entries cells[i] of m's rows laid end
-    to end, and the permutation words left = P_{s^-1} and right =
-    P_{t^-1} (None for x, whose t is the identity) wrap the branch's
-    word.  For gl, step is (cells, perm) with m = diag(the entries at
-    cells) * P_perm; dense has no step.
+    """The route (branch, s, t, step) of one mask: the case that handles
+    it, the row and column permutations of its normal form P_s m P_t,
+    and the step (cells, left, right) that builds the normal form: row
+    i of P_s m P_t is the entries cells[i] of m's rows laid end to end,
+    and the permutation words left = P_{s^-1} and right = P_{t^-1}
+    (None for the identity) wrap the branch's word.
     """
     branch, s, t = _m3_find_route(mask)
-    step = None
-    if branch == "gl":
-        img = tuple(j for i in range(3) for j in (1, 2, 3) if not mask >> (3 * i + j - 1) & 1)
-        step = (tuple(3 * i + j - 1 for i, j in enumerate(img)), Perm(img))
-    elif s is not None:
-        tinv = t.inverse()
-        cells = tuple(tuple(3 * s(i) + tinv(j) - 4 for j in (1, 2, 3)) for i in (1, 2, 3))
-        right = None if branch == "x" else _gl_perm_node(3, tinv)
-        step = (cells, _gl_perm_node(3, s.inverse()), right)
-    route = _M3_ROUTES[mask] = (branch, s, t, step)
-    return route
+    tinv = t.inverse()
+    cells = tuple(tuple(3 * s(i) + tinv(j) - 4 for j in (1, 2, 3)) for i in (1, 2, 3))
+    return branch, s, t, (cells, _gl_perm_node(3, s.inverse()), _gl_perm_node(3, tinv))
 
 
 def _m3_find_route(mask: int):
-    """The dispatcher's rules, in the order they apply, for one mask."""
+    """The dispatcher's rules, in the order they apply, for one mask:
+    the branch and its permutation pair (s, t)."""
     cells = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if mask >> (3 * i + j - 4) & 1]
     z = len(cells)
     finite = {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)} - set(cells)
     if z == 6 and len({i for i, _ in finite}) == len({j for _, j in finite}) == 3:
-        return "gl", None, None
+        # Invertible: m P_t holds the finite entries on its diagonal.
+        return "gl", _ID3, Perm(tuple(j for _, j in sorted(finite))).inverse()
     # Three or more bottoms: the first (s, t) in lexicographic order that
     # makes the pattern upper triangular, then, from four bottoms, the
     # first scalar-plus-2x2-block one (first row and column bottom off
@@ -806,29 +781,27 @@ def _m3_find_route(mask: int):
                     if need <= {(sinv(i), t(j)) for i, j in cells}:
                         return branch, s, t
     if z >= 4:
-        return None, None, None
+        # Never reached: every mask of four or more bottoms has one of
+        # the two forms (criterion 9).
+        raise AssertionError(f"no triangular or block form for bottom mask {mask}")
     if z == 0:
-        return "dense", None, None
+        return "dense", _ID3, _ID3
     # A row, then a column, holding at least two bottoms.
     for r in (1, 2, 3):
         cols = [j for i, j in cells if i == r]
         if len(cols) >= 2:
-            # Row r goes to row 3, its bottom columns to 1 and 2.
+            # Row r goes to row 3, its first two bottom columns to 1 and 2.
             rho = Perm.transposition(3, r, 3) if r != 3 else _ID3
-            if len(cols) == 3:
-                return "split-row", rho, _ID3
-            ca, cb = cols
+            ca, cb = cols[:2]
             img = [0, 0, 0]
             img[ca - 1], img[cb - 1], img[(_ALL3 - {ca, cb}).pop() - 1] = 1, 2, 3
             return "split-row", rho, Perm(img)
     for c in (1, 2, 3):
         rows = [i for i, j in cells if j == c]
         if len(rows) >= 2:
-            # Column c goes to column 3, its bottom rows to 1 and 2.
+            # Column c goes to column 3, its first two bottom rows to 1 and 2.
             tau = Perm.transposition(3, c, 3) if c != 3 else _ID3
-            if len(rows) == 3:
-                return "split-col", _ID3, tau
-            ra, rb = rows
+            ra, rb = rows[:2]
             return "split-col", Perm((ra, rb, (_ALL3 - {ra, rb}).pop())), tau
     if z == 3:
         # One bottom per row and column: pull them onto the diagonal.
@@ -907,16 +880,6 @@ def _m3_clear(g, depth: int):
     return [_elem_word(_m3_scale, _E12, 1, lam), _m3_node((top, g[1], g[2]), depth + 1)]
 
 
-_M3_BRANCHES = {
-    "ut": lambda g, depth: [_ut_walk(g, _m3_scale, _M3_E)],
-    "block": _m3_block,
-    "split-row": _m3_split_row,
-    "split-col": _m3_split_col,
-    "x": _m3_x_route,
-    "clear": _m3_clear,
-}
-
-
 def _m3_dense(g, depth: int):
     # No bottoms: normalize the top row to zeros, sort columns by the
     # second row, and split by where the third row's first entry sits.
@@ -933,12 +896,26 @@ def _m3_dense(g, depth: int):
     else:
         left = ((0, -c, -d), (b, 0, BOTTOM), (e, BOTTOM, 0))
         right = ((BOTTOM, 0, BOTTOM), (a, BOTTOM, c), (d, BOTTOM, f))
-    return _cat([
+    return [
         _m3_node(left, depth + 1),
         _m3_node(right, depth + 1),
         _gl_perm_node(3, Perm(tuple(o + 1 for o in order))),
         _gl_word(3, top, _ID3),
-    ])
+    ]
+
+
+_M3_BRANCHES = {
+    # Separate parts: with the permutation word right, the slot scalings
+    # make one flat node, the word factor_gl builds.
+    "gl": lambda g, depth: [_gl_slot_node(3, i, g[i - 1][i - 1]) for i in (1, 2, 3)],
+    "ut": lambda g, depth: [_ut_walk(g, _m3_scale, _M3_E)],
+    "block": _m3_block,
+    "split-row": _m3_split_row,
+    "split-col": _m3_split_col,
+    "x": _m3_x_route,
+    "clear": _m3_clear,
+    "dense": _m3_dense,
+}
 
 
 def _m3_node(g, depth: int):
@@ -951,15 +928,7 @@ def _m3_node(g, depth: int):
     for k, x in enumerate(f):
         if x == BOTTOM:
             mask |= 1 << k
-    branch, _, _, step = _M3_ROUTES.get(mask) or _m3_fill(mask)
-    if branch == "gl":
-        cells, perm = step
-        return _gl_word(3, tuple([f[k] for k in cells]), perm)
-    if branch == "dense":
-        return _m3_dense(g, depth)
-    if branch is None:
-        raise AssertionError(f"no triangular or block form for {format_matrix(_mk(3, ZMAX, g))}")
-    cells, left, right = step
+    branch, _, _, (cells, left, right) = _m3_fill(mask)
     parts = _M3_BRANCHES[branch](tuple([tuple([f[k] for k in row]) for row in cells]), depth)
     return _cat([left, *parts, right])
 
@@ -970,8 +939,10 @@ def factor_m3(m: Matrix) -> Word:
     Each step works on the matrix's rows as plain tuples and looks its
     case up by the bottom mask (the positions of the -inf entries) in a
     table that is filled the first time a mask is seen, together with
-    the cells that gather the case's normal form and the permutation
-    words around it: invertible patterns go to the group word; three or
+    the cells that gather the case's normal form P_s m P_t and the
+    permutation words around it; every case has such a pair, the
+    identity pair for a dense matrix.  Invertible patterns move their
+    finite entries onto the diagonal and become slot scalings; three or
     more bottoms take the first permutation pair, in lexicographic
     order, to a triangular form (the ut walk over the m3 letters), and
     four or more otherwise to a scalar-plus-block form (the 2x2 words

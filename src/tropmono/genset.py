@@ -56,13 +56,13 @@ _NAMES = {
 class Generator:
     """A symbolic alphabet letter: kind tag plus parameter tuple."""
 
-    # _vals caches the letter's values as a word leaf (factorize._value).
-    __slots__ = ("kind", "params", "_mats", "_vals")
+    # _vals caches the letter's values as a word leaf (factorize._value),
+    # per alphabet, so a letter is realized at most once per alphabet.
+    __slots__ = ("kind", "params", "_vals")
 
     def __init__(self, kind: str, params=()):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "_mats", {})
         object.__setattr__(self, "_vals", {})
 
     def __setattr__(self, name, value):
@@ -84,13 +84,7 @@ class Generator:
         return f"{name}({','.join(format_scalar(p) for p in self.params)})"
 
     def realize(self, n: int, semiring: Semiring) -> Matrix:
-        # Cached on the letter, so a realization lives as long as the
-        # letter object and no module-level table grows with parameters.
-        key = (n, semiring.name)
-        hit = self._mats.get(key)
-        if hit is None:
-            hit = self._mats[key] = _realize(self, n, semiring)
-        return hit
+        return _realize(self, n, semiring)
 
 
 def _rotation(n: int, upto: int) -> Perm:

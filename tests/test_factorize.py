@@ -6,6 +6,7 @@ entry for entry, no tolerance.
 import hashlib
 import itertools
 import random
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -267,7 +268,7 @@ def test_u_and_finite_diagonal_ut_words_make_no_dense_products(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(factorize, "_EVALS", {})
+    monkeypatch.setattr(factorize, "_eval_context", cache(_Eval))
     monkeypatch.setattr(factorize, "_row_product", counting)
     rng = random.Random(48)
     for n in range(4, 9):
@@ -401,15 +402,20 @@ def test_module_caches_do_not_grow_with_entry_values():
             assert evaluate(factor(m, kind)) == m
 
     def sizes():
-        return {
-            f"{mod.__name__}.{name}": len(v)
-            for mod in (factorize, genset)
-            for name, v in vars(mod).items()
-            if isinstance(v, dict) and not name.startswith("__")
-        }
+        # every dict and every functools.cache table of the two modules
+        out = {}
+        for mod in (factorize, genset):
+            for name, v in vars(mod).items():
+                if isinstance(v, dict) and not name.startswith("__"):
+                    out[f"{mod.__name__}.{name}"] = len(v)
+                elif hasattr(v, "cache_info"):
+                    out[f"{mod.__name__}.{name}"] = v.cache_info().currsize
+        return out
 
     fresh(100)
     after_100 = sizes()
+    tables = ("_eval_context", "_gl_bits", "_gl_perm_node", "_gl_slot_base", "_m3_fill")
+    assert {f"tropmono.factorize.{name}" for name in tables} <= set(after_100)
     fresh(200)
     assert sizes() == after_100
 
@@ -664,11 +670,12 @@ def test_factor_m3_structured_families():
 
 def test_factor_m3_route_table_matches_first_hit_search():
     # Every bottom mask against a brute-force search on a matrix with
-    # that mask: invertible patterns are group words; otherwise the first
-    # (s, t) in lexicographic order making P_s m P_t upper triangular
-    # (three or more bottoms), then scalar-plus-block (four or more).
-    # The remaining branches must at least land on their normal forms.
-    # Each table entry also holds the step that gathers that form.
+    # that mask: invertible patterns are group words, whose normal form
+    # is diagonal; otherwise the first (s, t) in lexicographic order
+    # making P_s m P_t upper triangular (three or more bottoms), then
+    # scalar-plus-block (four or more).  The remaining branches must at
+    # least land on their normal forms.  Every table entry also holds
+    # the step that gathers that form.
     perms = [Perm(img) for img in itertools.permutations((1, 2, 3))]
 
     def is_block(u):
@@ -687,34 +694,28 @@ def test_factor_m3_route_table_matches_first_hit_search():
     for mask in range(512):
         m = matrix([[BOTTOM if mask >> (3 * i + j) & 1 else 0 for j in range(3)] for i in range(3)])
         z = count_bottoms(m)
-        expected = ("gl", None, None) if is_invertible(m) else None
+        expected = None
+        if is_invertible(m):
+            # m P_t is diagonal for t the inverse of m's permutation
+            perm, _ = is_monomial(m)
+            expected = ("gl", (1, 2, 3), perm.inverse().img)
         for branch, least, shape in (("ut", 3, is_upper_triangular), ("block", 4, is_block)):
             if expected is None and z >= least:
                 hits = [(s.img, t.img) for s in perms for t in perms if shape(permute(m, s, t))]
                 if hits:
                     expected = (branch, *hits[0])
-        branch, s, t, step = _m3_fill(mask)
-        if s is not None:
-            # The stored cells gather P_s m P_t out of m's nine entries,
-            # and the stored words are P_{s^-1} and P_{t^-1} (none for x).
-            cells, left, right = step
-            assert tuple(tuple(distinct_flat[k] for k in row) for row in cells) == permute(distinct, s, t).rows
-            assert left is _gl_perm_node(3, s.inverse())
-            assert right is (None if branch == "x" else _gl_perm_node(3, t.inverse()))
-        elif branch == "gl":
-            # m = diag(the entries at cells) * P_perm
-            cells, perm = step
-            mono = matrix([[BOTTOM if x == BOTTOM else y for x, y in zip(*rows)] for rows in zip(m.rows, distinct.rows)])
-            assert is_monomial(mono) == (perm, tuple(distinct_flat[k] for k in cells))
-        else:
-            assert step is None
+        branch, s, t, (cells, left, right) = _m3_fill(mask)
+        # The stored cells gather P_s m P_t out of m's nine entries, and
+        # the stored words are P_{s^-1} and P_{t^-1}.
+        assert tuple(tuple(distinct_flat[k] for k in row) for row in cells) == permute(distinct, s, t).rows
+        assert left is _gl_perm_node(3, s.inverse())
+        assert right is _gl_perm_node(3, t.inverse())
         if expected is not None:
-            assert (branch, s and s.img, t and t.img) == expected, mask
+            assert (branch, s.img, t.img) == expected, mask
             continue
         assert z < 4 and branch in forms, mask
-        if branch != "dense":
-            u = permute(m, s, t)
-            assert all(u.entry(i, j) == BOTTOM for i, j in forms[branch]), mask
+        u = permute(m, s, t)
+        assert all(u.entry(i, j) == BOTTOM for i, j in forms[branch]), mask
 
 
 @given(
@@ -751,6 +752,34 @@ def test_factor_word_text_digest_pinned():
     for w in words:
         h.update(w.text().encode() + b"\n")
     assert h.hexdigest() == "649b603a5b0b848d9ce48aadac10169b2a18490a49e76015d6a24e8b5357a379"
+
+
+def test_factor_gl_and_u_word_text_digest_pinned():
+    # The same for the group and unitriangular words: seeded factor_gl
+    # for n = 2..8 (the identity, pure permutations, pure scalings and
+    # their products, scalings of both signs) and seeded
+    # factor_unitriangular for n = 1..8.
+    rng = random.Random(56)
+    h = hashlib.sha256()
+    words = []
+    for n in range(2, 9):
+        cases = [identity(n)]
+        for _ in range(3):
+            img = list(range(1, n + 1))
+            rng.shuffle(img)
+            scale = [rng.randint(-3, 3) for _ in range(n)]
+            cases += [construct_P(Perm(img)), diag(scale), mat_mul(diag(scale), construct_P(Perm(img)))]
+        words += [factor_gl(m) for m in cases]
+    for n in range(1, 9):
+        for _ in range(20):
+            rows = [
+                [0 if i == j else BOTTOM if j < i or rng.random() < 0.2 else rng.randint(-9, 9) for j in range(n)]
+                for i in range(n)
+            ]
+            words.append(factor_unitriangular(matrix(rows)))
+    for w in words:
+        h.update(w.text().encode() + b"\n")
+    assert h.hexdigest() == "e0491fae4182c1c88533229ad8f1967b67d03a67cc7cab56db83965a8021f6cf"
 
 
 def test_m3_words_hold_no_empty_concatenation():

@@ -134,11 +134,6 @@ def test_ut_boolean_letters():
     assert mats[3] == parse_matrix("1 0; 0 0", BOOLEAN)
 
 
-def test_realize_caches():
-    g = diag_letter(2, 5)
-    assert g.realize(3, ZMAX) is g.realize(3, ZMAX)
-
-
 def test_neg_i_is_zmax_only():
     assert NEG_I.realize(2, ZMAX) == parse_matrix("-1 -inf; -inf -1")
     try:
