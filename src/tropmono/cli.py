@@ -128,7 +128,7 @@ def _cmd_verify(args):
 
 def _cmd_gens(args):
     n = _monoid_n(args)
-    gs = genset.generating_set(args.monoid, n, max_x=args.max_x)
+    gs = genset.generating_set(args.monoid, n)
     texts = [g.text() for g in gs.letters]
     report = {
         "command": "gens",
@@ -306,7 +306,6 @@ def build_parser():
     p = sub.add_parser("gens", help="list the generating alphabet of a monoid")
     p.add_argument("--monoid", required=True, choices=ALPHABETS)
     p.add_argument("-n", type=int, default=None)
-    p.add_argument("--max-x", type=int, default=0)
     p.set_defaults(func=_cmd_gens)
 
     p = sub.add_parser("closure", help="enumerate the monoid generated by matrices")

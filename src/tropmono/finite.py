@@ -18,8 +18,14 @@ filled from the right one, one word length at a time.  After closure
 the spanning tree turns any product into a walk in the Cayley graph:
 u * v follows v's tree word from u, and a whole row u * S fills in
 breadth-first order.  J-classes are the strongly connected components
-of the two-sided Cayley graph, found by an iterative Tarjan; a prime
-certificate scans the rows of the left divisors only.
+of the two-sided Cayley graph, found by an iterative Tarjan.
+
+Primality and rank share one split test: is x a product a * b of two
+elements outside a given set?  It scans the rows of x's left divisors
+only.  A prime is a non-unit that no two non-units multiply to; a unit
+orbit U x U that no two elements outside it multiply into is required,
+met by every generating set, and rank_search prunes by these orbits,
+which it builds from the unit rows and unit words alone.
 """
 
 from __future__ import annotations
@@ -187,23 +193,6 @@ def _walk(fm: FiniteMonoid, e: int, word) -> int:
 
 # -- J-classes -------------------------------------------------------------
 
-class JClassDecomposition:
-    """The partition of a closed finite monoid by mutual two-sided-ideal
-    membership."""
-
-    __slots__ = ("classes", "_class_of")
-
-    def __init__(self, classes, class_of):
-        self.classes = classes
-        self._class_of = class_of
-
-    def class_of(self, e: int) -> int:
-        return self._class_of[e]
-
-    def __len__(self):
-        return len(self.classes)
-
-
 def _sccs(succ) -> list:
     """Strongly connected components of the graph v -> succ[v], all of
     whose vertices vertex 0 reaches, sinks first (Tarjan, with an
@@ -239,25 +228,21 @@ def _sccs(succ) -> list:
     return out
 
 
-def jclasses(fm: FiniteMonoid) -> JClassDecomposition:
-    """J-classes of a closed monoid: x and y share a class exactly when
+def jclasses(fm: FiniteMonoid) -> list:
+    """J-classes of a closed monoid, each a sorted list of element
+    indices, ordered by least member: x and y share a class exactly when
     each lies in the other's two-sided ideal.
 
     The ideal of x is what x reaches in the two-sided Cayley graph, the
     right and left graphs closure stored (left and right steps commute,
     so walks reach exactly S^1 x S^1), so the classes are its strongly
-    connected components, numbered by least member.  The identity
-    reaches every element by right steps.
+    connected components.  The identity reaches every element by right
+    steps.
     """
     if not fm.closed:
         raise ValueError("jclasses needs a closed monoid (closure hit its cap)")
     succ = [row + left for row, left in zip(fm.cayley, fm.left)]
-    classes = sorted(sorted(members) for members in _sccs(succ))
-    class_of = [0] * len(succ)
-    for c, members in enumerate(classes):
-        for e in members:
-            class_of[e] = c
-    return JClassDecomposition(classes, class_of)
+    return sorted(sorted(members) for members in _sccs(succ))
 
 
 # -- generation and rank -----------------------------------------------------
@@ -299,42 +284,43 @@ def _unit_flags(fm: FiniteMonoid):
     return [is_invertible(m) for m in fm.elements]
 
 
-def _is_prime(x: int, rows, units) -> bool:
-    """No product row[v] = u * v equals x with both factors units or both
-    non-units, over the (u, row) pairs given, which may be produced one
-    at a time."""
-    for u, row in rows:
-        if x in row and any(p == x and units[v] == units[u] for v, p in enumerate(row)):
-            return False
-    return True
+def _splits(fm: FiniteMonoid, x: int, outside) -> bool:
+    """Is x = a * b for some a and b that both have outside[.] set?
 
-
-def _prime_orbits(fm: FiniteMonoid, rows):
-    """Orbits (under unit multiples on both sides) of the prime elements.
-
-    A generating set must meet every such orbit: a prime never splits as
-    a product of two non-units, so nothing else can produce it.
+    A factor a has x in a S^1, so only the left divisors of x need their
+    row of products: the elements from which x is reached by right
+    Cayley steps, found by one walk back from x.
     """
-    units = _unit_flags(fm)
-    unit_idx = [i for i, u in enumerate(units) if u]
-    orbits = []
-    seen_orbit = set()
-    for x in range(len(rows)):
-        if units[x] or x in seen_orbit:
-            continue
-        if _is_prime(x, enumerate(rows), units):
-            orbit = frozenset(rows[rows[u][x]][v] for u in unit_idx for v in unit_idx)
-            seen_orbit |= orbit
-            orbits.append(orbit)
-    return orbits
+    preds = [[] for _ in fm.cayley]
+    for u, row in enumerate(fm.cayley):
+        for v in row:
+            preds[v].append(u)
+    divisors, todo = {x}, [x]
+    while todo:
+        for u in preds[todo.pop()]:
+            if u not in divisors:
+                divisors.add(u)
+                todo.append(u)
+    for a in divisors:
+        if outside[a]:
+            row = _products(fm, a)
+            if x in row and any(p == x and outside[b] for b, p in enumerate(row)):
+                return True
+    return False
 
 
 def rank_search(fm: FiniteMonoid, k: int):
     """Exhaustive search for a generating subset of size k, smallest
     index tuples first; None when no size-k subset generates.
 
-    Candidates must meet every prime orbit (see _prime_orbits), which
-    prunes most tuples before the closure test.
+    Candidates must meet every required orbit.  The orbit O = U x U of a
+    non-unit x under the units U is required when x is no product of two
+    elements outside O.  A generating set G that missed O would write x
+    as a product of elements outside O; the first prefix of it landing
+    in O is y = a * b with a and b outside O, and x = (u a)(b v) for
+    units u and v with u y v = x, where u a and b v stay outside O since
+    O is closed under unit multiples.  So G meets O.  The orbits are
+    disjoint, so more than k of them answer None at once.
     """
     if not fm.closed:
         raise ValueError("rank_search needs a closed monoid")
@@ -343,7 +329,19 @@ def rank_search(fm: FiniteMonoid, k: int):
     if not 0 <= k <= 4:
         raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
     size = len(fm.elements)
-    orbits = _prime_orbits(fm, [_products(fm, u) for u in range(size)])
+    units = _unit_flags(fm)
+    unit_rows = [_products(fm, u) for u in range(size) if units[u]]
+    unit_words = [_word(fm, v) for v in range(size) if units[v]]
+    orbits, seen = [], set()
+    for x in range(size):
+        if units[x] or x in seen:
+            continue
+        orbit = {row[_walk(fm, x, word)] for row in unit_rows for word in unit_words}
+        seen |= orbit
+        if not _splits(fm, x, [e not in orbit for e in range(size)]):
+            orbits.append(orbit)
+    if len(orbits) > k:
+        return None
     for subset in itertools.combinations(range(size), k):
         ss = set(subset)
         if any(not (orbit & ss) for orbit in orbits):
@@ -355,13 +353,11 @@ def rank_search(fm: FiniteMonoid, k: int):
 
 def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
     """Certify that x is prime in fm: every two-factor product equal to
-    x has exactly one unit factor.
+    x has exactly one unit factor, so x is no product of two non-units
+    (two units multiply to a unit).
 
-    A factor u of u * v = x has x in u S^1, so only the left divisors of
-    x need their row of products: the elements from which x is reached
-    by right Cayley steps, found by one walk back from x.  Units are
-    excluded from being prime by convention (a unit splits as unit times
-    unit), so passing one raises ValueError.
+    Units are excluded from being prime by convention (a unit splits as
+    unit times unit), so passing one raises ValueError.
     """
     if not fm.closed:
         raise ValueError("prime_certificate needs a closed monoid")
@@ -370,18 +366,7 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
         raise ValueError(f"matrix not in the monoid: {format_matrix(x)}")
     if is_invertible(x):
         raise ValueError("units are excluded from primality")
-    preds = [[] for _ in fm.cayley]
-    for u, row in enumerate(fm.cayley):
-        for v in row:
-            preds[v].append(u)
-    divisors, todo = {xi}, [xi]
-    while todo:
-        for u in preds[todo.pop()]:
-            if u not in divisors:
-                divisors.add(u)
-                todo.append(u)
-    rows = ((u, _products(fm, u)) for u in sorted(divisors))
-    return _is_prime(xi, rows, _unit_flags(fm))
+    return not _splits(fm, xi, [not u for u in _unit_flags(fm)])
 
 
 def x_family_j_related(s: int, t: int) -> bool:

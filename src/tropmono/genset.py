@@ -299,20 +299,21 @@ def parse_generator(token: str, monoid: str, semiring: Semiring) -> Generator:
     raise ValueError(f"bad letter token {token!r}")
 
 
-# The builders by monoid name, each called with (n, max_x), and the
-# dimension of the families that fix one.
+# The builders by monoid name, each called with n, and the dimension of
+# the families that fix one.  m3 lists X(0) only: its symbolic rule
+# covers every X(i).
 BUILDERS = {
-    "ut": lambda n, max_x: gens_ut_zmax(n),
-    "u": lambda n, max_x: gens_u_zmax(n),
-    "gl": lambda n, max_x: gens_gl_zmax(n),
-    "m2": lambda n, max_x: gens_m2_zmax(),
-    "m3": lambda n, max_x: gens_m3_zmax(max_x),
-    "ut_boolean": lambda n, max_x: gens_ut_boolean(n),
+    "ut": gens_ut_zmax,
+    "u": gens_u_zmax,
+    "gl": gens_gl_zmax,
+    "m2": lambda n: gens_m2_zmax(),
+    "m3": lambda n: gens_m3_zmax(),
+    "ut_boolean": gens_ut_boolean,
 }
 FIXED_N = {"m2": 2, "m3": 3}
 
 
-def generating_set(monoid: str, n: int, max_x: int = 0) -> GeneratingSet:
+def generating_set(monoid: str, n: int) -> GeneratingSet:
     """Builder dispatch by monoid name, as the CLI uses it."""
     build = BUILDERS.get(monoid)
     if build is None:
@@ -320,4 +321,4 @@ def generating_set(monoid: str, n: int, max_x: int = 0) -> GeneratingSet:
     size = FIXED_N.get(monoid, n)
     if n != size:
         raise ValueError(f"the {monoid} monoid is {size}x{size}")
-    return build(n, max_x)
+    return build(n)

@@ -244,16 +244,17 @@ def test_cap_below_the_seed_exits_2(cmd, cap, capsys):
     assert f"error: cap {cap} is below the 4 elements it starts from" in err
 
 
-@pytest.mark.parametrize("cmd", [["closure"], ["rank", "-k", "2"], ["irredundant"]])
+@pytest.mark.parametrize("cmd", [["closure"], ["rank", "-k", "2"], ["irredundant"], ["gens"]])
 def test_max_x_is_a_gens_option_only(cmd, capsys):
-    # over the Booleans every X(i) has the image of X(0), so more X
-    # letters would only repeat a generator
+    # no command takes --max-x: over the Booleans every X(i) has the
+    # image of X(0), so more X letters would only repeat a generator, and
+    # gens states the whole X family by its symbolic rule
     with pytest.raises(SystemExit) as exc:
         main(cmd + ["--monoid", "m3", "--max-x", "1"])
     assert exc.value.code == 2
     assert "--max-x" in capsys.readouterr().err
-    rc, out, _ = run(["gens", "--monoid", "m3", "--max-x", "1"], capsys)
-    assert rc == 0 and out.splitlines()[-3:-1] == ["X(0)", "X(1)"]
+    rc, out, _ = run(["gens", "--monoid", "m3"], capsys)
+    assert rc == 0 and out.splitlines()[-2:] == ["X(0)", "letters: 5, symbolic: true"]
 
 
 def test_closure_from_gens_file(tmp_path, capsys):

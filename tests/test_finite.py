@@ -3,10 +3,13 @@ certificates, cross-checked against brute-force oracles where the
 monoids are small enough to enumerate blindly.
 """
 
+import itertools
 import random
+from collections import deque
 
 from tropmono.finite import (
     _products,
+    _splits,
     _walk,
     _word,
     closure,
@@ -246,16 +249,25 @@ def naive_ideal(elements, x):
     return out
 
 
+def class_index(classes, size):
+    """For each element index, the position of its class in the list."""
+    class_of = [None] * size
+    for c, members in enumerate(classes):
+        for e in members:
+            class_of[e] = c
+    return class_of
+
+
 def test_jclasses_match_naive_oracle_on_full_2x2():
     # the full 2x2 monoid M_2(B) and the upper triangular UT_2(B)
     for gens in (m2_boolean_gens(), ut_boolean_gens(2)):
         fm = closure(gens)
-        jd = jclasses(fm)
+        class_of = class_index(jclasses(fm), len(fm))
         ideals = [naive_ideal(fm.elements, x) for x in fm.elements]
         for i, x in enumerate(fm.elements):
             for j, y in enumerate(fm.elements):
                 same = (x in ideals[j]) and (y in ideals[i])
-                assert (jd.class_of(i) == jd.class_of(j)) == same
+                assert (class_of[i] == class_of[j]) == same
 
 
 def test_jclass_counts_pinned():
@@ -264,11 +276,11 @@ def test_jclass_counts_pinned():
     counts = []
     for gens in cases:
         fm = closure(gens)
-        jd = jclasses(fm)
-        assert sorted(e for c in jd.classes for e in c) == list(range(len(fm)))
-        assert all(c == sorted(c) for c in jd.classes)
-        assert [c[0] for c in jd.classes] == sorted(c[0] for c in jd.classes)
-        counts.append(len(jd))
+        classes = jclasses(fm)
+        assert sorted(e for c in classes for e in c) == list(range(len(fm)))
+        assert all(c == sorted(c) for c in classes)
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        counts.append(len(classes))
     assert counts == [6, 33, 384, 4, 11]
 
 
@@ -281,16 +293,17 @@ def test_ut5_boolean_order_and_jclasses_pinned():
 
 def test_jclasses_of_full_2x2_boolean_structure():
     fm = closure(m2_boolean_gens())
-    jd = jclasses(fm)
-    assert len(jd) == 4
-    sizes = sorted(len(c) for c in jd.classes)
+    classes = jclasses(fm)
+    class_of = class_index(classes, len(fm))
+    assert len(classes) == 4
+    sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 2, 4, 9]
     # units form the two permutation matrices
-    unit_class = jd.class_of(fm.index_of(identity(2, BOOLEAN)))
-    assert len(jd.classes[unit_class]) == 2
+    unit_class = class_of[fm.index_of(identity(2, BOOLEAN))]
+    assert len(classes[unit_class]) == 2
     # the zero matrix is a class of its own
-    zero_class = jd.class_of(fm.index_of(matrix([[0] * 2] * 2, BOOLEAN)))
-    assert len(jd.classes[zero_class]) == 1
+    zero_class = class_of[fm.index_of(matrix([[0] * 2] * 2, BOOLEAN))]
+    assert len(classes[zero_class]) == 1
 
 
 def test_jclasses_need_closed_monoid():
@@ -350,6 +363,85 @@ def test_rank_search_finds_singleton():
     got = rank_search(fm, 1)
     assert got is not None
     assert fm.elements[got[0]] == g
+
+
+def product_table(fm):
+    """table[u][v] = index of elements[u] * elements[v], by mat_mul."""
+    where = {m: i for i, m in enumerate(fm.elements)}
+    return [[where[mat_mul(a, b)] for b in fm.elements] for a in fm.elements]
+
+
+def generated(table, gens):
+    """Breadth-first closure from the identity (index 0) under right
+    multiplication by the gens, read off the product table."""
+    seen, queue = {0}, deque([0])
+    while queue:
+        row = table[queue.popleft()]
+        for p in {row[g] for g in gens} - seen:
+            seen.add(p)
+            queue.append(p)
+    return seen
+
+
+def unit_orbits(fm, table):
+    """Each non-unit orbit U x U under the units, with whether it is
+    required: the closure of everything outside it misses it."""
+    units = [i for i, m in enumerate(fm.elements) if is_invertible(m)]
+    out, seen = [], set()
+    for x in range(len(fm)):
+        if x in units or x in seen:
+            continue
+        orbit = {table[table[u][x]][v] for u in units for v in units}
+        seen |= orbit
+        outside = [e for e in range(len(fm)) if e not in orbit]
+        out.append((x, orbit, x not in generated(table, outside)))
+    return out
+
+
+def small_random_monoids(seed, count):
+    """Closed random Boolean monoids of at most 64 elements."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        fm = closure(random_boolean_gens(rng, rng.choice((2, 3, 3, 4))), cap=64)
+        if fm.closed:
+            found.append(fm)
+    return found
+
+
+def test_split_test_matches_closure_oracle_on_every_unit_orbit():
+    # _splits over the complement of an orbit is false exactly when the
+    # orbit is required; the counts are pinned for the built-in monoids
+    named = [("m2", m2_boolean_gens()), ("ut2", ut_boolean_gens(2)), ("ut3", ut_boolean_gens(3)),
+             ("m3", m3_boolean_gens())]
+    cases = [(name, closure(gens)) for name, gens in named]
+    cases += [(None, fm) for fm in small_random_monoids(20261020, 12)]
+    counts = {}
+    for name, fm in cases:
+        orbits = unit_orbits(fm, product_table(fm))
+        for x, orbit, required in orbits:
+            assert _splits(fm, x, [e not in orbit for e in range(len(fm))]) == (not required)
+        counts[name] = sum(required for _, _, required in orbits)
+    assert (counts["m2"], counts["ut2"], counts["ut3"], counts["m3"]) == (1, 3, 6, 2)
+
+
+def unpruned_rank_search(table, k):
+    """The least index k-tuple whose closure is everything, or None."""
+    for subset in itertools.combinations(range(len(table)), k):
+        if len(generated(table, subset)) == len(table):
+            return list(subset)
+    return None
+
+
+def test_rank_search_matches_unpruned_search():
+    cases = [(closure(m2_boolean_gens()), 3), (closure(ut_boolean_gens(2)), 3), (closure(ut_boolean_gens(3)), 2)]
+    cases += [(fm, 3) for fm in small_random_monoids(20261021, 20)]
+    for fm, top in cases:
+        table = product_table(fm)
+        for k in range(top + 1):
+            assert rank_search(fm, k) == unpruned_rank_search(table, k), (len(fm), k)
+    # UT_3(B) has six required orbits, so no four elements generate it
+    assert rank_search(closure(ut_boolean_gens(3)), 4) is None
 
 
 # -- primes ---------------------------------------------------------------------------
