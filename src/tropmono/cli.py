@@ -8,8 +8,8 @@ by golden tests) and its text lines, plus an exit code when that is
 not 0; main prints the report under --json and the lines otherwise.
 
 Exit codes: 0 success, 1 negative verify verdict, 2 parse or usage
-failure, 3 membership violation, 4 internal mismatch (a factorization
-that failed its own multiply-back check; never expected).
+failure or a factor word too long to print, 3 membership violation, 4
+internal mismatch (a factorization that failed its own re-evaluation).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .semiring import BOOLEAN, ZMAX, semiring_by_name
 
 FACTOR_MONOIDS = tuple(factorize.FACTORIZERS)
 ALPHABETS = tuple(genset.BUILDERS)
+# factor prints a word's letters one by one only up to this many.
+MAX_WORD_LETTERS = 10 ** 7
 
 
 def _read_matrices(path, semiring, what):
@@ -72,6 +74,9 @@ def _cmd_factor(args):
     reports = []
     for m in _input_matrices(args, ZMAX):
         w = factorize.factor(m, args.monoid)
+        count = w.letter_count()
+        if count > MAX_WORD_LETTERS:
+            raise ValueError(f"the word has {count} letters; factor prints words of at most {MAX_WORD_LETTERS}")
         reports.append(
             {
                 "command": "factor",
@@ -79,7 +84,7 @@ def _cmd_factor(args):
                 "n": m.n,
                 "matrix": matrix_to_json(m),
                 "word": w.text(),
-                "letters": w.letter_count(),
+                "letters": count,
                 "verified": evaluate(w) == m,
             }
         )

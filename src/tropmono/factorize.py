@@ -15,16 +15,21 @@ letter starts as a monomial, and most of every word is a product of
 them: two monomials multiply in O(n), a power of a monomial follows the
 cycles of its permutation, so its cost does not depend on the exponent,
 and a monomial times dense rows is a row gather or a column scatter.
-For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
-entry: a monomial moves the entry in O(n), and with dense rows it is a
-gather or scatter plus one row or column max-update.  Two such values,
-or a power of one, are made dense first.  Only dense times dense is a
-matrix product, with binary exponentiation for dense powers.  Each leaf
-is checked against the word's alphabet when it is evaluated, and a
-Matrix is built only for the result.  The letter count, the text form
-and the set of distinct letters are each one bottom-up fold that visits
-every node once, a node repeating its parts' text k times; flat letter
-sequences are produced lazily for round-trips.
+A diagonal monomial, whose image is the shared identity tuple, is a
+shift vector that a power scales and a product adds; the unit returns
+the other operand.  For n >= 4 an elementary letter E(i,j,z) starts as
+a monomial plus an entry: a monomial moves the entry in O(n), and with
+dense rows it is a gather or scatter plus one row or column max-update
+(only the max-update over the unit, as for an E letter conjugated by
+diagonals).  Two such values, or a power of one, are made dense first.
+Only dense times dense is a matrix product, with binary exponentiation
+for dense powers.  Each leaf is checked against the word's alphabet
+when it is evaluated; a power of one monomial leaf, fresh in every
+word, is computed from the leaf's value and not cached.  A Matrix is
+built only for the result.  The letter count and the text form are
+each one bottom-up fold that visits every node once, a node repeating
+its parts' text k times; the distinct letters are one walk over the
+unique nodes.  Flat letter sequences are produced lazily.
 
 The five factorizations:
 
@@ -169,8 +174,16 @@ class Word:
         return _fold(self.root, lambda g: 1, lambda node, lens: node.k * sum(lens), {})
 
     def distinct_letters(self):
-        out: set = set()
-        _fold(self.root, out.add, lambda node, _: None, {})
+        # A walk over unique node ids; a fold would store a value per node.
+        out, seen, stack = set(), set(), [self.root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if type(node) is Generator:
+                    out.add(node)
+                else:
+                    stack.extend(node.parts)
         return out
 
     def text(self) -> str:
@@ -187,6 +200,17 @@ class Word:
 # tuples), cached in node._vals (a leaf letter's own _vals) under the
 # word's (monoid, n), which names its alphabet: a value cached for one
 # alphabet says nothing about the node's letters in another.
+
+# The identity image of each dimension: a _Mono with this very img is
+# diagonal.
+_IDENT = tuple(tuple(range(n)) for n in range(MAX_DIM + 1))
+
+
+def _ident(img):
+    """img, or the shared identity image if it equals it."""
+    ident = _IDENT[len(img)]
+    return ident if img == ident else img
+
 
 class _Mono:
     """A monomial zmax matrix: row i holds sh[i] in column img[i]
@@ -223,16 +247,22 @@ def _rows(v):
 
 
 def _times(a, b, mul):
-    """The product of two values; mul multiplies dense rows.  A monomial
+    """The product of two values; mul multiplies dense rows.  The unit
+    returns the other value and a diagonal monomial shifts it; a monomial
     moves a _Plus's entry, a _Plus times dense rows adds one row
     max-update and dense rows times a _Plus one column max-update; of two
     _Plus values the left one is made dense first."""
     ta, tb = type(a), type(b)
     if ta is _Mono:
         img, sh = a.img, a.sh
+        diagonal = img is _IDENT[len(img)]
+        if diagonal and not any(sh):
+            return b
         if tb is _Mono:
             bimg, bsh = b.img, b.sh
-            return _Mono(tuple([bimg[k] for k in img]), tuple([s + bsh[k] for k, s in zip(img, sh)]))
+            if diagonal:
+                return _Mono(bimg, tuple([s + t for s, t in zip(sh, bsh)]))
+            return _Mono(_ident(tuple([bimg[k] for k in img])), tuple([s + bsh[k] for k, s in zip(img, sh)]))
         if tb is _Plus:
             # Row i of the product gathers row r of b.
             i = img.index(b.r)
@@ -252,6 +282,8 @@ def _times(a, b, mul):
     if tb is _Mono:
         # Column img[k] of the product is column k of a, shifted by sh[k].
         img, sh = b.img, b.sh
+        if img is _IDENT[len(img)]:
+            return tuple([tuple([x + s for x, s in zip(row, sh)]) for row in a]) if any(sh) else a
         src = [0] * len(img)
         for k, j in enumerate(img):
             src[j] = k
@@ -269,6 +301,8 @@ def _mono_pow(a: _Mono, k: int) -> _Mono:
     cycle and picks up q*S plus the r shifts it passes."""
     img, sh = a.img, a.sh
     n = len(img)
+    if img is _IDENT[n]:
+        return _Mono(_IDENT[n], tuple([k * s for s in sh]))
     out_img = list(range(n))
     # A fixed point keeps its column and multiplies its shift by k.
     out_sh = [k * s for s in sh]
@@ -290,7 +324,7 @@ def _mono_pow(a: _Mono, k: int) -> _Mono:
         for p, i in enumerate(cyc):
             out_img[i] = cyc[(p + r) % size]
             out_sh[i] = whole + sum(ring[p:p + r])
-    return _Mono(tuple(out_img), tuple(out_sh))
+    return _Mono(_ident(tuple(out_img)), tuple(out_sh))
 
 
 def _power(v, k: int, ev):
@@ -322,7 +356,7 @@ class _Eval:
         self.semiring = semiring = self.alphabet.semiring
         self.mul = _row_product(n, semiring)
         if semiring is ZMAX:
-            self.unit = _Mono(tuple(range(n)), (0,) * n)
+            self.unit = _Mono(_IDENT[n], (0,) * n)
         else:
             self.unit = _identity_rows(n, semiring)
         # E letters start as _Plus values where the dense product is generic.
@@ -344,7 +378,7 @@ def _leaf_value(g: Generator, ev: _Eval):
         mono = is_monomial(m)
         if mono is not None:
             perm, vals = mono
-            return _Mono(tuple([j - 1 for j in perm.img]), vals)
+            return _Mono(_ident(tuple([j - 1 for j in perm.img])), vals)
     return m.rows
 
 
@@ -359,7 +393,12 @@ def _value(node, key, ev: _Eval):
         # checked.
         val = None
         for p in node.parts:
-            v = _value(p, key, ev)
+            v = p._vals.get(key)
+            if v is None:
+                # A power of one monomial leaf is fresh per word: not cached.
+                leaf = p.parts[0] if type(p) is _Node and len(p.parts) == 1 else None
+                monomial = type(leaf) is Generator and type(lv := _value(leaf, key, ev)) is _Mono
+                v = _mono_pow(lv, p.k) if monomial else _value(p, key, ev)
             val = v if val is None else _times(val, v, ev.mul)
         if val is None:
             val = ev.unit

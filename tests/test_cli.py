@@ -65,6 +65,46 @@ def test_factor_gl_rejects_non_invertible(capsys):
     assert rc == 3
 
 
+def test_factor_word_over_the_letter_limit_exits_2(capsys, monkeypatch):
+    # a word prints up to the limit; one letter over, factor exits 2
+    # before printing anything
+    argv = ["factor", "--monoid", "m2", "2 5; 1 9", "--json"]
+    rc, out, _ = run(argv, capsys)
+    count = json.loads(out)["letters"]
+    monkeypatch.setattr(cli, "MAX_WORD_LETTERS", count)
+    assert run(argv, capsys) == (0, out, "")
+    monkeypatch.setattr(cli, "MAX_WORD_LETTERS", count - 1)
+    assert run(argv, capsys) == (2, "", f"error: the word has {count} letters; factor prints words of at most {count - 1}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--monoid", "m3", "--json", "--", "1000000000 0 0; 0 -inf 0; 0 0 5"],
+    ["--monoid", "gl", "--", "-inf 1000000000000000000; 5 -inf"],
+])
+def test_factor_of_a_huge_word_exits_2_without_building_its_text(argv):
+    # Words of about 4x10^11 and 10^18 letters.  The child runs with its
+    # address space capped at 1 GiB, so building their text would fail
+    # fast instead of filling the machine's memory.
+    import resource
+
+    from tropmono.matrix import parse_matrix
+    from tropmono.semiring import ZMAX
+
+    count = tropmono.factor(parse_matrix(argv[-1], ZMAX), argv[1]).letter_count()
+    src = os.path.dirname(os.path.dirname(tropmono.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cap = 2 ** 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropmono.cli", "factor", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: the word has {count} letters; factor prints words of at most {cli.MAX_WORD_LETTERS}\n"
+
+
 def test_removed_permutation_letter_and_simplify_flag_exit_2(capsys):
     rc, out, err = run(["eval", "--monoid", "ut", "-n", "2", "P((1,2))"], capsys)
     assert rc == 2

@@ -15,10 +15,12 @@ from tropmono.factorize import (
     MembershipError,
     Word,
     _Eval,
+    _IDENT,
     _Mono,
     _Node,
     _Plus,
     _gl_perm_node,
+    _leaf_value,
     _mono_pow,
     _pow,
     _power,
@@ -33,7 +35,7 @@ from tropmono.factorize import (
     factor_ut,
     parse_word,
 )
-from tropmono.genset import GL_A, GL_B, Generator, diag_letter, elem_letter, generating_set, x_letter
+from tropmono.genset import GL_A, GL_B, M2_A, M2_C, M2_D, NEG_I, Generator, diag_letter, elem_letter, generating_set, x_letter
 from tropmono.matrix import (
     Perm,
     _row_product,
@@ -287,23 +289,54 @@ def test_u_and_finite_diagonal_ut_words_make_no_dense_products(monkeypatch):
 
 @st.composite
 def monomials_and_dense(draw):
-    """Two monomials, two monomials plus one entry off their monomial's
-    cell, and dense rows, all n x n."""
-    n = draw(st.integers(2, 8))
+    """Values of every kind, all n x n: two monomials, two monomials plus
+    one entry off their monomial's cell, dense rows, two diagonal
+    monomials made the way evaluation makes them (the unit, a leaf, a
+    power of a leaf, a product of two leaves, a monomial times one with
+    the inverse image), and two E letters over the unit.  At n = 1 there
+    is no cell off the monomial, so no _Plus values."""
+    n = draw(st.integers(1, 8))
+    ev = _Eval("ut", n)
+    shifts = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
 
     def mono():
-        return _Mono(tuple(draw(st.permutations(range(n)))),
-                     tuple(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))))
+        return _Mono(tuple(draw(st.permutations(range(n)))), tuple(draw(shifts)))
 
-    def plus():
-        m = mono()
+    def plus(m):
         r = draw(st.integers(0, n - 1))
         c = draw(st.sampled_from([j for j in range(n) if j != m.img[r]]))
         return _Plus(m, r, c, draw(st.integers(-50, 50)))
 
+    def leaf():
+        letters = [diag_letter(i, 1) for i in range(1, n + 1)] + [NEG_I]
+        return _leaf_value(draw(st.sampled_from(letters)), ev)
+
+    def diagonal():
+        how = draw(st.sampled_from(("unit", "leaf", "power", "product", "inverse")))
+        if how == "unit":
+            return ev.unit
+        if how == "leaf":
+            return leaf()
+        if how == "power":
+            return _mono_pow(leaf(), draw(st.integers(0, 10 ** 4)))
+        if how == "product":
+            return _times(leaf(), leaf(), ev.mul)
+        m = mono()
+        back = [0] * n
+        for i, j in enumerate(m.img):
+            back[j] = i
+        return _times(m, _Mono(tuple(back), tuple(draw(shifts))), ev.mul)
+
+    def e_letter():
+        # from n = 4 on, an E letter's leaf value is a _Plus over the unit
+        i, j = draw(st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))
+        v = draw(st.integers(-50, 50))
+        return _leaf_value(elem_letter(i, j, v), _Eval("u", n)) if n > 3 else _Plus(ev.unit, i - 1, j - 1, v)
+
     entry = st.one_of(st.just(BOTTOM), st.integers(-50, 50))
     dense = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n))
-    return [mono(), mono()], [plus(), plus()], dense
+    pluses = [plus(mono()), plus(mono()), e_letter(), e_letter()] if n > 1 else []
+    return n, [mono(), mono()], pluses, dense, [diagonal(), diagonal()]
 
 
 def mono_matrix(v):
@@ -325,19 +358,33 @@ def value_matrix(v):
 @given(monomials_and_dense(), st.integers(0, 10 ** 4))
 @settings(max_examples=200, deadline=None)
 def test_value_products_match_mat_mul(values, k):
-    # all nine pairings of the three kinds
-    monos, pluses, dense = values
+    # every pairing of the kinds, each diagonal and E letter over the unit
+    # on both sides of dense rows
+    n, monos, pluses, dense, diagonals = values
     mul = lambda x, y: mat_mul(matrix(x), matrix(y)).rows  # noqa: E731
-    for a, b in itertools.product((monos[0], pluses[0], dense), (monos[1], pluses[1], dense)):
+    unit = lambda v: type(v) is _Mono and v.img is _IDENT[n] and not any(v.sh)  # noqa: E731
+    lefts = [monos[0], dense, *diagonals, *pluses[0::2]]
+    rights = [monos[1], dense, *diagonals, *pluses[1::2]]
+    for a, b in itertools.product(lefts, rights):
         product = _times(a, b, mul)
         assert value_matrix(product) == mat_mul(value_matrix(a), value_matrix(b))
         # two monomials make a monomial, a monomial and a _Plus a _Plus,
         # everything else dense rows
         kinds = {type(a), type(b)}
         assert type(product) is (_Mono if kinds == {_Mono} else _Plus if kinds == {_Mono, _Plus} else tuple)
+        # the unit on the left, or on the right of dense rows, hands the
+        # other operand back
+        if unit(a):
+            assert product is b
+        if unit(b) and type(a) is tuple:
+            assert product is a
+    # a diagonal is found by its shared identity image, also after a power
+    for d in diagonals:
+        assert d.img is _IDENT[n] and _mono_pow(d, k).img is _IDENT[n]
+        assert mono_matrix(_mono_pow(d, k)) == mat_pow(mono_matrix(d), k)
     a = monos[0]
     assert mono_matrix(_mono_pow(a, k)) == mat_pow(mono_matrix(a), k)
-    ev = _Eval("ut", len(a.img))
+    ev = _Eval("ut", n)
     for p in pluses:
         assert value_matrix(_power(p, k, ev)) == mat_pow(value_matrix(p), k)
 
@@ -353,16 +400,57 @@ def test_monomial_powers_with_huge_exponents_are_exact():
 
 
 def test_cached_values_do_not_vouch_for_another_alphabet():
-    shared = _Node((diag_letter(1, 1), diag_letter(2, 1)))
-    ut = Word("ut", 3, _Node((shared, elem_letter(1, 2, 0))))
-    assert evaluate(ut) == mat_mul(diag((1, 1, 0)), construct_E(1, 2, 3))
-    # the same node, already evaluated for ut, inside a gl word
-    gl = Word("gl", 3, _Node((GL_A, shared)))
-    with pytest.raises(MembershipError):
-        evaluate(gl)
-    # a foreign letter under a zero power is still rejected
-    with pytest.raises(MembershipError):
-        evaluate(Word("gl", 3, _Node((GL_A, _pow(shared, 0)))))
+    # a shared concatenation, and a shared power of one letter, which keeps
+    # no value of its own but reads its letter's
+    for shared, scaled in (
+        (_Node((diag_letter(1, 1), diag_letter(2, 1))), (1, 1, 0)),
+        (_pow(diag_letter(1, 1), 3), (3, 0, 0)),
+    ):
+        ut = Word("ut", 3, _Node((shared, elem_letter(1, 2, 0))))
+        assert evaluate(ut) == mat_mul(diag(scaled), construct_E(1, 2, 3))
+        # the same node, already evaluated for ut, inside a gl word
+        gl = Word("gl", 3, _Node((GL_A, shared)))
+        with pytest.raises(MembershipError):
+            evaluate(gl)
+        # a foreign letter under a zero power is still rejected
+        with pytest.raises(MembershipError):
+            evaluate(Word("gl", 3, _Node((GL_A, _pow(shared, 0)))))
+
+
+def test_leaf_powers_match_an_independent_dag_walk():
+    # A power of a dense letter is evaluated and cached like any node; a
+    # power of a monomial letter is computed from the letter's value and
+    # cached nowhere, also when two parents share it.
+    cases = []
+    for n in (2, 3):
+        # E letters are dense up to n = 3
+        dense = _pow(elem_letter(1, 2, 7), 3)
+        cases.append((Word("u", n, _Node((dense, elem_letter(1, n, -4), dense))), dense))
+    for n in range(1, 9):
+        dense = _pow(diag_letter(n, BOTTOM), 2)
+        cases.append((Word("ut", n, _Node((_pow(NEG_I, 5), dense, _pow(diag_letter(1, 1), 4)))), dense))
+    dense = _pow(M2_C, 2)
+    cases.append((Word("m2", 2, _Node((_pow(M2_D, 3), dense, _pow(M2_A, 0), _pow(M2_A, 3)))), dense))
+    for w, dense in cases:
+        assert evaluate(w).rows == own_eval(w)
+        assert (w.monoid, w.n) in dense._vals
+    up = diag_letter(1, 1)
+    shared = _pow(up, 7)
+    for n in (2, 5):
+        e = elem_letter(1, 2, 0)
+        w = Word("ut", n, _Node((_Node((shared, e)), _Node((e, shared)), shared)))
+        assert evaluate(w).rows == own_eval(w)
+        assert shared._vals == {} and ("ut", n) in up._vals
+
+
+@pytest.mark.parametrize("k", (0, 1, 5))
+def test_foreign_letters_under_a_leaf_power_are_rejected(k):
+    # monomial letters (Ai(1,1) in gl, NEG_I in u) and a dense one (X(2)
+    # in u), as the word's root and under a concatenation
+    for monoid, n, g in (("gl", 3, diag_letter(1, 1)), ("u", 5, NEG_I), ("u", 3, x_letter(2))):
+        for root in (_pow(g, k), _Node((_pow(g, k), _pow(g, k)))):
+            with pytest.raises(MembershipError):
+                evaluate(Word(monoid, n, root))
 
 
 def test_module_caches_do_not_grow_with_entry_values():
