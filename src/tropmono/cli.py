@@ -9,7 +9,8 @@ not 0; main prints the report under --json and the lines otherwise.
 
 Exit codes: 0 success, 1 negative verify verdict, 2 parse or usage
 failure or a factor word too long to print, 3 membership violation, 4
-internal mismatch (a factorization that failed its own re-evaluation).
+internal mismatch (a factorization that failed its own multiply-back
+check; never expected).
 """
 
 from __future__ import annotations
