@@ -10,7 +10,8 @@ not 0; main prints the report under --json and the lines otherwise.
 Exit codes: 0 success, 1 negative verify verdict, 2 parse or usage
 failure or a factor word too long to print, 3 membership violation, 4
 internal mismatch (a factorization that failed its own multiply-back
-check; never expected).
+check; never expected).  The message of an error on one line of a
+--batch or --gens-file file starts with "line N: ".
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import factorize, finite, genset
 from .factorize import MembershipError, evaluate, parse_word
@@ -36,23 +38,41 @@ ALPHABETS = tuple(genset.BUILDERS)
 MAX_WORD_LETTERS = 10 ** 7
 
 
+@contextmanager
+def _at_line(no):
+    """Put "line no: " before the message of a ValueError (so also of a
+    MembershipError) raised in the block; a line of None adds nothing."""
+    try:
+        yield
+    except ValueError as exc:
+        if no is not None:
+            exc.args = (f"line {no}: {exc}",)
+        raise
+
+
 def _read_matrices(path, semiring, what):
-    """The matrices of a file that holds one per line."""
+    """The (line, matrix) pairs of a file that holds one matrix per line;
+    lines count from 1."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    out = [parse_matrix(ln.strip(), semiring) for ln in lines if ln.strip()]
+    out = []
+    for no, ln in enumerate(lines, 1):
+        if ln.strip():
+            with _at_line(no):
+                out.append((no, parse_matrix(ln.strip(), semiring)))
     if not out:
         raise ValueError(f"{what} file {path} holds no matrices")
     return out
 
 
 def _input_matrices(args, semiring):
-    """Resolve the matrix inputs of a command: --batch file (one matrix
-    per line), positional argument, --file, or stdin, in that order."""
+    """Resolve the matrix inputs of a command as (line, matrix) pairs:
+    the --batch file's, or else one with line None from the positional
+    argument, --file, or stdin, in that order."""
     if getattr(args, "batch", None):
         return _read_matrices(args.batch, semiring, "batch")
     if getattr(args, "matrix", None) is not None:
-        return [parse_matrix(args.matrix, semiring)]
+        return [(None, parse_matrix(args.matrix, semiring))]
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -62,7 +82,7 @@ def _input_matrices(args, semiring):
             raise ValueError("no matrix given (argument, --file, --batch, or stdin)")
     # Allow one row per line in files and on stdin.
     lines = [ln.strip().rstrip(";") for ln in text.splitlines() if ln.strip()]
-    return [parse_matrix("; ".join(lines), semiring)]
+    return [(None, parse_matrix("; ".join(lines), semiring))]
 
 
 def _bool(b):
@@ -73,11 +93,12 @@ def _bool(b):
 
 def _cmd_factor(args):
     reports = []
-    for m in _input_matrices(args, ZMAX):
-        w = factorize.factor(m, args.monoid)
-        count = w.letter_count()
-        if count > MAX_WORD_LETTERS:
-            raise ValueError(f"the word has {count} letters; factor prints words of at most {MAX_WORD_LETTERS}")
+    for no, m in _input_matrices(args, ZMAX):
+        with _at_line(no):
+            w = factorize.factor(m, args.monoid)
+            count = w.letter_count()
+            if count > MAX_WORD_LETTERS:
+                raise ValueError(f"the word has {count} letters; factor prints words of at most {MAX_WORD_LETTERS}")
         reports.append(
             {
                 "command": "factor",
@@ -122,7 +143,7 @@ def _cmd_eval(args):
 def _cmd_verify(args):
     n = _monoid_n(args)
     w = parse_word(args.word, args.monoid, n)
-    (m,) = _input_matrices(args, genset.generating_set(args.monoid, n).semiring)
+    [(_, m)] = _input_matrices(args, genset.generating_set(args.monoid, n).semiring)
     if m.n != n:
         raise ValueError(f"word is {n}x{n} but matrix is {m.n}x{m.n}")
     ok = evaluate(w) == m
@@ -165,7 +186,7 @@ def _closure(args):
     boolean)."""
     semiring = semiring_by_name(args.semiring)
     if args.gens_file:
-        gens = _read_matrices(args.gens_file, semiring, "gens")
+        gens = [m for _, m in _read_matrices(args.gens_file, semiring, "gens")]
     elif not args.monoid:
         raise ValueError("closure needs --gens-file or --monoid")
     else:
@@ -219,7 +240,7 @@ def _cmd_irredundant(args):
 
 
 def _cmd_certify_prime(args):
-    (m,) = _input_matrices(args, BOOLEAN)
+    [(_, m)] = _input_matrices(args, BOOLEAN)
     ambient = {k: name for name, k in genset.FIXED_N.items()}.get(m.n)
     if ambient is None:
         raise ValueError(f"certify-prime covers 2x2 and 3x3 matrices, got n={m.n}")
@@ -245,8 +266,9 @@ def _cmd_jrel_x(args):
 def _cmd_regular(args):
     reports = []
     lines = []
-    for m in _input_matrices(args, ZMAX):
-        witness, variant = regularity_witness(m)
+    for no, m in _input_matrices(args, ZMAX):
+        with _at_line(no):
+            witness, variant = regularity_witness(m)
         reports.append(
             {
                 "command": "regular",

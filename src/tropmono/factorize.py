@@ -16,12 +16,15 @@ them: two monomials multiply in O(n), a power of a monomial follows the
 cycles of its permutation, so its cost does not depend on the exponent,
 and a monomial times dense rows is a row gather or a column scatter.
 A diagonal monomial, whose image is the shared identity tuple, is a
-shift vector that a power scales and a product adds; the unit returns
-the other operand.  For n >= 4 an elementary letter E(i,j,z) starts as
-a monomial plus an entry: a monomial moves the entry in O(n), and with
-dense rows it is a gather or scatter plus one row or column max-update
-(only the max-update over the unit, as for an E letter conjugated by
-diagonals).  Two such values, or a power of one, are made dense first.
+shift vector that a power scales and a product adds: a power of a
+diagonal leaf opens a run that the diagonal values after it among the
+node's parts join, summed once into one shift vector, and the unit
+returns the other operand.
+For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
+entry: a monomial moves the entry in O(n), and with dense rows it is a
+gather or scatter plus one row or column max-update (only the
+max-update over the unit, as for an E letter conjugated by diagonals).
+Two such values, or a power of one, are made dense first.
 Only dense times dense is a matrix product, with binary exponentiation
 for dense powers.  Each leaf is checked against the word's alphabet
 when it is evaluated; a power of one monomial leaf, fresh in every
@@ -348,15 +351,16 @@ class _Eval:
     """What evaluation needs at every node of a word with this monoid
     and n, all read off its alphabet."""
 
-    __slots__ = ("alphabet", "n", "semiring", "mul", "unit", "plus")
+    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "unit", "plus")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
         self.n = n
+        self.ident = _IDENT[n]
         self.semiring = semiring = self.alphabet.semiring
         self.mul = _row_product(n, semiring)
         if semiring is ZMAX:
-            self.unit = _Mono(_IDENT[n], (0,) * n)
+            self.unit = _Mono(self.ident, (0,) * n)
         else:
             self.unit = _identity_rows(n, semiring)
         # E letters start as _Plus values where the dense product is generic.
@@ -390,16 +394,40 @@ def _value(node, key, ev: _Eval):
         val = _leaf_value(node, ev)
     else:
         # The parts are evaluated even for k = 0, so their letters are
-        # checked.
-        val = None
+        # checked.  Diagonal values commute with each other, so a power of
+        # a diagonal leaf opens a run, a list of shifts that the diagonal
+        # values after it are added into; it becomes one _Mono where a
+        # non-diagonal value or the end of the parts meets it.  Any other
+        # value multiplies in as it comes, so words without diagonal leaf
+        # powers (most m3 words) keep no run.
+        val = run = None
         for p in node.parts:
+            k = 1
             v = p._vals.get(key)
             if v is None:
                 # A power of one monomial leaf is fresh per word: not cached.
                 leaf = p.parts[0] if type(p) is _Node and len(p.parts) == 1 else None
-                monomial = type(leaf) is Generator and type(lv := _value(leaf, key, ev)) is _Mono
-                v = _mono_pow(lv, p.k) if monomial else _value(p, key, ev)
+                if type(leaf) is Generator:
+                    v = leaf._vals.get(key) or _value(leaf, key, ev)
+                if type(v) is not _Mono:
+                    v = _value(p, key, ev)
+                elif v.img is not ev.ident:
+                    v = _mono_pow(v, p.k)
+                else:
+                    k = p.k
+                    run = run or [0] * ev.n
+            if run and type(v) is _Mono and v.img is ev.ident:
+                for i, s in enumerate(v.sh):
+                    if s:
+                        run[i] += k * s
+                continue
+            if run:
+                run, d = None, _Mono(ev.ident, tuple(run))
+                val = d if val is None else _times(val, d, ev.mul)
             val = v if val is None else _times(val, v, ev.mul)
+        if run:
+            d = _Mono(ev.ident, tuple(run))
+            val = d if val is None else _times(val, d, ev.mul)
         if val is None:
             val = ev.unit
         elif node.k != 1:

@@ -136,6 +136,33 @@ def test_factor_batch_json_is_an_array(tmp_path, capsys):
         assert isinstance(payload, list) and [r["word"] for r in payload] == words
 
 
+@pytest.mark.parametrize("command", ["factor", "regular"])
+def test_batch_parse_errors_name_their_line(tmp_path, capsys, command):
+    # lines count from 1, blank ones included; nothing reaches stdout
+    f = tmp_path / "batch.txt"
+    f.write_text("0 0; 0 -inf\n\n0 x; 0 0\n")
+    argv = [command, "--batch", str(f)] + (["--monoid", "ut"] if command == "factor" else [])
+    for extra in ([], ["--json"]):
+        assert run(argv + extra, capsys) == (2, "", "error: line 3: bad zmax scalar 'x'\n")
+    # the gens file of closure-like commands names its line too
+    f.write_text("1 0; 0 1\n\n1 x; 0 0\n")
+    assert run(["closure", "--gens-file", str(f)], capsys) == (2, "", "error: line 3: bad boolean scalar 'x'\n")
+
+
+def test_factor_batch_errors_name_their_line(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "batch.txt"
+    f.write_text("0 1; -inf 2\n3 -inf; 4 5\n")
+    rc, out, err = run(["factor", "--monoid", "ut", "--batch", str(f)], capsys)
+    assert (rc, out) == (3, "") and err == "error: line 2: matrix is not upper triangular: 3 -inf; 4 5\n"
+    # a word over the letter limit, exit 2; a valid file prints as before
+    f.write_text("-inf 0 5; 0 -inf 0; 0 0 -inf\n-inf 0 2; 0 -inf 0; 0 0 -inf\n-inf 0 9; 0 -inf 0; 0 0 -inf\n")
+    argv = ["factor", "--monoid", "m3", "--batch", str(f)]
+    assert run(argv, capsys) == (0, "X(5)\nverified: true\nX(2)\nverified: true\nX(9)\nverified: true\n", "")
+    monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 0)
+    f.write_text("0 -inf -inf; -inf 0 -inf; -inf -inf 0\n\n" + f.read_text())
+    assert run(argv, capsys) == (2, "", "error: line 3: the word has 1 letters; factor prints words of at most 0\n")
+
+
 def test_factor_mismatch_is_reported_and_exits_4(tmp_path, capsys, monkeypatch):
     # a word that does not multiply back is a bug; make X(2) look like one
     wrong = tropmono.matrix([[0, 0, 0]] * 3)

@@ -20,12 +20,14 @@ from tropmono.factorize import (
     _Node,
     _Plus,
     _gl_perm_node,
+    _gl_slot_node,
     _leaf_value,
     _mono_pow,
     _pow,
     _power,
     _times,
     _m3_fill,
+    _ut_diag_node,
     evaluate,
     factor,
     factor_gl,
@@ -445,12 +447,106 @@ def test_leaf_powers_match_an_independent_dag_walk():
 
 @pytest.mark.parametrize("k", (0, 1, 5))
 def test_foreign_letters_under_a_leaf_power_are_rejected(k):
-    # monomial letters (Ai(1,1) in gl, NEG_I in u) and a dense one (X(2)
-    # in u), as the word's root and under a concatenation
-    for monoid, n, g in (("gl", 3, diag_letter(1, 1)), ("u", 5, NEG_I), ("u", 3, x_letter(2))):
-        for root in (_pow(g, k), _Node((_pow(g, k), _pow(g, k)))):
-            with pytest.raises(MembershipError):
-                evaluate(Word(monoid, n, root))
+    # monomial letters (Ai(1,1) and Ai(2,1) in gl, NEG_I in u) and a dense
+    # one (X(2) in u), as the word's root, under a concatenation, and as
+    # a leaf power or a plain letter between two values of the alphabet
+    # (diagonal ones in gl, so the letter sits inside a run); again once
+    # the letter's value is cached for another alphabet of the same n
+    for monoid, n, g, side, other in (
+        ("gl", 3, diag_letter(1, 1), _gl_slot_node(3, 1, 2), "ut"),
+        ("gl", 2, diag_letter(2, 1), _pow(GL_A, 3), "ut"),
+        ("u", 5, NEG_I, elem_letter(1, 2, 3), "ut"),
+        ("u", 3, x_letter(2), elem_letter(1, 2, 3), "m3"),
+    ):
+        roots = (_pow(g, k), _Node((_pow(g, k), _pow(g, k))), _Node((side, _pow(g, k), side)), _Node((side, g, side)))
+        for cached in (False, True):
+            if cached:
+                evaluate(Word(other, n, _pow(g, 2)))
+            for root in roots:
+                with pytest.raises(MembershipError):
+                    evaluate(Word(monoid, n, root))
+
+
+def _run_cases(n):
+    """ut words over n whose nodes hold runs of diagonal values: at the
+    start, in the middle and at the end of a node, a run that cancels to
+    zero shifts before dense rows and before an E letter (a _Plus from
+    n = 4), leaf powers with k = 0, a diagonal sub-node inside a run, and
+    a run inside a node repeated k times."""
+    up = [diag_letter(i, 1) for i in range(1, n + 1)]
+    bot = diag_letter(n, BOTTOM)
+    e = elem_letter(1, n, 0) if n > 1 else bot
+    neg = _ut_diag_node(n, 1, -7)
+    return [
+        _Node((_pow(NEG_I, 3), _pow(up[-1], 5), e, bot, _pow(up[0], 2))),
+        _Node((e, _pow(up[0], 4), neg, _pow(up[-1], 0), bot, up[-1])),
+        _Node((bot, e, _pow(NEG_I, 2), up[0], _pow(up[-1], 9))),
+        _Node((_ut_diag_node(n, 1, 6), _ut_diag_node(n, 1, -6), bot, e)),
+        _Node((_ut_diag_node(n, n, -11), _ut_diag_node(n, n, 11), e, bot)),
+        _Node((_pow(up[0], 0), _pow(NEG_I, 0), e, _pow(up[-1], 0))),
+        _Node((_pow(up[-1], 3), neg, _pow(NEG_I, 4), e), 3),
+        _Node((_pow(up[0], 10 ** 12), _Node((neg, _pow(up[-1], 2))), NEG_I)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_diagonal_runs_match_an_independent_dag_walk(n):
+    for root in _run_cases(n):
+        w = Word("ut", n, root)
+        assert evaluate(w).rows == own_eval(w)
+    # gl: diagonal slot words around permutation words; at n = 2 the
+    # letter A is the diagonal Ai(1,1), so its powers join a run
+    if n > 1:
+        p = _gl_perm_node(n, Perm.transposition(n, 1, n))
+        slot = _gl_slot_node(n, n, -5)
+        for root in (
+            _Node((_gl_slot_node(n, 1, 3), p, slot, _pow(GL_A, 2), _gl_slot_node(n, 1, 4), GL_B)),
+            _Node((p, _gl_slot_node(n, 1, 2), slot, _pow(GL_A, 0), p, _gl_slot_node(n, 1, -2))),
+        ):
+            w = Word("gl", n, root)
+            assert evaluate(w).rows == own_eval(w)
+
+
+def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
+    from tropmono import factorize
+
+    calls = {"times": 0, "mono": 0}
+    times, init = factorize._times, _Mono.__init__
+
+    def counted_times(a, b, mul):
+        calls["times"] += 1
+        return times(a, b, mul)
+
+    def counted_init(self, img, sh):
+        calls["mono"] += 1
+        init(self, img, sh)
+
+    monkeypatch.setattr(factorize, "_times", counted_times)
+    monkeypatch.setattr(_Mono, "__init__", counted_init)
+    for n in range(1, 9):
+        # the letters' own values are cached by the first two words
+        for i in (1, n):
+            evaluate(Word("ut", n, _ut_diag_node(n, i, -3)))
+        for i in range(1, n + 1):
+            calls.update(times=0, mono=0)
+            w = Word("ut", n, _ut_diag_node(n, i, -(10 ** 6)))
+            assert evaluate(w) == construct_A(i, -(10 ** 6), n)
+            assert calls == {"times": 0, "mono": 1}
+        # a diagonal sub-node, its value already cached, joins the run
+        sub = _ut_diag_node(n, n, -5)
+        evaluate(Word("ut", n, sub))
+        calls.update(times=0, mono=0)
+        w = Word("ut", n, _Node((_pow(NEG_I, 2), sub, _pow(NEG_I, 3))))
+        assert evaluate(w).rows == own_eval(w)
+        assert calls == {"times": 0, "mono": 1}
+    # a whole ut word: each run is one monomial; summing leaf powers one
+    # product at a time made 185 calls
+    rng = random.Random(17)
+    m = matrix([[rng.randint(-10 ** 6, 10 ** 6) if j >= i else BOTTOM for j in range(6)] for i in range(6)])
+    w = factor_ut(m)
+    calls.update(times=0, mono=0)
+    assert evaluate(w) == m
+    assert calls["times"] <= 95
 
 
 def test_module_caches_do_not_grow_with_entry_values():
