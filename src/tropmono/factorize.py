@@ -14,7 +14,8 @@ row), a monomial plus one finite entry, or dense rows.  Every unit
 letter starts as a monomial, and most of every word is a product of
 them: two monomials multiply in O(n), a power of a monomial follows the
 cycles of its permutation, so its cost does not depend on the exponent,
-and a monomial times dense rows is a row gather or a column scatter.
+and a monomial times dense rows is a row gather or a column scatter,
+unrolled at n = 3 like the dense product.
 A diagonal monomial, whose image is the shared identity tuple, is a
 shift vector that a power scales and a product adds: a power of a
 diagonal leaf opens a run that the diagonal values after it among the
@@ -119,7 +120,9 @@ def _cat(parts):
 
 
 def _pow(node, k: int):
-    return _Node((node,), k)
+    # A single repeat of a sub-word is the sub-word; a letter keeps its
+    # wrapper, since a leaf power opens a diagonal run.
+    return node if k == 1 and type(node) is _Node else _Node((node,), k)
 
 
 _EMPTY = _Node(())
@@ -249,12 +252,54 @@ def _rows(v):
     return tuple([tuple(r) for r in rows])
 
 
-def _times(a, b, mul):
-    """The product of two values; mul multiplies dense rows.  The unit
-    returns the other value and a diagonal monomial shifts it; a monomial
-    moves a _Plus's entry, a _Plus times dense rows adds one row
-    max-update and dense rows times a _Plus one column max-update; of two
-    _Plus values the left one is made dense first."""
+# A monomial (img, sh) times dense rows.  gather: row i is row img[i] of
+# b plus sh[i]; scatter: column img[k] is column k of a plus sh[k];
+# shift, for a diagonal on the right: column j plus sh[j].
+def _gather(img, sh, b):
+    return tuple([tuple([s + x for x in b[k]]) for k, s in zip(img, sh)])
+
+
+def _scatter(img, sh, a):
+    src = [0] * len(img)
+    for k, j in enumerate(img):
+        src[j] = k
+    return tuple([tuple([row[k] + sh[k] for k in src]) for row in a])
+
+
+def _shift(sh, a):
+    return tuple([tuple([x + s for x, s in zip(row, sh)]) for row in a])
+
+
+# The same, unrolled for 3x3 rows like matrix._mul3; _SRC3[img][j] is
+# the column of a that lands in column j.
+_SRC3 = {img: tuple([img.index(j) for j in range(3)]) for img in itertools.permutations(range(3))}
+
+
+def _gather3(img, sh, b):
+    (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = b[img[0]], b[img[1]], b[img[2]]
+    s, t, u = sh
+    return ((x1 + s, x2 + s, x3 + s), (y1 + t, y2 + t, y3 + t), (z1 + u, z2 + u, z3 + u))
+
+
+def _scatter3(img, sh, a):
+    i, j, k = _SRC3[img]
+    s, t, u = sh[i], sh[j], sh[k]
+    x, y, z = a
+    return ((x[i] + s, x[j] + t, x[k] + u), (y[i] + s, y[j] + t, y[k] + u), (z[i] + s, z[j] + t, z[k] + u))
+
+
+def _shift3(sh, a):
+    s, t, u = sh
+    (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = a
+    return ((x1 + s, x2 + t, x3 + u), (y1 + s, y2 + t, y3 + u), (z1 + s, z2 + t, z3 + u))
+
+
+def _times(a, b, ev):
+    """The product of two values, with ev's kernels.  The unit returns
+    the other value; a monomial moves a _Plus's entry, a _Plus times
+    dense rows adds one row max-update and dense rows times a _Plus one
+    column max-update; of two _Plus values the left one is made dense
+    first."""
     ta, tb = type(a), type(b)
     if ta is _Mono:
         img, sh = a.img, a.sh
@@ -269,33 +314,28 @@ def _times(a, b, mul):
         if tb is _Plus:
             # Row i of the product gathers row r of b.
             i = img.index(b.r)
-            return _Plus(_times(a, b.m, mul), i, b.c, sh[i] + b.v)
-        # Row i of the product is row img[i] of b, shifted by sh[i].
-        return tuple([tuple([s + x for x in b[k]]) for k, s in zip(img, sh)])
+            return _Plus(_times(a, b.m, ev), i, b.c, sh[i] + b.v)
+        return ev.gather(img, sh, b)
     if ta is _Plus:
         if tb is _Mono:
             # Row r's entry meets row c of b: b.sh[c] in column b.img[c].
-            return _Plus(_times(a.m, b, mul), a.r, b.img[a.c], a.v + b.sh[a.c])
+            return _Plus(_times(a.m, b, ev), a.r, b.img[a.c], a.v + b.sh[a.c])
         if tb is not _Plus:
             # Row r of the product also takes v plus row c of b.
-            rows = list(_times(a.m, b, mul))
+            rows = list(_times(a.m, b, ev))
             rows[a.r] = tuple([max(x, a.v + y) for x, y in zip(rows[a.r], b[a.c])])
             return tuple(rows)
         a = _rows(a)
     if tb is _Mono:
-        # Column img[k] of the product is column k of a, shifted by sh[k].
         img, sh = b.img, b.sh
         if img is _IDENT[len(img)]:
-            return tuple([tuple([x + s for x, s in zip(row, sh)]) for row in a]) if any(sh) else a
-        src = [0] * len(img)
-        for k, j in enumerate(img):
-            src[j] = k
-        return tuple([tuple([row[k] + sh[k] for k in src]) for row in a])
+            return ev.shift(sh, a) if any(sh) else a
+        return ev.scatter(img, sh, a)
     if tb is _Plus:
         # Column c of the product also takes column r of a plus v.
         r, c, v = b.r, b.c, b.v
-        return tuple([row[:c] + (max(row[c], x[r] + v),) + row[c + 1:] for row, x in zip(_times(a, b.m, mul), a)])
-    return mul(a, b)
+        return tuple([row[:c] + (max(row[c], x[r] + v),) + row[c + 1:] for row, x in zip(_times(a, b.m, ev), a)])
+    return ev.mul(a, b)
 
 
 def _mono_pow(a: _Mono, k: int) -> _Mono:
@@ -349,9 +389,10 @@ def _power(v, k: int, ev):
 
 class _Eval:
     """What evaluation needs at every node of a word with this monoid
-    and n, all read off its alphabet."""
+    and n, all read off its alphabet: among it the dense product and the
+    monomial-times-dense kernels, unrolled at n = 3."""
 
-    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "unit", "plus")
+    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "shift", "unit", "plus")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
@@ -359,6 +400,7 @@ class _Eval:
         self.ident = _IDENT[n]
         self.semiring = semiring = self.alphabet.semiring
         self.mul = _row_product(n, semiring)
+        self.gather, self.scatter, self.shift = (_gather3, _scatter3, _shift3) if n == 3 else (_gather, _scatter, _shift)
         if semiring is ZMAX:
             self.unit = _Mono(self.ident, (0,) * n)
         else:
@@ -423,11 +465,11 @@ def _value(node, key, ev: _Eval):
                 continue
             if run:
                 run, d = None, _Mono(ev.ident, tuple(run))
-                val = d if val is None else _times(val, d, ev.mul)
-            val = v if val is None else _times(val, v, ev.mul)
+                val = d if val is None else _times(val, d, ev)
+            val = v if val is None else _times(val, v, ev)
         if run:
             d = _Mono(ev.ident, tuple(run))
-            val = d if val is None else _times(val, d, ev.mul)
+            val = d if val is None else _times(val, d, ev)
         if val is None:
             val = ev.unit
         elif node.k != 1:

@@ -322,12 +322,12 @@ def monomials_and_dense(draw):
         if how == "power":
             return _mono_pow(leaf(), draw(st.integers(0, 10 ** 4)))
         if how == "product":
-            return _times(leaf(), leaf(), ev.mul)
+            return _times(leaf(), leaf(), ev)
         m = mono()
         back = [0] * n
         for i, j in enumerate(m.img):
             back[j] = i
-        return _times(m, _Mono(tuple(back), tuple(draw(shifts))), ev.mul)
+        return _times(m, _Mono(tuple(back), tuple(draw(shifts))), ev)
 
     def e_letter():
         # from n = 4 on, an E letter's leaf value is a _Plus over the unit
@@ -363,12 +363,14 @@ def test_value_products_match_mat_mul(values, k):
     # every pairing of the kinds, each diagonal and E letter over the unit
     # on both sides of dense rows
     n, monos, pluses, dense, diagonals = values
-    mul = lambda x, y: mat_mul(matrix(x), matrix(y)).rows  # noqa: E731
+    # evaluation's own kernels, with mat_mul for the dense product
+    kernels = _Eval("ut", n)
+    kernels.mul = lambda x, y: mat_mul(matrix(x), matrix(y)).rows
     unit = lambda v: type(v) is _Mono and v.img is _IDENT[n] and not any(v.sh)  # noqa: E731
     lefts = [monos[0], dense, *diagonals, *pluses[0::2]]
     rights = [monos[1], dense, *diagonals, *pluses[1::2]]
     for a, b in itertools.product(lefts, rights):
-        product = _times(a, b, mul)
+        product = _times(a, b, kernels)
         assert value_matrix(product) == mat_mul(value_matrix(a), value_matrix(b))
         # two monomials make a monomial, a monomial and a _Plus a _Plus,
         # everything else dense rows
@@ -389,6 +391,64 @@ def test_value_products_match_mat_mul(values, k):
     ev = _Eval("ut", n)
     for p in pluses:
         assert value_matrix(_power(p, k, ev)) == mat_pow(value_matrix(p), k)
+
+
+def test_unrolled_3x3_kernels_match_mat_mul_on_every_image():
+    # every image in S_3, with shifts that hold zeros and negatives, on
+    # both sides of dense rows with -inf entries, a -inf row and a -inf
+    # column: a monomial on the left gathers, on the right it scatters,
+    # a diagonal on the right shifts
+    from tropmono import factorize
+
+    ev = _Eval("m3", 3)
+    assert (ev.gather, ev.scatter, ev.shift) == (factorize._gather3, factorize._scatter3, factorize._shift3)
+    shifts = [(0, 0, 0), (0, -4, 7), (-1, -2, -3), (5, 0, -9)]
+    dense = [
+        ((1, BOTTOM, 3), (-4, 5, BOTTOM), (BOTTOM, 8, -9)),
+        ((2, 0, -1), (BOTTOM, BOTTOM, BOTTOM), (3, -5, 6)),
+        ((2, BOTTOM, -1), (4, BOTTOM, 0), (-3, BOTTOM, 6)),
+    ]
+    for img in itertools.permutations(range(3)):
+        img = _IDENT[3] if img == _IDENT[3] else img
+        for sh in shifts:
+            m = _Mono(img, sh)
+            for d in dense:
+                for a, b in ((m, d), (d, m)):
+                    product = _times(a, b, ev)
+                    assert type(product) is tuple
+                    assert matrix(product) == mat_mul(value_matrix(a), value_matrix(b)), (img, sh, d)
+                    # the unit, and a zero shift on the right, hand the
+                    # dense rows back
+                    if img is _IDENT[3] and not any(sh):
+                        assert product is d
+
+
+def test_m3_words_evaluate_without_the_generic_kernels(monkeypatch):
+    # criterion-1 traffic, as in perfbench's m3_grid: every bottom mask
+    # with entries in {0, 1}, and random matrices in [-20, 20]
+    from tropmono import factorize
+
+    calls = {}
+
+    def counting(name):
+        kernel = getattr(factorize, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+
+        return counted
+
+    for name in ("_gather", "_scatter", "_shift", "_gather3", "_scatter3", "_shift3"):
+        monkeypatch.setattr(factorize, name, counting(name))
+    monkeypatch.setattr(factorize, "_eval_context", cache(_Eval))
+    rng = random.Random(18)
+    for mask in range(512):
+        grid = matrix([[BOTTOM if mask >> (3 * i + j) & 1 else rng.randint(0, 1) for j in range(3)] for i in range(3)])
+        rand = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
+        for m in (grid, rand):
+            assert evaluate(factor_m3(m)) == m
+    assert set(calls) == {"_gather3", "_scatter3", "_shift3"}
 
 
 def test_monomial_powers_with_huge_exponents_are_exact():
@@ -513,9 +573,9 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     calls = {"times": 0, "mono": 0}
     times, init = factorize._times, _Mono.__init__
 
-    def counted_times(a, b, mul):
+    def counted_times(a, b, ev):
         calls["times"] += 1
-        return times(a, b, mul)
+        return times(a, b, ev)
 
     def counted_init(self, img, sh):
         calls["mono"] += 1
@@ -527,10 +587,11 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
         # the letters' own values are cached by the first two words
         for i in (1, n):
             evaluate(Word("ut", n, _ut_diag_node(n, i, -3)))
-        for i in range(1, n + 1):
+        # a = -1 powers each letter once: still one run
+        for i, a in itertools.product(range(1, n + 1), (-(10 ** 6), -1)):
             calls.update(times=0, mono=0)
-            w = Word("ut", n, _ut_diag_node(n, i, -(10 ** 6)))
-            assert evaluate(w) == construct_A(i, -(10 ** 6), n)
+            w = Word("ut", n, _ut_diag_node(n, i, a))
+            assert evaluate(w) == construct_A(i, a, n)
             assert calls == {"times": 0, "mono": 1}
         # a diagonal sub-node, its value already cached, joins the run
         sub = _ut_diag_node(n, n, -5)
