@@ -3,9 +3,10 @@ and prime certificates.
 
 These run over matrices of either semiring, but every interesting finite
 case here is Boolean (tropical closures are infinite and stop at the
-element cap, which is a supported, flagged outcome rather than an
-error).  Matrices are met only at the boundary: closure multiplies row
-tuples, keys elements by them and wraps a Matrix only around a new
+element cap, a supported, flagged outcome rather than an error).
+Matrices are met only at the boundary: closure multiplies row tuples
+(over B row i of e * g is looked up in g's row table, filled on first
+sight), keys elements by them and wraps a Matrix only around a new
 element, and from then on an element is its index.
 
 Closure is the Froidure-Pin enumeration (Froidure & Pin, 1997): a
@@ -22,10 +23,11 @@ of the two-sided Cayley graph, found by an iterative Tarjan.
 
 Primality and rank share one split test: is x a product a * b of two
 elements outside a given set?  It scans the rows of x's left divisors
-only.  A prime is a non-unit that no two non-units multiply to; a unit
-orbit U x U that no two elements outside it multiply into is required,
-met by every generating set, and rank_search prunes by these orbits,
-which it builds from the unit rows and unit words alone.
+only, walked back over predecessor lists built once per monoid; the
+units are the left divisors of the identity.  A prime is a non-unit that
+no two non-units multiply to; a unit orbit U x U that no two elements
+outside it multiply into is required, met by every generating set, and
+rank_search prunes by these orbits, built from unit rows and words.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .matrix import Matrix, _mk, _row_product, format_matrix, identity, is_invertible
+from .matrix import Matrix, _mk, _right_product, _row_product, format_matrix, identity
 
 DEFAULT_CAP = 10 ** 6
 
@@ -51,7 +53,7 @@ class FiniteMonoid:
     would have passed the cap are -1 in cayley and left.
     """
 
-    __slots__ = ("n", "semiring", "elements", "gens", "cayley", "left", "parent", "last", "closed", "_index")
+    __slots__ = ("n", "semiring", "elements", "gens", "cayley", "left", "parent", "last", "closed", "_index", "_preds")
 
     def __init__(self, n, semiring, elements, gens, cayley, left, parent, last, closed, index):
         self.n = n
@@ -64,6 +66,7 @@ class FiniteMonoid:
         self.last = last
         self.closed = closed
         self._index = index
+        self._preds = None  # right Cayley predecessor lists, built by _left_divisors
 
     def __len__(self):
         return len(self.elements)
@@ -85,8 +88,9 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     has a smaller tree word and a * (s * g) is read off the graph; only
     the other products are multiplied out.  The left graph of each
     length is filled from the right graph.  Products are taken on row
-    tuples, with the semiring's row product; a Matrix is built only for
-    an element seen for the first time.
+    tuples: e * g by g's row function (over B a table from each row of e
+    to its row of e * g), g * e by the row product; a Matrix is built
+    only for an element seen for the first time.
 
     Stops when the element count would pass cap and flags the result not
     closed; from then on a lookup that meets a -1 edge multiplies.  A cap
@@ -116,6 +120,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
         raise ValueError(f"cap {cap} is below the {len(elements)} elements it starts from "
                          "(the identity and the distinct generators)")
     grows = [g.rows for g in gens]
+    right = [_right_product(n, semiring, g) for g in grows]
     first, suffix = last[:], [0] * len(elements)
     cayley, left = [list(gen_idx)], [list(gen_idx)]
     closed = True
@@ -128,8 +133,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             a, s = first[e], suffix[e]
             row = []
             cayley.append(row)
-            for gi, g in enumerate(grows):
-                r = cayley[s][gi]
+            for gi, r in enumerate(cayley[s]):
                 i = -1
                 # s * g is no tree word: e * g = a * r = (a * parent[r]) * last[r]
                 if r == 0:
@@ -138,7 +142,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                     i = left[parent[r]][a]
                     i = cayley[i][last[r]] if i >= 0 else -1
                 if i < 0:
-                    p = mul(elements[e].rows, g)
+                    p = right[gi](elements[e].rows)
                     i = index.get(p, -1)
                     if i < 0 and len(elements) >= cap:
                         closed = False
@@ -249,13 +253,16 @@ def jclasses(fm: FiniteMonoid) -> list:
 
 def _generated_indices(fm: FiniteMonoid, subset) -> set:
     """Indices of the submonoid generated by the subset (identity included)."""
+    cayley = fm.cayley
     words = [_word(fm, f) for f in subset]
     seen = {0} | set(subset)
     queue = deque(seen)
     while queue:
         e = queue.popleft()
         for word in words:
-            p = _walk(fm, e, word)
+            p = e
+            for g in word:
+                p = cayley[p][g]
             if p not in seen:
                 seen.add(p)
                 queue.append(p)
@@ -273,35 +280,40 @@ def irredundant(fm: FiniteMonoid, subset) -> list:
     """For each member of the subset, True when dropping it breaks
     generation (the member is necessary)."""
     subset = list(subset)
-    out = []
-    for i in range(len(subset)):
-        rest = subset[:i] + subset[i + 1 :]
-        out.append(not is_generating(fm, rest))
-    return out
+    return [not is_generating(fm, subset[:i] + subset[i + 1 :]) for i in range(len(subset))]
 
 
-def _unit_flags(fm: FiniteMonoid):
-    return [is_invertible(m) for m in fm.elements]
-
-
-def _splits(fm: FiniteMonoid, x: int, outside) -> bool:
-    """Is x = a * b for some a and b that both have outside[.] set?
-
-    A factor a has x in a S^1, so only the left divisors of x need their
-    row of products: the elements from which x is reached by right
-    Cayley steps, found by one walk back from x.
-    """
-    preds = [[] for _ in fm.cayley]
-    for u, row in enumerate(fm.cayley):
-        for v in row:
-            preds[v].append(u)
+def _left_divisors(fm: FiniteMonoid, x: int) -> set:
+    """The a with x in a S^1 (closed fm): one walk back from x over the right
+    Cayley predecessor lists, built on first use and kept on the monoid."""
+    preds = fm._preds
+    if preds is None:
+        preds = fm._preds = [[] for _ in fm.cayley]
+        for u, row in enumerate(fm.cayley):
+            for v in row:
+                preds[v].append(u)
     divisors, todo = {x}, [x]
     while todo:
         for u in preds[todo.pop()]:
             if u not in divisors:
                 divisors.add(u)
                 todo.append(u)
-    for a in divisors:
+    return divisors
+
+
+def _unit_flags(fm: FiniteMonoid):
+    # in a finite monoid u v = 1 forces v u = 1: units are left divisors of 1
+    units = _left_divisors(fm, 0)
+    return [e in units for e in range(len(fm.elements))]
+
+
+def _splits(fm: FiniteMonoid, x: int, outside) -> bool:
+    """Is x = a * b for some a and b that both have outside[.] set?
+
+    A factor a has x in a S^1, so only the left divisors of x need their
+    row of products.
+    """
+    for a in _left_divisors(fm, x):
         if outside[a]:
             row = _products(fm, a)
             if x in row and any(p == x and outside[b] for b, p in enumerate(row)):
@@ -343,10 +355,7 @@ def rank_search(fm: FiniteMonoid, k: int):
     if len(orbits) > k:
         return None
     for subset in itertools.combinations(range(size), k):
-        ss = set(subset)
-        if any(not (orbit & ss) for orbit in orbits):
-            continue
-        if len(_generated_indices(fm, subset)) == size:
+        if all(not orbit.isdisjoint(subset) for orbit in orbits) and len(_generated_indices(fm, subset)) == size:
             return list(subset)
     return None
 
@@ -364,9 +373,10 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
     xi = fm.index_of(x)
     if xi is None:
         raise ValueError(f"matrix not in the monoid: {format_matrix(x)}")
-    if is_invertible(x):
+    units = _unit_flags(fm)
+    if units[xi]:
         raise ValueError("units are excluded from primality")
-    return not _splits(fm, xi, [not u for u in _unit_flags(fm)])
+    return not _splits(fm, xi, [not u for u in units])
 
 
 def x_family_j_related(s: int, t: int) -> bool:

@@ -161,6 +161,27 @@ def _row_product(n: int, semiring: Semiring):
     return _mulb
 
 
+class _RowTable(dict):
+    """Boolean row r -> row r * g for one fixed g, filled on first sight."""
+    __slots__ = ("g",)
+
+    def __missing__(self, r):
+        p = self[r] = _mulb((r,), self.g)[0]
+        return p
+
+
+def _right_product(n: int, semiring: Semiring, g):
+    """a -> a * g for one fixed n x n row tuple g, as a function.  Over B
+    row i of a * g depends on row i of a alone, so it is looked up in a
+    table of the rows met so far; over zmax it is the row product."""
+    if semiring.name == "zmax":
+        mul = _row_product(n, semiring)
+        return lambda a: mul(a, g)
+    table = _RowTable()
+    table.g, get = g, table.__getitem__
+    return lambda a: tuple(map(get, a))
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Product (ab)_ij = max over k of a_ik * b_kj, * the semiring product."""
     if a.semiring is not b.semiring:

@@ -10,6 +10,7 @@ from collections import deque
 from tropmono.finite import (
     _products,
     _splits,
+    _unit_flags,
     _walk,
     _word,
     closure,
@@ -29,6 +30,7 @@ from tropmono.genset import (
 )
 from tropmono.matrix import (
     Perm,
+    _right_product,
     boolean_image,
     construct_P,
     identity,
@@ -165,9 +167,11 @@ def random_boolean_gens(rng, n):
 def test_closure_matches_reference_at_every_cap():
     rng = random.Random(20261018)
     cases = [random_boolean_gens(rng, n) for n in (2, 3, 4) for _ in range(4)]
+    cases += [random_boolean_gens(rng, n) for n in (5, 6) for _ in range(2)]
     cases.append([parse_matrix("1 -inf; -inf 0")])  # zmax, never closes
     for gens in cases:
-        elements, right, parent, last, closed, left = reference_closure(gens, 50 if gens[0].semiring is ZMAX else 300)
+        limit = 50 if gens[0].semiring is ZMAX else 300 if gens[0].n <= 4 else 150
+        elements, right, parent, last, closed, left = reference_closure(gens, limit)
         seed = len({elements[0], *gens})
         for cap in range(seed, len(elements) + 1):
             fm = closure(gens, cap=cap)
@@ -181,6 +185,28 @@ def test_closure_matches_reference_at_every_cap():
             assert fm.parent == parent[:cap] and fm.last == last[:cap]
             assert fm.closed == (closed and cap == len(elements))
             assert fm.left == cut(left)
+
+
+def test_boolean_row_table_product_matches_mat_mul():
+    # one table per generator, reused while later rows keep filling it
+    rng = random.Random(20261019)
+    for n in range(1, 9):
+        ident = identity(n, BOOLEAN)
+        zero_rows = matrix([[0] * n for _ in range(n)], BOOLEAN)
+        ones = matrix([[1] * n for _ in range(n)], BOOLEAN)
+
+        def rand(p):
+            rows = [[int(rng.random() < p) for _ in range(n)] for _ in range(n)]
+            rows[rng.randrange(n)] = [rng.choice((0, 1))] * n  # a zero or all-ones row
+            return matrix(rows, BOOLEAN)
+
+        factors = [ident, zero_rows, ones] + [rand(p) for p in (0.1, 0.3, 0.5, 0.8) for _ in range(3)]
+        for g in factors:
+            times_g = _right_product(n, BOOLEAN, g.rows)
+            lefts = factors + [rand(0.5) for _ in range(10)]
+            for _ in range(2):
+                for a in lefts:
+                    assert times_g(a.rows) == mat_mul(a, g).rows
 
 
 def test_cayley_table_is_right_action():
@@ -407,6 +433,56 @@ def small_random_monoids(seed, count):
         if fm.closed:
             found.append(fm)
     return found
+
+
+def test_units_read_off_the_graph_match_is_invertible():
+    # u is a unit exactly when u v = 1 for some v: a left divisor of the
+    # identity, not only a direct Cayley predecessor of it
+    named = [m2_boolean_gens(), ut_boolean_gens(2), ut_boolean_gens(3), ut_boolean_gens(4), m3_boolean_gens()]
+    swap_and_corner = [parse_matrix("-inf 0; 0 -inf"), parse_matrix("0 -inf; -inf -inf")]
+    monoids = [closure(gens) for gens in named + [swap_and_corner]]
+    monoids += small_random_monoids(20261020, 12)
+    for fm in monoids:
+        assert fm.closed
+        assert _unit_flags(fm) == [is_invertible(m) for m in fm.elements]
+    assert sum(_unit_flags(monoids[4])) == 6 and sum(_unit_flags(monoids[5])) == 2
+    m3 = monoids[4]
+    for m in m3.elements:
+        if is_invertible(m):
+            try:
+                prime_certificate(m, m3)
+                assert False
+            except ValueError as exc:
+                assert "units are excluded from primality" in str(exc)
+
+
+def finite_answers(fm):
+    """Prime flags of the non-units, rank_search at k = 0..3, irredundant."""
+    units = [is_invertible(m) for m in fm.elements]
+    return ([prime_certificate(m, fm) for m, unit in zip(fm.elements, units) if not unit],
+            [rank_search(fm, k) for k in range(4)], irredundant(fm, fm.gens))
+
+
+def test_cached_predecessor_lists_belong_to_one_monoid():
+    # each closure keeps its own predecessor lists: answers on a monoid
+    # that was asked before, or between calls on another monoid (M_2(B)
+    # twice, its elements numbered in two orders), are those of a fresh
+    # closure
+    named = [m2_boolean_gens(), ut_boolean_gens(3), ut_boolean_gens(2), m2_boolean_gens()[::-1]]
+    fresh = [finite_answers(closure(gens)) for gens in named]
+    fms = [closure(gens) for gens in named]
+    assert finite_answers(fms[0]) == fresh[0]
+    assert finite_answers(fms[0]) == fresh[0]
+    for order in ((1, 2, 3, 0), (3, 2, 0, 1), (0, 3, 1, 2)):
+        for i in order:
+            assert finite_answers(fms[i]) == fresh[i]
+    for i in (1, 0, 3, 2, 1, 3):
+        fm = fms[i]
+        units = [is_invertible(m) for m in fm.elements]
+        x = next(m for m, unit in zip(fm.elements[::-1], units[::-1]) if not unit)
+        assert prime_certificate(x, fm) == prime_certificate(x, closure(named[i]))
+        assert rank_search(fm, 3) == fresh[i][1][3]
+        assert irredundant(fm, fm.gens) == fresh[i][2]
 
 
 def test_split_test_matches_closure_oracle_on_every_unit_orbit():
