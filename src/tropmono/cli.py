@@ -172,8 +172,11 @@ def _cmd_gens(args):
 
 def _alphabet(monoid, n, semiring):
     """The realized letters of a built-in alphabet; over the Booleans,
-    tropical letters pass through the entrywise support morphism."""
+    tropical letters pass through the entrywise support morphism, while
+    a Boolean alphabet has no tropical letters (ValueError)."""
     gs = genset.generating_set(monoid, n)
+    if semiring is not gs.semiring and semiring is not BOOLEAN:
+        raise ValueError(f"the {monoid} alphabet is over the {gs.semiring.name} semiring, not {semiring.name}")
     gens = gs.realized()
     if semiring is BOOLEAN and gs.semiring is ZMAX:
         gens = [boolean_image(g) for g in gens]

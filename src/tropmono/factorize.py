@@ -12,28 +12,28 @@ Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
 row), a monomial plus one finite entry, or dense rows.  Every unit
 letter starts as a monomial, and most of every word is a product of
-them: two monomials multiply in O(n), a power of a monomial follows the
-cycles of its permutation, so its cost does not depend on the exponent,
-and a monomial times dense rows is a row gather or a column scatter,
-unrolled at n = 3 like the dense product.
+them: two monomials multiply in O(n), and a monomial times dense rows
+is a row gather or a column scatter, unrolled at n = 3 like the dense
+product.
 A diagonal monomial, whose image is the shared identity tuple, is a
-shift vector that a power scales and a product adds: a power of a
-diagonal leaf opens a run that the diagonal values after it among the
-node's parts join, summed once into one shift vector, and the unit
-returns the other operand.
+shift vector that a power scales, in O(n) for any exponent, and a
+product adds: a power of a diagonal leaf opens a run that the diagonal
+values after it among the node's parts join, summed once into one shift
+vector, and the unit returns the other operand.  Every other power
+squares and multiplies, in O(log k) products.
 For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
 entry: a monomial moves the entry in O(n), and with dense rows it is a
 gather or scatter plus one row or column max-update (only the
 max-update over the unit, as for an E letter conjugated by diagonals).
-Two such values, or a power of one, are made dense first.
-Only dense times dense is a matrix product, with binary exponentiation
-for dense powers.  Each leaf is checked against the word's alphabet
-when it is evaluated; a power of one monomial leaf, fresh in every
-word, is computed from the leaf's value and not cached.  A Matrix is
-built only for the result.  The letter count and the text form are
-each one bottom-up fold that visits every node once, a node repeating
-its parts' text k times; the distinct letters are one walk over the
-unique nodes.  Flat letter sequences are produced lazily.
+Of two such values the left one is made dense first.
+Only dense times dense is a matrix product.  Each leaf is checked
+against the word's alphabet when it is evaluated; a power of one
+diagonal leaf, fresh in every word, is computed from the leaf's value
+and not cached.  A Matrix is built only for the result.  The letter
+count and the text form are each one bottom-up fold that visits every
+node once, a node repeating its parts' text k times; the distinct
+letters are one walk over the unique nodes.  Flat letter sequences are
+produced lazily.
 
 The five factorizations:
 
@@ -253,8 +253,7 @@ def _rows(v):
 
 
 # A monomial (img, sh) times dense rows.  gather: row i is row img[i] of
-# b plus sh[i]; scatter: column img[k] is column k of a plus sh[k];
-# shift, for a diagonal on the right: column j plus sh[j].
+# b plus sh[i]; scatter: column img[k] is column k of a plus sh[k].
 def _gather(img, sh, b):
     return tuple([tuple([s + x for x in b[k]]) for k, s in zip(img, sh)])
 
@@ -264,10 +263,6 @@ def _scatter(img, sh, a):
     for k, j in enumerate(img):
         src[j] = k
     return tuple([tuple([row[k] + sh[k] for k in src]) for row in a])
-
-
-def _shift(sh, a):
-    return tuple([tuple([x + s for x, s in zip(row, sh)]) for row in a])
 
 
 # The same, unrolled for 3x3 rows like matrix._mul3; _SRC3[img][j] is
@@ -288,18 +283,13 @@ def _scatter3(img, sh, a):
     return ((x[i] + s, x[j] + t, x[k] + u), (y[i] + s, y[j] + t, y[k] + u), (z[i] + s, z[j] + t, z[k] + u))
 
 
-def _shift3(sh, a):
-    s, t, u = sh
-    (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = a
-    return ((x1 + s, x2 + t, x3 + u), (y1 + s, y2 + t, y3 + u), (z1 + s, z2 + t, z3 + u))
-
-
 def _times(a, b, ev):
     """The product of two values, with ev's kernels.  The unit returns
-    the other value; a monomial moves a _Plus's entry, a _Plus times
-    dense rows adds one row max-update and dense rows times a _Plus one
-    column max-update; of two _Plus values the left one is made dense
-    first."""
+    the other value; a monomial times dense rows gathers their rows and
+    dense rows times a monomial, diagonal or not, scatter their columns;
+    a monomial moves a _Plus's entry, a _Plus times dense rows adds one
+    row max-update and dense rows times a _Plus one column max-update; of
+    two _Plus values the left one is made dense first."""
     ta, tb = type(a), type(b)
     if ta is _Mono:
         img, sh = a.img, a.sh
@@ -327,10 +317,9 @@ def _times(a, b, ev):
             return tuple(rows)
         a = _rows(a)
     if tb is _Mono:
-        img, sh = b.img, b.sh
-        if img is _IDENT[len(img)]:
-            return ev.shift(sh, a) if any(sh) else a
-        return ev.scatter(img, sh, a)
+        if b.img is _IDENT[len(b.img)] and not any(b.sh):
+            return a
+        return ev.scatter(b.img, b.sh, a)
     if tb is _Plus:
         # Column c of the product also takes column r of a plus v.
         r, c, v = b.r, b.c, b.v
@@ -338,61 +327,31 @@ def _times(a, b, ev):
     return ev.mul(a, b)
 
 
-def _mono_pow(a: _Mono, k: int) -> _Mono:
-    """a^k along the cycles of a's permutation: on a cycle of length L
-    with shift sum S, write k = qL + r; row i moves r steps along its
-    cycle and picks up q*S plus the r shifts it passes."""
-    img, sh = a.img, a.sh
-    n = len(img)
-    if img is _IDENT[n]:
-        return _Mono(_IDENT[n], tuple([k * s for s in sh]))
-    out_img = list(range(n))
-    # A fixed point keeps its column and multiplies its shift by k.
-    out_sh = [k * s for s in sh]
-    seen = [i == j for i, j in enumerate(img)]
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = img[i]
-        size = len(cyc)
-        q, r = divmod(k, size)
-        shifts = [sh[i] for i in cyc]
-        whole = q * sum(shifts)
-        ring = shifts + shifts
-        for p, i in enumerate(cyc):
-            out_img[i] = cyc[(p + r) % size]
-            out_sh[i] = whole + sum(ring[p:p + r])
-    return _Mono(_ident(tuple(out_img)), tuple(out_sh))
-
-
 def _power(v, k: int, ev):
+    """v^k: a diagonal monomial multiplies its shifts by k, in O(n) for
+    any k; any other value squares and multiplies with _times, in
+    O(log k) products."""
     if k == 0:
         return ev.unit
-    if type(v) is _Mono:
-        return _mono_pow(v, k)
-    v = _rows(v)
-    mul = ev.mul
+    if type(v) is _Mono and v.img is ev.ident:
+        return _Mono(ev.ident, tuple([k * s for s in v.sh]))
     acc = None
     while k:
         if k & 1:
-            acc = v if acc is None else mul(acc, v)
+            acc = v if acc is None else _times(acc, v, ev)
         k >>= 1
         if k:
-            v = mul(v, v)
+            v = _times(v, v, ev)
     return acc
 
 
 class _Eval:
     """What evaluation needs at every node of a word with this monoid
     and n, all read off its alphabet: among it the dense product and the
-    monomial-times-dense kernels, unrolled at n = 3."""
+    two monomial-times-dense kernels, gather and scatter, unrolled at
+    n = 3."""
 
-    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "shift", "unit", "plus")
+    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "unit", "plus")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
@@ -400,7 +359,7 @@ class _Eval:
         self.ident = _IDENT[n]
         self.semiring = semiring = self.alphabet.semiring
         self.mul = _row_product(n, semiring)
-        self.gather, self.scatter, self.shift = (_gather3, _scatter3, _shift3) if n == 3 else (_gather, _scatter, _shift)
+        self.gather, self.scatter = (_gather3, _scatter3) if n == 3 else (_gather, _scatter)
         if semiring is ZMAX:
             self.unit = _Mono(self.ident, (0,) * n)
         else:
@@ -447,17 +406,15 @@ def _value(node, key, ev: _Eval):
             k = 1
             v = p._vals.get(key)
             if v is None:
-                # A power of one monomial leaf is fresh per word: not cached.
+                # A power of one diagonal leaf is fresh per word: not cached.
                 leaf = p.parts[0] if type(p) is _Node and len(p.parts) == 1 else None
                 if type(leaf) is Generator:
                     v = leaf._vals.get(key) or _value(leaf, key, ev)
-                if type(v) is not _Mono:
-                    v = _value(p, key, ev)
-                elif v.img is not ev.ident:
-                    v = _mono_pow(v, p.k)
-                else:
+                if type(v) is _Mono and v.img is ev.ident:
                     k = p.k
                     run = run or [0] * ev.n
+                else:
+                    v = _value(p, key, ev)
             if run and type(v) is _Mono and v.img is ev.ident:
                 for i, s in enumerate(v.sh):
                     if s:
@@ -725,76 +682,68 @@ def _m2_corner(L, x, y, z):
     return _cat([_b2(L, x), L.F, _b2(L, z), L.D, L.F, _b2(L, y - z)])
 
 
-def _m2_row1(L, x, y):
-    # [[-inf, -inf], [x, y]] = C F B(y) D B(x - y)
-    return _cat([L.C, L.F, _b2(L, y), L.D, _b2(L, x - y)])
-
-
-def _m2_col1(L, x, y):
-    # [[-inf, x], [-inf, y]] = B(x) F B(y) D F C
-    return _cat([_b2(L, x), L.F, _b2(L, y), L.D, L.F, L.C])
-
-
-def _factor_m2_node(g, L):
-    """The word for the 2x2 rows g, written in the letters L."""
-    (a, b), (c, d) = g
-    bottoms = frozenset(
-        (i, j) for i, row in enumerate(g, 1) for j, x in enumerate(row, 1) if x == BOTTOM
-    )
-    C, F = L.C, L.F
-    z = len(bottoms)
-    if z == 4:
-        return _Node((C, F, C))
-    if z == 3:
-        # Route the single finite entry to (2,1), where C F B(x) puts it.
-        if (1, 1) not in bottoms:
-            return _cat([F, C, F, _b2(L, a)])
-        if (1, 2) not in bottoms:
-            return _cat([F, C, F, _b2(L, b), F])
-        if (2, 1) not in bottoms:
-            return _cat([C, F, _b2(L, c)])
-        return _cat([C, F, _b2(L, d), F])
-    if z == 2:
-        if bottoms == {(1, 1), (1, 2)}:
-            return _m2_row1(L, c, d)
-        if bottoms == {(2, 1), (2, 2)}:
-            return _cat([F, _m2_row1(L, a, b)])
-        if bottoms == {(1, 1), (2, 1)}:
-            return _m2_col1(L, b, d)
-        if bottoms == {(1, 2), (2, 2)}:
-            return _cat([_m2_col1(L, a, c), F])
-        if bottoms == {(1, 1), (2, 2)}:
-            return _cat([_b2(L, b), F, _b2(L, c)])
-        # Diagonal (x, y): the anti-diagonal word times a column swap.
-        return _cat([_b2(L, a), F, _b2(L, d), F])
-    if z == 1:
-        if (1, 1) in bottoms:
-            return _m2_corner(L, b, c, d)
-        if (1, 2) in bottoms:
-            return _cat([_m2_corner(L, a, d, c), F])
-        if (2, 1) in bottoms:
-            return _cat([F, _m2_corner(L, d, a, b)])
-        return _cat([F, _m2_corner(L, c, b, a), F])
+def _m2_dense(L, a, b, c, d):
     # No bottoms.  m = G B(b) F B(a) where G = [[0, 0], [x, y]] collects
     # the row differences; G itself splits into two one-bottom matrices,
     # by cases on the order of x and y.
     x = d - b
     y = c - a
     if y <= x:
-        g = _cat([_m2_corner(L, 0, y, y), _m2_corner(L, x - y, 0, 0), F])
+        g = _cat([_m2_corner(L, 0, y, y), _m2_corner(L, x - y, 0, 0), L.F])
     else:
         g = _cat([
-            F, _m2_corner(L, 0, -x, -y), F,
-            F, _m2_corner(L, x, y, x), F,
+            L.F, _m2_corner(L, 0, -x, -y), L.F,
+            L.F, _m2_corner(L, x, y, x), L.F,
         ])
-    return _cat([g, _b2(L, b), F, _b2(L, a)])
+    return [g, _b2(L, b), L.F, _b2(L, a)]
+
+
+# The 2x2 normal forms by bottom mask (bit 2(i-1) + (j-1) set when entry
+# (i, j) is -inf): the word parts for the entries a, b, c, d of
+# [[a, b], [c, d]].  One finite entry sits at (2,1), where C F B(x) puts it.
+_M2_FORMS = {
+    0b0000: _m2_dense,
+    0b0001: lambda L, a, b, c, d: [_m2_corner(L, b, c, d)],
+    # [[-inf, -inf], [c, d]] = C F B(d) D B(c - d)
+    0b0011: lambda L, a, b, c, d: [L.C, L.F, _b2(L, d), L.D, _b2(L, c - d)],
+    # [[-inf, b], [-inf, d]] = B(b) F B(d) D F C
+    0b0101: lambda L, a, b, c, d: [_b2(L, b), L.F, _b2(L, d), L.D, L.F, L.C],
+    0b1001: lambda L, a, b, c, d: [_b2(L, b), L.F, _b2(L, c)],
+    0b1011: lambda L, a, b, c, d: [L.C, L.F, _b2(L, c)],
+    0b1111: lambda L, a, b, c, d: [L.C, L.F, L.C],
+}
+
+
+@cache
+def _m2_route(mask: int):
+    # s = 2l + r for the route (l, r) of the mask, and its normal form
+    for s in range(4):
+        form = _M2_FORMS.get(sum(1 << k for k in range(4) if mask >> (k ^ s) & 1))
+        if form is not None:
+            return s, form
+
+
+def _factor_m2_node(g, L):
+    """The word for the 2x2 rows g, written in the letters L.
+
+    The route (l, r) is the first pair in the order (0,0), (0,1), (1,0),
+    (1,1) such that swapping the rows (l = 1) and the columns (r = 1)
+    brings g to a normal form; entry k of the swapped matrix is entry
+    k ^ (2l + r) of g.  The word is F^l, the normal form's word, F^r,
+    since F swaps the rows on the left, the columns on the right, and
+    F F = I.
+    """
+    f = g[0] + g[1]
+    s, form = _m2_route(sum(1 << k for k in range(4) if f[k] == BOTTOM))
+    return _cat([L.F if s & 2 else None, *form(L, f[s], f[1 ^ s], f[2 ^ s], f[3 ^ s]), L.F if s & 1 else None])
 
 
 def factor_m2(m: Matrix) -> Word:
     """Factor any 2x2 tropical matrix over the four-letter alphabet.
 
-    Total: dispatches on the set of -inf positions; the no-bottom case
-    peels a difference matrix that splits into one-bottom pieces.
+    Total: row and column swaps bring the -inf positions to one of seven
+    normal forms; the no-bottom one peels a difference matrix that
+    splits into one-bottom pieces.
     """
     if m.semiring is not ZMAX:
         raise MembershipError("factor_m2 expects a zmax matrix")

@@ -27,7 +27,7 @@ only, walked back over predecessor lists built once per monoid; the
 units are the left divisors of the identity.  A prime is a non-unit that
 no two non-units multiply to; a unit orbit U x U that no two elements
 outside it multiply into is required, met by every generating set, and
-rank_search prunes by these orbits, built from unit rows and words.
+rank_search prunes by these orbits, read off rows of products.
 """
 
 from __future__ import annotations
@@ -155,13 +155,14 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                         first.append(a)
                         suffix.append(r)
                 row.append(i)
-        # g * e = (g * parent[e]) * last[e]
+        # g * e = (g * parent[e]) * last[e], multiplied out only where g *
+        # parent[e] passed the cap (a -1 right edge stays -1: no element
+        # joins after the cap is met)
         for e in range(lo, hi):
-            row = [cayley[i][last[e]] if i >= 0 else -1 for i in left[parent[e]]]
-            for gi, i in enumerate(row):
-                if i < 0:
-                    row[gi] = index.get(mul(grows[gi], elements[e].rows), -1)
-            left.append(row)
+            rows, step = elements[e].rows, last[e]
+            left.append([
+                cayley[i][step] if i >= 0 else index.get(mul(g, rows), -1) for i, g in zip(left[parent[e]], grows)
+            ])
         lo = hi
     return FiniteMonoid(n, semiring, elements, gen_idx, cayley, left, parent, last, closed, index)
 
@@ -186,13 +187,6 @@ def _word(fm: FiniteMonoid, f: int) -> list:
         f = fm.parent[f]
     word.reverse()
     return word
-
-
-def _walk(fm: FiniteMonoid, e: int, word) -> int:
-    """e times the product of the word's generators."""
-    for g in word:
-        e = fm.cayley[e][g]
-    return e
 
 
 # -- J-classes -------------------------------------------------------------
@@ -342,13 +336,14 @@ def rank_search(fm: FiniteMonoid, k: int):
         raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
     size = len(fm.elements)
     units = _unit_flags(fm)
-    unit_rows = [_products(fm, u) for u in range(size) if units[u]]
-    unit_words = [_word(fm, v) for v in range(size) if units[v]]
+    unit_ids = [u for u in range(size) if units[u]]
+    unit_rows = [_products(fm, u) for u in unit_ids]
     orbits, seen = [], set()
     for x in range(size):
         if units[x] or x in seen:
             continue
-        orbit = {row[_walk(fm, x, word)] for row in unit_rows for word in unit_words}
+        x_row = _products(fm, x)
+        orbit = {row[x_row[v]] for row in unit_rows for v in unit_ids}
         seen |= orbit
         if not _splits(fm, x, [e not in orbit for e in range(size)]):
             orbits.append(orbit)

@@ -324,6 +324,14 @@ def test_max_x_is_a_gens_option_only(cmd, capsys):
     assert rc == 0 and out.splitlines()[-2:] == ["X(0)", "letters: 5, symbolic: true"]
 
 
+@pytest.mark.parametrize("cmd", [["closure"], ["rank", "-k", "2"], ["irredundant"]])
+def test_boolean_alphabet_over_zmax_exits_2(cmd, capsys):
+    # a Boolean alphabet has no tropical letters to enumerate
+    rc, out, err = run(cmd + ["--monoid", "ut_boolean", "-n", "2", "--semiring", "zmax", "--json"], capsys)
+    assert rc == 2 and out == ""
+    assert "error: the ut_boolean alphabet is over the boolean semiring, not zmax" in err
+
+
 def test_closure_from_gens_file(tmp_path, capsys):
     f = tmp_path / "gens.txt"
     f.write_text("1 1; 0 1\n0 0; 0 1\n1 0; 0 0\n")

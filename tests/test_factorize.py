@@ -22,7 +22,6 @@ from tropmono.factorize import (
     _gl_perm_node,
     _gl_slot_node,
     _leaf_value,
-    _mono_pow,
     _pow,
     _power,
     _times,
@@ -320,7 +319,7 @@ def monomials_and_dense(draw):
         if how == "leaf":
             return leaf()
         if how == "power":
-            return _mono_pow(leaf(), draw(st.integers(0, 10 ** 4)))
+            return _power(leaf(), draw(st.integers(0, 10 ** 4)), ev)
         if how == "product":
             return _times(leaf(), leaf(), ev)
         m = mono()
@@ -384,10 +383,10 @@ def test_value_products_match_mat_mul(values, k):
             assert product is a
     # a diagonal is found by its shared identity image, also after a power
     for d in diagonals:
-        assert d.img is _IDENT[n] and _mono_pow(d, k).img is _IDENT[n]
-        assert mono_matrix(_mono_pow(d, k)) == mat_pow(mono_matrix(d), k)
+        assert d.img is _IDENT[n] and _power(d, k, kernels).img is _IDENT[n]
+        assert mono_matrix(_power(d, k, kernels)) == mat_pow(mono_matrix(d), k)
     a = monos[0]
-    assert mono_matrix(_mono_pow(a, k)) == mat_pow(mono_matrix(a), k)
+    assert mono_matrix(_power(a, k, kernels)) == mat_pow(mono_matrix(a), k)
     ev = _Eval("ut", n)
     for p in pluses:
         assert value_matrix(_power(p, k, ev)) == mat_pow(value_matrix(p), k)
@@ -396,12 +395,11 @@ def test_value_products_match_mat_mul(values, k):
 def test_unrolled_3x3_kernels_match_mat_mul_on_every_image():
     # every image in S_3, with shifts that hold zeros and negatives, on
     # both sides of dense rows with -inf entries, a -inf row and a -inf
-    # column: a monomial on the left gathers, on the right it scatters,
-    # a diagonal on the right shifts
+    # column: a monomial on the left gathers, on the right it scatters
     from tropmono import factorize
 
     ev = _Eval("m3", 3)
-    assert (ev.gather, ev.scatter, ev.shift) == (factorize._gather3, factorize._scatter3, factorize._shift3)
+    assert (ev.gather, ev.scatter) == (factorize._gather3, factorize._scatter3)
     shifts = [(0, 0, 0), (0, -4, 7), (-1, -2, -3), (5, 0, -9)]
     dense = [
         ((1, BOTTOM, 3), (-4, 5, BOTTOM), (BOTTOM, 8, -9)),
@@ -439,7 +437,7 @@ def test_m3_words_evaluate_without_the_generic_kernels(monkeypatch):
 
         return counted
 
-    for name in ("_gather", "_scatter", "_shift", "_gather3", "_scatter3", "_shift3"):
+    for name in ("_gather", "_scatter", "_gather3", "_scatter3"):
         monkeypatch.setattr(factorize, name, counting(name))
     monkeypatch.setattr(factorize, "_eval_context", cache(_Eval))
     rng = random.Random(18)
@@ -448,7 +446,7 @@ def test_m3_words_evaluate_without_the_generic_kernels(monkeypatch):
         rand = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
         for m in (grid, rand):
             assert evaluate(factor_m3(m)) == m
-    assert set(calls) == {"_gather3", "_scatter3", "_shift3"}
+    assert set(calls) == {"_gather3", "_scatter3"}
 
 
 def test_monomial_powers_with_huge_exponents_are_exact():
@@ -459,6 +457,25 @@ def test_monomial_powers_with_huge_exponents_are_exact():
         for i in range(1, n + 1):
             w = Word("ut", n, _pow(diag_letter(i, 1), 10 ** 30))
             assert evaluate(w) == construct_A(i, 10 ** 30, n)
+
+    def check_powers(monoid, n, node, m):
+        # m is the sub-word's matrix, built without evaluation
+        for k in (0, 1, n - 1, n, 10 ** 20 + 3):
+            assert evaluate(Word(monoid, n, _pow(node, k))) == mat_pow(m, k), (monoid, n, k)
+
+    # every value but a diagonal monomial squares and multiplies: non-diagonal
+    # monomials, _Plus values from n = 4 (a u letter, and a diagonal times an
+    # E letter), dense rows at n = 3
+    for n in range(2, 7):
+        for perm in (Perm.from_cycles(n, [tuple(range(1, n + 1))]), Perm.transposition(n, 1, n)):
+            check_powers("gl", n, _gl_perm_node(n, perm), construct_P(perm))
+    for n in range(4, 7):
+        check_powers("u", n, _Node((elem_letter(1, n, 7),)), construct_E(1, n, n, lam=7))
+        e_times_a = mat_mul(construct_A(1, 1, n), construct_E(1, 2, n, lam=0))
+        check_powers("ut", n, _Node((diag_letter(1, 1), elem_letter(1, 2, 0))), e_times_a)
+    e12 = construct_E(1, 2, 3, lam=0)
+    check_powers("m3", 3, _Node((elem_letter(1, 2, 0),)), e12)
+    check_powers("m3", 3, _Node((elem_letter(1, 2, 0), _gl_slot_node(3, 1, 1))), mat_mul(e12, construct_A(1, 1, 3)))
 
 
 def test_cached_values_do_not_vouch_for_another_alphabet():
