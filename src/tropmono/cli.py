@@ -183,17 +183,29 @@ def _alphabet(monoid, n, semiring):
     return gens
 
 
-def _closure(args):
+def _closure(args, finite_only=False):
     """The finite monoid of closure-like commands, generated by
     --gens-file or a built-in alphabet over --semiring (default
-    boolean)."""
+    boolean).  With finite_only, a zmax generator whose powers are
+    pairwise distinct is refused (ValueError) before any enumeration."""
     semiring = semiring_by_name(args.semiring)
     if args.gens_file:
-        gens = [m for _, m in _read_matrices(args.gens_file, semiring, "gens")]
+        read = _read_matrices(args.gens_file, semiring, "gens")
+        gens = [m for _, m in read]
+        names = [f"the generator on line {no}" for no, _ in read]
     elif not args.monoid:
         raise ValueError("closure needs --gens-file or --monoid")
     else:
-        gens = _alphabet(args.monoid, _monoid_n(args), semiring)
+        n = _monoid_n(args)
+        gens = _alphabet(args.monoid, n, semiring)
+        names = [f"letter {g.text()}" for g in genset.generating_set(args.monoid, n).letters]
+    witness = finite.infinite_witness(gens) if finite_only else None
+    if witness is not None:
+        gi, mean = witness
+        raise ValueError(
+            f"{args.command} needs a finite monoid, but {names[gi]} has maximum cycle mean {mean}, "
+            "not 0, so its powers are pairwise distinct"
+        )
     return finite.closure(gens, cap=args.cap)
 
 
@@ -221,7 +233,7 @@ def _cmd_closure(args):
 
 
 def _cmd_rank(args):
-    fm = _closure(args)
+    fm = _closure(args, finite_only=True)
     subset = finite.rank_search(fm, args.k)
     found = subset is not None
     report = {
@@ -236,7 +248,7 @@ def _cmd_rank(args):
 
 
 def _cmd_irredundant(args):
-    fm = _closure(args)
+    fm = _closure(args, finite_only=True)
     flags = finite.irredundant(fm, fm.gens)
     lines = [f"gen {i}: {'necessary' if f else 'redundant'}" for i, f in enumerate(flags)]
     return {"command": "irredundant", "gens": len(flags), "necessary": flags}, lines

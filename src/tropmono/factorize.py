@@ -17,15 +17,20 @@ is a row gather or a column scatter, unrolled at n = 3 like the dense
 product.
 A diagonal monomial, whose image is the shared identity tuple, is a
 shift vector that a power scales, in O(n) for any exponent, and a
-product adds: a power of a diagonal leaf opens a run that the diagonal
-values after it among the node's parts join, summed once into one shift
-vector, and the unit returns the other operand.  Every other power
+product adds; the unit returns the other operand.  Every other power
 squares and multiplies, in O(log k) products.
 For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
 entry: a monomial moves the entry in O(n), and with dense rows it is a
 gather or scatter plus one row or column max-update (only the
-max-update over the unit, as for an E letter conjugated by diagonals).
-Of two such values the left one is made dense first.
+max-update over the unit); the column update rebuilds only the rows it
+raises.  Of two such values the left one is made dense first.
+The diagonal values among a node's parts are held back as one pending
+diagonal, summed into one shift vector from the second on.  Since
+diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), an E letter over a
+diagonal moves its entry past the pending diagonal instead of
+multiplying it in, so the slot scalings that conjugate each E letter
+of a ut word cancel without a product; any other value multiplies the
+pending diagonal in first, and one that sums to zero is dropped.
 Only dense times dense is a matrix product.  Each leaf is checked
 against the word's alphabet when it is evaluated; a power of one
 diagonal leaf, fresh in every word, is computed from the leaf's value
@@ -121,7 +126,7 @@ def _cat(parts):
 
 def _pow(node, k: int):
     # A single repeat of a sub-word is the sub-word; a letter keeps its
-    # wrapper, since a leaf power opens a diagonal run.
+    # wrapper, since a diagonal leaf power joins a pending diagonal.
     return node if k == 1 and type(node) is _Node else _Node((node,), k)
 
 
@@ -266,7 +271,9 @@ def _scatter(img, sh, a):
 
 
 # The same, unrolled for 3x3 rows like matrix._mul3; _SRC3[img][j] is
-# the column of a that lands in column j.
+# the column of a that lands in column j.  The identity image, about half
+# of the scatters in m3 words, skips the lookup.
+_IDENT3 = _IDENT[3]
 _SRC3 = {img: tuple([img.index(j) for j in range(3)]) for img in itertools.permutations(range(3))}
 
 
@@ -277,6 +284,10 @@ def _gather3(img, sh, b):
 
 
 def _scatter3(img, sh, a):
+    if img is _IDENT3:
+        s, t, u = sh
+        (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = a
+        return ((x1 + s, x2 + t, x3 + u), (y1 + s, y2 + t, y3 + u), (z1 + s, z2 + t, z3 + u))
     i, j, k = _SRC3[img]
     s, t, u = sh[i], sh[j], sh[k]
     x, y, z = a
@@ -288,8 +299,9 @@ def _times(a, b, ev):
     the other value; a monomial times dense rows gathers their rows and
     dense rows times a monomial, diagonal or not, scatter their columns;
     a monomial moves a _Plus's entry, a _Plus times dense rows adds one
-    row max-update and dense rows times a _Plus one column max-update; of
-    two _Plus values the left one is made dense first."""
+    row max-update and dense rows times a _Plus one column max-update,
+    which rebuilds only the rows whose entry it raises; of two _Plus
+    values the left one is made dense first."""
     ta, tb = type(a), type(b)
     if ta is _Mono:
         img, sh = a.img, a.sh
@@ -321,9 +333,15 @@ def _times(a, b, ev):
             return a
         return ev.scatter(b.img, b.sh, a)
     if tb is _Plus:
-        # Column c of the product also takes column r of a plus v.
+        # Column c of the product also takes column r of a plus v: only
+        # the rows where that is larger are rebuilt.
         r, c, v = b.r, b.c, b.v
-        return tuple([row[:c] + (max(row[c], x[r] + v),) + row[c + 1:] for row, x in zip(_times(a, b.m, ev), a)])
+        rows = list(_times(a, b.m, ev))
+        for i, x in enumerate(a):
+            y = x[r] + v
+            if y > rows[i][c]:
+                rows[i] = rows[i][:c] + (y,) + rows[i][c + 1:]
+        return tuple(rows)
     return ev.mul(a, b)
 
 
@@ -387,7 +405,20 @@ def _leaf_value(g: Generator, ev: _Eval):
     return m.rows
 
 
+def _then_run(val, run, ev: _Eval):
+    """val (None for the unit) times the diagonal of the summed shifts
+    run; a run that sums to zero is dropped."""
+    if not any(run):
+        return val
+    d = _Mono(ev.ident, tuple(run))
+    return d if val is None else _times(val, d, ev)
+
+
 def _value(node, key, ev: _Eval):
+    """The node's value under key, the word's (monoid, n), cached on the
+    node: a leaf's from its letter, any other node's as the product of
+    its parts' values with their diagonals held back as one pending
+    diagonal that E letters pass, then raised to the node's k."""
     hit = node._vals.get(key)
     if hit is not None:
         return hit
@@ -395,13 +426,17 @@ def _value(node, key, ev: _Eval):
         val = _leaf_value(node, ev)
     else:
         # The parts are evaluated even for k = 0, so their letters are
-        # checked.  Diagonal values commute with each other, so a power of
-        # a diagonal leaf opens a run, a list of shifts that the diagonal
-        # values after it are added into; it becomes one _Mono where a
-        # non-diagonal value or the end of the parts meets it.  Any other
-        # value multiplies in as it comes, so words without diagonal leaf
-        # powers (most m3 words) keep no run.
-        val = run = None
+        # checked.  Diagonal values commute with each other, and
+        # diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), so the
+        # diagonal parts are held back as one pending diagonal dia: a
+        # lone one as its _Mono, from the second on (or from a leaf
+        # power) a list of shifts they are added into.  A _Plus over a
+        # diagonal moves its entry past dia; any other value, and the
+        # end of the parts, multiply dia in first (a list that sums to
+        # zero is dropped).  So a pending diagonal costs no product
+        # until a non-diagonal value meets it.
+        val = dia = None
+        ident = ev.ident
         for p in node.parts:
             k = 1
             v = p._vals.get(key)
@@ -410,23 +445,35 @@ def _value(node, key, ev: _Eval):
                 leaf = p.parts[0] if type(p) is _Node and len(p.parts) == 1 else None
                 if type(leaf) is Generator:
                     v = leaf._vals.get(key) or _value(leaf, key, ev)
-                if type(v) is _Mono and v.img is ev.ident:
+                if type(v) is _Mono and v.img is ident:
                     k = p.k
-                    run = run or [0] * ev.n
                 else:
                     v = _value(p, key, ev)
-            if run and type(v) is _Mono and v.img is ev.ident:
+            if type(v) is _Mono and v.img is ident:
+                if dia is None and k == 1:
+                    dia = v
+                    continue
+                if type(dia) is not list:
+                    dia = [0] * ev.n if dia is None else list(dia.sh)
                 for i, s in enumerate(v.sh):
                     if s:
-                        run[i] += k * s
+                        dia[i] += k * s
                 continue
-            if run:
-                run, d = None, _Mono(ev.ident, tuple(run))
-                val = d if val is None else _times(val, d, ev)
+            if dia is not None:
+                if type(v) is _Plus and v.m.img is ident:
+                    sh = dia if type(dia) is list else dia.sh
+                    v = _Plus(v.m, v.r, v.c, v.v + sh[v.r] - sh[v.c])
+                else:
+                    if type(dia) is list:
+                        val = _then_run(val, dia, ev)
+                    else:
+                        val = dia if val is None else _times(val, dia, ev)
+                    dia = None
             val = v if val is None else _times(val, v, ev)
-        if run:
-            d = _Mono(ev.ident, tuple(run))
-            val = d if val is None else _times(val, d, ev)
+        if type(dia) is list:
+            val = _then_run(val, dia, ev)
+        elif dia is not None:
+            val = dia if val is None else _times(val, dia, ev)
         if val is None:
             val = ev.unit
         elif node.k != 1:

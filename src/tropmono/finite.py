@@ -36,6 +36,7 @@ import itertools
 from collections import deque
 
 from .matrix import Matrix, _mk, _right_product, _row_product, format_matrix, identity
+from .semiring import BOTTOM, ZMAX
 
 DEFAULT_CAP = 10 ** 6
 
@@ -165,6 +166,31 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             ])
         lo = hi
     return FiniteMonoid(n, semiring, elements, gen_idx, cayley, left, parent, last, closed, index)
+
+
+def infinite_witness(gens):
+    """The first zmax generator whose maximum cycle mean is finite and
+    nonzero, as (its index, the mean), or None.
+
+    The mean is the largest (g^k)_ii / k over k <= n (Karp, 1978).  If it
+    is positive, the diagonal of g^(ml) grows without bound along a best
+    cycle of length l; if negative, the finite entries of g^k fall below
+    any bound while that diagonal stays finite.  Either way g has
+    infinitely many powers, so no two are equal and the monoid is
+    infinite.  None proves nothing: the test is sufficient only.
+    """
+    from fractions import Fraction  # here: importing it costs a few ms
+
+    for gi, g in enumerate(gens):
+        if g.semiring is not ZMAX:
+            return None
+        mul, p, means = _row_product(g.n, ZMAX), g.rows, []
+        for k in range(1, g.n + 1):
+            means += [Fraction(p[i][i], k) for i in range(g.n) if p[i][i] != BOTTOM]
+            p = mul(p, g.rows)
+        if means and max(means):
+            return gi, max(means)
+    return None
 
 
 # -- products as Cayley walks ------------------------------------------------

@@ -332,6 +332,38 @@ def test_boolean_alphabet_over_zmax_exits_2(cmd, capsys):
     assert "error: the ut_boolean alphabet is over the boolean semiring, not zmax" in err
 
 
+@pytest.mark.parametrize("cmd", [["rank", "-k", "2"], ["irredundant"]])
+def test_infinite_zmax_monoid_exits_2_before_enumerating(cmd, tmp_path, monkeypatch, capsys):
+    # a letter with a nonzero cycle mean has pairwise distinct powers, so
+    # the commands that need a closed monoid refuse without a closure
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure was called")
+
+    monkeypatch.setattr(cli.finite, "closure", no_closure)
+    rc, out, err = run(cmd + ["--monoid", "m2", "--semiring", "zmax"], capsys)
+    assert rc == 2 and out == ""
+    assert f"error: {cmd[0]} needs a finite monoid, but letter A has maximum cycle mean -1/2, not 0" in err
+    f = tmp_path / "gens.txt"
+    f.write_text("-inf 0; 0 -inf\n\n1 -inf; -inf 0\n")
+    rc, out, err = run(cmd + ["--gens-file", str(f), "--semiring", "zmax"], capsys)
+    assert rc == 2 and out == ""
+    assert "but the generator on line 3 has maximum cycle mean 1, not 0" in err
+    # closure itself still walks to its cap
+    monkeypatch.undo()
+    rc, out, _ = run(["closure", "--monoid", "m2", "--semiring", "zmax", "--cap", "50"], capsys)
+    assert rc == 0 and out == "elements: 50, closed: false (cap 50 reached)\n"
+
+
+def test_closed_zmax_monoid_is_not_refused(tmp_path, capsys):
+    # the 0/-inf permutation matrices of S_3 form a closed zmax monoid
+    f = tmp_path / "gens.txt"
+    f.write_text("-inf 0 -inf; -inf -inf 0; 0 -inf -inf\n-inf 0 -inf; 0 -inf -inf; -inf -inf 0\n")
+    rc, out, _ = run(["rank", "--gens-file", str(f), "--semiring", "zmax", "-k", "2"], capsys)
+    assert rc == 0 and out == "elements: 6\nfound: true, subset: 1 2\n"
+    rc, out, _ = run(["irredundant", "--gens-file", str(f), "--semiring", "zmax"], capsys)
+    assert rc == 0 and out == "gen 0: necessary\ngen 1: necessary\n"
+
+
 def test_closure_from_gens_file(tmp_path, capsys):
     f = tmp_path / "gens.txt"
     f.write_text("1 1; 0 1\n0 0; 0 1\n1 0; 0 0\n")

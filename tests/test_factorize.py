@@ -604,12 +604,13 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
         # the letters' own values are cached by the first two words
         for i in (1, n):
             evaluate(Word("ut", n, _ut_diag_node(n, i, -3)))
-        # a = -1 powers each letter once: still one run
+        # a = -1 powers each letter once: still one run, except at n = 1,
+        # where the word is NEG_I alone and its value is the letter's own
         for i, a in itertools.product(range(1, n + 1), (-(10 ** 6), -1)):
             calls.update(times=0, mono=0)
             w = Word("ut", n, _ut_diag_node(n, i, a))
             assert evaluate(w) == construct_A(i, a, n)
-            assert calls == {"times": 0, "mono": 1}
+            assert calls == {"times": 0, "mono": 0 if (n, a) == (1, -1) else 1}
         # a diagonal sub-node, its value already cached, joins the run
         sub = _ut_diag_node(n, n, -5)
         evaluate(Word("ut", n, sub))
@@ -617,14 +618,121 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
         w = Word("ut", n, _Node((_pow(NEG_I, 2), sub, _pow(NEG_I, 3))))
         assert evaluate(w).rows == own_eval(w)
         assert calls == {"times": 0, "mono": 1}
-    # a whole ut word: each run is one monomial; summing leaf powers one
-    # product at a time made 185 calls
+    # a whole ut word: each run is one monomial, and the slot scalings
+    # around each E letter cancel in the pending diagonal; summing leaf
+    # powers one product at a time made 185 calls, and multiplying each
+    # conjugating diagonal in made 95
     rng = random.Random(17)
     m = matrix([[rng.randint(-10 ** 6, 10 ** 6) if j >= i else BOTTOM for j in range(6)] for i in range(6)])
     w = factor_ut(m)
     calls.update(times=0, mono=0)
     assert evaluate(w) == m
-    assert calls["times"] <= 95
+    assert calls["times"] <= 29
+
+
+@st.composite
+def commuting_dags(draw):
+    """ut and u words at n = 4..8 whose nodes mix E letters with pending
+    diagonals: leaf powers (k = 0 included), nested diagonal sub-nodes,
+    a slot scaling and its inverse (a run that sums to zero), E letters
+    conjugated by slot scalings, a dense bottom letter that meets a
+    pending diagonal, and nodes repeated k times (k = 0 included)."""
+    name, n = draw(st.sampled_from(["ut", "u"])), draw(st.integers(4, 8))
+    above = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    slots = st.integers(1, n)
+    nonzero = st.integers(-6, 5).map(lambda a: a if a < 0 else a + 1)
+
+    def e_letter():
+        i, j = draw(st.sampled_from(above))
+        return elem_letter(i, j, 0 if name == "ut" else draw(st.integers(-10 ** 6, 10 ** 6)))
+
+    def diagonal():
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            return _pow(draw(st.sampled_from([NEG_I, *(diag_letter(i, 1) for i in range(1, n + 1))])), draw(st.integers(0, 4)))
+        i, a = draw(slots), draw(nonzero)
+        if how == 1:
+            return _ut_diag_node(n, i, a)
+        if how == 2:
+            return _Node((_ut_diag_node(n, i, a), _ut_diag_node(n, draw(slots), draw(nonzero))))
+        return _Node((_ut_diag_node(n, i, a), _ut_diag_node(n, i, -a)))
+
+    def conjugate():
+        # slot(i, a) E(i, j, 0) slot(i, -a), as factor_ut writes E(i, j, a)
+        i, j = draw(st.sampled_from(above))
+        a = draw(nonzero)
+        return _Node((_ut_diag_node(n, i, a), elem_letter(i, j, 0), _ut_diag_node(n, i, -a)))
+
+    pieces = [e_letter]
+    if name == "ut":
+        pieces += [diagonal, diagonal, conjugate, lambda: diag_letter(draw(slots), BOTTOM)]
+    pool = [e_letter()]
+    for _ in range(draw(st.integers(1, 6))):
+        parts = []
+        for _ in range(draw(st.integers(1, 5))):
+            if draw(st.booleans()):
+                parts.append(draw(st.sampled_from(pieces))())
+            else:
+                parts.append(draw(st.sampled_from(pool)))
+        pool.append(_Node(parts, draw(st.sampled_from([1, 1, 1, 0, 2, 3]))))
+    w = Word(name, n, pool[-1])
+    assume(w.letter_count() <= 3000)
+    return w
+
+
+@given(commuting_dags())
+@settings(max_examples=150, deadline=None)
+def test_diagonals_commute_past_e_letters(w):
+    # the pending diagonal moves each E letter's entry by d[r] - d[c]; the
+    # letter-by-letter product shares no code with it
+    assert evaluate(w) == fold_letters(w)
+
+
+def test_dense_rows_times_an_e_letter_rebuild_only_the_rows_it_raises():
+    # column c takes column r plus v: a row where that is not larger,
+    # equal included, is the same row tuple in the product
+    # (entry r, entry c, raised) with v = 5: -inf at r, equal, above,
+    # far under, and -inf at c
+    cells = [(BOTTOM, 1, False), (10, 15, False), (9, 3, True), (4, 100, False), (2, BOTTOM, True)]
+    for n in (5, 7):
+        ev = _Eval("ut", n)
+        e = _leaf_value(elem_letter(1, n, 5), _Eval("u", n))
+        r, c = 0, n - 1
+        rows = []
+        for i in range(n):
+            row = [i - 3] * n
+            row[r], row[c], _ = cells[i % 5]
+            rows.append(tuple(row))
+        a = tuple(rows)
+        product = _times(a, e, ev)
+        assert matrix(product) == mat_mul(matrix(a), construct_E(1, n, n, lam=5))
+        for i, (old, new) in enumerate(zip(a, product)):
+            assert (new is not old) == cells[i % 5][2], i
+
+
+def test_m3_words_make_no_more_products_than_before(monkeypatch):
+    # criterion-1 traffic as in test_m3_words_evaluate_without_the_generic_kernels:
+    # each diagonal parts run now multiplies in as one monomial, so the
+    # count may only fall below the 13483 calls of the part loop that
+    # multiplied every diagonal value in as it came (measured in a fresh
+    # process; cached shared sub-words lower it)
+    from tropmono import factorize
+
+    calls = {"times": 0}
+    times = factorize._times
+
+    def counted_times(a, b, ev):
+        calls["times"] += 1
+        return times(a, b, ev)
+
+    monkeypatch.setattr(factorize, "_times", counted_times)
+    rng = random.Random(18)
+    for mask in range(512):
+        grid = matrix([[BOTTOM if mask >> (3 * i + j) & 1 else rng.randint(0, 1) for j in range(3)] for i in range(3)])
+        rand = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
+        for m in (grid, rand):
+            assert evaluate(factor_m3(m)) == m
+    assert calls["times"] <= 13483
 
 
 def test_module_caches_do_not_grow_with_entry_values():

@@ -6,6 +6,7 @@ monoids are small enough to enumerate blindly.
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 
 from tropmono.finite import (
     _products,
@@ -13,6 +14,7 @@ from tropmono.finite import (
     _unit_flags,
     _word,
     closure,
+    infinite_witness,
     irredundant,
     is_generating,
     jclasses,
@@ -21,6 +23,7 @@ from tropmono.finite import (
     x_family_j_related,
 )
 from tropmono.genset import (
+    generating_set,
     gens_m2_zmax,
     gens_m3_zmax,
     gens_ut_boolean,
@@ -35,10 +38,11 @@ from tropmono.matrix import (
     identity,
     is_invertible,
     mat_mul,
+    mat_pow,
     matrix,
     parse_matrix,
 )
-from tropmono.semiring import BOOLEAN, ZMAX
+from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
 
 
 def walk(fm, e, word):
@@ -265,6 +269,56 @@ def test_zero_bottom_zmax_closure_runs_the_same_path():
         expected = mat_mul(fm.elements[u], fm.elements[v])
         assert fm.elements[_products(fm, u)[v]] == expected
         assert fm.elements[walk(fm, u, _word(fm, v))] == expected
+
+
+def cycle_mean(g):
+    """The largest mean weight of a simple cycle of g's graph, by brute
+    force over every vertex subset in every cyclic order, or None when
+    the graph has no cycle."""
+    n, best = g.n, None
+    for size in range(1, n + 1):
+        for cycle in itertools.permutations(range(n), size):
+            if cycle[0] != min(cycle):
+                continue
+            w = sum(g.rows[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            if w != float("-inf") and (best is None or Fraction(w, size) > best):
+                best = Fraction(w, size)
+    return best
+
+
+def test_infinite_witness_powers_are_pairwise_distinct():
+    # every zmax alphabet here generates an infinite monoid; its witness
+    # has a nonzero cycle mean, and its first 50 powers differ pairwise
+    cases = [gens_m2_zmax().realized(), gens_m3_zmax(2).realized()]
+    cases += [generating_set("ut", n).realized() for n in range(1, 6)]
+    cases += [generating_set("gl", n).realized() for n in range(2, 6)]
+    cases += [[matrix([[BOTTOM, 3], [-5, BOTTOM]])], [matrix([[1, 7], [BOTTOM, BOTTOM]])]]
+    for gens in cases:
+        gi, mean = infinite_witness(gens)
+        g = gens[gi]
+        assert mean == cycle_mean(g) != 0
+        assert len({mat_pow(g, k).rows for k in range(1, 51)}) == 50
+        # the letters before it have no cycle, or cycles of mean 0
+        assert all(cycle_mean(h) in (None, 0) for h in gens[:gi])
+    # the scratch values the refusal messages quote
+    assert infinite_witness(gens_m2_zmax().realized())[1] == Fraction(-1, 2)
+    assert infinite_witness(gens_m3_zmax(0).realized())[1] == Fraction(1, 2)
+    assert infinite_witness(generating_set("ut", 3).realized()) == (0, 1)
+
+
+def test_closed_zmax_monoids_get_no_witness():
+    # 0/-inf letters: the permutation matrices, and the zmax copy of M_3(B)
+    perms = [construct_P(Perm.from_cycles(3, c), ZMAX) for c in ([(1, 2, 3)], [(1, 2)])]
+    assert infinite_witness(perms) is None
+    fm = closure(perms)
+    assert len(fm) == 6 and fm.closed
+    tokens = ["Ai(1,-inf)", "E(1,2,0)", "X(0)"]
+    m3 = perms + [parse_generator(t, "m3", ZMAX).realize(3, ZMAX) for t in tokens]
+    assert infinite_witness(m3) is None
+    # a nilpotent letter has no cycle, and an idempotent one a cycle of
+    # mean 0; Boolean letters are never refused
+    assert infinite_witness([matrix([[BOTTOM, 5], [BOTTOM, BOTTOM]]), matrix([[0, 7], [BOTTOM, BOTTOM]])]) is None
+    assert infinite_witness(m2_boolean_gens()) is None
 
 
 # -- J-classes -------------------------------------------------------------------
