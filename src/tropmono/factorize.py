@@ -2,11 +2,12 @@
 that rewrite a matrix as such a word.
 
 A Word is internally a DAG rather than a flat letter list: a letter (a
-Generator) is its own leaf, and every other node is the concatenation
-of its parts repeated k times.  The group-case words repeat large
-sub-words (powers of rotation words, conjugated diagonal scalings) whose
-flattened length grows with the entries, while the node count stays
-small.
+Generator) is its own leaf, a run repeats each of its letters k times
+in a row (a letter power is a one-letter run), and every other node is
+the concatenation of its parts repeated k times.  The group-case words
+repeat large sub-words (powers of rotation words, conjugated diagonal
+scalings) whose flattened length grows with the entries, while the node
+count stays small.
 
 Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
@@ -32,11 +33,13 @@ multiplying it in, so the slot scalings that conjugate each E letter
 of a ut word cancel without a product; any other value multiplies the
 pending diagonal in first, and one that sums to zero is dropped.
 Only dense times dense is a matrix product.  Each leaf is checked
-against the word's alphabet when it is evaluated; a power of one
-diagonal leaf, fresh in every word, is computed from the leaf's value
-and not cached.  A Matrix is built only for the result.  The letter
-count and the text form are each one bottom-up fold that visits every
-node once, a node repeating its parts' text k times; the distinct
+against the word's alphabet when it is evaluated.  A run of diagonal
+letters, fresh in every word, adds k times its letters' summed shift
+(kept per alphabet) to the pending diagonal, in O(n) for any length,
+and is not cached; any other run multiplies its letters' k-th powers.
+A Matrix is built only for the result.  The letter count and the text
+form are each one bottom-up fold that visits every node once, a node
+repeating its parts' text k times and a run each letter's; the distinct
 letters are one walk over the unique nodes.  Flat letter sequences are
 produced lazily.
 
@@ -124,10 +127,18 @@ def _cat(parts):
     return flat[0] if flat else None
 
 
+class _Run(_Node):
+    """Each of its parts, letters (Generators), repeated k times in a
+    row: a letter power, or the letters of a negative slot scaling."""
+
+    __slots__ = ()
+
+
 def _pow(node, k: int):
-    # A single repeat of a sub-word is the sub-word; a letter keeps its
-    # wrapper, since a diagonal leaf power joins a pending diagonal.
-    return node if k == 1 and type(node) is _Node else _Node((node,), k)
+    """node repeated k times: a run for a letter, the node itself once."""
+    if k == 1:
+        return node
+    return _Run((node,), k) if type(node) is Generator else _Node((node,), k)
 
 
 _EMPTY = _Node(())
@@ -136,6 +147,9 @@ _EMPTY = _Node(())
 def _node_letters(node):
     if type(node) is Generator:
         yield node
+    elif type(node) is _Run:
+        for g in node.parts:
+            yield from itertools.repeat(g, node.k)
     else:
         for _ in range(node.k):
             for p in node.parts:
@@ -161,7 +175,10 @@ def _fold(node, leaf, inner, memo):
 
 
 def _join_text(node, texts):
-    # The parts' texts, skipping empty ones, repeated k times.
+    # The parts' texts, skipping empty ones, repeated k times; a run's
+    # letters each k times in a row.
+    if type(node) is _Run:
+        return " ".join([" ".join([t] * node.k) for t in texts]) if node.k else ""
     t = " ".join([t for t in texts if t])
     return " ".join([t] * node.k) if t else ""
 
@@ -369,7 +386,7 @@ class _Eval:
     two monomial-times-dense kernels, gather and scatter, unrolled at
     n = 3."""
 
-    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "unit", "plus")
+    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "unit", "sums")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
@@ -382,8 +399,8 @@ class _Eval:
             self.unit = _Mono(self.ident, (0,) * n)
         else:
             self.unit = _identity_rows(n, semiring)
-        # E letters start as _Plus values where the dense product is generic.
-        self.plus = semiring is ZMAX and n > 3
+        # _run_sum's products of the _SLOT_LETTERS tuples, by tuple id.
+        self.sums = {}
 
 
 # One _Eval per (monoid, n) seen; that pair also keys the node values.
@@ -393,9 +410,11 @@ _eval_context = cache(_Eval)
 def _leaf_value(g: Generator, ev: _Eval):
     if not ev.alphabet.contains(g):
         raise MembershipError(f"letter {g.text()} outside the {ev.alphabet.monoid} alphabet")
-    if ev.plus and g.kind == "ELEM_E":
+    if g.kind == "ELEM_E" and ev.semiring is ZMAX:
+        # Read off its entry; dense rows where the unrolled product is faster.
         i, j, v = g.params
-        return _Plus(ev.unit, i - 1, j - 1, v)
+        e = _Plus(ev.unit, i - 1, j - 1, v)
+        return e if ev.n > 3 else _rows(e)
     m = g.realize(ev.n, ev.semiring)
     if ev.semiring is ZMAX:
         mono = is_monomial(m)
@@ -405,49 +424,78 @@ def _leaf_value(g: Generator, ev: _Eval):
     return m.rows
 
 
-def _then_run(val, run, ev: _Eval):
-    """val (None for the unit) times the diagonal of the summed shifts
-    run; a run that sums to zero is dropped."""
-    if not any(run):
+def _run_sum(letters, key, ev: _Eval):
+    """The product of a run's letters, each checked, if all are diagonal
+    (so they commute), else None; kept per alphabet for the shared slot
+    tuples, whose ids stay theirs as they live as long as the module."""
+    if len(letters) == 1:
+        g = letters[0]
+        v = g._vals.get(key) or _value(g, key, ev)
+        return v if type(v) is _Mono and v.img is ev.ident else None
+    i = id(letters)
+    if i in ev.sums:
+        return ev.sums[i]
+    vals = [_value(g, key, ev) for g in letters]
+    v = None
+    if all(type(x) is _Mono and x.img is ev.ident for x in vals):
+        v = _Mono(ev.ident, tuple([sum(c) for c in zip(*[x.sh for x in vals])]))
+    if i in _SHARED_SLOTS:
+        ev.sums[i] = v
+    return v
+
+
+def _then_diag(val, shifts, ev: _Eval):
+    """val (None for the unit) times the diagonal of the summed shifts;
+    shifts that sum to zero are dropped."""
+    if not any(shifts):
         return val
-    d = _Mono(ev.ident, tuple(run))
+    d = _Mono(ev.ident, tuple(shifts))
     return d if val is None else _times(val, d, ev)
 
 
 def _value(node, key, ev: _Eval):
     """The node's value under key, the word's (monoid, n), cached on the
-    node: a leaf's from its letter, any other node's as the product of
-    its parts' values with their diagonals held back as one pending
-    diagonal that E letters pass, then raised to the node's k."""
+    node: a leaf's from its letter, a run's as the product of its letters'
+    k-th powers, any other node's as the product of its parts' values with
+    their diagonals held back as one pending diagonal that E letters pass,
+    then raised to the node's k."""
     hit = node._vals.get(key)
     if hit is not None:
         return hit
     if type(node) is Generator:
         val = _leaf_value(node, ev)
+    elif type(node) is _Run:
+        val = _run_sum(node.parts, key, ev)
+        if val is None:
+            for g in node.parts:
+                v = _power(_value(g, key, ev), node.k, ev)
+                val = v if val is None else _times(val, v, ev)
+        elif node.k != 1:
+            val = _power(val, node.k, ev)
     else:
         # The parts are evaluated even for k = 0, so their letters are
         # checked.  Diagonal values commute with each other, and
         # diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), so the
         # diagonal parts are held back as one pending diagonal dia: a
-        # lone one as its _Mono, from the second on (or from a leaf
-        # power) a list of shifts they are added into.  A _Plus over a
-        # diagonal moves its entry past dia; any other value, and the
-        # end of the parts, multiply dia in first (a list that sums to
-        # zero is dropped).  So a pending diagonal costs no product
-        # until a non-diagonal value meets it.
+        # lone one as its _Mono, from the second on (or from a run) a
+        # list of shifts they are added into.  A _Plus over a diagonal
+        # moves its entry past dia; any other value, and the end of the
+        # parts, multiply dia in first (a list that sums to zero is
+        # dropped).  So a pending diagonal costs no product until a
+        # non-diagonal value meets it.
         val = dia = None
         ident = ev.ident
         for p in node.parts:
             k = 1
             v = p._vals.get(key)
             if v is None:
-                # A power of one diagonal leaf is fresh per word: not cached.
-                leaf = p.parts[0] if type(p) is _Node and len(p.parts) == 1 else None
-                if type(leaf) is Generator:
-                    v = leaf._vals.get(key) or _value(leaf, key, ev)
-                if type(v) is _Mono and v.img is ident:
+                # A diagonal run is fresh per word: its letters' product,
+                # k times, joins dia in O(n) and is not cached.
+                if type(p) is _Run:
+                    v = _run_sum(p.parts, key, ev)
                     k = p.k
-                else:
+                if v is None:
+                    k = 1
                     v = _value(p, key, ev)
             if type(v) is _Mono and v.img is ident:
                 if dia is None and k == 1:
@@ -465,13 +513,13 @@ def _value(node, key, ev: _Eval):
                     v = _Plus(v.m, v.r, v.c, v.v + sh[v.r] - sh[v.c])
                 else:
                     if type(dia) is list:
-                        val = _then_run(val, dia, ev)
+                        val = _then_diag(val, dia, ev)
                     else:
                         val = dia if val is None else _times(val, dia, ev)
                     dia = None
             val = v if val is None else _times(val, v, ev)
         if type(dia) is list:
-            val = _then_run(val, dia, ev)
+            val = _then_diag(val, dia, ev)
         elif dia is not None:
             val = dia if val is None else _times(val, dia, ev)
         if val is None:
@@ -518,20 +566,27 @@ _UT_E = {
 }
 
 
+# The letters whose product scales slot i of n by -1: (-1 * I) and the
+# +1 letter of every other slot.
+_SLOT_LETTERS = {
+    (n, i): (NEG_I, *[_UT_UP[j] for j in range(1, n + 1) if j != i])
+    for n in range(1, MAX_DIM + 1)
+    for i in range(1, n + 1)
+}
+_SHARED_SLOTS = frozenset(map(id, _SLOT_LETTERS.values()))
+
+
 def _ut_diag_node(n: int, i: int, a):
-    # The word for the diagonal letter with a in slot i: powers of the
-    # slot's +1 letter, or the bottom letter, or for negative a powers
-    # of (-1 * I) compensated by +1 letters in every other slot.
+    """The word for the diagonal letter with a in slot i: a power of the
+    slot's +1 letter, or the bottom letter, or for negative a one run
+    (-1 * I)^k Ai(j,1)^k over every other slot j, with k = -a."""
     if a == 0:
         return None
     if a == BOTTOM:
         return _UT_BOT[i]
     if a > 0:
         return _pow(_UT_UP[i], a)
-    k = -a
-    parts = [_pow(NEG_I, k)]
-    parts += [_pow(_UT_UP[j], k) for j in range(1, n + 1) if j != i]
-    return _Node(parts)
+    return _Run(_SLOT_LETTERS[n, i], -a)
 
 
 def _elem_word(slot, e, i: int, a):

@@ -343,15 +343,6 @@ def is_monomial(m: Matrix):
     return Perm(img), tuple(vals)
 
 
-def is_invertible(m: Matrix) -> bool:
-    """Invertible means monomial with every surviving entry a unit."""
-    mono = is_monomial(m)
-    if mono is None:
-        return False
-    _, vals = mono
-    return all(m.semiring.is_unit(v) for v in vals)
-
-
 def is_upper_triangular(m: Matrix) -> bool:
     z = m.semiring.zero
     return all(m.rows[i][j] == z for i in range(m.n) for j in range(i))

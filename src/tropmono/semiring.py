@@ -61,12 +61,6 @@ class Semiring:
             raise ValueError(f"not a {self.name} scalar: {x!r}")
         return x
 
-    def is_unit(self, a) -> bool:
-        """Multiplicatively invertible: every finite tropical int, or Boolean 1."""
-        if self.name == "zmax":
-            return a != BOTTOM
-        return a == 1
-
 
 ZMAX = Semiring("zmax", BOTTOM, 0)
 BOOLEAN = Semiring("boolean", 0, 1)

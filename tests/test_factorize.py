@@ -19,6 +19,9 @@ from tropmono.factorize import (
     _Mono,
     _Node,
     _Plus,
+    _Run,
+    _SLOT_LETTERS,
+    _eval_context,
     _gl_perm_node,
     _gl_slot_node,
     _leaf_value,
@@ -46,7 +49,6 @@ from tropmono.matrix import (
     count_bottoms,
     diag,
     identity,
-    is_invertible,
     is_monomial,
     is_upper_triangular,
     mat_mul,
@@ -56,6 +58,8 @@ from tropmono.matrix import (
     permute,
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
+
+from unit_reference import is_invertible
 
 
 def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
@@ -140,9 +144,9 @@ def test_evaluate_rejects_bool_scalars_in_u_letters(n):
 def random_dags(draw):
     """A word over a whole alphabet, built as a DAG of shared nodes on
     top of the alphabet's letters: concatenations (k = 1, empty ones
-    included), powers of one node, and several parts repeated k times
-    (k = 0 included), with its flat letter count kept small enough to
-    fold."""
+    included), powers of one node, runs of several letters, and several
+    parts repeated k times (k = 0 included), with its flat letter count
+    kept small enough to fold."""
     # Half the words use m2 or m3, whose alphabets mix permuting
     # monomial letters with dense ones; u words draw their E letters.
     name, n = draw(st.one_of(
@@ -155,13 +159,18 @@ def random_dags(draw):
         above = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         for i, j in draw(st.lists(st.sampled_from(above), min_size=1, max_size=4)):
             pool.append(elem_letter(i, j, draw(st.integers(-10 ** 9, 10 ** 9))))
+    letters = list(pool)
     for _ in range(draw(st.integers(1, 8))):
-        shape = draw(st.integers(0, 2))
+        shape = draw(st.integers(0, 3))
         if shape == 0:
             picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
             pool.append(_Node([pool[i] for i in picks]))
         elif shape == 1:
             pool.append(_pow(pool[draw(st.integers(0, len(pool) - 1))], draw(st.integers(0, 3))))
+        elif shape == 2:
+            # several letters, each repeated k times in a row; most
+            # alphabets hold letters that are not diagonal
+            pool.append(_Run(draw(st.lists(st.sampled_from(letters), min_size=2, max_size=4)), draw(st.integers(0, 3))))
         else:
             picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=4))
             pool.append(_Node([pool[i] for i in picks], draw(st.integers(0, 3))))
@@ -206,31 +215,39 @@ def own_eval(w):
     and square-and-multiply for powers."""
     n = w.n
     memo = {}
-    # base^(2^i) for i = 0, 1, ..., shared by the powers of one letter
+    # letter^(2^i) for i = 0, 1, ..., shared by the runs of one letter
     squares = {}
 
     def times(x, y):
         # None is the identity
         return y if x is None else x if y is None else own_mul(x, y)
 
+    def power(chain, k):
+        # chain holds base^(2^i) for i = 0, 1, ...; it grows as needed
+        out, i = None, 0
+        while k:
+            if i == len(chain):
+                chain.append(times(chain[-1], chain[-1]))
+            if k & 1:
+                out = times(out, chain[i])
+            k >>= 1
+            i += 1
+        return out
+
     def walk(node):
         if id(node) not in memo:
             if isinstance(node, Generator):
                 out = node.realize(n, ZMAX).rows
+            elif isinstance(node, _Run):
+                # each letter k times in a row
+                out = None
+                for g in node.parts:
+                    out = times(out, power(squares.setdefault(g, [walk(g)]), node.k))
             else:
                 base = None
                 for p in node.parts:
                     base = times(base, walk(p))
-                single = len(node.parts) == 1 and isinstance(node.parts[0], Generator)
-                chain = squares.setdefault(node.parts[0], [base]) if single else [base]
-                out, k, i = None, node.k, 0
-                while k:
-                    if i == len(chain):
-                        chain.append(times(chain[-1], chain[-1]))
-                    if k & 1:
-                        out = times(out, chain[i])
-                    k >>= 1
-                    i += 1
+                out = power([base], node.k)
             memo[id(node)] = out
         return memo[id(node)]
 
@@ -497,9 +514,10 @@ def test_cached_values_do_not_vouch_for_another_alphabet():
 
 
 def test_leaf_powers_match_an_independent_dag_walk():
-    # A power of a dense letter is evaluated and cached like any node; a
-    # power of a monomial letter is computed from the letter's value and
-    # cached nowhere, also when two parents share it.
+    # A letter power is a run.  A run of a dense letter is evaluated and
+    # cached on the run like any node; a run of a diagonal letter joins
+    # the pending diagonal from the letter's value and is cached
+    # nowhere, also when two parents share it.
     cases = []
     for n in (2, 3):
         # E letters are dense up to n = 3
@@ -511,6 +529,7 @@ def test_leaf_powers_match_an_independent_dag_walk():
     dense = _pow(M2_C, 2)
     cases.append((Word("m2", 2, _Node((_pow(M2_D, 3), dense, _pow(M2_A, 0), _pow(M2_A, 3)))), dense))
     for w, dense in cases:
+        assert type(dense) is _Run
         assert evaluate(w).rows == own_eval(w)
         assert (w.monoid, w.n) in dense._vals
     up = diag_letter(1, 1)
@@ -535,11 +554,26 @@ def test_foreign_letters_under_a_leaf_power_are_rejected(k):
         ("u", 5, NEG_I, elem_letter(1, 2, 3), "ut"),
         ("u", 3, x_letter(2), elem_letter(1, 2, 3), "m3"),
     ):
-        roots = (_pow(g, k), _Node((_pow(g, k), _pow(g, k))), _Node((side, _pow(g, k), side)), _Node((side, g, side)))
+        roots = (
+            _pow(g, k),
+            _Node((_pow(g, k), _pow(g, k))),
+            _Node((side, _pow(g, k), side)),
+            _Node((side, g, side)),
+            _Run((g, g), k),
+        )
         for cached in (False, True):
             if cached:
                 evaluate(Word(other, n, _pow(g, 2)))
             for root in roots:
+                with pytest.raises(MembershipError):
+                    evaluate(Word(monoid, n, root))
+    # a negative ut slot is one run over shared letters, whose product is
+    # kept per alphabet: kept for ut, it vouches for nothing in u or gl
+    for n in (2, 5):
+        run = _ut_diag_node(n, 1, -(k + 2))
+        evaluate(Word("ut", n, run))
+        for monoid, side in (("u", elem_letter(1, 2, 3)), ("gl", GL_A)):
+            for root in (run, _Node((side, run, side)), _pow(run, 0), _Node((side, _Run(run.parts, k)))):
                 with pytest.raises(MembershipError):
                     evaluate(Word(monoid, n, root))
 
@@ -601,16 +635,18 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     monkeypatch.setattr(factorize, "_times", counted_times)
     monkeypatch.setattr(_Mono, "__init__", counted_init)
     for n in range(1, 9):
-        # the letters' own values are cached by the first two words
-        for i in (1, n):
+        # the letters' own values, and each slot's run sum, are cached by
+        # the first n words
+        for i in range(1, n + 1):
             evaluate(Word("ut", n, _ut_diag_node(n, i, -3)))
-        # a = -1 powers each letter once: still one run, except at n = 1,
-        # where the word is NEG_I alone and its value is the letter's own
+        # a negative slot is one run: its power is one monomial, and at
+        # a = -1 its value is the cached sum itself (at n = 1 the letter
+        # NEG_I's own value)
         for i, a in itertools.product(range(1, n + 1), (-(10 ** 6), -1)):
             calls.update(times=0, mono=0)
             w = Word("ut", n, _ut_diag_node(n, i, a))
             assert evaluate(w) == construct_A(i, a, n)
-            assert calls == {"times": 0, "mono": 0 if (n, a) == (1, -1) else 1}
+            assert calls == {"times": 0, "mono": 0 if a == -1 else 1}
         # a diagonal sub-node, its value already cached, joins the run
         sub = _ut_diag_node(n, n, -5)
         evaluate(Word("ut", n, sub))
@@ -621,13 +657,60 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     # a whole ut word: each run is one monomial, and the slot scalings
     # around each E letter cancel in the pending diagonal; summing leaf
     # powers one product at a time made 185 calls, and multiplying each
-    # conjugating diagonal in made 95
+    # conjugating diagonal in made 95.  Spelling a negative slot as n
+    # one-letter powers built 160 nodes; as one run it builds 52.
+    built = []
+    node_init = _Node.__init__
+
+    def counted_node(self, parts, k=1):
+        built.append(type(self))
+        node_init(self, parts, k)
+
+    monkeypatch.setattr(_Node, "__init__", counted_node)
     rng = random.Random(17)
     m = matrix([[rng.randint(-10 ** 6, 10 ** 6) if j >= i else BOTTOM for j in range(6)] for i in range(6)])
     w = factor_ut(m)
+    assert len(built) <= 52
     calls.update(times=0, mono=0)
     assert evaluate(w) == m
     assert calls["times"] <= 29
+
+
+def test_run_sums_are_kept_only_for_the_shared_slot_letters():
+    # every negative slot of a ut word is a run over one of n shared
+    # letter tuples, whose product is summed once per alphabet; a run
+    # over any other tuple, equal letters included, is summed each time
+    # and keeps nothing
+    rng = random.Random(23)
+    for n in range(2, 7):
+        ev = _eval_context("ut", n)
+        for _ in range(10):
+            m = rnd_upper(rng, n, lambda: rng.randint(-10 ** 6, -1))
+            assert evaluate(factor_ut(m)) == m
+        shared = [_SLOT_LETTERS[n, i] for i in range(1, n + 1)]
+        assert set(ev.sums) == {id(t) for t in shared}
+        for i, t in enumerate(shared, start=1):
+            assert mono_matrix(ev.sums[id(t)]) == construct_A(i, -1, n)
+        kept = dict(ev.sums)
+        run = _Run(list(shared[0]), 3)
+        assert run.parts is not shared[0]
+        w = Word("ut", n, _Node((run, elem_letter(1, 2, 0), run)))
+        assert evaluate(w) == mat_mul(mat_mul(construct_A(1, -3, n), construct_E(1, 2, n, lam=0)), construct_A(1, -3, n))
+        assert ev.sums == kept
+
+
+def test_e_letters_are_dense_up_to_n_3_and_an_entry_from_4():
+    # an E letter's value is built from its entry, without realizing the
+    # letter: dense rows where the unrolled dense product is faster, an
+    # entry over the unit from n = 4; a Boolean one is realized
+    for n in range(2, 9):
+        for monoid, i, j, v in (("ut", 1, n, 0), ("ut", n - 1, n, 0), ("u", 1, n, -7), ("u", 1, 2, 10 ** 12)):
+            val = _leaf_value(elem_letter(i, j, v), _Eval(monoid, n))
+            assert type(val) is (tuple if n <= 3 else _Plus)
+            assert value_matrix(val) == construct_E(i, j, n, lam=v)
+        boolean = _leaf_value(elem_letter(1, n, 1), _Eval("ut_boolean", n))
+        assert boolean == construct_E(1, n, n, BOOLEAN, 1).rows
+    assert _leaf_value(elem_letter(1, 2, 0), _Eval("m3", 3)) == construct_E(1, 2, 3, lam=0).rows
 
 
 @st.composite

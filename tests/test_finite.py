@@ -36,13 +36,14 @@ from tropmono.matrix import (
     boolean_image,
     construct_P,
     identity,
-    is_invertible,
     mat_mul,
     mat_pow,
     matrix,
     parse_matrix,
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
+
+from unit_reference import is_invertible
 
 
 def walk(fm, e, word):

@@ -22,7 +22,6 @@ from tropmono.matrix import (
     diag,
     format_matrix,
     identity,
-    is_invertible,
     is_monomial,
     is_unitriangular,
     is_upper_triangular,
@@ -35,6 +34,8 @@ from tropmono.matrix import (
     regularity_witness,
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX, is_finite
+
+from unit_reference import is_invertible
 
 
 def rnd_matrix(rng, n, p_bot=0.3, lo=-20, hi=20):
