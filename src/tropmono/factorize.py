@@ -2,12 +2,13 @@
 that rewrite a matrix as such a word.
 
 A Word is internally a DAG rather than a flat letter list: a letter (a
-Generator) is its own leaf, a run repeats each of its letters k times
-in a row (a letter power is a one-letter run), and every other node is
-the concatenation of its parts repeated k times.  The group-case words
-repeat large sub-words (powers of rotation words, conjugated diagonal
-scalings) whose flattened length grows with the entries, while the node
-count stays small.
+Generator) is its own leaf, a run repeats each of its parts k times in
+a row (every power, of a letter or a sub-word, is a one-part run), and
+every other node concatenates its parts.  A node is kept only where it
+is shared or repeated: any other sub-word is a flat part list spliced
+into its parent.  The group-case words repeat large sub-words (powers
+of rotation words, conjugated diagonal scalings) whose flattened length
+grows with the entries, while the node count stays small.
 
 Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
@@ -33,13 +34,14 @@ multiplying it in, so the slot scalings that conjugate each E letter
 of a ut word cancel without a product; any other value multiplies the
 pending diagonal in first, and one that sums to zero is dropped.
 Only dense times dense is a matrix product.  Each leaf is checked
-against the word's alphabet when it is evaluated.  A run of diagonal
-letters, fresh in every word, adds k times its letters' summed shift
-(kept per alphabet) to the pending diagonal, in O(n) for any length,
-and is not cached; any other run multiplies its letters' k-th powers.
+against the word's alphabet when it is evaluated.  A diagonal run (a
+negative ut slot, a power of a gl or m3 slot scaling), fresh in every
+word, adds k times its parts' summed shift (kept per alphabet for the
+shared ones) to the pending diagonal, in O(n) for any length, and is
+not cached; any other run multiplies its parts' k-th powers.
 A Matrix is built only for the result.  The letter count and the text
-form are each one bottom-up fold that visits every node once, a node
-repeating its parts' text k times and a run each letter's; the distinct
+form are each one bottom-up fold that visits every node once, a run
+repeating each part's text k times; the distinct
 letters are one walk over the unique nodes.  Flat letter sequences are
 produced lazily.
 
@@ -119,26 +121,36 @@ class _Node:
         self._vals = {}
 
 
+def _seq(parts):
+    # A fresh sub-word as a flat part list for its parent: None parts are
+    # dropped, list parts (_seq lists themselves) spliced in.
+    out = []
+    for p in parts:
+        if type(p) is list:
+            out += p
+        elif p is not None:
+            out.append(p)
+    return out
+
+
 def _cat(parts):
-    # None parts are dropped, and so is a concatenation of nothing.
-    flat = [p for p in parts if p is not None]
+    # _seq(parts) as one word: a node, its one part, or None for nothing.
+    flat = _seq(parts)
     if len(flat) > 1:
         return _Node(flat)
     return flat[0] if flat else None
 
 
 class _Run(_Node):
-    """Each of its parts, letters (Generators), repeated k times in a
-    row: a letter power, or the letters of a negative slot scaling."""
+    """Each of its parts repeated k times in a row: a letter power, the
+    letters of a negative slot scaling, or a power of a sub-word."""
 
     __slots__ = ()
 
 
 def _pow(node, k: int):
-    """node repeated k times: a run for a letter, the node itself once."""
-    if k == 1:
-        return node
-    return _Run((node,), k) if type(node) is Generator else _Node((node,), k)
+    """node repeated k times: a one-part run, the node itself once."""
+    return node if k == 1 else _Run((node,), k)
 
 
 _EMPTY = _Node(())
@@ -148,8 +160,12 @@ def _node_letters(node):
     if type(node) is Generator:
         yield node
     elif type(node) is _Run:
-        for g in node.parts:
-            yield from itertools.repeat(g, node.k)
+        for p in node.parts:
+            if type(p) is Generator:
+                yield from itertools.repeat(p, node.k)
+            else:
+                for _ in range(node.k):
+                    yield from _node_letters(p)
     else:
         for _ in range(node.k):
             for p in node.parts:
@@ -176,9 +192,9 @@ def _fold(node, leaf, inner, memo):
 
 def _join_text(node, texts):
     # The parts' texts, skipping empty ones, repeated k times; a run's
-    # letters each k times in a row.
+    # parts each k times in a row.
     if type(node) is _Run:
-        return " ".join([" ".join([t] * node.k) for t in texts]) if node.k else ""
+        return " ".join([" ".join([t] * node.k) for t in texts if t]) if node.k else ""
     t = " ".join([t for t in texts if t])
     return " ".join([t] * node.k) if t else ""
 
@@ -424,18 +440,18 @@ def _leaf_value(g: Generator, ev: _Eval):
     return m.rows
 
 
-def _run_sum(letters, key, ev: _Eval):
-    """The product of a run's letters, each checked, if all are diagonal
+def _run_sum(parts, key, ev: _Eval):
+    """The product of a run's parts, each checked, if all are diagonal
     (so they commute), else None; kept per alphabet for the shared slot
     tuples, whose ids stay theirs as they live as long as the module."""
-    if len(letters) == 1:
-        g = letters[0]
-        v = g._vals.get(key) or _value(g, key, ev)
+    if len(parts) == 1:
+        p = parts[0]
+        v = p._vals.get(key) or _value(p, key, ev)
         return v if type(v) is _Mono and v.img is ev.ident else None
-    i = id(letters)
+    i = id(parts)
     if i in ev.sums:
         return ev.sums[i]
-    vals = [_value(g, key, ev) for g in letters]
+    vals = [_value(p, key, ev) for p in parts]
     v = None
     if all(type(x) is _Mono and x.img is ev.ident for x in vals):
         v = _Mono(ev.ident, tuple([sum(c) for c in zip(*[x.sh for x in vals])]))
@@ -455,7 +471,7 @@ def _then_diag(val, shifts, ev: _Eval):
 
 def _value(node, key, ev: _Eval):
     """The node's value under key, the word's (monoid, n), cached on the
-    node: a leaf's from its letter, a run's as the product of its letters'
+    node: a leaf's from its letter, a run's as the product of its parts'
     k-th powers, any other node's as the product of its parts' values with
     their diagonals held back as one pending diagonal that E letters pass,
     then raised to the node's k."""
@@ -489,7 +505,7 @@ def _value(node, key, ev: _Eval):
             k = 1
             v = p._vals.get(key)
             if v is None:
-                # A diagonal run is fresh per word: its letters' product,
+                # A diagonal run is fresh per word: its parts' product,
                 # k times, joins dia in O(n) and is not cached.
                 if type(p) is _Run:
                     v = _run_sum(p.parts, key, ev)
@@ -594,17 +610,18 @@ def _elem_word(slot, e, i: int, a):
     the slot-i scalings slot(i, a) and slot(i, -a)."""
     if a == 0:
         return e
-    return _cat([slot(i, a), e, slot(i, -a)])
+    return _seq([slot(i, a), e, slot(i, -a)])
 
 
 def _ut_walk(g, slot, elems):
-    """The triangular factorization of the upper triangular rows g.
+    """The triangular factorization of the upper triangular rows g, as
+    a flat part list.
 
     Emits columns right to left and each column bottom-up, so the
     diagonal cell of a column comes first.  slot(i, a) is the word for
     the diagonal with a in slot i (None for 0) and elems[i, j] the word
     for E(i, j, 0); a finite entry above the diagonal is that letter
-    conjugated by slot-i scalings, a -inf one emits nothing.
+    conjugated by slot-i scalings, three parts, a -inf one emits nothing.
     """
     n = len(g)
     parts = []
@@ -614,8 +631,8 @@ def _ut_walk(g, slot, elems):
             if i == j:
                 parts.append(slot(i, a))
             elif a != BOTTOM:
-                parts.append(_elem_word(slot, elems[i, j], i, a))
-    return _cat(parts)
+                parts += (slot(i, a), elems[i, j], slot(i, -a))
+    return _seq(parts)
 
 
 def factor_ut(m: Matrix) -> Word:
@@ -630,7 +647,7 @@ def factor_ut(m: Matrix) -> Word:
     if not is_upper_triangular(m):
         raise MembershipError(f"matrix is not upper triangular: {format_matrix(m)}")
     n = m.n
-    return Word("ut", n, _ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E))
+    return Word("ut", n, _cat(_ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E)))
 
 
 def factor_unitriangular(m: Matrix) -> Word:
@@ -730,7 +747,7 @@ def _gl_word(n: int, vals, perm: Perm):
     """Word for the monomial matrix diag(vals) * P_perm, vals finite."""
     parts = [_gl_slot_node(n, i, d) for i, d in enumerate(vals, start=1)]
     parts.append(_gl_perm_node(n, perm))
-    return _cat(parts)
+    return _seq(parts)
 
 
 def factor_gl(m: Matrix) -> Word:
@@ -748,7 +765,7 @@ def factor_gl(m: Matrix) -> Word:
     if mono is None or not all(is_finite(v) for v in mono[1]):
         raise MembershipError(f"matrix is not invertible: {format_matrix(m)}")
     perm, vals = mono
-    return Word("gl", m.n, _gl_word(m.n, vals, perm))
+    return Word("gl", m.n, _cat(_gl_word(m.n, vals, perm)))
 
 
 # -- the full 2x2 monoid ----------------------------------------------------
@@ -781,7 +798,7 @@ def _b2(L, z):
 
 def _m2_corner(L, x, y, z):
     # [[-inf, x], [y, z]] = B(x) F B(z) D F B(y - z)
-    return _cat([_b2(L, x), L.F, _b2(L, z), L.D, L.F, _b2(L, y - z)])
+    return _seq([_b2(L, x), L.F, _b2(L, z), L.D, L.F, _b2(L, y - z)])
 
 
 def _m2_dense(L, a, b, c, d):
@@ -791,9 +808,9 @@ def _m2_dense(L, a, b, c, d):
     x = d - b
     y = c - a
     if y <= x:
-        g = _cat([_m2_corner(L, 0, y, y), _m2_corner(L, x - y, 0, 0), L.F])
+        g = _seq([_m2_corner(L, 0, y, y), _m2_corner(L, x - y, 0, 0), L.F])
     else:
-        g = _cat([
+        g = _seq([
             L.F, _m2_corner(L, 0, -x, -y), L.F,
             L.F, _m2_corner(L, x, y, x), L.F,
         ])
@@ -837,7 +854,7 @@ def _factor_m2_node(g, L):
     """
     f = g[0] + g[1]
     s, form = _m2_route(sum(1 << k for k in range(4) if f[k] == BOTTOM))
-    return _cat([L.F if s & 2 else None, *form(L, f[s], f[1 ^ s], f[2 ^ s], f[3 ^ s]), L.F if s & 1 else None])
+    return _seq([L.F if s & 2 else None, *form(L, f[s], f[1 ^ s], f[2 ^ s], f[3 ^ s]), L.F if s & 1 else None])
 
 
 def factor_m2(m: Matrix) -> Word:
@@ -851,7 +868,7 @@ def factor_m2(m: Matrix) -> Word:
         raise MembershipError("factor_m2 expects a zmax matrix")
     if m.n != 2:
         raise MembershipError(f"factor_m2 expects 2x2, got {m.n}x{m.n}")
-    return Word("m2", 2, _factor_m2_node(m.rows, _M2))
+    return Word("m2", 2, _cat(_factor_m2_node(m.rows, _M2)))
 
 
 # -- the full 3x3 monoid ----------------------------------------------------
@@ -876,7 +893,7 @@ _M3_E = {
 }
 _M3_SLOT_INF = {1: _A1INF, 2: _cat([_P12, _A1INF, _P12]), 3: _cat([_P13, _A1INF, _P13])}
 _M3_BLOCK = _M2Letters(
-    _gl_word(3, (0, -1, 0), Perm((1, 3, 2))),
+    _cat(_gl_word(3, (0, -1, 0), Perm((1, 3, 2)))),
     _gl_slot_node(3, 2, 1),
     _M3_SLOT_INF[2],
     _cat([_gl_perm_node(3, Perm.from_cycles(3, [(1, 3, 2)])), _E12, _P13]),
@@ -983,7 +1000,8 @@ def _m3_find_route(mask: int):
 
 
 # Each branch below gets g, the rows of its normal form P_s m P_t, and
-# returns the word parts that go between the two permutation words.
+# returns the word parts that go between the two permutation words; a
+# list among them is a part list, spliced in.
 
 def _m3_block(g, depth: int):
     sub = ((g[1][1], g[1][2]), (g[2][1], g[2][2]))
@@ -1022,8 +1040,7 @@ def _m3_x_route(g, depth: int):
         perm, l, r = _ID3, (0, s - x, z), (-z, 0, x - s)
     else:
         perm, l, r = _REV3, (0, -x, z), (x, 0, s - z)
-    middle = _cat([_gl_word(3, l, perm), x_letter(abs(s)), _gl_word(3, r, perm)])
-    return [_gl_word(3, (a, d, e), _ID3), middle]
+    return [_gl_word(3, (a, d, e), _ID3), _gl_word(3, l, perm), x_letter(abs(s)), _gl_word(3, r, perm)]
 
 
 def _m3_clear(g, depth: int):
@@ -1066,9 +1083,9 @@ def _m3_dense(g, depth: int):
 
 _M3_BRANCHES = {
     # Separate parts: with the permutation word right, the slot scalings
-    # make one flat node, the word factor_gl builds.
+    # make one flat part list, the word factor_gl builds.
     "gl": lambda g, depth: [_gl_slot_node(3, i, g[i - 1][i - 1]) for i in (1, 2, 3)],
-    "ut": lambda g, depth: [_ut_walk(g, _m3_scale, _M3_E)],
+    "ut": lambda g, depth: _ut_walk(g, _m3_scale, _M3_E),
     "block": _m3_block,
     "split-row": _m3_split_row,
     "split-col": _m3_split_col,
@@ -1090,7 +1107,7 @@ def _m3_node(g, depth: int):
             mask |= 1 << k
     branch, _, _, (cells, left, right) = _m3_fill(mask)
     parts = _M3_BRANCHES[branch](tuple([tuple([f[k] for k in row]) for row in cells]), depth)
-    return _cat([left, *parts, right])
+    return _seq([left, *parts, right])
 
 
 def factor_m3(m: Matrix) -> Word:
@@ -1117,7 +1134,7 @@ def factor_m3(m: Matrix) -> Word:
         raise MembershipError("factor_m3 expects a zmax matrix")
     if m.n != 3:
         raise MembershipError(f"factor_m3 expects 3x3, got {m.n}x{m.n}")
-    return Word("m3", 3, _m3_node(m.rows, 0))
+    return Word("m3", 3, _cat(_m3_node(m.rows, 0)))
 
 
 # The factorizer of each monoid family by name.

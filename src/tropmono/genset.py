@@ -188,7 +188,7 @@ class GeneratingSet:
         """Membership including the symbolic families (any E(i,j,z) for the
         unitriangular alphabet, any X(i) for the 3x3 alphabet).  No letter
         holds a bool, though True == 1 and False == 0."""
-        if any(type(p) is bool for p in g.params):
+        if bool in map(type, g.params):
             return False
         if g in self.letters:
             return True

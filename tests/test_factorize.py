@@ -144,9 +144,9 @@ def test_evaluate_rejects_bool_scalars_in_u_letters(n):
 def random_dags(draw):
     """A word over a whole alphabet, built as a DAG of shared nodes on
     top of the alphabet's letters: concatenations (k = 1, empty ones
-    included), powers of one node, runs of several letters, and several
-    parts repeated k times (k = 0 included), with its flat letter count
-    kept small enough to fold."""
+    included), powers of one node, runs of several letters, runs of one
+    sub-word, and several parts repeated k times (k = 0 included), with
+    its flat letter count kept small enough to fold."""
     # Half the words use m2 or m3, whose alphabets mix permuting
     # monomial letters with dense ones; u words draw their E letters.
     name, n = draw(st.one_of(
@@ -161,7 +161,7 @@ def random_dags(draw):
             pool.append(elem_letter(i, j, draw(st.integers(-10 ** 9, 10 ** 9))))
     letters = list(pool)
     for _ in range(draw(st.integers(1, 8))):
-        shape = draw(st.integers(0, 3))
+        shape = draw(st.integers(0, 4))
         if shape == 0:
             picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
             pool.append(_Node([pool[i] for i in picks]))
@@ -171,9 +171,12 @@ def random_dags(draw):
             # several letters, each repeated k times in a row; most
             # alphabets hold letters that are not diagonal
             pool.append(_Run(draw(st.lists(st.sampled_from(letters), min_size=2, max_size=4)), draw(st.integers(0, 3))))
-        else:
+        elif shape == 3:
             picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=4))
             pool.append(_Node([pool[i] for i in picks], draw(st.integers(0, 3))))
+        elif len(pool) > len(letters):
+            # a sub-word's letters, all of them, k times over
+            pool.append(_Run((draw(st.sampled_from(pool[len(letters):])),), draw(st.integers(0, 3))))
     w = Word(name, n, pool[-1])
     assume(w.letter_count() <= 3000)
     return w
@@ -658,7 +661,9 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     # around each E letter cancel in the pending diagonal; summing leaf
     # powers one product at a time made 185 calls, and multiplying each
     # conjugating diagonal in made 95.  Spelling a negative slot as n
-    # one-letter powers built 160 nodes; as one run it builds 52.
+    # one-letter powers built 160 nodes, and as one run 52; splicing each
+    # E letter's three parts into the root, not a node of their own,
+    # leaves the 36 diagonal runs and the root.
     built = []
     node_init = _Node.__init__
 
@@ -670,7 +675,7 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     rng = random.Random(17)
     m = matrix([[rng.randint(-10 ** 6, 10 ** 6) if j >= i else BOTTOM for j in range(6)] for i in range(6)])
     w = factor_ut(m)
-    assert len(built) <= 52
+    assert len(built) == 37
     calls.update(times=0, mono=0)
     assert evaluate(w) == m
     assert calls["times"] <= 29
@@ -795,10 +800,13 @@ def test_dense_rows_times_an_e_letter_rebuild_only_the_rows_it_raises():
 
 def test_m3_words_make_no_more_products_than_before(monkeypatch):
     # criterion-1 traffic as in test_m3_words_evaluate_without_the_generic_kernels:
-    # each diagonal parts run now multiplies in as one monomial, so the
-    # count may only fall below the 13483 calls of the part loop that
-    # multiplied every diagonal value in as it came (measured in a fresh
-    # process; cached shared sub-words lower it)
+    # each diagonal parts run multiplies in as one monomial, and a fresh
+    # sub-word is spliced into its parent, so a slot scaling's power joins
+    # the pending diagonal across sub-word ends.  The count may only fall
+    # below 11499 (measured in a fresh process; cached shared sub-words
+    # lower it).  Multiplying every diagonal value in as it came made
+    # 13483 calls, and flushing the pending diagonal at the end of each
+    # fresh sub-word 12956.
     from tropmono import factorize
 
     calls = {"times": 0}
@@ -815,7 +823,7 @@ def test_m3_words_make_no_more_products_than_before(monkeypatch):
         rand = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
         for m in (grid, rand):
             assert evaluate(factor_m3(m)) == m
-    assert calls["times"] <= 13483
+    assert calls["times"] <= 11499
 
 
 def test_module_caches_do_not_grow_with_entry_values():
@@ -1248,6 +1256,50 @@ def test_m3_words_hold_no_empty_concatenation():
                 seen.add(id(node))
                 assert node.parts, vals
                 stack.extend(node.parts)
+
+
+def shape_cases():
+    """(factorizer, matrix) over every family: ut and u at n = 1..8, gl
+    at n = 2..8, m2 over all 16 bottom masks and m3 over all 512, plus
+    random matrices, entries up to ±10^9."""
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for _ in range(3):
+            yield factor_ut, rnd_upper(rng, n, lambda: rnd_entry(rng, 0.3, -10 ** 9, 10 ** 9))
+            yield factor_unitriangular, rnd_upper(rng, n, lambda: 0)
+    for n in range(2, 9):
+        for _ in range(3):
+            img = list(range(1, n + 1))
+            rng.shuffle(img)
+            yield factor_gl, mat_mul(diag([rng.randint(-10 ** 9, 10 ** 9) for _ in range(n)]), construct_P(Perm(img)))
+    for size, factorizer in ((2, factor_m2), (3, factor_m3)):
+        for mask in range(1 << size * size):
+            vals = [BOTTOM if mask >> k & 1 else rng.randint(-20, 20) for k in range(size * size)]
+            yield factorizer, matrix([vals[i:i + size] for i in range(0, size * size, size)])
+        for _ in range(100):
+            yield factorizer, matrix([[rnd_entry(rng, 0.3, -10 ** 9, 10 ** 9) for _ in range(size)] for _ in range(size)])
+
+
+def test_words_keep_a_node_only_where_it_is_shared_or_repeated():
+    # A fresh sub-word is spliced into its parent's parts and every power
+    # is a run, so below the root a k = 1 node is a shared word: the same
+    # object in two factorizations of the same matrix.
+    for factorizer, m in shape_cases():
+        w1, w2 = factorizer(m), factorizer(m)
+        seen, stack = set(), [(w1.root, w2.root, True)]
+        while stack:
+            a, b, top = stack.pop()
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            assert type(a) is type(b) and type(a) is not list, m
+            if type(a) is Generator:
+                continue
+            if type(a) is _Node:
+                assert a.k == 1, m
+                assert top or a is b, m
+            assert len(a.parts) == len(b.parts), m
+            stack.extend((p, q, False) for p, q in zip(a.parts, b.parts))
 
 
 def test_factor_dispatch():
