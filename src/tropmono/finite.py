@@ -5,9 +5,9 @@ These run over matrices of either semiring, but every interesting finite
 case here is Boolean (tropical closures are infinite and stop at the
 element cap, a supported, flagged outcome rather than an error).
 Matrices are met only at the boundary: closure multiplies row tuples
-(over B row i of e * g is looked up in g's row table, filled on first
-sight), keys elements by them and wraps a Matrix only around a new
-element, and from then on an element is its index.
+(over B row i of e * g is looked up in g's table of all 2^n rows),
+keys elements by them and wraps a Matrix only around a new element, and
+from then on an element is its index.
 
 Closure is the Froidure-Pin enumeration (Froidure & Pin, 1997): a
 breadth-first walk that records, for every element but the identity,
@@ -21,19 +21,29 @@ u * v follows v's tree word from u, and a whole row u * S fills in
 breadth-first order.  J-classes are the strongly connected components
 of the two-sided Cayley graph, found by an iterative Tarjan.
 
-Primality and rank share one split test: is x a product a * b of two
-elements outside a given set?  It scans the rows of x's left divisors
-only, walked back over predecessor lists built once per monoid; the
-units are the left divisors of the identity.  A prime is a non-unit that
-no two non-units multiply to; a unit orbit U x U that no two elements
-outside it multiply into is required, met by every generating set, and
-rank_search prunes by these orbits, read off rows of products.
+Units, primes and required orbits are read off Cayley edges.  In a
+finite monoid a b is a unit only if a and b are, so the units U are
+generated by the generators whose powers reach 1.  For a non-unit x:
+
+- x = a b with a, b non-units iff an edge y -g-> z has y and g non-units
+  and z in x U: cut b's word after its last non-unit letter g, leaving a
+  unit v, so z = x v^-1 and y is a times a prefix; conversely
+  x = y (g v) when z v = x.
+- If the orbit O = U x U holds no generator, x = a b with a, b outside O
+  iff an edge y -g-> z has z in O and y, g outside O: the walk from a
+  along b's word enters O by such an edge; conversely x = (u y)(g v)
+  when u z v = x, both factors outside O as O is closed under units.
+
+A prime is a non-unit that no two non-units multiply to.  An orbit that
+does not split is required, met by every generating set; rank_search
+prunes by these.  Orbits holding a generator fall back to _splits, which
+scans the product rows of x's left divisors, walked back over
+predecessor lists built once per monoid.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 from .matrix import Matrix, _mk, _right_product, _row_product, format_matrix, identity
 from .semiring import BOTTOM, ZMAX
@@ -67,7 +77,7 @@ class FiniteMonoid:
         self.last = last
         self.closed = closed
         self._index = index
-        self._preds = None  # right Cayley predecessor lists, built by _left_divisors
+        self._preds = None  # right Cayley predecessor lists, built by _predecessors
 
     def __len__(self):
         return len(self.elements)
@@ -269,23 +279,34 @@ def jclasses(fm: FiniteMonoid) -> list:
     return sorted(sorted(members) for members in _sccs(succ))
 
 
-# -- generation and rank -----------------------------------------------------
+# -- generation, units, rank and primes ----------------------------------------
 
-def _generated_indices(fm: FiniteMonoid, subset) -> set:
-    """Indices of the submonoid generated by the subset (identity included)."""
-    cayley = fm.cayley
-    words = [_word(fm, f) for f in subset]
-    seen = {0} | set(subset)
-    queue = deque(seen)
-    while queue:
-        e = queue.popleft()
+def _reach(x: int, cols, *graphs) -> list:
+    """x and all it reaches by steps graph[e][g], g in cols, breadth first."""
+    seen, todo = {x}, [x]
+    for e in todo:
+        for graph in graphs:
+            row = graph[e]
+            for g in cols:
+                p = row[g]
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+    return todo
+
+
+def _generated(fm: FiniteMonoid, words, within=None) -> set:
+    """The identity and the products of the elements the words spell,
+    breadth first over the elements of within only (default all)."""
+    cayley, seen, todo = fm.cayley, {0}, [0]
+    for e in todo:
         for word in words:
             p = e
             for g in word:
                 p = cayley[p][g]
-            if p not in seen:
+            if p not in seen and (within is None or p in within):
                 seen.add(p)
-                queue.append(p)
+                todo.append(p)
     return seen
 
 
@@ -293,26 +314,40 @@ def is_generating(fm: FiniteMonoid, subset) -> bool:
     """Does the subset (of element indices) generate the whole monoid?"""
     if not fm.closed:
         raise ValueError("is_generating needs a closed monoid")
-    return len(_generated_indices(fm, sorted(set(subset)))) == len(fm.elements)
+    return len(_generated(fm, [_word(fm, f) for f in set(subset)])) == len(fm.elements)
 
 
 def irredundant(fm: FiniteMonoid, subset) -> list:
     """For each member of the subset, True when dropping it breaks
-    generation (the member is necessary)."""
+    generation (the member is necessary); all True for a subset that
+    does not generate, False for the identity and a repeated member.
+
+    A generating subset (one holding the generators, or else checked
+    once) generates without x iff the rest generates x, which a search
+    over the left divisors of x decides, as they hold every prefix.
+    """
+    if not fm.closed:
+        raise ValueError("irredundant needs a closed monoid")
     subset = list(subset)
-    return [not is_generating(fm, subset[:i] + subset[i + 1 :]) for i in range(len(subset))]
+    if not set(fm.gens) <= set(subset) and not is_generating(fm, subset):
+        return [True] * len(subset)
+    words = [_word(fm, f) for f in subset]
+    return [x not in _generated(fm, words[:i] + words[i + 1 :], _left_divisors(fm, x)) for i, x in enumerate(subset)]
 
 
-def _left_divisors(fm: FiniteMonoid, x: int) -> set:
-    """The a with x in a S^1 (closed fm): one walk back from x over the right
-    Cayley predecessor lists, built on first use and kept on the monoid."""
-    preds = fm._preds
-    if preds is None:
+def _predecessors(fm: FiniteMonoid) -> list:
+    """preds[v]: the u of each right edge u -> v, kept on the monoid."""
+    if fm._preds is None:
         preds = fm._preds = [[] for _ in fm.cayley]
         for u, row in enumerate(fm.cayley):
             for v in row:
                 preds[v].append(u)
-    divisors, todo = {x}, [x]
+    return fm._preds
+
+
+def _left_divisors(fm: FiniteMonoid, x: int) -> set:
+    """The a with x in a S^1 (closed fm), walked back over predecessors."""
+    preds, divisors, todo = _predecessors(fm), {x}, [x]
     while todo:
         for u in preds[todo.pop()]:
             if u not in divisors:
@@ -321,24 +356,48 @@ def _left_divisors(fm: FiniteMonoid, x: int) -> set:
     return divisors
 
 
+def _unit_gens(fm: FiniteMonoid) -> list:
+    """The generator columns whose powers return to the identity."""
+    return [g for g, e in enumerate(fm.gens) if 0 in _reach(e, [g], fm.cayley)]
+
+
 def _unit_flags(fm: FiniteMonoid):
-    # in a finite monoid u v = 1 forces v u = 1: units are left divisors of 1
-    units = _left_divisors(fm, 0)
-    return [e in units for e in range(len(fm.elements))]
+    # a b is a unit only if a and b are: the unit generators generate U
+    units = set(_reach(0, _unit_gens(fm), fm.cayley))
+    return [e in units for e in range(len(fm.cayley))]
 
 
 def _splits(fm: FiniteMonoid, x: int, outside) -> bool:
-    """Is x = a * b for some a and b that both have outside[.] set?
-
-    A factor a has x in a S^1, so only the left divisors of x need their
-    row of products.
-    """
+    """Is x = a * b for some a and b that both have outside[.] set?  Only
+    the left divisors a of x need their row of products."""
     for a in _left_divisors(fm, x):
         if outside[a]:
             row = _products(fm, a)
             if x in row and any(p == x and outside[b] for b, p in enumerate(row)):
                 return True
     return False
+
+
+def _required_orbits(fm: FiniteMonoid) -> list:
+    """The required unit orbits of a closed monoid as sets, by least
+    member.  U x U is what x reaches by unit generator steps, right and
+    left; one pass over the right edges marks the orbits that split by
+    the edge lemma, and an unmarked orbit holding a generator falls back
+    to _splits."""
+    units, unit_gens = _unit_flags(fm), _unit_gens(fm)
+    orbit_of, orbits = [-1] * len(units), []
+    for x in range(len(units)):
+        if not units[x] and orbit_of[x] < 0:
+            orbits.append(_reach(x, unit_gens, fm.cayley, fm.left))
+            for e in orbits[-1]:
+                orbit_of[e] = len(orbits) - 1
+    gen_orbits, entered = [orbit_of[e] for e in fm.gens], [False] * len(orbits)
+    for y, row in enumerate(fm.cayley):
+        for og, z in zip(gen_orbits, row):
+            if orbit_of[z] not in (orbit_of[y], og, -1):
+                entered[orbit_of[z]] = True
+    return [set(members) for o, members in enumerate(orbits) if not entered[o]
+            and (o not in gen_orbits or not _splits(fm, members[0], [i != o for i in orbit_of]))]
 
 
 def rank_search(fm: FiniteMonoid, k: int):
@@ -351,8 +410,13 @@ def rank_search(fm: FiniteMonoid, k: int):
     as a product of elements outside O; the first prefix of it landing
     in O is y = a * b with a and b outside O, and x = (u a)(b v) for
     units u and v with u y v = x, where u a and b v stay outside O since
-    O is closed under unit multiples.  So G meets O.  The orbits are
-    disjoint, so more than k of them answer None at once.
+    O is closed under unit multiples.  So G meets O, and U - {1} when
+    that is not empty; these sets are disjoint, so more than k of them
+    answer None at once.  If O holds no generator, x is a product of two
+    elements outside O iff an edge y -g-> z has z in O and y, g outside
+    O: the walk from a along b's word enters O by one, and conversely
+    x = (u y)(g v) when u z v = x.  So one pass over the edges finds the
+    required orbits.  Each candidate is closed over one product table.
     """
     if not fm.closed:
         raise ValueError("rank_search needs a closed monoid")
@@ -361,22 +425,13 @@ def rank_search(fm: FiniteMonoid, k: int):
     if not 0 <= k <= 4:
         raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
     size = len(fm.elements)
-    units = _unit_flags(fm)
-    unit_ids = [u for u in range(size) if units[u]]
-    unit_rows = [_products(fm, u) for u in unit_ids]
-    orbits, seen = [], set()
-    for x in range(size):
-        if units[x] or x in seen:
-            continue
-        x_row = _products(fm, x)
-        orbit = {row[x_row[v]] for row in unit_rows for v in unit_ids}
-        seen |= orbit
-        if not _splits(fm, x, [e not in orbit for e in range(size)]):
-            orbits.append(orbit)
+    group = {u for u, unit in enumerate(_unit_flags(fm)) if unit} - {0}
+    orbits = _required_orbits(fm) + [group] * bool(group)
     if len(orbits) > k:
         return None
+    table = [_products(fm, u) for u in range(size)]
     for subset in itertools.combinations(range(size), k):
-        if all(not orbit.isdisjoint(subset) for orbit in orbits) and len(_generated_indices(fm, subset)) == size:
+        if all(not orbit.isdisjoint(subset) for orbit in orbits) and len(_reach(0, subset, table)) == size:
             return list(subset)
     return None
 
@@ -386,6 +441,11 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
     x has exactly one unit factor, so x is no product of two non-units
     (two units multiply to a unit).
 
+    That is, no edge y -g-> z has y and g non-units and z in x U: cut
+    b's word in x = a b after its last non-unit letter g, leaving a unit
+    v, so z = x v^-1 and y is a times a prefix; conversely x = y (g v)
+    when z v = x.  Only the predecessors of x U are read.
+
     Units are excluded from being prime by convention (a unit splits as
     unit times unit), so passing one raises ValueError.
     """
@@ -394,10 +454,13 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
     xi = fm.index_of(x)
     if xi is None:
         raise ValueError(f"matrix not in the monoid: {format_matrix(x)}")
-    units = _unit_flags(fm)
+    units, unit_gens = _unit_flags(fm), _unit_gens(fm)
     if units[xi]:
         raise ValueError("units are excluded from primality")
-    return not _splits(fm, xi, [not u for u in units])
+    cayley, preds = fm.cayley, _predecessors(fm)
+    other_gens = [g for g in range(len(fm.gens)) if g not in unit_gens]
+    return not any(not units[y] and any(cayley[y][g] == z for g in other_gens)
+                   for z in _reach(xi, unit_gens, cayley) for y in preds[z])
 
 
 def x_family_j_related(s: int, t: int) -> bool:

@@ -161,24 +161,20 @@ def _row_product(n: int, semiring: Semiring):
     return _mulb
 
 
-class _RowTable(dict):
-    """Boolean row r -> row r * g for one fixed g, filled on first sight."""
-    __slots__ = ("g",)
-
-    def __missing__(self, r):
-        p = self[r] = _mulb((r,), self.g)[0]
-        return p
-
-
 def _right_product(n: int, semiring: Semiring, g):
     """a -> a * g for one fixed n x n row tuple g, as a function.  Over B
     row i of a * g depends on row i of a alone, so it is looked up in a
-    table of the rows met so far; over zmax it is the row product."""
+    table of all 2^n rows, filled by mask from the last column up: a row
+    whose top bit is j is a lower row plus column n - j, so its product
+    ors in the mask of g's row n - j.  Over zmax it is the row product."""
     if semiring.name == "zmax":
         mul = _row_product(n, semiring)
         return lambda a: mul(a, g)
-    table = _RowTable()
-    table.g, get = g, table.__getitem__
+    rows, mask = _bool_rows(n)
+    products = [0]
+    for r in reversed(g):
+        products += [p | mask[r] for p in products]
+    get = dict(zip(rows, map(rows.__getitem__, products))).__getitem__
     return lambda a: tuple(map(get, a))
 
 

@@ -5,11 +5,14 @@ monoids are small enough to enumerate blindly.
 
 import itertools
 import random
+import time
 from collections import deque
 from fractions import Fraction
 
+from tropmono import finite
 from tropmono.finite import (
     _products,
+    _required_orbits,
     _splits,
     _unit_flags,
     _word,
@@ -201,7 +204,7 @@ def test_closure_matches_reference_at_every_cap():
 
 
 def test_boolean_row_table_product_matches_mat_mul():
-    # one table per generator, reused while later rows keep filling it
+    # one table per generator, all 2^n rows built before the first lookup
     rng = random.Random(20261019)
     for n in range(1, 9):
         ident = identity(n, BOOLEAN)
@@ -519,6 +522,41 @@ def test_units_read_off_the_graph_match_is_invertible():
                 assert "units are excluded from primality" in str(exc)
 
 
+def unit_rich_monoids(seed, count, cap=100):
+    """Closed random Boolean monoids whose generators include a
+    permutation matrix other than the identity, so that the units are
+    more than the identity and every orbit U x U has several members."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.choice((2, 3, 3, 4))
+        image = list(range(n))
+        while image == sorted(image):
+            rng.shuffle(image)
+        gens = random_boolean_gens(rng, n)
+        gens.insert(rng.randrange(len(gens) + 1), matrix([[int(image[i] == j) for j in range(n)] for i in range(n)], BOOLEAN))
+        fm = closure(gens, cap=cap)
+        if fm.closed:
+            found.append(fm)
+    return found
+
+
+def test_unit_flags_match_is_invertible_with_permutation_generators():
+    # the unit generators are those whose powers return to 1, and the
+    # units are what they generate; a permutation of a power of 2 order,
+    # a transposition beside a 3-cycle, and a permutation generator
+    # listed twice all meet the power walk
+    monoids = unit_rich_monoids(20261024, 24)
+    cycle, swap = Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(3, [(1, 2)])
+    monoids.append(closure([construct_P(cycle, BOOLEAN), matrix([[1, 1, 0, 0]] + [[0] * 4] * 3, BOOLEAN)]))
+    s3 = [construct_P(swap, BOOLEAN), construct_P(Perm.from_cycles(3, [(1, 2, 3)]), BOOLEAN)]
+    monoids.append(closure(s3 + [s3[0], matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]], BOOLEAN)]))
+    for fm in monoids:
+        assert _unit_flags(fm) == [is_invertible(m) for m in fm.elements]
+    assert sum(_unit_flags(monoids[-2])) == 4 and sum(_unit_flags(monoids[-1])) == 6
+    assert all(sum(_unit_flags(fm)) > 1 for fm in monoids)
+
+
 def finite_answers(fm):
     """Prime flags of the non-units, rank_search at k = 0..3, irredundant."""
     units = [is_invertible(m) for m in fm.elements]
@@ -564,6 +602,34 @@ def test_split_test_matches_closure_oracle_on_every_unit_orbit():
     assert (counts["m2"], counts["ut2"], counts["ut3"], counts["m3"]) == (1, 3, 6, 2)
 
 
+def test_required_orbits_match_closure_oracle():
+    # the one-pass edge test (with _splits only for orbits that hold a
+    # generator) finds exactly the orbits the closure oracle calls
+    # required; the counts are pinned for the built-in monoids
+    named = [("m2", m2_boolean_gens()), ("ut2", ut_boolean_gens(2)), ("ut3", ut_boolean_gens(3)),
+             ("m3", m3_boolean_gens())]
+    cases = [(name, closure(gens)) for name, gens in named]
+    cases += [(None, fm) for fm in small_random_monoids(20261020, 12) + unit_rich_monoids(20261025, 20)]
+    counts = {}
+    for name, fm in cases:
+        required = [orbit for _, orbit, req in unit_orbits(fm, product_table(fm)) if req]
+        assert _required_orbits(fm) == required
+        counts[name] = len(required)
+    assert (counts["m2"], counts["ut2"], counts["ut3"], counts["m3"]) == (1, 3, 6, 2)
+
+
+def test_required_orbit_counts_at_scale():
+    # M_3(B) 2, UT_4(B) 10 and UT_5(B) 15 required orbits; the UT_5(B)
+    # closure and its one pass over 2^15 * 16 edges take under 10 s
+    assert len(_required_orbits(closure(m3_boolean_gens()))) == 2
+    assert len(_required_orbits(closure(ut_boolean_gens(4)))) == 10
+    t0 = time.monotonic()
+    fm = closure(ut_boolean_gens(5))
+    assert len(_required_orbits(fm)) == 15
+    elapsed = time.monotonic() - t0
+    assert elapsed < 10.0, f"UT_5(B) required orbits took {elapsed:.2f}s"
+
+
 def unpruned_rank_search(table, k):
     """The least index k-tuple whose closure is everything, or None."""
     for subset in itertools.combinations(range(len(table)), k):
@@ -581,6 +647,71 @@ def test_rank_search_matches_unpruned_search():
             assert rank_search(fm, k) == unpruned_rank_search(table, k), (len(fm), k)
     # UT_3(B) has six required orbits, so no four elements generate it
     assert rank_search(closure(ut_boolean_gens(3)), 4) is None
+
+
+def test_irredundant_matches_closure_oracle():
+    # a member is necessary when the rest does not generate: subsets that
+    # generate or do not, hold the identity, repeat a member, or leave
+    # the generators out, against the closure oracle of a product table
+    monoids = [closure(gens) for gens in (m2_boolean_gens(), ut_boolean_gens(2), ut_boolean_gens(3))]
+    monoids += unit_rich_monoids(20261026, 8) + small_random_monoids(20261027, 4)
+    rng = random.Random(20261028)
+    seen = {"not generating": 0, "identity": 0, "repeat": 0}
+    for fm in monoids:
+        table, size, gens = product_table(fm), len(fm), list(fm.gens)
+        subsets = [gens, gens[1:], gens + [0], gens + [gens[-1]], [0] + gens[::-1]]
+        subsets += [rng.sample(range(size), min(size, k)) for k in (2, 3, 5)]
+        subsets += [sorted(set(gens) | set(rng.sample(range(size), 2))) + [rng.randrange(size)]]
+        for subset in subsets:
+            expected = [len(generated(table, subset[:i] + subset[i + 1 :])) < size for i in range(len(subset))]
+            flags = irredundant(fm, subset)
+            assert flags == expected, subset
+            if len(generated(table, subset)) < size:
+                seen["not generating"] += 1
+                assert flags == [True] * len(subset)
+            else:
+                for i, x in enumerate(subset):
+                    if x == 0 or x in subset[:i] + subset[i + 1 :]:
+                        seen["identity" if x == 0 else "repeat"] += 1
+                        assert not flags[i]
+    assert min(seen.values()) >= 5, seen
+    capped = closure(m3_boolean_gens(), cap=100)
+    for subset in (capped.gens, [1, 2]):
+        try:
+            irredundant(capped, subset)
+            assert False
+        except ValueError as exc:
+            assert "closed monoid" in str(exc)
+
+
+def test_queries_read_edges_not_rows(monkeypatch):
+    # prime_certificate of X in M_3(B) builds no row of products, and
+    # irredundant on its generators runs no generation search over the
+    # whole monoid: each member's search keeps to its left divisors
+    fm = closure(m3_boolean_gens())
+    x0 = boolean_image(x_letter(0).realize(3, ZMAX))
+    calls = {"products": 0, "splits": 0, "whole": 0, "within": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    def generated_spy(fm, words, within=None):
+        calls["whole" if within is None else "within"] += 1
+        if within is not None:
+            assert len(within) < len(fm)
+        return real_generated(fm, words, within)
+
+    real_generated = finite._generated
+    monkeypatch.setattr(finite, "_products", counted("products", finite._products))
+    monkeypatch.setattr(finite, "_splits", counted("splits", finite._splits))
+    monkeypatch.setattr(finite, "_generated", generated_spy)
+    assert prime_certificate(x0, fm)
+    assert calls == {"products": 0, "splits": 0, "whole": 0, "within": 0}
+    assert irredundant(fm, fm.gens) == [True] * 5
+    assert calls == {"products": 0, "splits": 0, "whole": 0, "within": 5}
 
 
 # -- primes ---------------------------------------------------------------------------
@@ -630,6 +761,22 @@ def test_prime_certificate_matches_brute_force_on_random_monoids():
         for x, unit in zip(fm.elements, units):
             if not unit:
                 assert prime_certificate(x, fm) == (x not in split)
+
+
+def test_prime_certificate_matches_brute_force_with_units():
+    # monoids with a permutation generator, so x U has several members
+    # and unit factors sit on both sides of a split: the edge scan
+    # against every product of two units or two non-units
+    monoids = unit_rich_monoids(20261029, 24)
+    for fm in monoids:
+        units = [is_invertible(m) for m in fm.elements]
+        split = {mat_mul(u, v) for i, u in enumerate(fm.elements) for j, v in enumerate(fm.elements)
+                 if units[i] == units[j]}
+        for x, unit in zip(fm.elements, units):
+            if not unit:
+                assert prime_certificate(x, fm) == (x not in split)
+    primes = [prime_certificate(x, fm) for fm in monoids for x in fm.elements if not is_invertible(x)]
+    assert 0 < sum(primes) < len(primes)
 
 
 def test_prime_certificate_rejects_units_and_strangers():
