@@ -60,11 +60,12 @@ The triangular walk takes the words for its scalings and elementary
 letters, and the 2x2 words are written over a letter set (A, B, C, D),
 so factor_m3 reuses both, with m3 words for those letters.
 
-The dispatcher's tie-breaking is fixed and documented inline: searches
-over permutation pairs run in lexicographic order and take the first
-hit, collinear detection scans rows then columns, and every ordered
-comparison sends ties to the first-listed branch.  Words are not
-minimized.
+The dispatcher's tie-breaking is fixed: its rules are tried in table
+order, each takes the first hit among the permutation pairs (s, t) in
+its scan order (s outer, t inner, both lexicographic, except that x
+scans t outer, split-row tries s = (2,3,1) last and split-col tries
+t = (3,2,1) before (3,1,2)), and every ordered comparison sends ties
+to the first-listed branch.  Words are not minimized.
 """
 
 from __future__ import annotations
@@ -109,15 +110,12 @@ class MembershipError(ValueError):
 # -- word nodes -----------------------------------------------------------
 
 class _Node:
-    """The concatenation of parts (_Nodes or Generators), k times."""
+    """The concatenation of parts (_Nodes or Generators)."""
 
-    __slots__ = ("parts", "k", "_vals")
+    __slots__ = ("parts", "_vals")
 
-    def __init__(self, parts, k: int = 1):
-        if k < 0:
-            raise ValueError("negative word power")
+    def __init__(self, parts):
         self.parts = tuple(parts)
-        self.k = k
         self._vals = {}
 
 
@@ -145,7 +143,12 @@ class _Run(_Node):
     """Each of its parts repeated k times in a row: a letter power, the
     letters of a negative slot scaling, or a power of a sub-word."""
 
-    __slots__ = ()
+    __slots__ = ("k",)
+
+    def __init__(self, parts, k: int):
+        self.parts = tuple(parts)
+        self.k = k
+        self._vals = {}
 
 
 def _pow(node, k: int):
@@ -167,9 +170,8 @@ def _node_letters(node):
                 for _ in range(node.k):
                     yield from _node_letters(p)
     else:
-        for _ in range(node.k):
-            for p in node.parts:
-                yield from _node_letters(p)
+        for p in node.parts:
+            yield from _node_letters(p)
 
 
 def _fold(node, leaf, inner, memo):
@@ -191,12 +193,11 @@ def _fold(node, leaf, inner, memo):
 
 
 def _join_text(node, texts):
-    # The parts' texts, skipping empty ones, repeated k times; a run's
-    # parts each k times in a row.
+    # The parts' texts, skipping empty ones; a run's parts each k times
+    # in a row.
     if type(node) is _Run:
         return " ".join([" ".join([t] * node.k) for t in texts if t]) if node.k else ""
-    t = " ".join([t for t in texts if t])
-    return " ".join([t] * node.k) if t else ""
+    return " ".join([t for t in texts if t])
 
 
 class Word:
@@ -215,7 +216,8 @@ class Word:
         return _node_letters(self.root)
 
     def letter_count(self) -> int:
-        return _fold(self.root, lambda g: 1, lambda node, lens: node.k * sum(lens), {})
+        count = lambda node, lens: node.k * sum(lens) if type(node) is _Run else sum(lens)
+        return _fold(self.root, lambda g: 1, count, {})
 
     def distinct_letters(self):
         # A walk over unique node ids; a fold would store a value per node.
@@ -473,8 +475,7 @@ def _value(node, key, ev: _Eval):
     """The node's value under key, the word's (monoid, n), cached on the
     node: a leaf's from its letter, a run's as the product of its parts'
     k-th powers, any other node's as the product of its parts' values with
-    their diagonals held back as one pending diagonal that E letters pass,
-    then raised to the node's k."""
+    their diagonals held back as one pending diagonal that E letters pass."""
     hit = node._vals.get(key)
     if hit is not None:
         return hit
@@ -489,16 +490,15 @@ def _value(node, key, ev: _Eval):
         elif node.k != 1:
             val = _power(val, node.k, ev)
     else:
-        # The parts are evaluated even for k = 0, so their letters are
-        # checked.  Diagonal values commute with each other, and
-        # diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), so the
-        # diagonal parts are held back as one pending diagonal dia: a
-        # lone one as its _Mono, from the second on (or from a run) a
-        # list of shifts they are added into.  A _Plus over a diagonal
-        # moves its entry past dia; any other value, and the end of the
-        # parts, multiply dia in first (a list that sums to zero is
-        # dropped).  So a pending diagonal costs no product until a
-        # non-diagonal value meets it.
+        # Diagonal values commute with each other, and diag(d) E(r,c,x)
+        # = E(r,c,x + d[r] - d[c]) diag(d), so the diagonal parts are
+        # held back as one pending diagonal dia: a lone one as its
+        # _Mono, from the second on (or from a run) a list of shifts
+        # they are added into.  A _Plus over a diagonal moves its entry
+        # past dia; any other value, and the end of the parts, multiply
+        # dia in first (a list that sums to zero is dropped).  So a
+        # pending diagonal costs no product until a non-diagonal value
+        # meets it.
         val = dia = None
         ident = ev.ident
         for p in node.parts:
@@ -540,8 +540,6 @@ def _value(node, key, ev: _Eval):
             val = dia if val is None else _times(val, dia, ev)
         if val is None:
             val = ev.unit
-        elif node.k != 1:
-            val = _power(val, node.k, ev)
     node._vals[key] = val
     return val
 
@@ -911,8 +909,32 @@ def _m3_scale(i: int, a):
 
 
 _S3 = [Perm(img) for img in itertools.permutations((1, 2, 3))]
-_ALL3 = {1, 2, 3}
 _REV3 = Perm((3, 2, 1))
+
+
+def _bits(cells):
+    return sum(1 << 3 * i + j - 4 for i, j in cells)
+
+
+# Per pair (s, t) of _S3, at index 6 s + t, the bit that each of m's nine
+# cells lands on in P_s m P_t: cell (i, j) of m lands at (s^-1(i), t(j)).
+_M3_MOVES = [tuple([1 << 3 * i + j - 4 for i in u.img for j in t.img]) for u in map(Perm.inverse, _S3) for t in _S3]
+
+# The dispatcher's rules, in the order they apply: the branch, the cells
+# its normal form needs at -inf, and the order in which it scans the
+# (s, t) pairs, as indices into _M3_MOVES; no one order serves every
+# rule.  gl needs its cells to be exactly the bottoms; a mask that no
+# rule matches is dense.
+_M3_RULES = [
+    ("gl", _bits((i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j), range(36)),
+    ("ut", _bits([(2, 1), (3, 1), (3, 2)]), range(36)),
+    ("block", _bits([(1, 2), (1, 3), (2, 1), (3, 1)]), range(36)),
+    ("split-row", _bits([(3, 1), (3, 2)]), [6 * s + t for s in (0, 1, 2, 4, 5, 3) for t in range(6)]),
+    ("split-col", _bits([(1, 3), (2, 3)]), [6 * s + t for s in range(6) for t in (0, 1, 2, 3, 5, 4)]),
+    ("x", _bits([(1, 1), (2, 2), (3, 3)]), [6 * s + t for t in range(6) for s in range(6)]),
+    ("clear", _bits([(2, 3), (3, 2)]), range(36)),
+    ("clear", _bits([(2, 3)]), range(36)),
+]
 
 
 # The dispatcher's case analysis reads only where the -inf entries sit,
@@ -921,12 +943,13 @@ _REV3 = Perm((3, 2, 1))
 # time, the first time it is seen.
 @cache
 def _m3_fill(mask: int):
-    """The route (branch, s, t, step) of one mask: the case that handles
-    it, the row and column permutations of its normal form P_s m P_t,
-    and the step (cells, left, right) that builds the normal form: row
-    i of P_s m P_t is the entries cells[i] of m's rows laid end to end,
-    and the permutation words left = P_{s^-1} and right = P_{t^-1}
-    (None for the identity) wrap the branch's word.
+    """The route (branch, s, t, step) of one mask: the branch of the
+    first rule in _M3_RULES that matches it (dense if none does), the
+    row and column permutations of its normal form P_s m P_t, and the
+    step (cells, left, right) that builds the normal form: row i of
+    P_s m P_t is the entries cells[i] of m's rows laid end to end, and
+    the permutation words left = P_{s^-1} and right = P_{t^-1} (None
+    for the identity) wrap the branch's word.
     """
     branch, s, t = _m3_find_route(mask)
     tinv = t.inverse()
@@ -935,68 +958,19 @@ def _m3_fill(mask: int):
 
 
 def _m3_find_route(mask: int):
-    """The dispatcher's rules, in the order they apply, for one mask:
-    the branch and its permutation pair (s, t)."""
-    cells = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if mask >> (3 * i + j - 4) & 1]
-    z = len(cells)
-    finite = {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)} - set(cells)
-    if z == 6 and len({i for i, _ in finite}) == len({j for _, j in finite}) == 3:
-        # Invertible: m P_t holds the finite entries on its diagonal.
-        return "gl", _ID3, Perm(tuple(j for _, j in sorted(finite))).inverse()
-    # Three or more bottoms: the first (s, t) in lexicographic order that
-    # makes the pattern upper triangular, then, from four bottoms, the
-    # first scalar-plus-2x2-block one (first row and column bottom off
-    # the corner).  Cell (i, j) of m lands at (s^-1(i), t(j)).
-    for branch, least, need in (
-        ("ut", 3, {(2, 1), (3, 1), (3, 2)}),
-        ("block", 4, {(1, 2), (1, 3), (2, 1), (3, 1)}),
-    ):
-        if z >= least:
-            for s in _S3:
-                sinv = s.inverse()
-                for t in _S3:
-                    if need <= {(sinv(i), t(j)) for i, j in cells}:
-                        return branch, s, t
-    if z >= 4:
-        # Never reached: every mask of four or more bottoms has one of
-        # the two forms (criterion 9).
+    """The first rule, and the first pair in its order, whose normal form
+    P_s m P_t has -inf at every cell the rule needs: the branch and (s, t)."""
+    bottoms = [k for k in range(9) if mask >> k & 1]
+    moved = [sum([to[k] for k in bottoms]) for to in _M3_MOVES]
+    for branch, need, order in _M3_RULES:
+        for p in order:
+            if (moved[p] == need) if branch == "gl" else not need & ~moved[p]:
+                return branch, _S3[p // 6], _S3[p % 6]
+    if len(bottoms) >= 4:
+        # Never reached: every mask of four or more bottoms has a gl, ut
+        # or block form (criterion 9).
         raise AssertionError(f"no triangular or block form for bottom mask {mask}")
-    if z == 0:
-        return "dense", _ID3, _ID3
-    # A row, then a column, holding at least two bottoms.
-    for r in (1, 2, 3):
-        cols = [j for i, j in cells if i == r]
-        if len(cols) >= 2:
-            # Row r goes to row 3, its first two bottom columns to 1 and 2.
-            rho = Perm.transposition(3, r, 3) if r != 3 else _ID3
-            ca, cb = cols[:2]
-            img = [0, 0, 0]
-            img[ca - 1], img[cb - 1], img[(_ALL3 - {ca, cb}).pop() - 1] = 1, 2, 3
-            return "split-row", rho, Perm(img)
-    for c in (1, 2, 3):
-        rows = [i for i, j in cells if j == c]
-        if len(rows) >= 2:
-            # Column c goes to column 3, its first two bottom rows to 1 and 2.
-            tau = Perm.transposition(3, c, 3) if c != 3 else _ID3
-            ra, rb = rows[:2]
-            return "split-col", Perm((ra, rb, (_ALL3 - {ra, rb}).pop())), tau
-    if z == 3:
-        # One bottom per row and column: pull them onto the diagonal.
-        return "x", Perm(tuple(j for _, j in cells)).inverse(), _ID3
-    # One or two scattered bottoms: the first goes to (2,3), the second
-    # to (3,2).
-    img = [0, 0, 0]
-    if z == 2:
-        (r1, c1), (r2, c2) = cells
-        sigma = Perm(((_ALL3 - {r1, r2}).pop(), r1, r2))
-        img[c1 - 1], img[c2 - 1], img[(_ALL3 - {c1, c2}).pop() - 1] = 3, 2, 1
-    else:
-        ((r1, c1),) = cells
-        ra, rb = sorted(_ALL3 - {r1})
-        sigma = Perm((ra, r1, rb))
-        ca, cb = sorted(_ALL3 - {c1})
-        img[c1 - 1], img[ca - 1], img[cb - 1] = 3, 1, 2
-    return "clear", sigma, Perm(img)
+    return "dense", _ID3, _ID3
 
 
 # Each branch below gets g, the rows of its normal form P_s m P_t, and
@@ -1117,18 +1091,19 @@ def factor_m3(m: Matrix) -> Word:
     case up by the bottom mask (the positions of the -inf entries) in a
     table that is filled the first time a mask is seen, together with
     the cells that gather the case's normal form P_s m P_t and the
-    permutation words around it; every case has such a pair, the
-    identity pair for a dense matrix.  Invertible patterns move their
-    finite entries onto the diagonal and become slot scalings; three or
-    more bottoms take the first permutation pair, in lexicographic
-    order, to a triangular form (the ut walk over the m3 letters), and
-    four or more otherwise to a scalar-plus-block form (the 2x2 words
-    over the lifted block letters); collinear bottom pairs split a
-    triangular or block factor off; a diagonal bottom pattern lands in
-    the X family; one or two scattered bottoms are grown by clearing an
-    entry with a parametrized E_12; a dense matrix splits into easier
-    pieces after column sorting.  Each recursion strictly increases the
-    bottom count, so the depth is bounded (asserted at 6).
+    permutation words around it.  The table's rules, tried in order,
+    each name the cells that must be -inf in the normal form, and the
+    first permutation pair that puts bottoms there wins.  Invertible
+    patterns (bottoms exactly off the diagonal) move their finite
+    entries onto the diagonal and become slot scalings; a triangular
+    form takes the ut walk over the m3 letters, and a scalar-plus-block
+    form the 2x2 words over the lifted block letters; a bottom pair in
+    one row or column splits a triangular or block factor off; a
+    diagonal bottom pattern lands in the X family; one or two scattered
+    bottoms are grown by clearing an entry with a parametrized E_12; a
+    mask that no rule matches is dense (the identity pair) and splits
+    into easier pieces after column sorting.  Each recursion strictly
+    increases the bottom count, so the depth is bounded (asserted at 6).
     """
     if m.semiring is not ZMAX:
         raise MembershipError("factor_m3 expects a zmax matrix")
