@@ -4,10 +4,12 @@ and prime certificates.
 These run over matrices of either semiring, but every interesting finite
 case here is Boolean (tropical closures are infinite and stop at the
 element cap, a supported, flagged outcome rather than an error).
-Matrices are met only at the boundary: closure multiplies row tuples
-(over B row i of e * g is looked up in g's table of all 2^n rows),
-keys elements by them and wraps a Matrix only around a new element, and
-from then on an element is its index.
+Matrices are met only at the boundary.  Closure keys, stores and
+multiplies each element as a code: over B one packed int of n^2 bits,
+whose n-bit rows are looked up in g's table of all 2^n rows to give
+e * g; over zmax the row tuples themselves.  FiniteMonoid.elements
+builds the Matrix list from the codes on first read, and every query
+here works on element indices alone.
 
 Closure is the Froidure-Pin enumeration (Froidure & Pin, 1997): a
 breadth-first walk that records, for every element but the identity,
@@ -45,31 +47,33 @@ from __future__ import annotations
 
 import itertools
 
-from .matrix import Matrix, _mk, _right_product, _row_product, format_matrix, identity
+from .matrix import Matrix, _bool_code, _mk, _right_product, _row_product, format_matrix, identity
 from .semiring import BOTTOM, ZMAX
 
 DEFAULT_CAP = 10 ** 6
 
 
 class FiniteMonoid:
-    """A closure result: elements (index 0 is the identity), the indices
-    of the generators inside the element list, the right Cayley action
-    cayley[e][g] = index of elements[e] * generator g, and the left one,
-    left[e][g] = index of generator g * elements[e].
+    """A closure result: the elements' codes (index 0 is the identity),
+    the indices of the generators among them, the right Cayley action
+    cayley[e][g] = index of element e * generator g, and the left one,
+    left[e][g] = index of generator g * element e.  elements is the
+    Matrix list, built from the codes on first read.
 
-    For e > 0, elements[e] = elements[parent[e]] * generator last[e] is
-    the edge by which closure first reached e, so parent[e] < e.
+    For e > 0, element e = element parent[e] * generator last[e] is the
+    edge by which closure first reached e, so parent[e] < e.
 
     closed is False when the cap cut the walk short; the products that
     would have passed the cap are -1 in cayley and left.
     """
 
-    __slots__ = ("n", "semiring", "elements", "gens", "cayley", "left", "parent", "last", "closed", "_index", "_preds")
+    __slots__ = ("n", "semiring", "codes", "gens", "cayley", "left", "parent", "last", "closed",
+                 "_index", "_codec", "_elements", "_preds")
 
-    def __init__(self, n, semiring, elements, gens, cayley, left, parent, last, closed, index):
+    def __init__(self, n, semiring, codes, gens, cayley, left, parent, last, closed, index, codec):
         self.n = n
         self.semiring = semiring
-        self.elements = elements
+        self.codes = codes
         self.gens = gens
         self.cayley = cayley
         self.left = left
@@ -77,13 +81,24 @@ class FiniteMonoid:
         self.last = last
         self.closed = closed
         self._index = index
+        self._codec = codec  # (encode, decode) between row tuples and codes
+        self._elements = None  # the Matrix list, built by elements
         self._preds = None  # right Cayley predecessor lists, built by _predecessors
 
+    @property
+    def elements(self) -> list:
+        if self._elements is None:
+            decode = self._codec[1]
+            self._elements = [_mk(self.n, self.semiring, decode(c)) for c in self.codes]
+        return self._elements
+
     def __len__(self):
-        return len(self.elements)
+        return len(self.codes)
 
     def index_of(self, m: Matrix):
-        return self._index.get(m.rows) if m.semiring is self.semiring else None
+        if m.semiring is not self.semiring or m.n != self.n:
+            return None
+        return self._index.get(self._codec[0](m.rows))
 
     def __contains__(self, m: Matrix):
         return self.index_of(m) is not None
@@ -98,10 +113,9 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     a * (s * g).  Unless the tree edge (s, g) reaches s * g, that product
     has a smaller tree word and a * (s * g) is read off the graph; only
     the other products are multiplied out.  The left graph of each
-    length is filled from the right graph.  Products are taken on row
-    tuples: e * g by g's row function (over B a table from each row of e
-    to its row of e * g), g * e by the row product; a Matrix is built
-    only for an element seen for the first time.
+    length is filled from the right graph.  Elements are keyed, stored
+    and multiplied as codes, packed ints over B and row tuples over zmax
+    (see _right_product); no Matrix is built here.
 
     Stops when the element count would pass cap and flags the result not
     closed; from then on a lookup that meets a -1 edge multiplies.  A cap
@@ -116,30 +130,32 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     else:
         raise ValueError("closure needs at least one matrix to fix n; pass [identity(n, sr)]")
     mul = _row_product(n, semiring)
-    elements = [identity(n, semiring)]
-    index = {elements[0].rows: 0}
+    encode, decode = (tuple, tuple) if semiring.name == "zmax" else _bool_code(n)
+    codes = [encode(identity(n, semiring).rows)]
+    index = {codes[0]: 0}
     parent, last = [-1], [-1]
     gen_idx = []
     for gi, g in enumerate(gens):
-        if g.rows not in index:
-            index[g.rows] = len(elements)
-            elements.append(g)
+        c = encode(g.rows)
+        if c not in index:
+            index[c] = len(codes)
+            codes.append(c)
             parent.append(0)
             last.append(gi)
-        gen_idx.append(index[g.rows])
-    if cap < len(elements):
-        raise ValueError(f"cap {cap} is below the {len(elements)} elements it starts from "
+        gen_idx.append(index[c])
+    if cap < len(codes):
+        raise ValueError(f"cap {cap} is below the {len(codes)} elements it starts from "
                          "(the identity and the distinct generators)")
     grows = [g.rows for g in gens]
     right = [_right_product(n, semiring, g) for g in grows]
-    first, suffix = last[:], [0] * len(elements)
+    first, suffix = last[:], [0] * len(codes)
     cayley, left = [list(gen_idx)], [list(gen_idx)]
     closed = True
     lo = 1
     # Elements are explored in index order, which is shortlex order of
     # their tree words, so every edge read off below is already known.
-    while lo < len(elements):
-        hi = len(elements)
+    while lo < len(codes):
+        hi = len(codes)
         for e in range(lo, hi):
             a, s = first[e], suffix[e]
             row = []
@@ -153,14 +169,14 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                     i = left[parent[r]][a]
                     i = cayley[i][last[r]] if i >= 0 else -1
                 if i < 0:
-                    p = right[gi](elements[e].rows)
+                    p = right[gi](codes[e])
                     i = index.get(p, -1)
-                    if i < 0 and len(elements) >= cap:
+                    if i < 0 and len(codes) >= cap:
                         closed = False
                     elif i < 0:
-                        i = len(elements)
+                        i = len(codes)
                         index[p] = i
-                        elements.append(_mk(n, semiring, p))
+                        codes.append(p)
                         parent.append(e)
                         last.append(gi)
                         first.append(a)
@@ -170,12 +186,13 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
         # parent[e] passed the cap (a -1 right edge stays -1: no element
         # joins after the cap is met)
         for e in range(lo, hi):
-            rows, step = elements[e].rows, last[e]
+            step = last[e]
             left.append([
-                cayley[i][step] if i >= 0 else index.get(mul(g, rows), -1) for i, g in zip(left[parent[e]], grows)
+                cayley[i][step] if i >= 0 else index.get(encode(mul(g, decode(codes[e]))), -1)
+                for i, g in zip(left[parent[e]], grows)
             ])
         lo = hi
-    return FiniteMonoid(n, semiring, elements, gen_idx, cayley, left, parent, last, closed, index)
+    return FiniteMonoid(n, semiring, codes, gen_idx, cayley, left, parent, last, closed, index, (encode, decode))
 
 
 def infinite_witness(gens):
@@ -314,7 +331,7 @@ def is_generating(fm: FiniteMonoid, subset) -> bool:
     """Does the subset (of element indices) generate the whole monoid?"""
     if not fm.closed:
         raise ValueError("is_generating needs a closed monoid")
-    return len(_generated(fm, [_word(fm, f) for f in set(subset)])) == len(fm.elements)
+    return len(_generated(fm, [_word(fm, f) for f in set(subset)])) == len(fm)
 
 
 def irredundant(fm: FiniteMonoid, subset) -> list:
@@ -420,11 +437,11 @@ def rank_search(fm: FiniteMonoid, k: int):
     """
     if not fm.closed:
         raise ValueError("rank_search needs a closed monoid")
-    if len(fm.elements) > 64:
-        raise ValueError(f"rank_search supports at most 64 elements, got {len(fm.elements)}")
+    if len(fm) > 64:
+        raise ValueError(f"rank_search supports at most 64 elements, got {len(fm)}")
     if not 0 <= k <= 4:
         raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
-    size = len(fm.elements)
+    size = len(fm)
     group = {u for u, unit in enumerate(_unit_flags(fm)) if unit} - {0}
     orbits = _required_orbits(fm) + [group] * bool(group)
     if len(orbits) > k:

@@ -161,21 +161,46 @@ def _row_product(n: int, semiring: Semiring):
     return _mulb
 
 
+@cache
+def _bool_code(n: int):
+    """(encode, decode) between n x n Boolean row tuples and packed ints
+    of n^2 bits: row 1 in the top n bits, each row as its mask."""
+    rows, mask = _bool_rows(n)
+    shifts, full = range(n * n - n, -1, -n), (1 << n) - 1
+
+    def encode(a):
+        code = 0
+        for r in a:
+            code = code << n | mask[r]
+        return code
+
+    return encode, lambda code: tuple([rows[code >> s & full] for s in shifts])
+
+
 def _right_product(n: int, semiring: Semiring, g):
-    """a -> a * g for one fixed n x n row tuple g, as a function.  Over B
-    row i of a * g depends on row i of a alone, so it is looked up in a
-    table of all 2^n rows, filled by mask from the last column up: a row
-    whose top bit is j is a lower row plus column n - j, so its product
-    ors in the mask of g's row n - j.  Over zmax it is the row product."""
+    """a -> a * g for one fixed n x n row tuple g, as a function on
+    closure's element codes.  Over B a is a packed int (_bool_code), and
+    row i of a * g depends on row i of a alone, so each n-bit row is
+    looked up in a table of all 2^n rows, filled by mask from the last
+    column up: a row whose top bit is j is a lower row plus column n - j,
+    so its product ors in the mask of g's row n - j.  Over zmax a is a
+    row tuple and this is the row product."""
     if semiring.name == "zmax":
         mul = _row_product(n, semiring)
         return lambda a: mul(a, g)
-    rows, mask = _bool_rows(n)
+    _, mask = _bool_rows(n)
     products = [0]
     for r in reversed(g):
         products += [p | mask[r] for p in products]
-    get = dict(zip(rows, map(rows.__getitem__, products))).__getitem__
-    return lambda a: tuple(map(get, a))
+    shifts, full = range(n * n - n, -1, -n), (1 << n) - 1
+
+    def times_g(code):
+        out = 0
+        for s in shifts:
+            out = out << n | products[code >> s & full]
+        return out
+
+    return times_g
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -185,21 +210,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     return _mk(a.n, a.semiring, _row_product(a.n, a.semiring)(a.rows, b.rows))
-
-
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    if k < 0:
-        raise ValueError("negative matrix power")
-    # Start from the first factor rather than from the identity, which is
-    # built (unvalidated, like every product) only for k = 0.
-    acc = None
-    base = m
-    while k:
-        if k & 1:
-            acc = base if acc is None else mat_mul(acc, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return _mk(m.n, m.semiring, _identity_rows(m.n, m.semiring)) if acc is None else acc
 
 
 # -- permutations --------------------------------------------------------
@@ -294,18 +304,6 @@ def construct_E(i: int, j: int, n: int, semiring: Semiring = ZMAX, lam=None) -> 
     rows = [[semiring.one if r == c else semiring.zero for c in range(1, n + 1)] for r in range(1, n + 1)]
     rows[i - 1][j - 1] = lam
     return Matrix(n, semiring, rows)
-
-
-def permute(m: Matrix, row_perm: Perm, col_perm: Perm) -> Matrix:
-    """P_row * m * P_col.  Entry (i, j) of the result is m[row(i), col^{-1}(j)]."""
-    if row_perm.n != m.n or col_perm.n != m.n:
-        raise ValueError("permutation degree does not match matrix dimension")
-    cinv = col_perm.inverse()
-    rows = tuple(
-        tuple(m.rows[row_perm(i) - 1][cinv(j) - 1] for j in range(1, m.n + 1))
-        for i in range(1, m.n + 1)
-    )
-    return _mk(m.n, m.semiring, rows)
 
 
 # -- structure tests -----------------------------------------------------

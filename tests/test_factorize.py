@@ -52,14 +52,12 @@ from tropmono.matrix import (
     is_monomial,
     is_upper_triangular,
     mat_mul,
-    mat_pow,
     matrix,
     parse_matrix,
-    permute,
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
 
-from unit_reference import is_invertible
+from unit_reference import is_invertible, mat_pow, permute
 
 
 def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):

@@ -35,18 +35,18 @@ from tropmono.genset import (
 )
 from tropmono.matrix import (
     Perm,
+    _bool_code,
     _right_product,
     boolean_image,
     construct_P,
     identity,
     mat_mul,
-    mat_pow,
     matrix,
     parse_matrix,
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
 
-from unit_reference import is_invertible
+from unit_reference import is_invertible, mat_pow, permute
 
 
 def walk(fm, e, word):
@@ -217,12 +217,53 @@ def test_boolean_row_table_product_matches_mat_mul():
             return matrix(rows, BOOLEAN)
 
         factors = [ident, zero_rows, ones] + [rand(p) for p in (0.1, 0.3, 0.5, 0.8) for _ in range(3)]
+        encode, decode = _bool_code(n)
         for g in factors:
             times_g = _right_product(n, BOOLEAN, g.rows)
             lefts = factors + [rand(0.5) for _ in range(10)]
             for _ in range(2):
                 for a in lefts:
-                    assert times_g(a.rows) == mat_mul(a, g).rows
+                    assert decode(times_g(encode(a.rows))) == mat_mul(a, g).rows
+
+
+def test_boolean_codes_round_trip():
+    # a code is the matrix's n^2 bits read row by row, row 1 on top
+    rng = random.Random(20261020)
+    for n in range(1, 9):
+        encode, decode = _bool_code(n)
+        zero, ones = ((0,) * n,) * n, ((1,) * n,) * n
+        assert encode(zero) == 0 and encode(ones) == (1 << n * n) - 1
+        samples = [zero, ones] + [tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(n)) for _ in range(40)]
+        for rows in samples:
+            code = encode(rows)
+            assert code == int("".join(str(x) for row in rows for x in row), 2)
+            assert decode(code) == rows
+
+
+def test_lookup_refuses_a_matrix_of_another_dimension():
+    # the 3x3 code 0b000_001_001 is the 2x2 identity's 0b10_01
+    fm = closure(m2_boolean_gens())
+    stranger = matrix([[0, 0, 0], [0, 0, 1], [0, 0, 1]], BOOLEAN)
+    assert _bool_code(3)[0](stranger.rows) == _bool_code(2)[0](identity(2, BOOLEAN).rows) == 9
+    assert fm.index_of(identity(2, BOOLEAN)) == 0
+    assert fm.index_of(stranger) is None
+    assert stranger not in fm
+
+
+def test_queries_build_no_element_matrix():
+    # every boolean_finite benchmark task answers from codes and Cayley
+    # edges: building a Matrix per element would show as a built list
+    monoids = [closure(gens) for gens in (ut_boolean_gens(2), ut_boolean_gens(3), ut_boolean_gens(4))]
+    m2, m3 = closure(m2_boolean_gens()), closure(m3_boolean_gens())
+    monoids += [m2, m3]
+    assert [len(jclasses(fm)) for fm in monoids] == [6, 33, 384, 4, 11]
+    x = boolean_image(x_letter(0).realize(3, ZMAX))
+    assert prime_certificate(permute(x, Perm([2, 3, 1]), Perm([3, 1, 2])), m3)
+    assert rank_search(m2, 2) is None and len(rank_search(m2, 3)) == 3
+    assert is_generating(m2, m2.gens)
+    assert irredundant(m3, m3.gens) == [True] * 5
+    assert all(fm._elements is None for fm in monoids)
+    assert m3.elements is m3.elements and len(m3.elements) == 512
 
 
 def test_cayley_table_is_right_action():

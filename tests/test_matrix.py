@@ -26,16 +26,14 @@ from tropmono.matrix import (
     is_unitriangular,
     is_upper_triangular,
     mat_mul,
-    mat_pow,
     matrix,
     matrix_to_json,
     parse_matrix,
-    permute,
     regularity_witness,
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX, is_finite
 
-from unit_reference import is_invertible
+from unit_reference import is_invertible, mat_pow, permute
 
 
 def rnd_matrix(rng, n, p_bot=0.3, lo=-20, hi=20):

@@ -1,9 +1,13 @@
-"""The tests' own reference for units: which scalars and which matrices
-have a multiplicative inverse, read off the definitions.  The library
-reads units off its Cayley graphs instead, and the tests compare the two.
+"""The tests' own references, read off the definitions.
+
+Units: which scalars and which matrices have a multiplicative inverse.
+The library reads units off its Cayley graphs instead, and the tests
+compare the two.  Powers and permutations: mat_pow by repeated squaring
+and permute by index lookup, against which the tests check the
+factorizer's cached powers and the m3 dispatch table's normal forms.
 """
 
-from tropmono.matrix import is_monomial
+from tropmono.matrix import Matrix, identity, is_monomial, mat_mul
 from tropmono.semiring import BOTTOM, ZMAX
 
 
@@ -21,3 +25,25 @@ def is_invertible(m) -> bool:
         return False
     _, vals = mono
     return all(is_unit(m.semiring, v) for v in vals)
+
+
+def mat_pow(m, k: int):
+    """m^k by repeated squaring; the identity for k = 0."""
+    if k < 0:
+        raise ValueError("negative matrix power")
+    acc, base = None, m
+    while k:
+        if k & 1:
+            acc = base if acc is None else mat_mul(acc, base)
+        base = mat_mul(base, base) if k > 1 else base
+        k >>= 1
+    return identity(m.n, m.semiring) if acc is None else acc
+
+
+def permute(m, row_perm, col_perm):
+    """P_row * m * P_col.  Entry (i, j) of the result is m[row(i), col^{-1}(j)]."""
+    if row_perm.n != m.n or col_perm.n != m.n:
+        raise ValueError("permutation degree does not match matrix dimension")
+    cinv = col_perm.inverse()
+    rows = [[m.rows[row_perm(i) - 1][cinv(j) - 1] for j in range(1, m.n + 1)] for i in range(1, m.n + 1)]
+    return Matrix(m.n, m.semiring, rows)
