@@ -187,7 +187,8 @@ def _closure(args, finite_only=False):
     """The finite monoid of closure-like commands, generated by
     --gens-file or a built-in alphabet over --semiring (default
     boolean).  With finite_only, a zmax generator whose powers are
-    pairwise distinct is refused (ValueError) before any enumeration."""
+    pairwise distinct is refused (ValueError) before any enumeration,
+    and a closure that reaches the cap after it."""
     semiring = semiring_by_name(args.semiring)
     if args.gens_file:
         read = _read_matrices(args.gens_file, semiring, "gens")
@@ -206,7 +207,11 @@ def _closure(args, finite_only=False):
             f"{args.command} needs a finite monoid, but {names[gi]} has maximum cycle mean {mean}, "
             "not 0, so its powers are pairwise distinct"
         )
-    return finite.closure(gens, cap=args.cap)
+    fm = finite.closure(gens, cap=args.cap)
+    if finite_only and not fm.closed:
+        raise ValueError(f"{args.command} needs a finite monoid, "
+                         f"but its closure reached the cap of {args.cap} elements")
+    return fm
 
 
 def _cmd_closure(args):

@@ -3,7 +3,8 @@ and prime certificates.
 
 These run over matrices of either semiring, but every interesting finite
 case here is Boolean (tropical closures are infinite and stop at the
-element cap, a supported, flagged outcome rather than an error).
+element cap, a supported, flagged outcome rather than an error; such a
+monoid carries no Cayley graphs).
 Matrices are met only at the boundary.  Closure keys, stores and
 multiplies each element as a code: over B one packed int of n^2 bits,
 whose n-bit rows are looked up in g's table of all 2^n rows to give
@@ -63,8 +64,9 @@ class FiniteMonoid:
     For e > 0, element e = element parent[e] * generator last[e] is the
     edge by which closure first reached e, so parent[e] < e.
 
-    closed is False when the cap cut the walk short; the products that
-    would have passed the cap are -1 in cayley and left.
+    closed is False when the cap cut the walk short; such a monoid keeps
+    its elements and spanning tree, but cayley and left are None, and
+    every query below refuses it.
     """
 
     __slots__ = ("n", "semiring", "codes", "gens", "cayley", "left", "parent", "last", "closed",
@@ -117,9 +119,10 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     and multiplied as codes, packed ints over B and row tuples over zmax
     (see _right_product); no Matrix is built here.
 
-    Stops when the element count would pass cap and flags the result not
-    closed; from then on a lookup that meets a -1 edge multiplies.  A cap
-    below the identity plus the distinct generators raises ValueError.
+    Returns at the first new product that would pass cap, flagged not
+    closed, with its elements and spanning tree but no Cayley graphs.  A
+    cap below the identity plus the distinct generators raises
+    ValueError.
     """
     gens = list(gens)
     if gens:
@@ -129,8 +132,8 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                 raise ValueError("generators disagree on dimension or semiring")
     else:
         raise ValueError("closure needs at least one matrix to fix n; pass [identity(n, sr)]")
-    mul = _row_product(n, semiring)
-    encode, decode = (tuple, tuple) if semiring.name == "zmax" else _bool_code(n)
+    codec = (tuple, tuple) if semiring.name == "zmax" else _bool_code(n)
+    encode = codec[0]
     codes = [encode(identity(n, semiring).rows)]
     index = {codes[0]: 0}
     parent, last = [-1], [-1]
@@ -146,11 +149,9 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     if cap < len(codes):
         raise ValueError(f"cap {cap} is below the {len(codes)} elements it starts from "
                          "(the identity and the distinct generators)")
-    grows = [g.rows for g in gens]
-    right = [_right_product(n, semiring, g) for g in grows]
+    right = [_right_product(n, semiring, g.rows) for g in gens]
     first, suffix = last[:], [0] * len(codes)
     cayley, left = [list(gen_idx)], [list(gen_idx)]
-    closed = True
     lo = 1
     # Elements are explored in index order, which is shortlex order of
     # their tree words, so every edge read off below is already known.
@@ -161,19 +162,17 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             row = []
             cayley.append(row)
             for gi, r in enumerate(cayley[s]):
-                i = -1
                 # s * g is no tree word: e * g = a * r = (a * parent[r]) * last[r]
                 if r == 0:
                     i = gen_idx[a]
-                elif r > 0 and (parent[r] != s or last[r] != gi):
-                    i = left[parent[r]][a]
-                    i = cayley[i][last[r]] if i >= 0 else -1
-                if i < 0:
+                elif parent[r] != s or last[r] != gi:
+                    i = cayley[left[parent[r]][a]][last[r]]
+                else:
                     p = right[gi](codes[e])
-                    i = index.get(p, -1)
-                    if i < 0 and len(codes) >= cap:
-                        closed = False
-                    elif i < 0:
+                    i = index.get(p)
+                    if i is None:
+                        if len(codes) == cap:
+                            return FiniteMonoid(n, semiring, codes, gen_idx, None, None, parent, last, False, index, codec)
                         i = len(codes)
                         index[p] = i
                         codes.append(p)
@@ -182,17 +181,12 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                         first.append(a)
                         suffix.append(r)
                 row.append(i)
-        # g * e = (g * parent[e]) * last[e], multiplied out only where g *
-        # parent[e] passed the cap (a -1 right edge stays -1: no element
-        # joins after the cap is met)
+        # g * e = (g * parent[e]) * last[e]
         for e in range(lo, hi):
             step = last[e]
-            left.append([
-                cayley[i][step] if i >= 0 else index.get(encode(mul(g, decode(codes[e]))), -1)
-                for i, g in zip(left[parent[e]], grows)
-            ])
+            left.append([cayley[i][step] for i in left[parent[e]]])
         lo = hi
-    return FiniteMonoid(n, semiring, codes, gen_idx, cayley, left, parent, last, closed, index, (encode, decode))
+    return FiniteMonoid(n, semiring, codes, gen_idx, cayley, left, parent, last, True, index, codec)
 
 
 def infinite_witness(gens):
@@ -433,7 +427,7 @@ def rank_search(fm: FiniteMonoid, k: int):
     elements outside O iff an edge y -g-> z has z in O and y, g outside
     O: the walk from a along b's word enters O by one, and conversely
     x = (u y)(g v) when u z v = x.  So one pass over the edges finds the
-    required orbits.  Each candidate is closed over one product table.
+    required orbits.  Each candidate is tested by is_generating.
     """
     if not fm.closed:
         raise ValueError("rank_search needs a closed monoid")
@@ -441,14 +435,12 @@ def rank_search(fm: FiniteMonoid, k: int):
         raise ValueError(f"rank_search supports at most 64 elements, got {len(fm)}")
     if not 0 <= k <= 4:
         raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
-    size = len(fm)
     group = {u for u, unit in enumerate(_unit_flags(fm)) if unit} - {0}
     orbits = _required_orbits(fm) + [group] * bool(group)
     if len(orbits) > k:
         return None
-    table = [_products(fm, u) for u in range(size)]
-    for subset in itertools.combinations(range(size), k):
-        if all(not orbit.isdisjoint(subset) for orbit in orbits) and len(_reach(0, subset, table)) == size:
+    for subset in itertools.combinations(range(len(fm)), k):
+        if all(not orbit.isdisjoint(subset) for orbit in orbits) and is_generating(fm, subset):
             return list(subset)
     return None
 

@@ -354,6 +354,21 @@ def test_infinite_zmax_monoid_exits_2_before_enumerating(cmd, tmp_path, monkeypa
     assert rc == 0 and out == "elements: 50, closed: false (cap 50 reached)\n"
 
 
+@pytest.mark.parametrize("cmd", [["rank", "-k", "2"], ["irredundant"]])
+def test_closure_that_reaches_its_cap_is_refused_by_name(cmd, tmp_path, capsys):
+    # the (1,1) entries of the generator's powers fall without bound, but
+    # its maximum cycle mean is 0, so no witness refuses it up front
+    f = tmp_path / "gens.txt"
+    f.write_text("-1 0; -inf 0\n")
+    rc, out, err = run(cmd + ["--gens-file", str(f), "--semiring", "zmax", "--cap", "50"], capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: {cmd[0]} needs a finite monoid, but its closure reached the cap of 50 elements\n"
+    # M_3(B) has 512 elements
+    rc, out, err = run(cmd + ["--monoid", "m3", "--cap", "100"], capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: {cmd[0]} needs a finite monoid, but its closure reached the cap of 100 elements\n"
+
+
 def test_closed_zmax_monoid_is_not_refused(tmp_path, capsys):
     # the 0/-inf permutation matrices of S_3 form a closed zmax monoid
     f = tmp_path / "gens.txt"
@@ -428,6 +443,22 @@ def test_certify_prime_rejects_units(capsys):
     rc, _, err = run(["certify-prime", "1 0; 0 1"], capsys)
     assert rc == 2
     assert "unit" in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["factor", "--monoid", "m3", "--batch", "{f}"], "\n\n", "batch file {f} holds no matrices"),
+    (["closure", "--gens-file", "{f}"], "  \n", "gens file {f} holds no matrices"),
+    (["verify", "--monoid", "m3", "X(0)", "0 0; 0 0"], None, "word is 3x3 but matrix is 2x2"),
+    (["closure"], None, "closure needs --gens-file or --monoid"),
+    (["certify-prime", "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 0"], None, "certify-prime covers 2x2 and 3x3 matrices, got n=4"),
+])
+def test_commands_refuse_unusable_input(argv, text, message, tmp_path, capsys):
+    f = tmp_path / "input.txt"
+    if text is not None:
+        f.write_text(text)
+    rc, out, err = run([a.format(f=f) for a in argv], capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message.format(f=f)}\n"
 
 
 def test_jrel_x(capsys):

@@ -945,6 +945,19 @@ def test_factor_ut_rejects():
         pass
 
 
+@pytest.mark.parametrize("factorizer, m, message", [
+    (factor_unitriangular, identity(2, BOOLEAN), "factor_unitriangular expects a zmax matrix"),
+    (factor_gl, identity(2, BOOLEAN), "factor_gl expects a zmax matrix"),
+    (factor_m2, identity(2, BOOLEAN), "factor_m2 expects a zmax matrix"),
+    (factor_m3, identity(3, BOOLEAN), "factor_m3 expects a zmax matrix"),
+    (factor_m3, identity(2, ZMAX), "factor_m3 expects 3x3, got 2x2"),
+])
+def test_factorizers_refuse_boolean_and_wrong_size_matrices(factorizer, m, message):
+    with pytest.raises(MembershipError) as exc:
+        factorizer(m)
+    assert str(exc.value) == message
+
+
 # -- unitriangular ----------------------------------------------------------------
 
 def test_factor_unitriangular_example():

@@ -9,6 +9,8 @@ import time
 from collections import deque
 from fractions import Fraction
 
+import pytest
+
 from tropmono import finite
 from tropmono.finite import (
     _products,
@@ -183,7 +185,7 @@ def test_closure_matches_reference_at_every_cap():
     cases = [random_boolean_gens(rng, n) for n in (2, 3, 4) for _ in range(4)]
     cases += [random_boolean_gens(rng, n) for n in (5, 6) for _ in range(2)]
     cases.append([parse_matrix("1 -inf; -inf 0")])  # zmax, never closes
-    # zmax alphabets whose left edges past the cap are multiplied out
+    # zmax alphabets, cut off at every cap
     cases += [gens_m2_zmax().realized(), gens_m3_zmax(2).realized()]
     for gens in cases:
         limit = 120 if gens[0].semiring is ZMAX else 300 if gens[0].n <= 4 else 150
@@ -191,16 +193,37 @@ def test_closure_matches_reference_at_every_cap():
         seed = len({elements[0], *gens})
         for cap in range(seed, len(elements) + 1):
             fm = closure(gens, cap=cap)
-
-            def cut(rows):
-                return [[i if i < cap else -1 for i in row] for row in rows[:cap]]
-
             assert fm.elements == elements[:cap]
             assert fm.gens == [elements.index(g) for g in gens]
-            assert fm.cayley == cut(right)
             assert fm.parent == parent[:cap] and fm.last == last[:cap]
             assert fm.closed == (closed and cap == len(elements))
-            assert fm.left == cut(left)
+            if fm.closed:
+                assert fm.cayley == right and fm.left == left
+            else:
+                assert fm.cayley is None and fm.left is None
+
+
+def test_capped_closure_stops_at_its_first_product_past_the_cap(monkeypatch):
+    # the m3 alphabet never closes: every product counted here is one the
+    # walk needed to find the cap's 10^4 elements, none fills a Cayley row
+    # past them or a left edge
+    counts = {"right": 0, "row": 0}
+
+    def counted(name, factory):
+        def make(*args):
+            product = factory(*args)
+
+            def wrapper(*operands):
+                counts[name] += 1
+                return product(*operands)
+            return wrapper
+        return make
+
+    monkeypatch.setattr(finite, "_right_product", counted("right", finite._right_product))
+    monkeypatch.setattr(finite, "_row_product", counted("row", finite._row_product))
+    fm = closure(gens_m3_zmax().realized(), cap=10 ** 4)
+    assert len(fm) == 10 ** 4 and not fm.closed
+    assert counts == {"right": 10760, "row": 0}
 
 
 def test_boolean_row_table_product_matches_mat_mul():
@@ -278,20 +301,20 @@ def test_cayley_walk_products_match_mat_mul():
     # Every product inside finite.py is a walk in the Cayley graphs:
     # whole rows u * S, and v's spanning-tree word walked from u, in the
     # right graph; the J-classes also take the left steps of
-    # FiniteMonoid.left, which closure reads off the right graph and,
-    # past a cap, fills by row products (-1 where g * e was cut off).
+    # FiniteMonoid.left, which closure reads off the right graph.  A
+    # monoid cut off at its cap keeps its spanning tree but no graphs.
     for gens, cap in ((m2_boolean_gens(), 10 ** 6), (ut_boolean_gens(3), 10 ** 6), (m3_boolean_gens(), 200)):
         fm = closure(gens, cap)
         assert fm.closed == (cap > 512)
         for v in range(1, len(fm)):
             assert fm.parent[v] < v
             assert fm.elements[v] == mat_mul(fm.elements[fm.parent[v]], gens[fm.last[v]])
+        if not fm.closed:
+            assert fm.cayley is None and fm.left is None
+            continue
         for e, m in enumerate(fm.elements):
             for gi, g in enumerate(gens):
-                i = fm.index_of(mat_mul(g, m))
-                assert fm.left[e][gi] == (-1 if i is None else i)
-        if not fm.closed:
-            continue
+                assert fm.left[e][gi] == fm.index_of(mat_mul(g, m))
         for u, mu in enumerate(fm.elements):
             row = _products(fm, u)
             for v, mv in enumerate(fm.elements):
@@ -446,6 +469,20 @@ def test_jclasses_need_closed_monoid():
         assert False
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("query, ask", [
+    ("is_generating", lambda fm: is_generating(fm, fm.gens)),
+    ("rank_search", lambda fm: rank_search(fm, 2)),
+    ("prime_certificate", lambda fm: prime_certificate(identity(2, BOOLEAN), fm)),
+])
+def test_queries_refuse_a_capped_monoid(query, ask):
+    # a capped closure keeps no Cayley graphs: these refusals are what
+    # stands between the queries and a TypeError on None
+    fm = closure(m2_boolean_gens(), cap=5)
+    with pytest.raises(ValueError) as exc:
+        ask(fm)
+    assert exc.type is ValueError and str(exc.value) == f"{query} needs a closed monoid"
 
 
 # -- generation and rank ------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_x_letter_rejects_negative():
         pass
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: GL_A.realize(3, BOOLEAN), "the invertible-group letters live in zmax, n >= 2"),
+    (lambda: GL_B.realize(1, ZMAX), "the invertible-group letters live in zmax, n >= 2"),
+    (lambda: gens_m3_zmax(-1), "max_x must be >= 0"),
+])
+def test_letters_and_alphabets_refuse_bad_parameters(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.type is ValueError and str(exc.value) == message
+
+
 def test_letter_text_round_trip():
     rng = random.Random(31)
     gs_all = [

@@ -65,3 +65,46 @@ def test_every_export_is_used_outside_the_tests():
     shown = {word for _, span in spans for word in re.findall(r"\w+", span)}
     unused = [name for name in tropmono.__all__ if name not in used and name not in shown]
     assert unused == []
+
+
+def _loaded_names(node):
+    """The bare names node loads, and the attributes and import aliases
+    it mentions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def _defined_names(stmt):
+    """The functions, classes and constants a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+
+
+def test_every_top_level_name_is_referenced_in_the_package():
+    """A dead helper fails here: every function, class and constant at
+    the top of a package module is referred to by some package module
+    outside its own definition.  Dunder names are exempt."""
+    src = os.path.dirname(tropmono.__file__)
+    stmts = []
+    for f in sorted(os.listdir(src)):
+        if f.endswith(".py"):
+            with open(os.path.join(src, f), encoding="utf-8") as fh:
+                stmts += [(f, stmt) for stmt in ast.parse(fh.read(), f).body]
+    refs = [_loaded_names(stmt) for _, stmt in stmts]
+    unused = [
+        f"{f}:{stmt.lineno} {name}"
+        for k, (f, stmt) in enumerate(stmts)
+        for name in sorted(_defined_names(stmt))
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(name in r for j, r in enumerate(refs) if j != k)
+    ]
+    assert unused == []

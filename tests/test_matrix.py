@@ -7,6 +7,7 @@ residuation-based regularity, and the text/JSON forms.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropmono.matrix import (
@@ -249,6 +250,21 @@ def test_perm_rejects_junk():
             assert False, bad
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Matrix(0, ZMAX, ()), f"dimension 0 outside supported range 1..{MAX_DIM}"),
+    (lambda: Matrix(2, ZMAX, ((0, 0), (0,))), "expected 2x2 rows"),
+    (lambda: Perm.from_cycles(3, [(1, 4)]), "cycle entry 4 outside 1..3"),
+    (lambda: Perm.from_cycles(3, [(1, 2), (2, 3)]), "cycles not disjoint at 2"),
+    (lambda: construct_A(4, 0, 3), "index 4 outside 1..3"),
+    (lambda: construct_E(1, 4, 3), "index (1,4) outside 1..3"),
+    (lambda: boolean_image(identity(2, BOOLEAN)), "boolean_image expects a zmax matrix"),
+])
+def test_constructors_refuse_out_of_range_input(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.type is ValueError and str(exc.value) == message
 
 
 def test_permute_orientation():
