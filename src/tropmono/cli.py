@@ -183,12 +183,13 @@ def _alphabet(monoid, n, semiring):
     return gens
 
 
-def _closure(args, finite_only=False):
+def _closure(args, finite_only=False, limit=None):
     """The finite monoid of closure-like commands, generated by
     --gens-file or a built-in alphabet over --semiring (default
     boolean).  With finite_only, a zmax generator whose powers are
     pairwise distinct is refused (ValueError) before any enumeration,
-    and a closure that reaches the cap after it."""
+    and a closure that reaches the cap after it; with a limit, one that
+    passes limit elements is refused there, before the cap."""
     semiring = semiring_by_name(args.semiring)
     if args.gens_file:
         read = _read_matrices(args.gens_file, semiring, "gens")
@@ -207,8 +208,12 @@ def _closure(args, finite_only=False):
             f"{args.command} needs a finite monoid, but {names[gi]} has maximum cycle mean {mean}, "
             "not 0, so its powers are pairwise distinct"
         )
-    fm = finite.closure(gens, cap=args.cap)
+    # With a limit, stop one element past it, or past the generators when
+    # there are more of them, since they all start the closure.
+    fm = finite.closure(gens, cap=args.cap if limit is None else min(args.cap, max(limit, len(gens)) + 1))
     if finite_only and not fm.closed:
+        if limit is not None and len(fm) > limit:
+            raise ValueError(f"{args.command} supports monoids of at most {limit} elements, but this one has more")
         raise ValueError(f"{args.command} needs a finite monoid, "
                          f"but its closure reached the cap of {args.cap} elements")
     return fm
@@ -238,7 +243,7 @@ def _cmd_closure(args):
 
 
 def _cmd_rank(args):
-    fm = _closure(args, finite_only=True)
+    fm = _closure(args, finite_only=True, limit=finite.RANK_LIMIT)
     subset = finite.rank_search(fm, args.k)
     found = subset is not None
     report = {

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from operator import itemgetter
 
 from .genset import (
     GL_A,
@@ -131,9 +132,8 @@ def _seq(parts):
     return out
 
 
-def _cat(parts):
-    # _seq(parts) as one word: a node, its one part, or None for nothing.
-    flat = _seq(parts)
+def _cat(flat):
+    # A flat part list as one word: a node, its one part, or None for nothing.
     if len(flat) > 1:
         return _Node(flat)
     return flat[0] if flat else None
@@ -603,34 +603,27 @@ def _ut_diag_node(n: int, i: int, a):
     return _Run(_SLOT_LETTERS[n, i], -a)
 
 
-def _elem_word(slot, e, i: int, a):
-    """E(i, j, a) for finite a: the word e for E(i, j, 0) conjugated by
-    the slot-i scalings slot(i, a) and slot(i, -a)."""
-    if a == 0:
-        return e
-    return _seq([slot(i, a), e, slot(i, -a)])
-
-
-def _ut_walk(g, slot, elems):
-    """The triangular factorization of the upper triangular rows g, as
-    a flat part list.
+def _ut_walk(g, slot, elems, out):
+    """Append the triangular factorization of the upper triangular rows
+    g to the part list out, and return out.
 
     Emits columns right to left and each column bottom-up, so the
     diagonal cell of a column comes first.  slot(i, a) is the word for
-    the diagonal with a in slot i (None for 0) and elems[i, j] the word
-    for E(i, j, 0); a finite entry above the diagonal is that letter
-    conjugated by slot-i scalings, three parts, a -inf one emits nothing.
+    the diagonal with a != 0 in slot i and elems[i, j] the word for
+    E(i, j, 0); a finite entry above the diagonal is that letter
+    conjugated by slot-i scalings, three parts, and a zero diagonal cell
+    or a -inf entry above it emits nothing.
     """
     n = len(g)
-    parts = []
     for j in range(n, 0, -1):
         for i in range(j, 0, -1):
             a = g[i - 1][j - 1]
             if i == j:
-                parts.append(slot(i, a))
+                if a:
+                    out.append(slot(i, a))
             elif a != BOTTOM:
-                parts += (slot(i, a), elems[i, j], slot(i, -a))
-    return _seq(parts)
+                out += (slot(i, a), elems[i, j], slot(i, -a)) if a else (elems[i, j],)
+    return out
 
 
 def factor_ut(m: Matrix) -> Word:
@@ -645,7 +638,7 @@ def factor_ut(m: Matrix) -> Word:
     if not is_upper_triangular(m):
         raise MembershipError(f"matrix is not upper triangular: {format_matrix(m)}")
     n = m.n
-    return Word("ut", n, _cat(_ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E)))
+    return Word("ut", n, _cat(_ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E, [])))
 
 
 def factor_unitriangular(m: Matrix) -> Word:
@@ -694,11 +687,9 @@ def _gl_adjacent_node(n: int, k: int):
     (1,2) transposition by powers of the full cycle."""
     bits = _gl_bits(n)
     m = (1 - k) % n
-    return _cat([
-        _pow(bits["Pc"], m) if m else None,
-        bits["P12"],
-        _pow(bits["Pc"], (n - m) % n) if (n - m) % n else None,
-    ])
+    if m == 0:
+        return bits["P12"]
+    return _Node((_pow(bits["Pc"], m), bits["P12"], _pow(bits["Pc"], n - m)))
 
 
 @cache
@@ -741,11 +732,16 @@ def _gl_slot_node(n: int, i: int, d: int):
     return _pow(_gl_slot_base(n, i, d > 0), abs(d))
 
 
-def _gl_word(n: int, vals, perm: Perm):
-    """Word for the monomial matrix diag(vals) * P_perm, vals finite."""
-    parts = [_gl_slot_node(n, i, d) for i, d in enumerate(vals, start=1)]
-    parts.append(_gl_perm_node(n, perm))
-    return _seq(parts)
+def _gl_word(out, slot, vals, perm=None):
+    """Append the word for the monomial matrix diag(vals) * P to out and
+    return out: slot(i, d), the word for d in slot i, for each finite
+    nonzero d of vals, then perm, the word for P (None for the identity)."""
+    for i, d in enumerate(vals, start=1):
+        if d:
+            out.append(slot(i, d))
+    if perm is not None:
+        out.append(perm)
+    return out
 
 
 def factor_gl(m: Matrix) -> Word:
@@ -763,7 +759,8 @@ def factor_gl(m: Matrix) -> Word:
     if mono is None or not all(is_finite(v) for v in mono[1]):
         raise MembershipError(f"matrix is not invertible: {format_matrix(m)}")
     perm, vals = mono
-    return Word("gl", m.n, _cat(_gl_word(m.n, vals, perm)))
+    n = m.n
+    return Word("gl", n, _cat(_gl_word([], lambda i, d: _gl_slot_node(n, i, d), vals, _gl_perm_node(n, perm))))
 
 
 # -- the full 2x2 monoid ----------------------------------------------------
@@ -890,26 +887,27 @@ _M3_E = {
     ]),
 }
 _M3_SLOT_INF = {1: _A1INF, 2: _cat([_P12, _A1INF, _P12]), 3: _cat([_P13, _A1INF, _P13])}
+# The group words for +1 in slot i (key i) and -1 (key -i).
+_M3_SLOT = {s * i: _gl_slot_base(3, i, s > 0) for i in (1, 2, 3) for s in (1, -1)}
+
+
+def _m3_scale(i: int, a):
+    """Word for the diagonal with a != 0 in slot i: a group word when a
+    is finite, the (conjugated) bottom letter when a is -inf."""
+    if a == BOTTOM:
+        return _M3_SLOT_INF[i]
+    return _pow(_M3_SLOT[i], a) if a > 0 else _pow(_M3_SLOT[-i], -a)
+
+
 _M3_BLOCK = _M2Letters(
-    _cat(_gl_word(3, (0, -1, 0), Perm((1, 3, 2)))),
-    _gl_slot_node(3, 2, 1),
+    _cat(_gl_word([], _m3_scale, (0, -1, 0), _gl_perm_node(3, Perm((1, 3, 2))))),
+    _m3_scale(2, 1),
     _M3_SLOT_INF[2],
     _cat([_gl_perm_node(3, Perm.from_cycles(3, [(1, 3, 2)])), _E12, _P13]),
 )
 
 
-def _m3_scale(i: int, a):
-    """Word for the diagonal with a in slot i: a group word when a is
-    finite, the (conjugated) bottom letter when a is -inf."""
-    if a == 0:
-        return None
-    if a == BOTTOM:
-        return _M3_SLOT_INF[i]
-    return _gl_slot_node(3, i, a)
-
-
 _S3 = [Perm(img) for img in itertools.permutations((1, 2, 3))]
-_REV3 = Perm((3, 2, 1))
 
 
 def _bits(cells):
@@ -974,33 +972,33 @@ def _m3_find_route(mask: int):
 
 
 # Each branch below gets g, the rows of its normal form P_s m P_t, and
-# returns the word parts that go between the two permutation words; a
-# list among them is a part list, spliced in.
+# appends the word parts that go between the two permutation words to
+# out, the one part list of the whole word.
 
-def _m3_block(g, depth: int):
+def _m3_block(g, depth: int, out):
     sub = ((g[1][1], g[1][2]), (g[2][1], g[2][2]))
-    return [_m3_scale(1, g[0][0]), _factor_m2_node(sub, _M3_BLOCK)]
+    if g[0][0]:
+        out.append(_m3_scale(1, g[0][0]))
+    out += _factor_m2_node(sub, _M3_BLOCK)
 
 
-def _m3_split_row(g, depth: int):
+def _m3_split_row(g, depth: int, out):
     # Row 3 holds the bottom pair (plus a possible third) in columns 1
     # and 2; it peels off:
     # [[a,b,c],[d,e,x],[-,-,y]] = [[0,-,c],[-,0,x],[-,-,y]] * [[a,b,-],[d,e,-],[-,-,0]].
-    left = ((0, BOTTOM, g[0][2]), (BOTTOM, 0, g[1][2]), (BOTTOM, BOTTOM, g[2][2]))
-    right = ((g[0][0], g[0][1], BOTTOM), (g[1][0], g[1][1], BOTTOM), (BOTTOM, BOTTOM, 0))
-    return [_m3_node(left, depth + 1), _m3_node(right, depth + 1)]
+    _m3_node(((0, BOTTOM, g[0][2]), (BOTTOM, 0, g[1][2]), (BOTTOM, BOTTOM, g[2][2])), depth + 1, out)
+    _m3_node(((g[0][0], g[0][1], BOTTOM), (g[1][0], g[1][1], BOTTOM), (BOTTOM, BOTTOM, 0)), depth + 1, out)
 
 
-def _m3_split_col(g, depth: int):
+def _m3_split_col(g, depth: int, out):
     # Dual: column 3 holds the bottom pair in rows 1 and 2; it peels
     # off on the right:
     # [[a,b,-],[d,e,-],[f,g,y]] = [[a,b,-],[d,e,-],[-,-,0]] * [[0,-,-],[-,0,-],[f,g,y]].
-    left = ((g[0][0], g[0][1], BOTTOM), (g[1][0], g[1][1], BOTTOM), (BOTTOM, BOTTOM, 0))
-    right = ((0, BOTTOM, BOTTOM), (BOTTOM, 0, BOTTOM), g[2])
-    return [_m3_node(left, depth + 1), _m3_node(right, depth + 1)]
+    _m3_node(((g[0][0], g[0][1], BOTTOM), (g[1][0], g[1][1], BOTTOM), (BOTTOM, BOTTOM, 0)), depth + 1, out)
+    _m3_node(((0, BOTTOM, BOTTOM), (BOTTOM, 0, BOTTOM), g[2]), depth + 1, out)
 
 
-def _m3_x_route(g, depth: int):
+def _m3_x_route(g, depth: int, out):
     # Three bottoms on the diagonal: strip a diagonal scaling and land
     # in the X family.
     a, b = g[0][1], g[0][2]
@@ -1011,13 +1009,15 @@ def _m3_x_route(g, depth: int):
     # The stripped matrix is diag(l) X(i) diag(r) for s >= 0; for s < 0
     # it is [[-,-,0],[-,-x,-],[z,-,-]] X(-s) [[-,-,x],[-,0,-],[s-z,-,-]].
     if s >= 0:
-        perm, l, r = _ID3, (0, s - x, z), (-z, 0, x - s)
+        perm, l, r = None, (0, s - x, z), (-z, 0, x - s)
     else:
-        perm, l, r = _REV3, (0, -x, z), (x, 0, s - z)
-    return [_gl_word(3, (a, d, e), _ID3), _gl_word(3, l, perm), x_letter(abs(s)), _gl_word(3, r, perm)]
+        perm, l, r = _P13, (0, -x, z), (x, 0, s - z)
+    _gl_word(out, _m3_scale, (a, d, e))
+    _gl_word(out, _m3_scale, l, perm).append(x_letter(abs(s)))
+    _gl_word(out, _m3_scale, r, perm)
 
 
-def _m3_clear(g, depth: int):
+def _m3_clear(g, depth: int, out):
     # One bottom at (2,3), or two at (2,3) and (3,2): peel one
     # parametrized E_12 off the left, which plants a new bottom at (1,2)
     # or (1,1).
@@ -1028,10 +1028,11 @@ def _m3_clear(g, depth: int):
     else:
         lam = a - d
         top = (BOTTOM, b, c)
-    return [_elem_word(_m3_scale, _E12, 1, lam), _m3_node((top, g[1], g[2]), depth + 1)]
+    out += (_m3_scale(1, lam), _E12, _m3_scale(1, -lam)) if lam else (_E12,)
+    _m3_node((top, g[1], g[2]), depth + 1, out)
 
 
-def _m3_dense(g, depth: int):
+def _m3_dense(g, depth: int, out):
     # No bottoms: normalize the top row to zeros, sort columns by the
     # second row, and split by where the third row's first entry sits.
     top = g[0]
@@ -1047,19 +1048,17 @@ def _m3_dense(g, depth: int):
     else:
         left = ((0, -c, -d), (b, 0, BOTTOM), (e, BOTTOM, 0))
         right = ((BOTTOM, 0, BOTTOM), (a, BOTTOM, c), (d, BOTTOM, f))
-    return [
-        _m3_node(left, depth + 1),
-        _m3_node(right, depth + 1),
-        _gl_perm_node(3, Perm(tuple(o + 1 for o in order))),
-        _gl_word(3, top, _ID3),
-    ]
+    _m3_node(left, depth + 1, out)
+    _m3_node(right, depth + 1, out)
+    _gl_word(out, _m3_scale, (), _gl_perm_node(3, Perm(tuple(o + 1 for o in order))))
+    _gl_word(out, _m3_scale, top)
 
 
 _M3_BRANCHES = {
-    # Separate parts: with the permutation word right, the slot scalings
-    # make one flat part list, the word factor_gl builds.
-    "gl": lambda g, depth: [_gl_slot_node(3, i, g[i - 1][i - 1]) for i in (1, 2, 3)],
-    "ut": lambda g, depth: _ut_walk(g, _m3_scale, _M3_E),
+    # Slot scalings only: with the permutation word right, they make the
+    # word factor_gl builds.
+    "gl": lambda g, depth, out: _gl_word(out, _m3_scale, (g[0][0], g[1][1], g[2][2])),
+    "ut": lambda g, depth, out: _ut_walk(g, _m3_scale, _M3_E, out),
     "block": _m3_block,
     "split-row": _m3_split_row,
     "split-col": _m3_split_col,
@@ -1069,7 +1068,9 @@ _M3_BRANCHES = {
 }
 
 
-def _m3_node(g, depth: int):
+def _m3_node(g, depth: int, out):
+    """Append the word for the 3x3 rows g to out, and return out: its
+    route's left permutation word, its branch's parts, its right one."""
     if depth > 6:
         raise AssertionError(
             f"factor_m3 dispatcher exceeded its recursion bound on {format_matrix(_mk(3, ZMAX, g))}"
@@ -1079,9 +1080,13 @@ def _m3_node(g, depth: int):
     for k, x in enumerate(f):
         if x == BOTTOM:
             mask |= 1 << k
-    branch, _, _, (cells, left, right) = _m3_fill(mask)
-    parts = _M3_BRANCHES[branch](tuple([tuple([f[k] for k in row]) for row in cells]), depth)
-    return _seq([left, *parts, right])
+    branch, _, _, ((c1, c2, c3), left, right) = _m3_fill(mask)
+    if left is not None:
+        out.append(left)
+    _M3_BRANCHES[branch]((itemgetter(*c1)(f), itemgetter(*c2)(f), itemgetter(*c3)(f)), depth, out)
+    if right is not None:
+        out.append(right)
+    return out
 
 
 def factor_m3(m: Matrix) -> Word:
@@ -1104,12 +1109,13 @@ def factor_m3(m: Matrix) -> Word:
     mask that no rule matches is dense (the identity pair) and splits
     into easier pieces after column sorting.  Each recursion strictly
     increases the bottom count, so the depth is bounded (asserted at 6).
+    Every step appends its parts to one list, the root's parts.
     """
     if m.semiring is not ZMAX:
         raise MembershipError("factor_m3 expects a zmax matrix")
     if m.n != 3:
         raise MembershipError(f"factor_m3 expects 3x3, got {m.n}x{m.n}")
-    return Word("m3", 3, _cat(_m3_node(m.rows, 0)))
+    return Word("m3", 3, _cat(_m3_node(m.rows, 0, [])))
 
 
 # The factorizer of each monoid family by name.

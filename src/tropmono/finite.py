@@ -52,6 +52,7 @@ from .matrix import Matrix, _bool_code, _mk, _right_product, _row_product, forma
 from .semiring import BOTTOM, ZMAX
 
 DEFAULT_CAP = 10 ** 6
+RANK_LIMIT = 64  # the most elements rank_search searches
 
 
 class FiniteMonoid:
@@ -431,8 +432,8 @@ def rank_search(fm: FiniteMonoid, k: int):
     """
     if not fm.closed:
         raise ValueError("rank_search needs a closed monoid")
-    if len(fm) > 64:
-        raise ValueError(f"rank_search supports at most 64 elements, got {len(fm)}")
+    if len(fm) > RANK_LIMIT:
+        raise ValueError(f"rank_search supports at most {RANK_LIMIT} elements, got {len(fm)}")
     if not 0 <= k <= 4:
         raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
     group = {u for u, unit in enumerate(_unit_flags(fm)) if unit} - {0}

@@ -102,34 +102,38 @@ def diag(values, semiring: Semiring = ZMAX) -> Matrix:
 # -- multiplication ------------------------------------------------------
 
 def _mul2(a, b):
+    # Each cell keeps max's choice, the first maximal term, without its call.
     (a11, a12), (a21, a22) = a
     (b11, b12), (b21, b22) = b
     return (
-        (max(a11 + b11, a12 + b21), max(a11 + b12, a12 + b22)),
-        (max(a21 + b11, a22 + b21), max(a21 + b12, a22 + b22)),
+        (x if (x := a11 + b11) >= (y := a12 + b21) else y, x if (x := a11 + b12) >= (y := a12 + b22) else y),
+        (x if (x := a21 + b11) >= (y := a22 + b21) else y, x if (x := a21 + b12) >= (y := a22 + b22) else y),
     )
 
 
 def _mul3(a, b):
+    # As _mul2: each cell is its three terms and one conditional expression.
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
     (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
-    return (
-        (
-            max(a11 + b11, a12 + b21, a13 + b31),
-            max(a11 + b12, a12 + b22, a13 + b32),
-            max(a11 + b13, a12 + b23, a13 + b33),
-        ),
-        (
-            max(a21 + b11, a22 + b21, a23 + b31),
-            max(a21 + b12, a22 + b22, a23 + b32),
-            max(a21 + b13, a22 + b23, a23 + b33),
-        ),
-        (
-            max(a31 + b11, a32 + b21, a33 + b31),
-            max(a31 + b12, a32 + b22, a33 + b32),
-            max(a31 + b13, a32 + b23, a33 + b33),
-        ),
-    )
+    x, y, z = a11 + b11, a12 + b21, a13 + b31
+    c11 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a11 + b12, a12 + b22, a13 + b32
+    c12 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a11 + b13, a12 + b23, a13 + b33
+    c13 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a21 + b11, a22 + b21, a23 + b31
+    c21 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a21 + b12, a22 + b22, a23 + b32
+    c22 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a21 + b13, a22 + b23, a23 + b33
+    c23 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a31 + b11, a32 + b21, a33 + b31
+    c31 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a31 + b12, a32 + b22, a33 + b32
+    c32 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    x, y, z = a31 + b13, a32 + b23, a33 + b33
+    c33 = (x if x >= z else z) if x >= y else (y if y >= z else z)
+    return ((c11, c12, c13), (c21, c22, c23), (c31, c32, c33))
 
 
 def _mulz(a, b):

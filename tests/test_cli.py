@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -348,7 +349,7 @@ def test_infinite_zmax_monoid_exits_2_before_enumerating(cmd, tmp_path, monkeypa
     rc, out, err = run(cmd + ["--gens-file", str(f), "--semiring", "zmax"], capsys)
     assert rc == 2 and out == ""
     assert "but the generator on line 3 has maximum cycle mean 1, not 0" in err
-    # closure itself still walks to its cap
+    # closure is not refused: it stops at its cap
     monkeypatch.undo()
     rc, out, _ = run(["closure", "--monoid", "m2", "--semiring", "zmax", "--cap", "50"], capsys)
     assert rc == 0 and out == "elements: 50, closed: false (cap 50 reached)\n"
@@ -363,10 +364,31 @@ def test_closure_that_reaches_its_cap_is_refused_by_name(cmd, tmp_path, capsys):
     rc, out, err = run(cmd + ["--gens-file", str(f), "--semiring", "zmax", "--cap", "50"], capsys)
     assert rc == 2 and out == ""
     assert err == f"error: {cmd[0]} needs a finite monoid, but its closure reached the cap of 50 elements\n"
-    # M_3(B) has 512 elements
+    # M_3(B) has 512 elements: rank stops one past the 64 it searches
     rc, out, err = run(cmd + ["--monoid", "m3", "--cap", "100"], capsys)
     assert rc == 2 and out == ""
-    assert err == f"error: {cmd[0]} needs a finite monoid, but its closure reached the cap of 100 elements\n"
+    if cmd[0] == "rank":
+        assert err == "error: rank supports monoids of at most 64 elements, but this one has more\n"
+    else:
+        assert err == "error: irredundant needs a finite monoid, but its closure reached the cap of 100 elements\n"
+
+
+def test_rank_refuses_a_wide_monoid_at_65_elements(tmp_path, capsys):
+    # UT_6(B) has 2^21 elements; closing it to the default cap took 15 s
+    # and 428 MB before rank refused it as if it were infinite
+    refusal = "error: rank supports monoids of at most 64 elements, but this one has more\n"
+    start = time.perf_counter()
+    rc, out, err = run(["rank", "-k", "2", "--monoid", "ut_boolean", "-n", "6"], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2 and out == "" and err == refusal
+    assert "infinite" not in err and "finite monoid" not in err
+    # 70 generators are more than 65 elements to start from: the same
+    # refusal, not a complaint about a cap the user never set
+    f = tmp_path / "gens.txt"
+    gens = ["; ".join(" ".join(str(k >> (3 * i + j) & 1) for j in range(3)) for i in range(3)) for k in range(1, 71)]
+    f.write_text("\n".join(gens) + "\n")
+    rc, out, err = run(["rank", "-k", "2", "--gens-file", str(f)], capsys)
+    assert rc == 2 and out == "" and err == refusal
 
 
 def test_closed_zmax_monoid_is_not_refused(tmp_path, capsys):

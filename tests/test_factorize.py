@@ -1189,6 +1189,35 @@ def test_factor_m3_route_table_matches_first_hit_search():
         assert all(u.entry(i, j) == BOTTOM for i, j in forms[branch]), mask
 
 
+def test_factor_m3_dag_shape_pinned():
+    # The word text does not fix how a word nests, and the cost of
+    # evaluating it depends on the nesting.  Over one seeded grid round
+    # (the 512 bottom masks in shuffled order with {0, 1} entries, and a
+    # random matrix in [-20, 20] after every second one), the root part
+    # counts and the distinct objects under each root, letters included,
+    # are pinned by their sums.
+    rng = random.Random(41)
+    masks = list(range(512))
+    rng.shuffle(masks)
+    rows = []
+    for i, mask in enumerate(masks):
+        rows.append([[BOTTOM if mask >> (3 * r + c) & 1 else rng.randint(0, 1) for c in range(3)] for r in range(3)])
+        if i % 2:
+            rows.append([[BOTTOM if rng.random() < 0.3 else rng.randint(-20, 20) for _ in range(3)] for _ in range(3)])
+    root_parts = nodes = 0
+    for r in rows:
+        root = factor_m3(matrix(r)).root
+        root_parts += len(root.parts) if isinstance(root, _Node) else 1
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(getattr(node, "parts", ()))
+        nodes += len(seen)
+    assert (len(rows), root_parts, nodes) == (768, 9721, 21529)
+
+
 def test_factor_m3_routes_pinned():
     # The route of every bottom mask, (branch, s, t), is fixed output: a
     # changed route changes the words, so its bytes are pinned here, where

@@ -92,6 +92,59 @@ def test_zeros_absorb():
     assert mat_mul(z, m) == z
 
 
+def zmax_product_by_definition(a, b):
+    # (ab)_ij = max over k of a_ik + b_kj, as a triple loop; -inf when
+    # every term is.
+    n = a.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            best = BOTTOM
+            for k in range(n):
+                t = a.rows[i][k] + b.rows[k][j]
+                if t > best:
+                    best = t
+            row.append(best)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def rnd_zmax_stress(rng, n, style):
+    """A seeded matrix that stresses a max-plus kernel: mostly -inf, many
+    tied terms, or entries near +-10^18; in about a third of the calls one
+    row or one column is all -inf."""
+    def entry():
+        if style == "sparse":
+            return BOTTOM if rng.random() < 0.8 else rng.randint(-5, 5)
+        if style == "ties":
+            return BOTTOM if rng.random() < 0.2 else rng.randint(-1, 1)
+        return BOTTOM if rng.random() < 0.3 else rng.choice((-1, 1)) * 10 ** 18 + rng.randint(-2, 2)
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    line, k = rng.randrange(3), rng.randrange(n)
+    for i in range(n):
+        if line == 1:
+            rows[k][i] = BOTTOM
+        elif line == 2:
+            rows[i][k] = BOTTOM
+    return matrix(rows)
+
+
+def test_zmax_mul_matches_definition():
+    # Every kernel (_mul2, _mul3 and the general one, n = 1..MAX_DIM)
+    # against the definition; associativity and identity alone would
+    # also pass a min-plus product.  Finite entries stay exact ints.
+    rng = random.Random(3131)
+    for n in range(1, MAX_DIM + 1):
+        for style in ("sparse", "ties", "huge"):
+            for _ in range(150):
+                a, b = rnd_zmax_stress(rng, n, style), rnd_zmax_stress(rng, n, style)
+                p = mat_mul(a, b)
+                assert p.rows == zmax_product_by_definition(a, b), (n, style, a, b)
+                assert all(type(x) is int for r in p.rows for x in r if x != BOTTOM)
+
+
 def rnd_boolean_dense(rng, n, p):
     return matrix([[int(rng.random() < p) for _ in range(n)] for _ in range(n)], BOOLEAN)
 
