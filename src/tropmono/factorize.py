@@ -56,9 +56,9 @@ The five factorizations:
   dispatcher, looked up by the positions of the -inf entries, that
   recurses on strictly easier matrices, kept as plain row tuples.
 
-The triangular walk takes the words for its scalings and elementary
-letters, and the 2x2 words are written over a letter set (A, B, C, D),
-so factor_m3 reuses both, with m3 words for those letters.
+Each alphabet spells its diagonal scalings in one slot table, read by
+_slot; the triangular walk and the 2x2 words (over a letter set A, B,
+C, D) take theirs, so factor_m3 reuses both, with m3 words.
 
 The dispatcher's tie-breaking is fixed: its rules are tried in table
 order, each takes the first hit among the permutation pairs (s, t) in
@@ -118,18 +118,6 @@ class _Node:
     def __init__(self, parts):
         self.parts = tuple(parts)
         self._vals = {}
-
-
-def _seq(parts):
-    # A fresh sub-word as a flat part list for its parent: None parts are
-    # dropped, list parts (_seq lists themselves) spliced in.
-    out = []
-    for p in parts:
-        if type(p) is list:
-            out += p
-        elif p is not None:
-            out.append(p)
-    return out
 
 
 def _cat(flat):
@@ -590,29 +578,43 @@ _SLOT_LETTERS = {
 _SHARED_SLOTS = frozenset(map(id, _SLOT_LETTERS.values()))
 
 
-def _ut_diag_node(n: int, i: int, a):
-    """The word for the diagonal letter with a in slot i: a power of the
-    slot's +1 letter, or the bottom letter, or for negative a one run
-    (-1 * I)^k Ai(j,1)^k over every other slot j, with k = -a."""
-    if a == 0:
-        return None
-    if a == BOTTOM:
-        return _UT_BOT[i]
+def _slot(words, i: int, a):
+    """The word for the diagonal with a in slot i, from the slot table
+    words: words[i, BOTTOM] for -inf, else each of the parts words[i]
+    (a > 0) or words[-i] (a < 0) repeated |a| times in one run, a
+    one-part entry at |a| = 1 being that part itself; None for 0."""
     if a > 0:
-        return _pow(_UT_UP[i], a)
-    return _Run(_SLOT_LETTERS[n, i], -a)
+        parts = words[i]
+    elif a == BOTTOM:
+        return words[i, BOTTOM]
+    elif a:
+        parts, a = words[-i], -a
+    else:
+        return None
+    return parts[0] if a == 1 and len(parts) == 1 else _Run(parts, a)
 
 
-def _ut_walk(g, slot, elems, out):
+@cache
+def _ut_slots(n: int) -> dict:
+    """The ut slot table of dimension n: for slot i, the +1 letter, the
+    shared _SLOT_LETTERS tuple whose product scales it by -1 (so a
+    negative slot is one run over it) and the bottom letter."""
+    words = {}
+    for i in range(1, n + 1):
+        words[i], words[-i], words[i, BOTTOM] = (_UT_UP[i],), _SLOT_LETTERS[n, i], _UT_BOT[i]
+    return words
+
+
+def _ut_walk(g, words, elems, out):
     """Append the triangular factorization of the upper triangular rows
     g to the part list out, and return out.
 
     Emits columns right to left and each column bottom-up, so the
-    diagonal cell of a column comes first.  slot(i, a) is the word for
-    the diagonal with a != 0 in slot i and elems[i, j] the word for
-    E(i, j, 0); a finite entry above the diagonal is that letter
-    conjugated by slot-i scalings, three parts, and a zero diagonal cell
-    or a -inf entry above it emits nothing.
+    diagonal cell of a column comes first.  words is the slot table of
+    the diagonal scalings and elems[i, j] the word for E(i, j, 0); a
+    finite entry above the diagonal is that letter conjugated by slot-i
+    scalings, three parts, and a zero diagonal cell or a -inf entry
+    above it emits nothing.
     """
     n = len(g)
     for j in range(n, 0, -1):
@@ -620,9 +622,9 @@ def _ut_walk(g, slot, elems, out):
             a = g[i - 1][j - 1]
             if i == j:
                 if a:
-                    out.append(slot(i, a))
+                    out.append(_slot(words, i, a))
             elif a != BOTTOM:
-                out += (slot(i, a), elems[i, j], slot(i, -a)) if a else (elems[i, j],)
+                out += (_slot(words, i, a), elems[i, j], _slot(words, i, -a)) if a else (elems[i, j],)
     return out
 
 
@@ -637,8 +639,7 @@ def factor_ut(m: Matrix) -> Word:
         raise MembershipError("factor_ut expects a zmax matrix")
     if not is_upper_triangular(m):
         raise MembershipError(f"matrix is not upper triangular: {format_matrix(m)}")
-    n = m.n
-    return Word("ut", n, _cat(_ut_walk(m.rows, lambda i, a: _ut_diag_node(n, i, a), _UT_E, [])))
+    return Word("ut", m.n, _cat(_ut_walk(m.rows, _ut_slots(m.n), _UT_E, [])))
 
 
 def factor_unitriangular(m: Matrix) -> Word:
@@ -715,30 +716,26 @@ def _gl_perm_node(n: int, perm: Perm):
 
 
 @cache
-def _gl_slot_base(n: int, i: int, up: bool):
-    """Word for the diagonal matrix with +1 (up) or -1 in slot i; keyed
-    by the sign, never the value, so the table grows with n alone."""
-    base = _gl_bits(n)["A1p" if up else "A1m"]
-    if i == 1:
-        return base
-    conj = _gl_perm_node(n, Perm.transposition(n, 1, i))
-    return _Node((conj, base, conj))
+def _gl_slots(n: int) -> dict:
+    """The gl slot table of dimension n: the words for +1 (key i) and -1
+    (key -i) in slot i, slot 1's A1p and A1m conjugated by the
+    transposition (1 i); keyed by the sign, never the value, so the
+    table grows with n alone."""
+    bits, words = _gl_bits(n), {}
+    for i in range(1, n + 1):
+        conj = _gl_perm_node(n, Perm.transposition(n, 1, i)) if i > 1 else None
+        for s, base in ((1, bits["A1p"]), (-1, bits["A1m"])):
+            words[s * i] = (base if conj is None else _Node((conj, base, conj)),)
+    return words
 
 
-def _gl_slot_node(n: int, i: int, d: int):
-    """Word for the diagonal matrix with d in slot i, zero elsewhere."""
-    if d == 0:
-        return None
-    return _pow(_gl_slot_base(n, i, d > 0), abs(d))
-
-
-def _gl_word(out, slot, vals, perm=None):
-    """Append the word for the monomial matrix diag(vals) * P to out and
-    return out: slot(i, d), the word for d in slot i, for each finite
-    nonzero d of vals, then perm, the word for P (None for the identity)."""
+def _gl_word(out, words, vals, perm=None):
+    """Append the word for the matrix diag(vals) * P to out and return
+    out: the slot word of words for each nonzero d of vals, then perm,
+    the word for P (None for the identity)."""
     for i, d in enumerate(vals, start=1):
         if d:
-            out.append(slot(i, d))
+            out.append(_slot(words, i, d))
     if perm is not None:
         out.append(perm)
     return out
@@ -759,41 +756,31 @@ def factor_gl(m: Matrix) -> Word:
     if mono is None or not all(is_finite(v) for v in mono[1]):
         raise MembershipError(f"matrix is not invertible: {format_matrix(m)}")
     perm, vals = mono
-    n = m.n
-    return Word("gl", n, _cat(_gl_word([], lambda i, d: _gl_slot_node(n, i, d), vals, _gl_perm_node(n, perm))))
+    return Word("gl", m.n, _cat(_gl_word([], _gl_slots(m.n), vals, _gl_perm_node(m.n, perm))))
 
 
 # -- the full 2x2 monoid ----------------------------------------------------
 
 class _M2Letters:
     """The words the 2x2 factorization writes for its letters A, B, C
-    and D: B, C and D, then F = B A, which swaps the two rows (on the
-    left) or columns (on the right), F F = I, and BNEG = A B A = B(-1),
-    whose powers are the negative diagonal powers."""
+    and D: C and D, F = B A, which swaps the two rows (on the left) or
+    columns (on the right), F F = I, and the slot table of the diagonal
+    (z, 0): B (key 1) and A B A = B(-1) (key -1)."""
 
-    __slots__ = ("B", "C", "D", "F", "BNEG")
+    __slots__ = ("C", "D", "F", "slots")
 
     def __init__(self, a, b, c, d):
-        self.B, self.C, self.D = b, c, d
+        self.C, self.D = c, d
         self.F = _Node((b, a))
-        self.BNEG = _Node((a, b, a))
+        self.slots = {1: (b,), -1: (_Node((a, b, a)),)}
 
 
 _M2 = _M2Letters(M2_A, M2_B, M2_C, M2_D)
 
 
-def _b2(L, z):
-    """Word for the diagonal matrix (z, 0): powers of B, or of A B A."""
-    if z == 0:
-        return None
-    if z > 0:
-        return _pow(L.B, z)
-    return _pow(L.BNEG, -z)
-
-
 def _m2_corner(L, x, y, z):
     # [[-inf, x], [y, z]] = B(x) F B(z) D F B(y - z)
-    return _seq([_b2(L, x), L.F, _b2(L, z), L.D, L.F, _b2(L, y - z)])
+    return [_slot(L.slots, 1, x), L.F, _slot(L.slots, 1, z), L.D, L.F, _slot(L.slots, 1, y - z)]
 
 
 def _m2_dense(L, a, b, c, d):
@@ -803,27 +790,25 @@ def _m2_dense(L, a, b, c, d):
     x = d - b
     y = c - a
     if y <= x:
-        g = _seq([_m2_corner(L, 0, y, y), _m2_corner(L, x - y, 0, 0), L.F])
+        g = [*_m2_corner(L, 0, y, y), *_m2_corner(L, x - y, 0, 0), L.F]
     else:
-        g = _seq([
-            L.F, _m2_corner(L, 0, -x, -y), L.F,
-            L.F, _m2_corner(L, x, y, x), L.F,
-        ])
-    return [g, _b2(L, b), L.F, _b2(L, a)]
+        g = [L.F, *_m2_corner(L, 0, -x, -y), L.F, L.F, *_m2_corner(L, x, y, x), L.F]
+    return [*g, _slot(L.slots, 1, b), L.F, _slot(L.slots, 1, a)]
 
 
 # The 2x2 normal forms by bottom mask (bit 2(i-1) + (j-1) set when entry
 # (i, j) is -inf): the word parts for the entries a, b, c, d of
-# [[a, b], [c, d]].  One finite entry sits at (2,1), where C F B(x) puts it.
+# [[a, b], [c, d]], None for a zero scaling.  One finite entry sits at
+# (2,1), where C F B(x) puts it.
 _M2_FORMS = {
     0b0000: _m2_dense,
-    0b0001: lambda L, a, b, c, d: [_m2_corner(L, b, c, d)],
+    0b0001: lambda L, a, b, c, d: _m2_corner(L, b, c, d),
     # [[-inf, -inf], [c, d]] = C F B(d) D B(c - d)
-    0b0011: lambda L, a, b, c, d: [L.C, L.F, _b2(L, d), L.D, _b2(L, c - d)],
+    0b0011: lambda L, a, b, c, d: [L.C, L.F, _slot(L.slots, 1, d), L.D, _slot(L.slots, 1, c - d)],
     # [[-inf, b], [-inf, d]] = B(b) F B(d) D F C
-    0b0101: lambda L, a, b, c, d: [_b2(L, b), L.F, _b2(L, d), L.D, L.F, L.C],
-    0b1001: lambda L, a, b, c, d: [_b2(L, b), L.F, _b2(L, c)],
-    0b1011: lambda L, a, b, c, d: [L.C, L.F, _b2(L, c)],
+    0b0101: lambda L, a, b, c, d: [_slot(L.slots, 1, b), L.F, _slot(L.slots, 1, d), L.D, L.F, L.C],
+    0b1001: lambda L, a, b, c, d: [_slot(L.slots, 1, b), L.F, _slot(L.slots, 1, c)],
+    0b1011: lambda L, a, b, c, d: [L.C, L.F, _slot(L.slots, 1, c)],
     0b1111: lambda L, a, b, c, d: [L.C, L.F, L.C],
 }
 
@@ -837,8 +822,9 @@ def _m2_route(mask: int):
             return s, form
 
 
-def _factor_m2_node(g, L):
-    """The word for the 2x2 rows g, written in the letters L.
+def _factor_m2_node(g, L, out):
+    """Append the word for the 2x2 rows g, written in the letters L, to
+    out, and return out.
 
     The route (l, r) is the first pair in the order (0,0), (0,1), (1,0),
     (1,1) such that swapping the rows (l = 1) and the columns (r = 1)
@@ -849,7 +835,9 @@ def _factor_m2_node(g, L):
     """
     f = g[0] + g[1]
     s, form = _m2_route(sum(1 << k for k in range(4) if f[k] == BOTTOM))
-    return _seq([L.F if s & 2 else None, *form(L, f[s], f[1 ^ s], f[2 ^ s], f[3 ^ s]), L.F if s & 1 else None])
+    parts = (L.F if s & 2 else None, *form(L, f[s], f[1 ^ s], f[2 ^ s], f[3 ^ s]), L.F if s & 1 else None)
+    out += [p for p in parts if p is not None]
+    return out
 
 
 def factor_m2(m: Matrix) -> Word:
@@ -863,7 +851,7 @@ def factor_m2(m: Matrix) -> Word:
         raise MembershipError("factor_m2 expects a zmax matrix")
     if m.n != 2:
         raise MembershipError(f"factor_m2 expects 2x2, got {m.n}x{m.n}")
-    return Word("m2", 2, _cat(_factor_m2_node(m.rows, _M2)))
+    return Word("m2", 2, _cat(_factor_m2_node(m.rows, _M2, [])))
 
 
 # -- the full 3x3 monoid ----------------------------------------------------
@@ -886,23 +874,15 @@ _M3_E = {
         _gl_perm_node(3, Perm.from_cycles(3, [(2, 3, 1)])),
     ]),
 }
-_M3_SLOT_INF = {1: _A1INF, 2: _cat([_P12, _A1INF, _P12]), 3: _cat([_P13, _A1INF, _P13])}
-# The group words for +1 in slot i (key i) and -1 (key -i).
-_M3_SLOT = {s * i: _gl_slot_base(3, i, s > 0) for i in (1, 2, 3) for s in (1, -1)}
-
-
-def _m3_scale(i: int, a):
-    """Word for the diagonal with a != 0 in slot i: a group word when a
-    is finite, the (conjugated) bottom letter when a is -inf."""
-    if a == BOTTOM:
-        return _M3_SLOT_INF[i]
-    return _pow(_M3_SLOT[i], a) if a > 0 else _pow(_M3_SLOT[-i], -a)
+# The slot table: gl's group words, and the (conjugated) bottom letter.
+_M3_SLOTS = {**_gl_slots(3), (1, BOTTOM): _A1INF, (2, BOTTOM): _cat([_P12, _A1INF, _P12]),
+             (3, BOTTOM): _cat([_P13, _A1INF, _P13])}
 
 
 _M3_BLOCK = _M2Letters(
-    _cat(_gl_word([], _m3_scale, (0, -1, 0), _gl_perm_node(3, Perm((1, 3, 2))))),
-    _m3_scale(2, 1),
-    _M3_SLOT_INF[2],
+    _cat(_gl_word([], _M3_SLOTS, (0, -1, 0), _gl_perm_node(3, Perm((1, 3, 2))))),
+    _M3_SLOTS[2][0],
+    _M3_SLOTS[2, BOTTOM],
     _cat([_gl_perm_node(3, Perm.from_cycles(3, [(1, 3, 2)])), _E12, _P13]),
 )
 
@@ -976,10 +956,8 @@ def _m3_find_route(mask: int):
 # out, the one part list of the whole word.
 
 def _m3_block(g, depth: int, out):
-    sub = ((g[1][1], g[1][2]), (g[2][1], g[2][2]))
-    if g[0][0]:
-        out.append(_m3_scale(1, g[0][0]))
-    out += _factor_m2_node(sub, _M3_BLOCK)
+    _gl_word(out, _M3_SLOTS, (g[0][0],))
+    _factor_m2_node(((g[1][1], g[1][2]), (g[2][1], g[2][2])), _M3_BLOCK, out)
 
 
 def _m3_split_row(g, depth: int, out):
@@ -1012,9 +990,9 @@ def _m3_x_route(g, depth: int, out):
         perm, l, r = None, (0, s - x, z), (-z, 0, x - s)
     else:
         perm, l, r = _P13, (0, -x, z), (x, 0, s - z)
-    _gl_word(out, _m3_scale, (a, d, e))
-    _gl_word(out, _m3_scale, l, perm).append(x_letter(abs(s)))
-    _gl_word(out, _m3_scale, r, perm)
+    _gl_word(out, _M3_SLOTS, (a, d, e))
+    _gl_word(out, _M3_SLOTS, l, perm).append(x_letter(abs(s)))
+    _gl_word(out, _M3_SLOTS, r, perm)
 
 
 def _m3_clear(g, depth: int, out):
@@ -1028,7 +1006,7 @@ def _m3_clear(g, depth: int, out):
     else:
         lam = a - d
         top = (BOTTOM, b, c)
-    out += (_m3_scale(1, lam), _E12, _m3_scale(1, -lam)) if lam else (_E12,)
+    out += (_slot(_M3_SLOTS, 1, lam), _E12, _slot(_M3_SLOTS, 1, -lam)) if lam else (_E12,)
     _m3_node((top, g[1], g[2]), depth + 1, out)
 
 
@@ -1050,15 +1028,15 @@ def _m3_dense(g, depth: int, out):
         right = ((BOTTOM, 0, BOTTOM), (a, BOTTOM, c), (d, BOTTOM, f))
     _m3_node(left, depth + 1, out)
     _m3_node(right, depth + 1, out)
-    _gl_word(out, _m3_scale, (), _gl_perm_node(3, Perm(tuple(o + 1 for o in order))))
-    _gl_word(out, _m3_scale, top)
+    _gl_word(out, _M3_SLOTS, (), _gl_perm_node(3, Perm(tuple(o + 1 for o in order))))
+    _gl_word(out, _M3_SLOTS, top)
 
 
 _M3_BRANCHES = {
     # Slot scalings only: with the permutation word right, they make the
     # word factor_gl builds.
-    "gl": lambda g, depth, out: _gl_word(out, _m3_scale, (g[0][0], g[1][1], g[2][2])),
-    "ut": lambda g, depth, out: _ut_walk(g, _m3_scale, _M3_E, out),
+    "gl": lambda g, depth, out: _gl_word(out, _M3_SLOTS, (g[0][0], g[1][1], g[2][2])),
+    "ut": lambda g, depth, out: _ut_walk(g, _M3_SLOTS, _M3_E, out),
     "block": _m3_block,
     "split-row": _m3_split_row,
     "split-col": _m3_split_col,

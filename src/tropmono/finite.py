@@ -71,7 +71,7 @@ class FiniteMonoid:
     """
 
     __slots__ = ("n", "semiring", "codes", "gens", "cayley", "left", "parent", "last", "closed",
-                 "_index", "_codec", "_elements", "_preds")
+                 "_index", "_codec", "_elements", "_preds", "_units")
 
     def __init__(self, n, semiring, codes, gens, cayley, left, parent, last, closed, index, codec):
         self.n = n
@@ -87,6 +87,7 @@ class FiniteMonoid:
         self._codec = codec  # (encode, decode) between row tuples and codes
         self._elements = None  # the Matrix list, built by elements
         self._preds = None  # right Cayley predecessor lists, built by _predecessors
+        self._units = None  # (unit flags, unit generator columns), built by _units
 
     @property
     def elements(self) -> list:
@@ -368,15 +369,15 @@ def _left_divisors(fm: FiniteMonoid, x: int) -> set:
     return divisors
 
 
-def _unit_gens(fm: FiniteMonoid) -> list:
-    """The generator columns whose powers return to the identity."""
-    return [g for g, e in enumerate(fm.gens) if 0 in _reach(e, [g], fm.cayley)]
-
-
-def _unit_flags(fm: FiniteMonoid):
-    # a b is a unit only if a and b are: the unit generators generate U
-    units = set(_reach(0, _unit_gens(fm), fm.cayley))
-    return [e in units for e in range(len(fm.cayley))]
+def _units(fm: FiniteMonoid):
+    """(flags, unit_gens), kept on the monoid: the generator columns
+    whose powers return to the identity, and per element whether it is
+    a unit; a b is a unit only if a and b are, so they generate U."""
+    if fm._units is None:
+        unit_gens = [g for g, e in enumerate(fm.gens) if 0 in _reach(e, [g], fm.cayley)]
+        units = set(_reach(0, unit_gens, fm.cayley))
+        fm._units = [e in units for e in range(len(fm.cayley))], unit_gens
+    return fm._units
 
 
 def _splits(fm: FiniteMonoid, x: int, outside) -> bool:
@@ -396,7 +397,7 @@ def _required_orbits(fm: FiniteMonoid) -> list:
     left; one pass over the right edges marks the orbits that split by
     the edge lemma, and an unmarked orbit holding a generator falls back
     to _splits."""
-    units, unit_gens = _unit_flags(fm), _unit_gens(fm)
+    units, unit_gens = _units(fm)
     orbit_of, orbits = [-1] * len(units), []
     for x in range(len(units)):
         if not units[x] and orbit_of[x] < 0:
@@ -436,7 +437,7 @@ def rank_search(fm: FiniteMonoid, k: int):
         raise ValueError(f"rank_search supports at most {RANK_LIMIT} elements, got {len(fm)}")
     if not 0 <= k <= 4:
         raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
-    group = {u for u, unit in enumerate(_unit_flags(fm)) if unit} - {0}
+    group = {u for u, unit in enumerate(_units(fm)[0]) if unit} - {0}
     orbits = _required_orbits(fm) + [group] * bool(group)
     if len(orbits) > k:
         return None
@@ -464,7 +465,7 @@ def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:
     xi = fm.index_of(x)
     if xi is None:
         raise ValueError(f"matrix not in the monoid: {format_matrix(x)}")
-    units, unit_gens = _unit_flags(fm), _unit_gens(fm)
+    units, unit_gens = _units(fm)
     if units[xi]:
         raise ValueError("units are excluded from primality")
     cayley, preds = fm.cayley, _predecessors(fm)

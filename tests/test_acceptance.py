@@ -1,4 +1,4 @@
-"""The acceptance gate: nine criteria, one test per criterion.
+"""The acceptance gate: ten criteria, one test per criterion.
 
 Each test is self-contained, pins its tolerance (exact equality
 throughout; the scalars are integers or -inf) and asserts its runtime
@@ -12,7 +12,15 @@ import random
 import time
 
 from tropmono.factorize import _m3_fill, evaluate, factor_gl, factor_m2, factor_m3, factor_unitriangular, factor_ut
-from tropmono.finite import closure, is_generating, prime_certificate, rank_search, x_family_j_related
+from tropmono.finite import (
+    _required_orbits,
+    _units,
+    closure,
+    is_generating,
+    prime_certificate,
+    rank_search,
+    x_family_j_related,
+)
 from tropmono.genset import gens_m2_zmax, gens_m3_zmax, gens_ut_boolean, x_letter
 from tropmono.matrix import (
     Perm,
@@ -128,6 +136,27 @@ def boolean_product(a, b):
     return tuple(out)
 
 
+def support(m):
+    """psi(m), the 0/1 support of m, as row bitmasks: bit j of row i is
+    set when entry (i, j + 1) is finite (tropical m) or 1 (Boolean m)."""
+    nonzero = is_finite if m.semiring is ZMAX else bool
+    return tuple(sum(1 << j for j, x in enumerate(row) if nonzero(x)) for row in m.rows)
+
+
+def boolean_closure(gens, n):
+    """Every product of the n x n 0/1 matrices gens (row bitmasks), the
+    identity included, breadth first."""
+    one = tuple(1 << i for i in range(n))
+    seen, todo = {one}, [one]
+    for m in todo:
+        for g in gens:
+            p = boolean_product(m, g)
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
 def test_criterion_5_prime_certificate_in_3x3_boolean():
     """The support image of every corner letter is one fixed Boolean
     matrix, and it is prime in the full 512-element 3x3 Boolean monoid:
@@ -226,12 +255,21 @@ def test_criterion_7_regularity():
     """Residuation rejects every corner letter X_0..X_10 and produces a
     verified witness (m * w * m = m, exact) for the identity, all three
     A_i(-inf), E_12, and the 2x2 letter with rows (0 0; 0 -inf).
-    Budget: 1 s."""
+
+    The rejections are also certified without residuation: the support
+    map psi is a homomorphism, so X w X = X for a tropical w would give
+    psi(X) psi(w) psi(X) = psi(X), and no g among the 512 elements of
+    M_3(B) satisfies psi(X) g psi(X) = psi(X).  Budget: 1 s."""
     t0 = time.monotonic()
     for s in range(11):
         x = x_letter(s).realize(3, ZMAX)
         wit, variant = regularity_witness(x)
         assert wit is None and variant == ""
+    images = {support(x_letter(s).realize(3, ZMAX)) for s in range(11)}
+    assert len(images) == 1
+    px = images.pop()
+    every = list(itertools.product(range(8), repeat=3))
+    assert not any(boolean_product(boolean_product(px, g), px) == px for g in every)
     accepted = [identity(3)]
     accepted += [construct_A(i, BOTTOM, 3) for i in (1, 2, 3)]
     accepted.append(construct_E(1, 2, 3))
@@ -240,9 +278,13 @@ def test_criterion_7_regularity():
         wit, variant = regularity_witness(m)
         assert wit is not None and variant in ("exact", "clamped")
         assert mat_mul(mat_mul(m, wit), m) == m
+        # the certificate is not vacuous: a regular support has its g
+        if m.n == 3:
+            pm = support(m)
+            assert any(boolean_product(boolean_product(pm, g), pm) == pm for g in every)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
-    print(f"criterion 7: PASS (11 rejections, 6 verified witnesses, {elapsed:.2f}s)")
+    print(f"criterion 7: PASS (11 rejections, psi-certified over 512, 6 verified witnesses, {elapsed:.2f}s)")
 
 
 def test_criterion_8_irredundancy_invariants():
@@ -252,7 +294,12 @@ def test_criterion_8_irredundancy_invariants():
     without E_12 it keeps at most one.  10^4 words each, fixed seed,
     zero violations.  (The corner letters are excluded: any of them
     already carries two finite entries in a row, so the at-most-one
-    half is a statement about the other four letters.)"""
+    half is a statement about the other four letters.)
+
+    Exactly, too: the support map psi is a homomorphism, so every
+    word's support lies in the Boolean closure of its letters' supports
+    (at most 512 elements), and every element of each closure keeps the
+    invariant."""
     letters = {g.text(): g.realize(3, ZMAX) for g in gens_m3_zmax().letters}
     no_bottom_scaler = [letters["A"], letters["B"], letters["E(1,2,0)"]]
     no_elem = [letters["A"], letters["B"], letters["Ai(1,-inf)"]]
@@ -280,7 +327,14 @@ def test_criterion_8_irredundancy_invariants():
             if sum(1 for j in range(1, 4) if is_finite(m.entry(j, i))) > 1:
                 violations += 1
     assert violations == 0
-    print("criterion 8: PASS (2 x 10000 words, zero violations)")
+    t0 = time.monotonic()
+    full = boolean_closure([support(m) for m in no_bottom_scaler], 3)
+    assert all(all(m) and m[0] | m[1] | m[2] == 0b111 for m in full)
+    sparse = boolean_closure([support(m) for m in no_elem], 3)
+    assert all(all(r & (r - 1) == 0 for r in m) and not (m[0] & m[1] or m[0] & m[2] or m[1] & m[2]) for m in sparse)
+    elapsed = time.monotonic() - t0
+    print(f"criterion 8: PASS (2 x 10000 words, zero violations; exact over closures of {len(full)} and "
+          f"{len(sparse)} supports, {elapsed:.2f}s)")
 
 
 def test_criterion_9_bottom_pattern_coverage():
@@ -316,3 +370,33 @@ def test_criterion_9_bottom_pattern_coverage():
     routed = [_m3_fill(bits)[0] for bits in range(512) if bin(bits).count("1") >= 4]
     assert set(routed) <= {"ut", "block", "gl"} and routed.count("gl") == 6
     print("criterion 9: PASS (all >=4-bottom patterns covered, zero escapes)")
+
+
+def test_criterion_10_ut_boolean_alphabet_is_the_unique_minimum():
+    """Minimality, first step: for n = 2..5 each non-identity letter of
+    the UT_n(B) alphabet is a required unit orbit on its own, and 1 is
+    the only unit.  Every generating set meets every required orbit, so
+    it holds every letter, and the alphabet is the unique minimum
+    generating set.  For n <= 4 a test-owned closure of the other
+    letters misses each letter.  Budget: 10 s."""
+    t0 = time.monotonic()
+    for n in range(2, 6):
+        t1 = time.monotonic()
+        gens = [g.realize(n, BOOLEAN) for g in gens_ut_boolean(n).letters]
+        fm = closure(gens)
+        assert fm.closed and len(fm) == 2 ** (n * (n + 1) // 2)
+        letters = set(fm.gens) - {0}
+        assert len(letters) == n * (n + 1) // 2 == len(gens) - 1
+        assert sorted(map(sorted, _required_orbits(fm))) == sorted([g] for g in letters)
+        assert _units(fm)[0] == [True] + [False] * (len(fm) - 1)
+        independent = "-"
+        if n <= 4:
+            bits = [support(g) for g in gens[1:]]
+            for k, b in enumerate(bits):
+                assert b not in boolean_closure(bits[:k] + bits[k + 1:], n)
+            independent = f"{len(bits)} letters outside the others' closures"
+        print(f"criterion 10: UT_{n}(B) {len(fm)} elements, {len(letters)} singleton required orbits, "
+              f"1 unit, {independent}, {time.monotonic() - t1:.2f}s")
+    elapsed = time.monotonic() - t0
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
+    print(f"criterion 10: PASS (UT_n(B) alphabets minimum and unique for n = 2..5, {elapsed:.1f}s)")

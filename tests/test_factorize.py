@@ -16,6 +16,9 @@ from tropmono.factorize import (
     Word,
     _Eval,
     _IDENT,
+    _M2,
+    _M3_BLOCK,
+    _M3_SLOTS,
     _Mono,
     _Node,
     _Plus,
@@ -23,13 +26,14 @@ from tropmono.factorize import (
     _SLOT_LETTERS,
     _eval_context,
     _gl_perm_node,
-    _gl_slot_node,
+    _gl_slots,
     _leaf_value,
     _pow,
     _power,
     _times,
     _m3_fill,
-    _ut_diag_node,
+    _slot,
+    _ut_slots,
     evaluate,
     factor,
     factor_gl,
@@ -492,7 +496,7 @@ def test_monomial_powers_with_huge_exponents_are_exact():
         check_powers("ut", n, _Node((diag_letter(1, 1), elem_letter(1, 2, 0))), e_times_a)
     e12 = construct_E(1, 2, 3, lam=0)
     check_powers("m3", 3, _Node((elem_letter(1, 2, 0),)), e12)
-    check_powers("m3", 3, _Node((elem_letter(1, 2, 0), _gl_slot_node(3, 1, 1))), mat_mul(e12, construct_A(1, 1, 3)))
+    check_powers("m3", 3, _Node((elem_letter(1, 2, 0), _slot(_gl_slots(3), 1, 1))), mat_mul(e12, construct_A(1, 1, 3)))
 
 
 def test_cached_values_do_not_vouch_for_another_alphabet():
@@ -549,7 +553,7 @@ def test_foreign_letters_under_a_leaf_power_are_rejected(k):
     # (diagonal ones in gl, so the letter sits inside a run); again once
     # the letter's value is cached for another alphabet of the same n
     for monoid, n, g, side, other in (
-        ("gl", 3, diag_letter(1, 1), _gl_slot_node(3, 1, 2), "ut"),
+        ("gl", 3, diag_letter(1, 1), _slot(_gl_slots(3), 1, 2), "ut"),
         ("gl", 2, diag_letter(2, 1), _pow(GL_A, 3), "ut"),
         ("u", 5, NEG_I, elem_letter(1, 2, 3), "ut"),
         ("u", 3, x_letter(2), elem_letter(1, 2, 3), "m3"),
@@ -570,7 +574,7 @@ def test_foreign_letters_under_a_leaf_power_are_rejected(k):
     # a negative ut slot is one run over shared letters, whose product is
     # kept per alphabet: kept for ut, it vouches for nothing in u or gl
     for n in (2, 5):
-        run = _ut_diag_node(n, 1, -(k + 2))
+        run = _slot(_ut_slots(n), 1, -(k + 2))
         evaluate(Word("ut", n, run))
         for monoid, side in (("u", elem_letter(1, 2, 3)), ("gl", GL_A)):
             for root in (run, _Node((side, run, side)), _pow(run, 0), _Node((side, _Run(run.parts, k)))):
@@ -587,13 +591,14 @@ def _run_cases(n):
     up = [diag_letter(i, 1) for i in range(1, n + 1)]
     bot = diag_letter(n, BOTTOM)
     e = elem_letter(1, n, 0) if n > 1 else bot
-    neg = _ut_diag_node(n, 1, -7)
+    words = _ut_slots(n)
+    neg = _slot(words, 1, -7)
     return [
         _Node((_pow(NEG_I, 3), _pow(up[-1], 5), e, bot, _pow(up[0], 2))),
         _Node((e, _pow(up[0], 4), neg, _pow(up[-1], 0), bot, up[-1])),
         _Node((bot, e, _pow(NEG_I, 2), up[0], _pow(up[-1], 9))),
-        _Node((_ut_diag_node(n, 1, 6), _ut_diag_node(n, 1, -6), bot, e)),
-        _Node((_ut_diag_node(n, n, -11), _ut_diag_node(n, n, 11), e, bot)),
+        _Node((_slot(words, 1, 6), _slot(words, 1, -6), bot, e)),
+        _Node((_slot(words, n, -11), _slot(words, n, 11), e, bot)),
         _Node((_pow(up[0], 0), _pow(NEG_I, 0), e, _pow(up[-1], 0))),
         _Run((_Node((_pow(up[-1], 3), neg, _pow(NEG_I, 4), e)),), 3),
         _Node((_pow(up[0], 10 ** 12), _Node((neg, _pow(up[-1], 2))), NEG_I)),
@@ -609,13 +614,45 @@ def test_diagonal_runs_match_an_independent_dag_walk(n):
     # letter A is the diagonal Ai(1,1), so its powers join a run
     if n > 1:
         p = _gl_perm_node(n, Perm.transposition(n, 1, n))
-        slot = _gl_slot_node(n, n, -5)
+        words = _gl_slots(n)
+        slot = _slot(words, n, -5)
         for root in (
-            _Node((_gl_slot_node(n, 1, 3), p, slot, _pow(GL_A, 2), _gl_slot_node(n, 1, 4), GL_B)),
-            _Node((p, _gl_slot_node(n, 1, 2), slot, _pow(GL_A, 0), p, _gl_slot_node(n, 1, -2))),
+            _Node((_slot(words, 1, 3), p, slot, _pow(GL_A, 2), _slot(words, 1, 4), GL_B)),
+            _Node((p, _slot(words, 1, 2), slot, _pow(GL_A, 0), p, _slot(words, 1, -2))),
         ):
             w = Word("gl", n, root)
             assert evaluate(w).rows == own_eval(w)
+
+
+# Every slot table the factorizers read: (id, monoid, n, table, the
+# slot of the n x n matrix that each table slot scales, whether it has
+# -inf words).  The 2x2 block letters of m3 scale slot 2 of a 3x3 matrix.
+SLOT_TABLES = (
+    [(f"ut{n}", "ut", n, _ut_slots(n), range(1, n + 1), True) for n in range(1, 9)]
+    + [(f"gl{n}", "gl", n, _gl_slots(n), range(1, n + 1), False) for n in range(2, 9)]
+    + [
+        ("m3", "m3", 3, _M3_SLOTS, (1, 2, 3), True),
+        ("m2", "m2", 2, _M2.slots, (1,), False),
+        ("m3_block", "m3", 3, _M3_BLOCK.slots, (2,), False),
+    ]
+)
+
+
+@pytest.mark.parametrize("monoid, n, words, lifted, bottom", [t[1:] for t in SLOT_TABLES], ids=[t[0] for t in SLOT_TABLES])
+def test_every_slot_table_spells_its_diagonal_scalings(monoid, n, words, lifted, bottom):
+    # _slot(words, i, a) is a in slot i and the unit elsewhere, for both
+    # signs, at |a| = 1 (a one-part entry is its part, not a run) and beyond,
+    # and at -inf where the table has a bottom word; a zero is no word
+    for i, slot in enumerate(lifted, start=1):
+        assert ((i, BOTTOM) in words) == bottom
+        for a in (1, -1, 7, -7) + (BOTTOM,) * bottom:
+            scaled = [0] * n
+            scaled[slot - 1] = a
+            w = Word(monoid, n, _slot(words, i, a))
+            assert evaluate(w) == construct_A(slot, a, n) == diag(scaled), (i, a)
+        for a, parts in ((1, words[i]), (-1, words[-i])):
+            assert (_slot(words, i, a) is parts[0]) == (len(parts) == 1)
+        assert _slot(words, i, 0) is None
 
 
 def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
@@ -638,17 +675,17 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
         # the letters' own values, and each slot's run sum, are cached by
         # the first n words
         for i in range(1, n + 1):
-            evaluate(Word("ut", n, _ut_diag_node(n, i, -3)))
+            evaluate(Word("ut", n, _slot(_ut_slots(n), i, -3)))
         # a negative slot is one run: its power is one monomial, and at
         # a = -1 its value is the cached sum itself (at n = 1 the letter
         # NEG_I's own value)
         for i, a in itertools.product(range(1, n + 1), (-(10 ** 6), -1)):
             calls.update(times=0, mono=0)
-            w = Word("ut", n, _ut_diag_node(n, i, a))
+            w = Word("ut", n, _slot(_ut_slots(n), i, a))
             assert evaluate(w) == construct_A(i, a, n)
             assert calls == {"times": 0, "mono": 0 if a == -1 else 1}
         # a diagonal sub-node, its value already cached, joins the run
-        sub = _ut_diag_node(n, n, -5)
+        sub = _slot(_ut_slots(n), n, -5)
         evaluate(Word("ut", n, sub))
         calls.update(times=0, mono=0)
         w = Word("ut", n, _Node((_pow(NEG_I, 2), sub, _pow(NEG_I, 3))))
@@ -726,6 +763,7 @@ def commuting_dags(draw):
     above = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     slots = st.integers(1, n)
     nonzero = st.integers(-6, 5).map(lambda a: a if a < 0 else a + 1)
+    words = _ut_slots(n)
 
     def e_letter():
         i, j = draw(st.sampled_from(above))
@@ -737,16 +775,16 @@ def commuting_dags(draw):
             return _pow(draw(st.sampled_from([NEG_I, *(diag_letter(i, 1) for i in range(1, n + 1))])), draw(st.integers(0, 4)))
         i, a = draw(slots), draw(nonzero)
         if how == 1:
-            return _ut_diag_node(n, i, a)
+            return _slot(words, i, a)
         if how == 2:
-            return _Node((_ut_diag_node(n, i, a), _ut_diag_node(n, draw(slots), draw(nonzero))))
-        return _Node((_ut_diag_node(n, i, a), _ut_diag_node(n, i, -a)))
+            return _Node((_slot(words, i, a), _slot(words, draw(slots), draw(nonzero))))
+        return _Node((_slot(words, i, a), _slot(words, i, -a)))
 
     def conjugate():
         # slot(i, a) E(i, j, 0) slot(i, -a), as factor_ut writes E(i, j, a)
         i, j = draw(st.sampled_from(above))
         a = draw(nonzero)
-        return _Node((_ut_diag_node(n, i, a), elem_letter(i, j, 0), _ut_diag_node(n, i, -a)))
+        return _Node((_slot(words, i, a), elem_letter(i, j, 0), _slot(words, i, -a)))
 
     pieces = [e_letter]
     if name == "ut":
@@ -872,7 +910,7 @@ def test_module_caches_do_not_grow_with_entry_values():
 
     fresh(100)
     after_100 = sizes()
-    tables = ("_eval_context", "_gl_bits", "_gl_perm_node", "_gl_slot_base", "_m3_fill")
+    tables = ("_eval_context", "_gl_bits", "_gl_perm_node", "_gl_slots", "_m3_fill", "_ut_slots")
     assert {f"tropmono.factorize.{name}" for name in tables} <= set(after_100)
     fresh(200)
     assert sizes() == after_100

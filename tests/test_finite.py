@@ -16,7 +16,7 @@ from tropmono.finite import (
     _products,
     _required_orbits,
     _splits,
-    _unit_flags,
+    _units,
     _word,
     closure,
     infinite_witness,
@@ -588,8 +588,8 @@ def test_units_read_off_the_graph_match_is_invertible():
     monoids += small_random_monoids(20261020, 12)
     for fm in monoids:
         assert fm.closed
-        assert _unit_flags(fm) == [is_invertible(m) for m in fm.elements]
-    assert sum(_unit_flags(monoids[4])) == 6 and sum(_unit_flags(monoids[5])) == 2
+        assert _units(fm)[0] == [is_invertible(m) for m in fm.elements]
+    assert sum(_units(monoids[4])[0]) == 6 and sum(_units(monoids[5])[0]) == 2
     m3 = monoids[4]
     for m in m3.elements:
         if is_invertible(m):
@@ -630,10 +630,23 @@ def test_unit_flags_match_is_invertible_with_permutation_generators():
     s3 = [construct_P(swap, BOOLEAN), construct_P(Perm.from_cycles(3, [(1, 2, 3)]), BOOLEAN)]
     monoids.append(closure(s3 + [s3[0], matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]], BOOLEAN)]))
     for fm in monoids:
-        assert _unit_flags(fm) == [is_invertible(m) for m in fm.elements]
-    assert sum(_unit_flags(monoids[-2])) == 4 and sum(_unit_flags(monoids[-1])) == 6
-    assert all(sum(_unit_flags(fm)) > 1 for fm in monoids)
+        assert _units(fm)[0] == [is_invertible(m) for m in fm.elements]
+    assert sum(_units(monoids[-2])[0]) == 4 and sum(_units(monoids[-1])[0]) == 6
+    assert all(sum(_units(fm)[0]) > 1 for fm in monoids)
 
+
+
+def test_units_are_walked_once_per_monoid():
+    # prime_certificate, _required_orbits and rank_search read the one
+    # (flags, unit generators) pair kept on the monoid
+    fm = closure(m2_boolean_gens())
+    assert fm._units is None
+    kept = _units(fm)
+    assert _units(fm) is kept and kept[0] == [is_invertible(m) for m in fm.elements]
+    _required_orbits(fm)
+    rank_search(fm, 3)
+    prime_certificate(next(m for m in fm.elements if not is_invertible(m)), fm)
+    assert fm._units is kept
 
 def finite_answers(fm):
     """Prime flags of the non-units, rank_search at k = 0..3, irredundant."""
