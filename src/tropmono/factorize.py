@@ -14,31 +14,29 @@ Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
 row), a monomial plus one finite entry, or dense rows.  Every unit
 letter starts as a monomial, and most of every word is a product of
-them: two monomials multiply in O(n), and a monomial times dense rows
+them: two monomials compose in O(n), and a monomial times dense rows
 is a row gather or a column scatter, unrolled at n = 3 like the dense
-product.
-A diagonal monomial, whose image is the shared identity tuple, is a
-shift vector that a power scales, in O(n) for any exponent, and a
-product adds; the unit returns the other operand.  Every other power
-squares and multiplies, in O(log k) products.
+product.  A power of a diagonal monomial (its image the shared
+identity tuple) scales its shifts, in O(n) for any exponent; every
+other power squares and multiplies, in O(log k) products.
 For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
 entry: a monomial moves the entry in O(n), and with dense rows it is a
 gather or scatter plus one row or column max-update (only the
 max-update over the unit); the column update rebuilds only the rows it
 raises.  Of two such values the left one is made dense first.
-The diagonal values among a node's parts are held back as one pending
-diagonal, summed into one shift vector from the second on.  Since
-diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), an E letter over a
-diagonal moves its entry past the pending diagonal instead of
-multiplying it in, so the slot scalings that conjugate each E letter
-of a ut word cancel without a product; any other value multiplies the
-pending diagonal in first, and one that sums to zero is dropped.
-Only dense times dense is a matrix product.  Each leaf is checked
-against the word's alphabet when it is evaluated.  A diagonal run (a
-negative ut slot, a power of a gl or m3 slot scaling), fresh in every
-word, adds k times its parts' summed shift (kept per alphabet for the
-shared ones) to the pending diagonal, in O(n) for any length, and is
-not cached; any other run multiplies its parts' k-th powers.
+The monomials among a node's parts are held back as one pending
+monomial, composed in place from the second on, so a stretch of unit
+letters costs no product.  A diagonal run (a negative ut slot, a power
+of a gl or m3 slot scaling), fresh in every word, joins it as k times
+its parts' summed shift (kept per alphabet for the shared ones), in
+O(n) for any k, and is not cached; any other run multiplies its parts'
+k-th powers.  Since diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
+an E letter moves its entry past a diagonal pending monomial, so the
+slot scalings that conjugate each E letter of a ut word cancel without
+a product; any other value multiplies the pending monomial in first,
+with one product, and a zero diagonal is dropped.  Only dense times
+dense is a matrix product.  Each leaf is checked against the word's
+alphabet when it is evaluated.
 A Matrix is built only for the result.  The letter count and the text
 form are each one bottom-up fold that visits every node once, a run
 repeating each part's text k times; the distinct
@@ -324,7 +322,8 @@ def _times(a, b, ev):
     a monomial moves a _Plus's entry, a _Plus times dense rows adds one
     row max-update and dense rows times a _Plus one column max-update,
     which rebuilds only the rows whose entry it raises; of two _Plus
-    values the left one is made dense first."""
+    values the left one is made dense first.  A node's monomial parts
+    compose in _value's pending monomial, not here."""
     ta, tb = type(a), type(b)
     if ta is _Mono:
         img, sh = a.img, a.sh
@@ -450,20 +449,21 @@ def _run_sum(parts, key, ev: _Eval):
     return v
 
 
-def _then_diag(val, shifts, ev: _Eval):
-    """val (None for the unit) times the diagonal of the summed shifts;
-    shifts that sum to zero are dropped."""
-    if not any(shifts):
+def _then_pending(val, pend, ev: _Eval):
+    """val (None for the unit) times the pending monomial list [img,
+    shifts], img None while it is diagonal; a zero diagonal is dropped."""
+    img, sh = pend
+    if img is None and not any(sh):
         return val
-    d = _Mono(ev.ident, tuple(shifts))
-    return d if val is None else _times(val, d, ev)
+    m = _Mono(ev.ident if img is None else _ident(tuple(img)), tuple(sh))
+    return m if val is None else _times(val, m, ev)
 
 
 def _value(node, key, ev: _Eval):
     """The node's value under key, the word's (monoid, n), cached on the
     node: a leaf's from its letter, a run's as the product of its parts'
     k-th powers, any other node's as the product of its parts' values with
-    their diagonals held back as one pending diagonal that E letters pass."""
+    their monomials held back as one pending monomial that E letters pass."""
     hit = node._vals.get(key)
     if hit is not None:
         return hit
@@ -478,54 +478,65 @@ def _value(node, key, ev: _Eval):
         elif node.k != 1:
             val = _power(val, node.k, ev)
     else:
-        # Diagonal values commute with each other, and diag(d) E(r,c,x)
-        # = E(r,c,x + d[r] - d[c]) diag(d), so the diagonal parts are
-        # held back as one pending diagonal dia: a lone one as its
-        # _Mono, from the second on (or from a run) a list of shifts
-        # they are added into.  A _Plus over a diagonal moves its entry
-        # past dia; any other value, and the end of the parts, multiply
-        # dia in first (a list that sums to zero is dropped).  So a
-        # pending diagonal costs no product until a non-diagonal value
-        # meets it.
-        val = dia = None
+        # The monomial parts are held back as one pending monomial pend:
+        # a lone one as its _Mono, from the second on (or from a diagonal
+        # run) a list [img, sh] (also bound to img and sh), img None while
+        # it is diagonal, that each next one composes into in place.
+        # Since diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), a _Plus
+        # over a diagonal moves its entry past a diagonal pend; any other
+        # value, and the end of the parts, multiply pend in with one
+        # product (a zero diagonal is dropped).
+        val = pend = None
         ident = ev.ident
         for p in node.parts:
             k = 1
             v = p._vals.get(key)
             if v is None:
                 # A diagonal run is fresh per word: its parts' product,
-                # k times, joins dia in O(n) and is not cached.
+                # k times, joins pend in O(n) and is not cached.
                 if type(p) is _Run:
                     v = _run_sum(p.parts, key, ev)
                     k = p.k
                 if v is None:
                     k = 1
                     v = _value(p, key, ev)
-            if type(v) is _Mono and v.img is ident:
-                if dia is None and k == 1:
-                    dia = v
+            if type(v) is _Mono:
+                if pend is None and k == 1:
+                    pend = v
                     continue
-                if type(dia) is not list:
-                    dia = [0] * ev.n if dia is None else list(dia.sh)
-                for i, s in enumerate(v.sh):
-                    if s:
-                        dia[i] += k * s
-                continue
-            if dia is not None:
-                if type(v) is _Plus and v.m.img is ident:
-                    sh = dia if type(dia) is list else dia.sh
-                    v = _Plus(v.m, v.r, v.c, v.v + sh[v.r] - sh[v.c])
+                if type(pend) is not list:
+                    pend = [None, [0] * ev.n] if pend is None else [None if pend.img is ident else list(pend.img), list(pend.sh)]
+                    img, sh = pend
+                # pend v: row i moves to column v.img[img[i]] and adds
+                # v.sh[img[i]], k times for a diagonal run.
+                if img is None:
+                    if v.img is not ident:
+                        pend[0] = img = list(v.img)
+                    for i, s in enumerate(v.sh):
+                        if s:
+                            sh[i] += k * s
+                elif v.img is ident:
+                    vsh = v.sh
+                    for i, j in enumerate(img):
+                        sh[i] += k * vsh[j]
                 else:
-                    if type(dia) is list:
-                        val = _then_diag(val, dia, ev)
-                    else:
-                        val = dia if val is None else _times(val, dia, ev)
-                    dia = None
+                    vimg, vsh = v.img, v.sh
+                    for i, j in enumerate(img):
+                        img[i] = vimg[j]
+                        sh[i] += vsh[j]
+                continue
+            if pend is not None:
+                if type(v) is _Plus and v.m.img is ident and (img is None if type(pend) is list else pend.img is ident):
+                    d = sh if type(pend) is list else pend.sh
+                    v = _Plus(v.m, v.r, v.c, v.v + d[v.r] - d[v.c])
+                else:
+                    val = (pend if val is None else _times(val, pend, ev)) if type(pend) is _Mono else _then_pending(val, pend, ev)
+                    pend = None
             val = v if val is None else _times(val, v, ev)
-        if type(dia) is list:
-            val = _then_diag(val, dia, ev)
-        elif dia is not None:
-            val = dia if val is None else _times(val, dia, ev)
+        if type(pend) is _Mono:
+            val = pend if val is None else _times(val, pend, ev)
+        elif pend is not None:
+            val = _then_pending(val, pend, ev)
         if val is None:
             val = ev.unit
     node._vals[key] = val
@@ -683,6 +694,7 @@ def _gl_bits(n: int) -> dict:
     return {"Y": Y, "Pc": Pc, "Prho": Prho, "P12": P12, "A1p": A1p, "A1m": A1m}
 
 
+@cache
 def _gl_adjacent_node(n: int, k: int):
     """Word for the adjacent transposition (k, k+1): conjugate the
     (1,2) transposition by powers of the full cycle."""

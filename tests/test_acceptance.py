@@ -37,6 +37,8 @@ from tropmono.matrix import (
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX, is_finite
 
+from unit_reference import own_eval
+
 
 def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
     return BOTTOM if rng.random() < p_bot else rng.randint(lo, hi)
@@ -45,49 +47,66 @@ def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
 def test_criterion_1_factorization_soundness_3x3():
     """Multiply-back is entry-exact on the full {-inf,0,1} grid (3^9
     matrices) and on 10^4 random matrices with entries in
-    {-inf} u [-20,20].  Tolerance: exact equality.  Budget: 30 s."""
+    {-inf} u [-20,20]; a seeded twentieth of the words is also
+    multiplied out by own_eval, which shares no code with evaluate.
+    Tolerance: exact equality.  Budget: 30 s."""
     t0 = time.monotonic()
+    pick, sampled = random.Random(1), 0
+
+    def check(m):
+        nonlocal sampled
+        w = factor_m3(m)
+        assert evaluate(w) == m
+        if pick.random() < 0.05:
+            assert own_eval(w) == m.rows
+            sampled += 1
+
     for cells in itertools.product((BOTTOM, 0, 1), repeat=9):
-        m = matrix([cells[0:3], cells[3:6], cells[6:9]])
-        assert evaluate(factor_m3(m)) == m
+        check(matrix([cells[0:3], cells[3:6], cells[6:9]]))
     rng = random.Random(20260815)
     for _ in range(10_000):
-        m = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
-        assert evaluate(factor_m3(m)) == m
+        check(matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)]))
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
-    print(f"criterion 1: PASS (19683 grid + 10000 random, exact, {elapsed:.1f}s)")
+    print(f"criterion 1: PASS (19683 grid + 10000 random, exact, {sampled} also by own_eval, {elapsed:.1f}s)")
 
 
 def test_criterion_2_factorization_soundness_ut_u_gl_m2():
     """10^3 random instances per family: upper triangular, unit
     triangular, and invertible matrices spread over n in {2,3,4,5}
-    (250 each), plus 10^3 full 2x2 matrices.  Exact.  Budget: 10 s."""
+    (250 each), plus 10^3 full 2x2 matrices; a seeded tenth of the
+    words is also multiplied out by own_eval.  Exact.  Budget: 10 s."""
     rng = random.Random(20260816)
     t0 = time.monotonic()
+    pick, sampled = random.Random(2), 0
+
+    def check(m, factorizer):
+        nonlocal sampled
+        w = factorizer(m)
+        assert evaluate(w) == m
+        if pick.random() < 0.1:
+            assert own_eval(w) == m.rows
+            sampled += 1
+
     for n in (2, 3, 4, 5):
         for _ in range(250):
             rows = [[rnd_entry(rng) if j >= i else BOTTOM for j in range(n)] for i in range(n)]
-            m = matrix(rows)
-            assert evaluate(factor_ut(m)) == m
+            check(matrix(rows), factor_ut)
         for _ in range(250):
             rows = [
                 [0 if j == i else (rnd_entry(rng) if j > i else BOTTOM) for j in range(n)]
                 for i in range(n)
             ]
-            m = matrix(rows)
-            assert evaluate(factor_unitriangular(m)) == m
+            check(matrix(rows), factor_unitriangular)
         for _ in range(250):
             img = list(range(1, n + 1))
             rng.shuffle(img)
-            m = mat_mul(diag([rng.randint(-20, 20) for _ in range(n)]), construct_P(Perm(img)))
-            assert evaluate(factor_gl(m)) == m
+            check(mat_mul(diag([rng.randint(-20, 20) for _ in range(n)]), construct_P(Perm(img))), factor_gl)
     for _ in range(1000):
-        m = matrix([[rnd_entry(rng) for _ in range(2)] for _ in range(2)])
-        assert evaluate(factor_m2(m)) == m
+        check(matrix([[rnd_entry(rng) for _ in range(2)] for _ in range(2)]), factor_m2)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
-    print(f"criterion 2: PASS (4x1000 instances, exact, {elapsed:.1f}s)")
+    print(f"criterion 2: PASS (4x1000 instances, exact, {sampled} also by own_eval, {elapsed:.1f}s)")
 
 
 def test_criterion_3_boolean_closure_oracle():

@@ -61,7 +61,7 @@ from tropmono.matrix import (
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
 
-from unit_reference import is_invertible, mat_pow, permute
+from unit_reference import is_invertible, mat_pow, own_eval, permute
 
 
 def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
@@ -208,61 +208,24 @@ def test_random_dag_eval_matches_fold(w, k):
     assert evaluate(big) == mat_pow(evaluate(w), k)
 
 
-def own_mul(a, b):
-    # the max-plus product by its definition: row of a against column of b
-    cols = list(zip(*b))
-    return tuple(tuple(max([x + y for x, y in zip(row, col)]) for col in cols) for row in a)
-
-
-def own_eval(w):
-    """A zmax word DAG multiplied out without the library's evaluator: a
-    memoized walk over the realized letters, with own_mul for products
-    and square-and-multiply for powers."""
-    n = w.n
-    memo = {}
-    # letter^(2^i) for i = 0, 1, ..., shared by the runs of one letter
-    squares = {}
-
-    def times(x, y):
-        # None is the identity
-        return y if x is None else x if y is None else own_mul(x, y)
-
-    def power(chain, k):
-        # chain holds base^(2^i) for i = 0, 1, ...; it grows as needed
-        out, i = None, 0
-        while k:
-            if i == len(chain):
-                chain.append(times(chain[-1], chain[-1]))
-            if k & 1:
-                out = times(out, chain[i])
-            k >>= 1
-            i += 1
-        return out
-
-    def walk(node):
-        if id(node) not in memo:
-            if isinstance(node, Generator):
-                out = node.realize(n, ZMAX).rows
-            elif isinstance(node, _Run):
-                # each letter k times in a row
-                out = None
-                for g in node.parts:
-                    out = times(out, power(squares.setdefault(g, [walk(g)]), node.k))
-            else:
-                out = None
-                for p in node.parts:
-                    out = times(out, walk(p))
-            memo[id(node)] = out
-        return memo[id(node)]
-
-    out = walk(w.root)
-    return tuple(tuple(0 if i == j else BOTTOM for j in range(n)) for i in range(n)) if out is None else out
-
-
 def test_evaluate_matches_an_independent_dag_walk():
     # the ut, u and gl words of criterion 2, at every n and with large
-    # entries, against a walk that shares no code with evaluate
+    # entries, the m3 words of every bottom mask with {0, 1} entries and
+    # of a random matrix in [-20, 20] after every second one, and m2
+    # words at ±10^6, against a walk that shares no code with evaluate
     rng = random.Random(20)
+    for mask in range(512):
+        rows = [[BOTTOM if mask >> (3 * i + j) & 1 else rng.randint(0, 1) for j in range(3)] for i in range(3)]
+        cases = [matrix(rows)]
+        if mask % 2:
+            cases.append(matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)]))
+        for m in cases:
+            w = factor_m3(m)
+            assert own_eval(w) == m.rows == evaluate(w).rows
+    for _ in range(200):
+        m = matrix([[rnd_entry(rng, 0.2, -10 ** 6, 10 ** 6) for _ in range(2)] for _ in range(2)])
+        w = factor_m2(m)
+        assert own_eval(w) == m.rows == evaluate(w).rows
     big = lambda: rng.randint(-10 ** 9, 10 ** 9)  # noqa: E731
     for n in range(1, 9):
         for _ in range(2):
@@ -835,13 +798,16 @@ def test_dense_rows_times_an_e_letter_rebuild_only_the_rows_it_raises():
 
 def test_m3_words_make_no_more_products_than_before(monkeypatch):
     # criterion-1 traffic as in test_m3_words_evaluate_without_the_generic_kernels:
-    # each diagonal parts run multiplies in as one monomial, and a fresh
-    # sub-word is spliced into its parent, so a slot scaling's power joins
-    # the pending diagonal across sub-word ends.  The count may only fall
-    # below 11499 (measured in a fresh process; cached shared sub-words
-    # lower it).  Multiplying every diagonal value in as it came made
-    # 13483 calls, and flushing the pending diagonal at the end of each
-    # fresh sub-word 12956.
+    # the monomial parts between two dense values compose into one
+    # pending monomial, which multiplies in with one product, and a
+    # fresh sub-word is spliced into its parent, so a run of unit letters
+    # joins the pending monomial across sub-word ends.  The count may
+    # only fall below 5708 (measured in a fresh process; cached shared
+    # sub-words lower it).  Multiplying every diagonal value in as it
+    # came made 13483 calls, flushing a pending diagonal at the end of
+    # each fresh sub-word 12956, holding back only the diagonal values,
+    # each permutation value one product, 11499, and the pending
+    # monomial without shared adjacent-swap nodes 5711.
     from tropmono import factorize
 
     calls = {"times": 0}
@@ -858,7 +824,43 @@ def test_m3_words_make_no_more_products_than_before(monkeypatch):
         rand = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
         for m in (grid, rand):
             assert evaluate(factor_m3(m)) == m
-    assert calls["times"] <= 11499
+    assert calls["times"] <= 5708
+
+
+def test_unit_runs_compose_into_one_pending_monomial(monkeypatch):
+    # slot runs and permutation words between two dense values compose
+    # into one pending monomial without a product, and it multiplies in
+    # with one product where a dense value or the end meets it; each
+    # part's own value is cached first, so only the root is counted
+    from tropmono import factorize
+
+    calls = {"times": 0}
+    times = factorize._times
+
+    def counted_times(a, b, ev):
+        calls["times"] += 1
+        return times(a, b, ev)
+
+    monkeypatch.setattr(factorize, "_times", counted_times)
+    for n in range(2, 7):
+        words, img = _gl_slots(n), tuple(range(n, 0, -1))
+        perm = _gl_perm_node(n, Perm(img))
+        for sub in (words[1][0], words[-n][0], perm):
+            evaluate(Word("gl", n, sub))
+        w = Word("gl", n, _Node((_slot(words, 1, 5), _slot(words, n, -3), perm)))
+        calls["times"] = 0
+        m = mat_mul(diag([5, *[0] * (n - 2), -3]), construct_P(Perm(img)))
+        assert evaluate(w).rows == own_eval(w) == m.rows
+        assert calls["times"] == 0
+    # P12 slot(2,5) E(1,2,0) slot(2,-5) P13 P12: the dense letter meets one
+    # pending monomial on each side
+    (p12, p13), e12 = (_gl_perm_node(3, Perm.transposition(3, 1, j)) for j in (2, 3)), elem_letter(1, 2, 0)
+    for sub in (p12, p13, e12, _M3_SLOTS[2][0], _M3_SLOTS[-2][0]):
+        evaluate(Word("m3", 3, sub))
+    w = Word("m3", 3, _Node((p12, _slot(_M3_SLOTS, 2, 5), e12, _slot(_M3_SLOTS, 2, -5), p13, p12)))
+    calls["times"] = 0
+    assert evaluate(w).rows == own_eval(w)
+    assert calls["times"] == 2
 
 
 def test_module_caches_do_not_grow_with_entry_values():
@@ -910,7 +912,7 @@ def test_module_caches_do_not_grow_with_entry_values():
 
     fresh(100)
     after_100 = sizes()
-    tables = ("_eval_context", "_gl_bits", "_gl_perm_node", "_gl_slots", "_m3_fill", "_ut_slots")
+    tables = ("_eval_context", "_gl_adjacent_node", "_gl_bits", "_gl_perm_node", "_gl_slots", "_m3_fill", "_ut_slots")
     assert {f"tropmono.factorize.{name}" for name in tables} <= set(after_100)
     fresh(200)
     assert sizes() == after_100
@@ -1233,7 +1235,9 @@ def test_factor_m3_dag_shape_pinned():
     # (the 512 bottom masks in shuffled order with {0, 1} entries, and a
     # random matrix in [-20, 20] after every second one), the root part
     # counts and the distinct objects under each root, letters included,
-    # are pinned by their sums.
+    # are pinned by their sums.  Building each adjacent swap of a gl
+    # permutation word once, not once per new permutation, took the
+    # distinct objects from 21529 to 18075 with the same words.
     rng = random.Random(41)
     masks = list(range(512))
     rng.shuffle(masks)
@@ -1253,7 +1257,7 @@ def test_factor_m3_dag_shape_pinned():
                 seen.add(id(node))
                 stack.extend(getattr(node, "parts", ()))
         nodes += len(seen)
-    assert (len(rows), root_parts, nodes) == (768, 9721, 21529)
+    assert (len(rows), root_parts, nodes) == (768, 9721, 18075)
 
 
 def test_factor_m3_routes_pinned():
