@@ -26,11 +26,14 @@ max-update over the unit); the column update rebuilds only the rows it
 raises.  Of two such values the left one is made dense first.
 The monomials among a node's parts are held back as one pending
 monomial, composed in place from the second on, so a stretch of unit
-letters costs no product.  A diagonal run (a negative ut slot, a power
-of a gl or m3 slot scaling), fresh in every word, joins it as k times
-its parts' summed shift (kept per alphabet for the shared ones), in
-O(n) for any k, and is not cached; any other run multiplies its parts'
-k-th powers.  Since diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
+letters costs no product.  A diagonal run, such as a slot scaling
+past |a| = 1 in any alphabet, is fresh in every word: it joins the
+pending monomial as k times each nonzero (slot, shift) pair of its
+parts' product, one O(1) update per pair for any k, and is not
+cached.  The pairs of every slot table's parts tuples are kept per
+alphabet, so their letters are checked once.  Any other run
+multiplies its parts' k-th powers.  Since
+diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
 an E letter moves its entry past a diagonal pending monomial, so the
 slot scalings that conjugate each E letter of a ut word cancel without
 a product; any other value multiplies the pending monomial in first,
@@ -255,6 +258,11 @@ class _Mono:
         self.sh = sh
 
 
+# The zmax unit of each dimension, shared by every alphabet, so that a
+# _Plus over it is told by identity.
+_UNIT = [_Mono(img, (0,) * len(img)) for img in _IDENT]
+
+
 class _Plus:
     """The _Mono m plus the finite entry v at (r, c), with c != m.img[r]
     (0-based): an elementary letter, moved by monomials."""
@@ -358,7 +366,7 @@ def _times(a, b, ev):
         # Column c of the product also takes column r of a plus v: only
         # the rows where that is larger are rebuilt.
         r, c, v = b.r, b.c, b.v
-        rows = list(_times(a, b.m, ev))
+        rows = list(a if b.m is ev.unit else _times(a, b.m, ev))
         for i, x in enumerate(a):
             y = x[r] + v
             if y > rows[i][c]:
@@ -391,7 +399,7 @@ class _Eval:
     two monomial-times-dense kernels, gather and scatter, unrolled at
     n = 3."""
 
-    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "unit", "sums")
+    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "unit", "slots")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
@@ -400,12 +408,10 @@ class _Eval:
         self.semiring = semiring = self.alphabet.semiring
         self.mul = _row_product(n, semiring)
         self.gather, self.scatter = (_gather3, _scatter3) if n == 3 else (_gather, _scatter)
-        if semiring is ZMAX:
-            self.unit = _Mono(self.ident, (0,) * n)
-        else:
-            self.unit = _identity_rows(n, semiring)
-        # _run_sum's products of the _SLOT_LETTERS tuples, by tuple id.
-        self.sums = {}
+        self.unit = _UNIT[n] if semiring is ZMAX else _identity_rows(n, semiring)
+        # The nonzero (slot, shift) pairs of each _SLOT_PARTS tuple's
+        # product under this alphabet, by tuple id, filled by _run_sum.
+        self.slots = {}
 
 
 # One _Eval per (monoid, n) seen; that pair also keys the node values.
@@ -420,6 +426,8 @@ def _leaf_value(g: Generator, ev: _Eval):
         i, j, v = g.params
         e = _Plus(ev.unit, i - 1, j - 1, v)
         return e if ev.n > 3 else _rows(e)
+    if g.kind == "M3_X":
+        return ((BOTTOM, 0, g.params[0]), (0, BOTTOM, 0), (0, 0, BOTTOM))
     m = g.realize(ev.n, ev.semiring)
     if ev.semiring is ZMAX:
         mono = is_monomial(m)
@@ -430,23 +438,17 @@ def _leaf_value(g: Generator, ev: _Eval):
 
 
 def _run_sum(parts, key, ev: _Eval):
-    """The product of a run's parts, each checked, if all are diagonal
-    (so they commute), else None; kept per alphabet for the shared slot
-    tuples, whose ids stay theirs as they live as long as the module."""
-    if len(parts) == 1:
-        p = parts[0]
-        v = p._vals.get(key) or _value(p, key, ev)
-        return v if type(v) is _Mono and v.img is ev.ident else None
-    i = id(parts)
-    if i in ev.sums:
-        return ev.sums[i]
+    """The nonzero (slot, shift) pairs of the product of a run's parts,
+    each checked, if all are diagonal (so they commute), else None; kept
+    in ev.slots for the slot-table tuples, so each is checked and summed
+    once per alphabet."""
     vals = [_value(p, key, ev) for p in parts]
-    v = None
-    if all(type(x) is _Mono and x.img is ev.ident for x in vals):
-        v = _Mono(ev.ident, tuple([sum(c) for c in zip(*[x.sh for x in vals])]))
-    if i in _SHARED_SLOTS:
-        ev.sums[i] = v
-    return v
+    if not all(type(x) is _Mono and x.img is ev.ident for x in vals):
+        return None
+    pairs = [(c, s) for c, s in enumerate(map(sum, zip(*[x.sh for x in vals]))) if s]
+    if id(parts) in _SLOT_PARTS:
+        ev.slots[id(parts)] = pairs
+    return pairs
 
 
 def _then_pending(val, pend, ev: _Eval):
@@ -470,13 +472,19 @@ def _value(node, key, ev: _Eval):
     if type(node) is Generator:
         val = _leaf_value(node, ev)
     elif type(node) is _Run:
-        val = _run_sum(node.parts, key, ev)
-        if val is None:
+        pairs = ev.slots.get(id(node.parts))
+        if pairs is None:
+            pairs = _run_sum(node.parts, key, ev)
+        if pairs is not None:
+            sh = [0] * ev.n
+            for c, s in pairs:
+                sh[c] = node.k * s
+            val = _Mono(ev.ident, tuple(sh))
+        else:
+            val = None
             for g in node.parts:
                 v = _power(_value(g, key, ev), node.k, ev)
                 val = v if val is None else _times(val, v, ev)
-        elif node.k != 1:
-            val = _power(val, node.k, ev)
     else:
         # The monomial parts are held back as one pending monomial pend:
         # a lone one as its _Mono, from the second on (or from a diagonal
@@ -489,36 +497,42 @@ def _value(node, key, ev: _Eval):
         val = pend = None
         ident = ev.ident
         for p in node.parts:
-            k = 1
             v = p._vals.get(key)
+            pairs = None
             if v is None:
-                # A diagonal run is fresh per word: its parts' product,
-                # k times, joins pend in O(n) and is not cached.
+                # A diagonal run is fresh per word: it joins pend by the
+                # nonzero (slot, shift) pairs of its parts' product, kept
+                # per alphabet for the slot-table tuples, and is not cached.
                 if type(p) is _Run:
-                    v = _run_sum(p.parts, key, ev)
-                    k = p.k
-                if v is None:
-                    k = 1
+                    pairs = ev.slots.get(id(p.parts))
+                    if pairs is None:
+                        pairs = _run_sum(p.parts, key, ev)
+                if pairs is None:
                     v = _value(p, key, ev)
-            if type(v) is _Mono:
-                if pend is None and k == 1:
+            if pairs is not None or type(v) is _Mono:
+                if pend is None and pairs is None:
                     pend = v
                     continue
                 if type(pend) is not list:
                     pend = [None, [0] * ev.n] if pend is None else [None if pend.img is ident else list(pend.img), list(pend.sh)]
                     img, sh = pend
                 # pend v: row i moves to column v.img[img[i]] and adds
-                # v.sh[img[i]], k times for a diagonal run.
-                if img is None:
+                # v.sh[img[i]]; for a run, the row that lands in column c
+                # adds k s per pair (c, s).
+                if pairs is not None:
+                    k = p.k
+                    for c, s in pairs:
+                        sh[c if img is None else img.index(c)] += k * s
+                elif img is None:
                     if v.img is not ident:
                         pend[0] = img = list(v.img)
                     for i, s in enumerate(v.sh):
                         if s:
-                            sh[i] += k * s
+                            sh[i] += s
                 elif v.img is ident:
                     vsh = v.sh
                     for i, j in enumerate(img):
-                        sh[i] += k * vsh[j]
+                        sh[i] += vsh[j]
                 else:
                     vimg, vsh = v.img, v.sh
                     for i, j in enumerate(img):
@@ -579,14 +593,15 @@ _UT_E = {
 }
 
 
-# The letters whose product scales slot i of n by -1: (-1 * I) and the
-# +1 letter of every other slot.
-_SLOT_LETTERS = {
-    (n, i): (NEG_I, *[_UT_UP[j] for j in range(1, n + 1) if j != i])
-    for n in range(1, MAX_DIM + 1)
-    for i in range(1, n + 1)
-}
-_SHARED_SLOTS = frozenset(map(id, _SLOT_LETTERS.values()))
+# Every slot table's parts tuples by id, kept alive so that no other tuple
+# takes their ids: evaluation keeps their products per alphabet.
+_SLOT_PARTS = {}
+
+
+def _slot_table(words):
+    """Register the parts tuples of the slot table words; return words."""
+    _SLOT_PARTS.update({id(t): t for t in words.values() if type(t) is tuple})
+    return words
 
 
 def _slot(words, i: int, a):
@@ -608,12 +623,14 @@ def _slot(words, i: int, a):
 @cache
 def _ut_slots(n: int) -> dict:
     """The ut slot table of dimension n: for slot i, the +1 letter, the
-    shared _SLOT_LETTERS tuple whose product scales it by -1 (so a
-    negative slot is one run over it) and the bottom letter."""
+    letters whose product scales it by -1, (-1 * I) and the +1 letter of
+    every other slot (so a negative slot is one run over them), and the
+    bottom letter."""
     words = {}
     for i in range(1, n + 1):
-        words[i], words[-i], words[i, BOTTOM] = (_UT_UP[i],), _SLOT_LETTERS[n, i], _UT_BOT[i]
-    return words
+        words[i], words[i, BOTTOM] = (_UT_UP[i],), _UT_BOT[i]
+        words[-i] = (NEG_I, *[_UT_UP[j] for j in range(1, n + 1) if j != i])
+    return _slot_table(words)
 
 
 def _ut_walk(g, words, elems, out):
@@ -662,12 +679,11 @@ def factor_unitriangular(m: Matrix) -> Word:
         raise MembershipError(
             f"matrix is not unitriangular (unit diagonal, nothing below): {format_matrix(m)}"
         )
-    n = m.n
+    n, rows = m.n, m.rows
     parts = []
-    for l in range(1, n):
-        j = n + 1 - l
-        for i in range(1, n - l + 1):
-            a = m.entry(i, j)
+    for j in range(n, 1, -1):
+        for i in range(1, j):
+            a = rows[i - 1][j - 1]
             if a != BOTTOM:
                 parts.append(elem_letter(i, j, a))
     return Word("u", n, _cat(parts))
@@ -738,7 +754,7 @@ def _gl_slots(n: int) -> dict:
         conj = _gl_perm_node(n, Perm.transposition(n, 1, i)) if i > 1 else None
         for s, base in ((1, bits["A1p"]), (-1, bits["A1m"])):
             words[s * i] = (base if conj is None else _Node((conj, base, conj)),)
-    return words
+    return _slot_table(words)
 
 
 def _gl_word(out, words, vals, perm=None):
@@ -784,7 +800,7 @@ class _M2Letters:
     def __init__(self, a, b, c, d):
         self.C, self.D = c, d
         self.F = _Node((b, a))
-        self.slots = {1: (b,), -1: (_Node((a, b, a)),)}
+        self.slots = _slot_table({1: (b,), -1: (_Node((a, b, a)),)})
 
 
 _M2 = _M2Letters(M2_A, M2_B, M2_C, M2_D)

@@ -34,7 +34,7 @@ from .matrix import (
     identity,
     mat_mul,
 )
-from .semiring import BOOLEAN, BOTTOM, Semiring, ZMAX, format_scalar, is_finite, parse_scalar
+from .semiring import BOOLEAN, BOTTOM, Semiring, ZMAX, format_scalar, parse_scalar
 
 
 # Letter names by kind; a letter with parameters lists them in brackets.
@@ -188,16 +188,13 @@ class GeneratingSet:
         """Membership including the symbolic families (any E(i,j,z) for the
         unitriangular alphabet, any X(i) for the 3x3 alphabet).  No letter
         holds a bool, though True == 1 and False == 0."""
-        if bool in map(type, g.params):
-            return False
-        if g in self.letters:
-            return True
+        p = g.params
         if self.monoid == "u" and g.kind == "ELEM_E":
-            i, j, v = g.params
-            return 1 <= i < j <= self.n and is_finite(v) and ZMAX.contains(v)
+            i, j, v = p
+            return type(i) is type(j) is type(v) is int and 1 <= i < j <= self.n
         if self.monoid == "m3" and g.kind == "M3_X":
-            return g.params[0] >= 0
-        return False
+            return type(p[0]) is int and p[0] >= 0
+        return bool not in map(type, p) and g in self.letters
 
     def __repr__(self):
         return f"GeneratingSet({self.monoid}, n={self.n}, {len(self.letters)} letters)"

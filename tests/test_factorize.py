@@ -23,7 +23,6 @@ from tropmono.factorize import (
     _Node,
     _Plus,
     _Run,
-    _SLOT_LETTERS,
     _eval_context,
     _gl_perm_node,
     _gl_slots,
@@ -618,6 +617,39 @@ def test_every_slot_table_spells_its_diagonal_scalings(monoid, n, words, lifted,
         assert _slot(words, i, 0) is None
 
 
+@pytest.mark.parametrize("monoid, n, words, lifted", [t[1:5] for t in SLOT_TABLES], ids=[t[0] for t in SLOT_TABLES])
+def test_every_slot_table_tuple_multiplies_to_a_unit_in_its_slot(monoid, n, words, lifted):
+    # the parts of words[i] and words[-i] multiply out, by own_eval, to
+    # +1 and -1 in the slot that slot i scales and 0 elsewhere, and the
+    # pair that evaluation keeps for the tuple, read by a run over it,
+    # says the same
+    ev = _eval_context(monoid, n)
+    for i, slot in enumerate(lifted, start=1):
+        for s in (1, -1):
+            parts = words[s * i]
+            assert type(parts) is tuple
+            scaled = [0] * n
+            scaled[slot - 1] = s
+            assert own_eval(Word(monoid, n, _Node(parts))) == diag(scaled).rows
+            assert evaluate(Word(monoid, n, _Run(parts, 2))) == diag([2 * d for d in scaled])
+            assert ev.slots[id(parts)] == [(slot - 1, s)]
+
+
+def test_a_slot_run_from_another_alphabet_is_refused():
+    # the kept slot pairs belong to one alphabet: a ut slot run in a gl
+    # word and a 2x2 slot run in an m3 word are refused by their letters,
+    # before and after the run's tuple is summed for its own alphabet
+    for monoid, n, own, words, side in (("gl", 3, "ut", _ut_slots(3), GL_A), ("m3", 3, "m2", _M2.slots, GL_B)):
+        for warm in (False, True):
+            for key in (1, -1):
+                run = _Run(words[key], 5)
+                if warm:
+                    evaluate(Word(own, 2 if own == "m2" else n, run))
+                for root in (run, _Node((side, run, side))):
+                    with pytest.raises(MembershipError):
+                        evaluate(Word(monoid, n, root))
+
+
 def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     from tropmono import factorize
 
@@ -639,14 +671,14 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
         # the first n words
         for i in range(1, n + 1):
             evaluate(Word("ut", n, _slot(_ut_slots(n), i, -3)))
-        # a negative slot is one run: its power is one monomial, and at
-        # a = -1 its value is the cached sum itself (at n = 1 the letter
-        # NEG_I's own value)
+        # a negative slot is one run: its power is one monomial, built
+        # from the slot pairs its table tuple keeps (at n = 1 and a = -1
+        # the slot is the letter NEG_I, whose own value is cached)
         for i, a in itertools.product(range(1, n + 1), (-(10 ** 6), -1)):
             calls.update(times=0, mono=0)
             w = Word("ut", n, _slot(_ut_slots(n), i, a))
             assert evaluate(w) == construct_A(i, a, n)
-            assert calls == {"times": 0, "mono": 0 if a == -1 else 1}
+            assert calls == {"times": 0, "mono": 0 if (n, a) == (1, -1) else 1}
         # a diagonal sub-node, its value already cached, joins the run
         sub = _slot(_ut_slots(n), n, -5)
         evaluate(Word("ut", n, sub))
@@ -654,13 +686,15 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
         w = Word("ut", n, _Node((_pow(NEG_I, 2), sub, _pow(NEG_I, 3))))
         assert evaluate(w).rows == own_eval(w)
         assert calls == {"times": 0, "mono": 1}
-    # a whole ut word: each run is one monomial, and the slot scalings
-    # around each E letter cancel in the pending diagonal; summing leaf
-    # powers one product at a time made 185 calls, and multiplying each
-    # conjugating diagonal in made 95.  Spelling a negative slot as n
-    # one-letter powers built 160 nodes, and as one run 52; splicing each
-    # E letter's three parts into the root, not a node of their own,
-    # leaves the 36 diagonal runs and the root.
+    # a whole ut word: each run joins the pending diagonal, and the slot
+    # scalings around each E letter cancel in it, so the products are one
+    # per E letter after the first and the final flush; summing leaf
+    # powers one product at a time made 185 calls, multiplying each
+    # conjugating diagonal in made 95, and multiplying dense rows by each
+    # E letter's unit monomial as well as its entry made 29.  Spelling a
+    # negative slot as n one-letter powers built 160 nodes, and as one
+    # run 52; splicing each E letter's three parts into the root, not a
+    # node of their own, leaves the 36 diagonal runs and the root.
     built = []
     for cls in (_Node, _Run):
 
@@ -675,30 +709,69 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     assert len(built) == 37
     calls.update(times=0, mono=0)
     assert evaluate(w) == m
-    assert calls["times"] <= 29
+    assert calls["times"] <= 15
+
+
+def test_warm_slot_runs_make_no_sum_and_no_monomial(monkeypatch):
+    # once the slot table holds a word's tuples, each slot run joins the
+    # pending monomial straight from ev.slots: no _run_sum call, and the
+    # one _Mono built is the flush of the pending monomial at the end.  A
+    # seeded ut n = 6 word at +-10^6 (51 root parts, 36 of them slot runs)
+    # made 36 _run_sum calls and 29 products before the table, a gl n = 6
+    # word 6 calls and no product.
+    from tropmono import factorize
+
+    calls = dict.fromkeys(("sum", "mono", "times"), 0)
+    run_sum, times, init = factorize._run_sum, factorize._times, _Mono.__init__
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(factorize, "_run_sum", counted("sum", run_sum))
+    monkeypatch.setattr(factorize, "_times", counted("times", times))
+    monkeypatch.setattr(_Mono, "__init__", counted("mono", init))
+    rng = random.Random(17)
+    ut = matrix([[rng.randint(-10 ** 6, 10 ** 6) if j >= i else BOTTOM for j in range(6)] for i in range(6)])
+    gl = mat_mul(diag([rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)]), construct_P(Perm((3, 1, 6, 2, 5, 4))))
+    for m, factorizer, products in ((ut, factor_ut, 15), (gl, factor_gl, 0)):
+        evaluate(factorizer(m))
+        w = factorizer(m)
+        calls.update(sum=0, mono=0, times=0)
+        assert evaluate(w) == m
+        assert calls["sum"] == 0 and calls["mono"] == 1
+        assert calls["times"] <= products
 
 
 def test_run_sums_are_kept_only_for_the_shared_slot_letters():
-    # every negative slot of a ut word is a run over one of n shared
-    # letter tuples, whose product is summed once per alphabet; a run
-    # over any other tuple, equal letters included, is summed each time
-    # and keeps nothing
+    # every slot scaling of a ut word past |a| = 1 is a run over a parts
+    # tuple of the slot table, whose product's nonzero (slot, shift) pairs
+    # are kept once per alphabet in ev.slots: the table keeps exactly the
+    # tuples met under that alphabet, and a run over any other tuple, equal
+    # letters included, is summed each time, keeps nothing and stays exact
     rng = random.Random(23)
     for n in range(2, 7):
-        ev = _eval_context("ut", n)
+        ev, words = _eval_context("ut", n), _ut_slots(n)
+        ev.slots.clear()
+        met = set()
         for _ in range(10):
             m = rnd_upper(rng, n, lambda: rng.randint(-10 ** 6, -1))
-            assert evaluate(factor_ut(m)) == m
-        shared = [_SLOT_LETTERS[n, i] for i in range(1, n + 1)]
-        assert set(ev.sums) == {id(t) for t in shared}
-        for i, t in enumerate(shared, start=1):
-            assert mono_matrix(ev.sums[id(t)]) == construct_A(i, -1, n)
-        kept = dict(ev.sums)
-        run = _Run(list(shared[0]), 3)
-        assert run.parts is not shared[0]
+            w = factor_ut(m)
+            met |= {id(p.parts) for p in w.root.parts if type(p) is _Run}
+            assert evaluate(w) == m
+        assert set(ev.slots) == met
+        table = {id(words[s * i]): [(i - 1, s)] for i in range(1, n + 1) for s in (1, -1)}
+        assert met <= set(table)
+        assert all(ev.slots[t] == table[t] for t in met)
+        kept = dict(ev.slots)
+        run = _Run(list(words[-1]), 3)
+        assert run.parts is not words[-1]
         w = Word("ut", n, _Node((run, elem_letter(1, 2, 0), run)))
         assert evaluate(w) == mat_mul(mat_mul(construct_A(1, -3, n), construct_E(1, 2, n, lam=0)), construct_A(1, -3, n))
-        assert ev.sums == kept
+        assert evaluate(w).rows == own_eval(w)
+        assert ev.slots == kept
 
 
 def test_e_letters_are_dense_up_to_n_3_and_an_entry_from_4():
@@ -713,6 +786,13 @@ def test_e_letters_are_dense_up_to_n_3_and_an_entry_from_4():
         boolean = _leaf_value(elem_letter(1, n, 1), _Eval("ut_boolean", n))
         assert boolean == construct_E(1, n, n, BOOLEAN, 1).rows
     assert _leaf_value(elem_letter(1, 2, 0), _Eval("m3", 3)) == construct_E(1, 2, 3, lam=0).rows
+
+
+def test_x_letters_are_read_off_their_index():
+    # an X letter's value is its rows, built from its index without
+    # realizing the letter
+    for s in (0, 1, 17, 10 ** 18):
+        assert _leaf_value(x_letter(s), _Eval("m3", 3)) == x_letter(s).realize(3, ZMAX).rows
 
 
 @st.composite

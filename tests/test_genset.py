@@ -8,6 +8,7 @@ import pytest
 from tropmono.genset import (
     GL_A,
     GL_B,
+    Generator,
     IDENTITY_LETTER,
     M2_A,
     M2_D,
@@ -83,6 +84,49 @@ def test_no_alphabet_holds_a_bool_letter():
     assert not gens_ut_boolean(2).contains(diag_letter(True, 0))
     assert not gens_m3_zmax(1).contains(x_letter(True))
     assert not gens_m3_zmax().contains(elem_letter(True, 2, 0))
+
+
+def own_contains(gs, g):
+    # membership read off the definitions: a listed letter, its
+    # parameters equal in type as well as value (so no bool stands in for
+    # 1 or 0), or a member of a symbolic family: E(i,j,z) with integers
+    # 1 <= i < j <= n and z for the unitriangular alphabet, X(s) with an
+    # integer s >= 0 for the 3x3 one
+    def same(a, b):
+        return a.kind == b.kind and len(a.params) == len(b.params) and all(
+            type(x) is type(y) and x == y for x, y in zip(a.params, b.params)
+        )
+
+    if any(same(g, h) for h in gs.letters):
+        return True
+    ints = all(type(x) is int for x in g.params)
+    if gs.monoid == "u" and g.kind == "ELEM_E":
+        i, j, _ = g.params
+        return ints and 1 <= i < j <= gs.n
+    return gs.monoid == "m3" and g.kind == "M3_X" and ints and g.params[0] >= 0
+
+
+def test_contains_matches_an_own_oracle():
+    # every listed letter of every alphabet, E and Ai letters with bool,
+    # -inf and out-of-range parameters (i >= j, j > n), X letters with a
+    # bool or a negative index, and the parameterless letters, against
+    # every alphabet
+    alphabets = [generating_set(m, n) for m, ns in (("ut", range(1, 9)), ("u", range(1, 9)), ("gl", range(2, 9)), ("ut_boolean", range(1, 6))) for n in ns]
+    alphabets += [gens_m2_zmax(), gens_m3_zmax(), gens_m3_zmax(3)]
+    scalars = (0, 1, -7, 10 ** 18, BOTTOM, True, False)
+    letters = {g for gs in alphabets for g in gs.letters}
+    letters |= {elem_letter(i, j, z) for i in (True, 0, 1, 2, 3) for j in (False, 1, 2, 3, 8, 9) for z in scalars}
+    letters |= {diag_letter(i, v) for i in (True, 0, 1, 8, 9) for v in scalars}
+    letters |= {Generator("M3_X", (s,)) for s in (0, 1, 17, 10 ** 9, -1, True, False)}
+    letters |= {GL_A, GL_B, M2_A, M2_D, NEG_I, IDENTITY_LETTER}
+    # a set holds one of each == class: True == 1 hides one of them
+    cases = list(letters) + [elem_letter(1, 2, True), elem_letter(True, 2, 0), diag_letter(1, True), Generator("M3_X", (True,))]
+    hits = 0
+    for gs in alphabets:
+        for g in cases:
+            assert gs.contains(g) is own_contains(gs, g), (gs, g)
+            hits += gs.contains(g)
+    assert hits > len(alphabets)
 
 
 def test_gl_letters():
