@@ -308,6 +308,8 @@ def _cmd_regular(args):
         if witness is not None:
             lines += [f"witness: {format_matrix(witness)}", f"variant: {variant}"]
     return (reports if args.batch else reports[0]), lines
+
+
 # -- parser --------------------------------------------------------------------
 
 def _add_matrix_inputs(p, batch=True):

@@ -16,23 +16,24 @@ row), a monomial plus one finite entry, or dense rows.  Every unit
 letter starts as a monomial, and most of every word is a product of
 them: two monomials compose in O(n), and a monomial times dense rows
 is a row gather or a column scatter, unrolled at n = 3 like the dense
-product.  A power of a diagonal monomial (its image the shared
-identity tuple) scales its shifts, in O(n) for any exponent; every
-other power squares and multiplies, in O(log k) products.
+product.  A run whose parts are all diagonal monomials (their image
+the shared identity tuple) scales its parts' summed shifts by k, in
+O(n) for any exponent; every other power squares and multiplies, in
+O(log k) products.
 For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
 entry: a monomial moves the entry in O(n), and with dense rows it is a
 gather or scatter plus one row or column max-update (only the
 max-update over the unit); the column update rebuilds only the rows it
 raises.  Of two such values the left one is made dense first.
 The monomials among a node's parts are held back as one pending
-monomial, composed in place from the second on, so a stretch of unit
-letters costs no product.  A diagonal run, such as a slot scaling
-past |a| = 1 in any alphabet, is fresh in every word: it joins the
-pending monomial as k times each nonzero (slot, shift) pair of its
-parts' product, one O(1) update per pair for any k, and is not
-cached.  The pairs of every slot table's parts tuples are kept per
-alphabet, so their letters are checked once.  Any other run
-multiplies its parts' k-th powers.  Since
+monomial, an image and a shift list that the first copies and each
+next composes into in place, so a stretch of unit letters costs no
+product.  A diagonal run, such as a slot scaling past |a| = 1 in any
+alphabet, is fresh in every word: it joins the pending monomial as k
+times each nonzero (slot, shift) pair of its parts' product, one O(1)
+update per pair for any k, and is not cached.  The pairs of every
+slot table's parts tuples are kept per alphabet, so their letters are
+checked once.  Any other run multiplies its parts' k-th powers.  Since
 diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
 an E letter moves its entry past a diagonal pending monomial, so the
 slot scalings that conjugate each E letter of a ut word cancel without
@@ -63,10 +64,10 @@ C, D) take theirs, so factor_m3 reuses both, with m3 words.
 
 The dispatcher's tie-breaking is fixed: its rules are tried in table
 order, each takes the first hit among the permutation pairs (s, t) in
-its scan order (s outer, t inner, both lexicographic, except that x
-scans t outer, split-row tries s = (2,3,1) last and split-col tries
-t = (3,2,1) before (3,1,2)), and every ordered comparison sends ties
-to the first-listed branch.  Words are not minimized.
+its scan order (s outer, t inner, both lexicographic over 0-based
+image tuples, except that x scans t outer, split-row tries
+s = (1,2,0) last and split-col tries t = (2,1,0) before (2,0,1)), and
+every ordered comparison sends ties to the first-listed branch.  Words are not minimized.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ from .genset import (
 from .matrix import (
     MAX_DIM,
     Matrix,
-    Perm,
     _identity_rows,
     _mk,
     _row_product,
@@ -247,6 +247,14 @@ def _ident(img):
     return ident if img == ident else img
 
 
+def _inverse(img):
+    """The inverse of the 0-based image tuple img."""
+    inv = [0] * len(img)
+    for i, j in enumerate(img):
+        inv[j] = i
+    return tuple(inv)
+
+
 class _Mono:
     """A monomial zmax matrix: row i holds sh[i] in column img[i]
     (0-based), every other entry is -inf."""
@@ -293,9 +301,7 @@ def _gather(img, sh, b):
 
 
 def _scatter(img, sh, a):
-    src = [0] * len(img)
-    for k, j in enumerate(img):
-        src[j] = k
+    src = _inverse(img)
     return tuple([tuple([row[k] + sh[k] for k in src]) for row in a])
 
 
@@ -303,7 +309,7 @@ def _scatter(img, sh, a):
 # the column of a that lands in column j.  The identity image, about half
 # of the scatters in m3 words, skips the lookup.
 _IDENT3 = _IDENT[3]
-_SRC3 = {img: tuple([img.index(j) for j in range(3)]) for img in itertools.permutations(range(3))}
+_SRC3 = {img: _inverse(img) for img in itertools.permutations(range(3))}
 
 
 def _gather3(img, sh, b):
@@ -335,13 +341,10 @@ def _times(a, b, ev):
     ta, tb = type(a), type(b)
     if ta is _Mono:
         img, sh = a.img, a.sh
-        diagonal = img is _IDENT[len(img)]
-        if diagonal and not any(sh):
+        if img is _IDENT[len(img)] and not any(sh):
             return b
         if tb is _Mono:
             bimg, bsh = b.img, b.sh
-            if diagonal:
-                return _Mono(bimg, tuple([s + t for s, t in zip(sh, bsh)]))
             return _Mono(_ident(tuple([bimg[k] for k in img])), tuple([s + bsh[k] for k, s in zip(img, sh)]))
         if tb is _Plus:
             # Row i of the product gathers row r of b.
@@ -376,13 +379,10 @@ def _times(a, b, ev):
 
 
 def _power(v, k: int, ev):
-    """v^k: a diagonal monomial multiplies its shifts by k, in O(n) for
-    any k; any other value squares and multiplies with _times, in
-    O(log k) products."""
+    """v^k by squaring and multiplying with _times, in O(log k) products.
+    A run whose parts are all diagonal is summed by _run_sum instead."""
     if k == 0:
         return ev.unit
-    if type(v) is _Mono and v.img is ev.ident:
-        return _Mono(ev.ident, tuple([k * s for s in v.sh]))
     acc = None
     while k:
         if k & 1:
@@ -432,8 +432,8 @@ def _leaf_value(g: Generator, ev: _Eval):
     if ev.semiring is ZMAX:
         mono = is_monomial(m)
         if mono is not None:
-            perm, vals = mono
-            return _Mono(_ident(tuple([j - 1 for j in perm.img])), vals)
+            img, vals = mono
+            return _Mono(_ident(img), vals)
     return m.rows
 
 
@@ -442,6 +442,9 @@ def _run_sum(parts, key, ev: _Eval):
     each checked, if all are diagonal (so they commute), else None; kept
     in ev.slots for the slot-table tuples, so each is checked and summed
     once per alphabet."""
+    pairs = ev.slots.get(id(parts))
+    if pairs is not None:
+        return pairs
     vals = [_value(p, key, ev) for p in parts]
     if not all(type(x) is _Mono and x.img is ev.ident for x in vals):
         return None
@@ -451,10 +454,10 @@ def _run_sum(parts, key, ev: _Eval):
     return pairs
 
 
-def _then_pending(val, pend, ev: _Eval):
-    """val (None for the unit) times the pending monomial list [img,
-    shifts], img None while it is diagonal; a zero diagonal is dropped."""
-    img, sh = pend
+def _then_pending(val, img, sh, ev: _Eval):
+    """val (None for the unit) times the pending monomial: row i holds
+    sh[i] in column img[i], img None while it is diagonal; a zero
+    diagonal is dropped."""
     if img is None and not any(sh):
         return val
     m = _Mono(ev.ident if img is None else _ident(tuple(img)), tuple(sh))
@@ -472,9 +475,7 @@ def _value(node, key, ev: _Eval):
     if type(node) is Generator:
         val = _leaf_value(node, ev)
     elif type(node) is _Run:
-        pairs = ev.slots.get(id(node.parts))
-        if pairs is None:
-            pairs = _run_sum(node.parts, key, ev)
+        pairs = _run_sum(node.parts, key, ev)
         if pairs is not None:
             sh = [0] * ev.n
             for c, s in pairs:
@@ -486,23 +487,25 @@ def _value(node, key, ev: _Eval):
                 v = _power(_value(g, key, ev), node.k, ev)
                 val = v if val is None else _times(val, v, ev)
     else:
-        # The monomial parts are held back as one pending monomial pend:
-        # a lone one as its _Mono, from the second on (or from a diagonal
-        # run) a list [img, sh] (also bound to img and sh), img None while
-        # it is diagonal, that each next one composes into in place.
-        # Since diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), a _Plus
-        # over a diagonal moves its entry past a diagonal pend; any other
-        # value, and the end of the parts, multiply pend in with one
+        # The monomial parts are held back as one pending monomial, the
+        # lists img and sh (None while nothing is pending; img None while
+        # it is diagonal): the first copies its image and shifts, and each
+        # next one composes into them in place.  Since
+        # diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), a _Plus over a
+        # diagonal moves its entry past a diagonal pending monomial; any
+        # other value, and the end of the parts, multiply it in with one
         # product (a zero diagonal is dropped).
-        val = pend = None
+        val = img = sh = None
         ident = ev.ident
         for p in node.parts:
             v = p._vals.get(key)
             pairs = None
             if v is None:
-                # A diagonal run is fresh per word: it joins pend by the
-                # nonzero (slot, shift) pairs of its parts' product, kept
-                # per alphabet for the slot-table tuples, and is not cached.
+                # A diagonal run is fresh per word: it joins the pending
+                # monomial by the nonzero (slot, shift) pairs of its parts'
+                # product, kept per alphabet for the slot-table tuples (read
+                # here first, so a warm slot run costs no call), and is not
+                # cached.
                 if type(p) is _Run:
                     pairs = ev.slots.get(id(p.parts))
                     if pairs is None:
@@ -510,22 +513,21 @@ def _value(node, key, ev: _Eval):
                 if pairs is None:
                     v = _value(p, key, ev)
             if pairs is not None or type(v) is _Mono:
-                if pend is None and pairs is None:
-                    pend = v
-                    continue
-                if type(pend) is not list:
-                    pend = [None, [0] * ev.n] if pend is None else [None if pend.img is ident else list(pend.img), list(pend.sh)]
-                    img, sh = pend
-                # pend v: row i moves to column v.img[img[i]] and adds
-                # v.sh[img[i]]; for a run, the row that lands in column c
-                # adds k s per pair (c, s).
+                # pending times v: row i moves to column v.img[img[i]] and
+                # adds v.sh[img[i]]; for a run, the row that lands in column
+                # c adds k s per pair (c, s).
                 if pairs is not None:
+                    if sh is None:
+                        sh = [0] * ev.n
                     k = p.k
                     for c, s in pairs:
                         sh[c if img is None else img.index(c)] += k * s
+                elif sh is None:
+                    img = None if v.img is ident else list(v.img)
+                    sh = list(v.sh)
                 elif img is None:
                     if v.img is not ident:
-                        pend[0] = img = list(v.img)
+                        img = list(v.img)
                     for i, s in enumerate(v.sh):
                         if s:
                             sh[i] += s
@@ -539,18 +541,15 @@ def _value(node, key, ev: _Eval):
                         img[i] = vimg[j]
                         sh[i] += vsh[j]
                 continue
-            if pend is not None:
-                if type(v) is _Plus and v.m.img is ident and (img is None if type(pend) is list else pend.img is ident):
-                    d = sh if type(pend) is list else pend.sh
-                    v = _Plus(v.m, v.r, v.c, v.v + d[v.r] - d[v.c])
+            if sh is not None:
+                if type(v) is _Plus and v.m.img is ident and img is None:
+                    v = _Plus(v.m, v.r, v.c, v.v + sh[v.r] - sh[v.c])
                 else:
-                    val = (pend if val is None else _times(val, pend, ev)) if type(pend) is _Mono else _then_pending(val, pend, ev)
-                    pend = None
+                    val = _then_pending(val, img, sh, ev)
+                    img = sh = None
             val = v if val is None else _times(val, v, ev)
-        if type(pend) is _Mono:
-            val = pend if val is None else _times(val, pend, ev)
-        elif pend is not None:
-            val = _then_pending(val, pend, ev)
+        if sh is not None:
+            val = _then_pending(val, img, sh, ev)
         if val is None:
             val = ev.unit
     node._vals[key] = val
@@ -722,15 +721,16 @@ def _gl_adjacent_node(n: int, k: int):
 
 
 @cache
-def _gl_perm_node(n: int, perm: Perm):
-    """Word realizing the permutation matrix of perm; None for the
-    identity, which needs no letters.
+def _gl_perm_node(img):
+    """Word realizing the permutation matrix of the 0-based image tuple
+    img; None for the identity, which needs no letters.
 
     Bubble-sorts the one-line form, recording adjacent swaps; the swaps
-    applied first-to-last compose (diagrammatically) back to perm, so
+    applied first-to-last compose (diagrammatically) back to img, so
     their matrices concatenate in recorded order.
     """
-    line = list(perm.img)
+    n = len(img)
+    line = list(img)
     swaps = []
     changed = True
     while changed:
@@ -751,7 +751,7 @@ def _gl_slots(n: int) -> dict:
     table grows with n alone."""
     bits, words = _gl_bits(n), {}
     for i in range(1, n + 1):
-        conj = _gl_perm_node(n, Perm.transposition(n, 1, i)) if i > 1 else None
+        conj = _gl_perm_node((i - 1, *range(1, i - 1), 0, *range(i, n))) if i > 1 else None
         for s, base in ((1, bits["A1p"]), (-1, bits["A1m"])):
             words[s * i] = (base if conj is None else _Node((conj, base, conj)),)
     return _slot_table(words)
@@ -783,8 +783,8 @@ def factor_gl(m: Matrix) -> Word:
     mono = is_monomial(m)
     if mono is None or not all(is_finite(v) for v in mono[1]):
         raise MembershipError(f"matrix is not invertible: {format_matrix(m)}")
-    perm, vals = mono
-    return Word("gl", m.n, _cat(_gl_word([], _gl_slots(m.n), vals, _gl_perm_node(m.n, perm))))
+    img, vals = mono
+    return Word("gl", m.n, _cat(_gl_word([], _gl_slots(m.n), vals, _gl_perm_node(img))))
 
 
 # -- the full 2x2 monoid ----------------------------------------------------
@@ -885,9 +885,8 @@ def factor_m2(m: Matrix) -> Word:
 # -- the full 3x3 monoid ----------------------------------------------------
 
 _E12 = _UT_E[1, 2]
-_ID3 = Perm.identity(3)
 _A1INF = _UT_BOT[1]
-_P12, _P13, _P23 = (_gl_perm_node(3, Perm.transposition(3, a, b)) for a, b in ((1, 2), (1, 3), (2, 3)))
+_P12, _P13, _P23 = _gl_perm_node((1, 0, 2)), _gl_perm_node((2, 1, 0)), _gl_perm_node((0, 2, 1))
 
 # The other letters the m3 words need, as conjugates of the two m3
 # letters E(1,2,0) and Ai(1,-inf) by permutation words: E(1,3,0) and
@@ -896,11 +895,7 @@ _P12, _P13, _P23 = (_gl_perm_node(3, Perm.transposition(3, a, b)) for a, b in ((
 _M3_E = {
     (1, 2): _E12,
     (1, 3): _cat([_P23, _E12, _P23]),
-    (2, 3): _cat([
-        _gl_perm_node(3, Perm.from_cycles(3, [(2, 1, 3)])),
-        _E12,
-        _gl_perm_node(3, Perm.from_cycles(3, [(2, 3, 1)])),
-    ]),
+    (2, 3): _cat([_gl_perm_node((2, 0, 1)), _E12, _gl_perm_node((1, 2, 0))]),
 }
 # The slot table: gl's group words, and the (conjugated) bottom letter.
 _M3_SLOTS = {**_gl_slots(3), (1, BOTTOM): _A1INF, (2, BOTTOM): _cat([_P12, _A1INF, _P12]),
@@ -908,23 +903,24 @@ _M3_SLOTS = {**_gl_slots(3), (1, BOTTOM): _A1INF, (2, BOTTOM): _cat([_P12, _A1IN
 
 
 _M3_BLOCK = _M2Letters(
-    _cat(_gl_word([], _M3_SLOTS, (0, -1, 0), _gl_perm_node(3, Perm((1, 3, 2))))),
+    _cat(_gl_word([], _M3_SLOTS, (0, -1, 0), _P23)),
     _M3_SLOTS[2][0],
     _M3_SLOTS[2, BOTTOM],
-    _cat([_gl_perm_node(3, Perm.from_cycles(3, [(1, 3, 2)])), _E12, _P13]),
+    _cat([_gl_perm_node((2, 0, 1)), _E12, _P13]),
 )
 
 
-_S3 = [Perm(img) for img in itertools.permutations((1, 2, 3))]
+_S3 = list(itertools.permutations(range(3)))
 
 
 def _bits(cells):
+    # cells 1-based, as the rules below write them
     return sum(1 << 3 * i + j - 4 for i, j in cells)
 
 
 # Per pair (s, t) of _S3, at index 6 s + t, the bit that each of m's nine
 # cells lands on in P_s m P_t: cell (i, j) of m lands at (s^-1(i), t(j)).
-_M3_MOVES = [tuple([1 << 3 * i + j - 4 for i in u.img for j in t.img]) for u in map(Perm.inverse, _S3) for t in _S3]
+_M3_MOVES = [tuple([1 << 3 * i + j for i in _inverse(s) for j in t]) for s in _S3 for t in _S3]
 
 # The dispatcher's rules, in the order they apply: the branch, the cells
 # its normal form needs at -inf, and the order in which it scans the
@@ -958,9 +954,9 @@ def _m3_fill(mask: int):
     for the identity) wrap the branch's word.
     """
     branch, s, t = _m3_find_route(mask)
-    tinv = t.inverse()
-    cells = tuple(tuple(3 * s(i) + tinv(j) - 4 for j in (1, 2, 3)) for i in (1, 2, 3))
-    return branch, s, t, (cells, _gl_perm_node(3, s.inverse()), _gl_perm_node(3, tinv))
+    tinv = _inverse(t)
+    cells = tuple(tuple(3 * s[i] + tinv[j] for j in range(3)) for i in range(3))
+    return branch, s, t, (cells, _gl_perm_node(_inverse(s)), _gl_perm_node(tinv))
 
 
 def _m3_find_route(mask: int):
@@ -976,7 +972,7 @@ def _m3_find_route(mask: int):
         # Never reached: every mask of four or more bottoms has a gl, ut
         # or block form (criterion 9).
         raise AssertionError(f"no triangular or block form for bottom mask {mask}")
-    return "dense", _ID3, _ID3
+    return "dense", _IDENT3, _IDENT3
 
 
 # Each branch below gets g, the rows of its normal form P_s m P_t, and
@@ -1056,7 +1052,7 @@ def _m3_dense(g, depth: int, out):
         right = ((BOTTOM, 0, BOTTOM), (a, BOTTOM, c), (d, BOTTOM, f))
     _m3_node(left, depth + 1, out)
     _m3_node(right, depth + 1, out)
-    _gl_word(out, _M3_SLOTS, (), _gl_perm_node(3, Perm(tuple(o + 1 for o in order))))
+    _gl_word(out, _M3_SLOTS, (), _gl_perm_node(tuple(order)))
     _gl_word(out, _M3_SLOTS, top)
 
 

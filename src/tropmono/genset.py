@@ -26,7 +26,6 @@ import re
 from .matrix import (
     MAX_DIM,
     Matrix,
-    Perm,
     construct_A,
     construct_E,
     construct_P,
@@ -87,11 +86,10 @@ class Generator:
         return _realize(self, n, semiring)
 
 
-def _rotation(n: int, upto: int) -> Perm:
-    """The cycle (1, 2, ..., upto) inside the symmetric group on 1..n."""
-    if upto < 2:
-        return Perm.identity(n)
-    return Perm.from_cycles(n, [tuple(range(1, upto + 1))])
+def _rotation(n: int, upto: int) -> tuple:
+    """The cycle (1, 2, ..., upto) inside the symmetric group on 1..n, as
+    a 0-based image tuple; the identity for upto = 1."""
+    return (*range(1, upto), 0, *range(upto, n))
 
 
 def _realize(g: Generator, n: int, semiring: Semiring) -> Matrix:

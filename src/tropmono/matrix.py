@@ -3,7 +3,8 @@
 
 Matrices are immutable: a tuple of row tuples plus the owning semiring.
 Indices in every public message and docstring are 1-based, matching the
-usual matrix notation; ``rows`` itself is of course 0-based.
+usual matrix notation; ``rows`` itself is of course 0-based, and so is a
+permutation: a tuple of 0-based column images, one per row.
 
 The supported dimension range is 1 <= n <= 8.  Everything here is exact
 integer (or -inf) arithmetic; +inf appears only inside the regularity
@@ -218,74 +219,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 # -- permutations --------------------------------------------------------
 
-class Perm:
-    """A permutation of {1..n}: ``img[i-1]`` is the image of i."""
-
-    __slots__ = ("img",)
-
-    def __init__(self, images):
-        img = tuple(images)
-        n = len(img)
-        if sorted(img) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {img}")
-        object.__setattr__(self, "img", img)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
-    @property
-    def n(self):
-        return len(self.img)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n, a, b):
-        img = list(range(1, n + 1))
-        img[a - 1], img[b - 1] = b, a
-        return cls(img)
-
-    @classmethod
-    def from_cycles(cls, n, cycles):
-        img = list(range(1, n + 1))
-        seen = set()
-        for cyc in cycles:
-            for x in cyc:
-                if not (1 <= x <= n):
-                    raise ValueError(f"cycle entry {x} outside 1..{n}")
-                if x in seen:
-                    raise ValueError(f"cycles not disjoint at {x}")
-                seen.add(x)
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                img[a - 1] = b
-        return cls(img)
-
-    def __call__(self, i: int) -> int:
-        return self.img[i - 1]
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.img)
-        for i, x in enumerate(self.img):
-            inv[x - 1] = i + 1
-        return Perm(inv)
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.img == other.img
-
-    def __hash__(self):
-        return hash(self.img)
-
-    def __repr__(self):
-        return f"Perm{self.img}"
-
-
-def construct_P(perm: Perm, semiring: Semiring = ZMAX) -> Matrix:
-    """Permutation matrix: entry (i, j) is one exactly when j = perm(i)."""
-    n = perm.n
+def construct_P(img, semiring: Semiring = ZMAX) -> Matrix:
+    """Permutation matrix of the 0-based image tuple img: row i holds
+    one in column img[i] and zero elsewhere."""
+    img = tuple(img)
+    n = len(img)
+    if sorted(img) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {img}")
     z, o = semiring.zero, semiring.one
-    return Matrix(n, semiring, tuple(tuple(o if perm(i) == j else z for j in range(1, n + 1)) for i in range(1, n + 1)))
+    return Matrix(n, semiring, tuple(tuple(o if j == img[i] else z for j in range(n)) for i in range(n)))
 
 
 def construct_A(i: int, lam, n: int, semiring: Semiring = ZMAX) -> Matrix:
@@ -325,8 +267,8 @@ def count_bottoms(m: Matrix) -> int:
 
 
 def is_monomial(m: Matrix):
-    """(perm, diag) when m has exactly one non-zero per row and column,
-    placed at (i, perm(i)) with value diag[i-1]; None otherwise."""
+    """(img, vals) when m has exactly one non-zero per row and column:
+    row i holds vals[i] in column img[i], both 0-based; None otherwise."""
     z = m.semiring.zero
     img = []
     vals = []
@@ -336,9 +278,9 @@ def is_monomial(m: Matrix):
         if len(hits) != 1 or hits[0] in used:
             return None
         used.add(hits[0])
-        img.append(hits[0] + 1)
+        img.append(hits[0])
         vals.append(r[hits[0]])
-    return Perm(img), tuple(vals)
+    return tuple(img), tuple(vals)
 
 
 def is_upper_triangular(m: Matrix) -> bool:

@@ -44,7 +44,6 @@ from tropmono.factorize import (
 )
 from tropmono.genset import GL_A, GL_B, M2_A, M2_C, M2_D, NEG_I, Generator, diag_letter, elem_letter, generating_set, x_letter
 from tropmono.matrix import (
-    Perm,
     _row_product,
     construct_A,
     construct_E,
@@ -60,7 +59,7 @@ from tropmono.matrix import (
 )
 from tropmono.semiring import BOOLEAN, BOTTOM, ZMAX
 
-from unit_reference import is_invertible, mat_pow, own_eval, permute
+from unit_reference import inverse, is_invertible, mat_pow, own_eval, permute
 
 
 def rnd_entry(rng, p_bot=0.3, lo=-20, hi=20):
@@ -232,9 +231,9 @@ def test_evaluate_matches_an_independent_dag_walk():
             u = rnd_upper(rng, n, lambda: 0)
             cases = [(m, factor_ut(m)), (u, factor_unitriangular(u))]
             if n >= 2:
-                img = list(range(1, n + 1))
+                img = list(range(n))
                 rng.shuffle(img)
-                m = mat_mul(diag([big() for _ in range(n)]), construct_P(Perm(img)))
+                m = mat_mul(diag([big() for _ in range(n)]), construct_P(img))
                 cases.append((m, factor_gl(m)))
             for m, w in cases:
                 assert own_eval(w) == m.rows == evaluate(w).rows
@@ -325,7 +324,7 @@ def monomials_and_dense(draw):
 
 def mono_matrix(v):
     # diag(sh) times the permutation matrix of img, built by mat_mul
-    return mat_mul(diag(v.sh), construct_P(Perm([j + 1 for j in v.img])))
+    return mat_mul(diag(v.sh), construct_P(v.img))
 
 
 def value_matrix(v):
@@ -450,8 +449,9 @@ def test_monomial_powers_with_huge_exponents_are_exact():
     # monomials, _Plus values from n = 4 (a u letter, and a diagonal times an
     # E letter), dense rows at n = 3
     for n in range(2, 7):
-        for perm in (Perm.from_cycles(n, [tuple(range(1, n + 1))]), Perm.transposition(n, 1, n)):
-            check_powers("gl", n, _gl_perm_node(n, perm), construct_P(perm))
+        # the full n-cycle and the transposition of rows 1 and n
+        for img in ((*range(1, n), 0), (n - 1, *range(1, n - 1), 0)):
+            check_powers("gl", n, _gl_perm_node(img), construct_P(img))
     for n in range(4, 7):
         check_powers("u", n, _Node((elem_letter(1, n, 7),)), construct_E(1, n, n, lam=7))
         e_times_a = mat_mul(construct_A(1, 1, n), construct_E(1, 2, n, lam=0))
@@ -575,7 +575,7 @@ def test_diagonal_runs_match_an_independent_dag_walk(n):
     # gl: diagonal slot words around permutation words; at n = 2 the
     # letter A is the diagonal Ai(1,1), so its powers join a run
     if n > 1:
-        p = _gl_perm_node(n, Perm.transposition(n, 1, n))
+        p = _gl_perm_node((n - 1, *range(1, n - 1), 0))
         words = _gl_slots(n)
         slot = _slot(words, n, -5)
         for root in (
@@ -735,7 +735,7 @@ def test_warm_slot_runs_make_no_sum_and_no_monomial(monkeypatch):
     monkeypatch.setattr(_Mono, "__init__", counted("mono", init))
     rng = random.Random(17)
     ut = matrix([[rng.randint(-10 ** 6, 10 ** 6) if j >= i else BOTTOM for j in range(6)] for i in range(6)])
-    gl = mat_mul(diag([rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)]), construct_P(Perm((3, 1, 6, 2, 5, 4))))
+    gl = mat_mul(diag([rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)]), construct_P((2, 0, 5, 1, 4, 3)))
     for m, factorizer, products in ((ut, factor_ut, 15), (gl, factor_gl, 0)):
         evaluate(factorizer(m))
         w = factorizer(m)
@@ -923,18 +923,18 @@ def test_unit_runs_compose_into_one_pending_monomial(monkeypatch):
 
     monkeypatch.setattr(factorize, "_times", counted_times)
     for n in range(2, 7):
-        words, img = _gl_slots(n), tuple(range(n, 0, -1))
-        perm = _gl_perm_node(n, Perm(img))
+        words, img = _gl_slots(n), tuple(range(n - 1, -1, -1))
+        perm = _gl_perm_node(img)
         for sub in (words[1][0], words[-n][0], perm):
             evaluate(Word("gl", n, sub))
         w = Word("gl", n, _Node((_slot(words, 1, 5), _slot(words, n, -3), perm)))
         calls["times"] = 0
-        m = mat_mul(diag([5, *[0] * (n - 2), -3]), construct_P(Perm(img)))
+        m = mat_mul(diag([5, *[0] * (n - 2), -3]), construct_P(img))
         assert evaluate(w).rows == own_eval(w) == m.rows
         assert calls["times"] == 0
     # P12 slot(2,5) E(1,2,0) slot(2,-5) P13 P12: the dense letter meets one
     # pending monomial on each side
-    (p12, p13), e12 = (_gl_perm_node(3, Perm.transposition(3, 1, j)) for j in (2, 3)), elem_letter(1, 2, 0)
+    p12, p13, e12 = _gl_perm_node((1, 0, 2)), _gl_perm_node((2, 1, 0)), elem_letter(1, 2, 0)
     for sub in (p12, p13, e12, _M3_SLOTS[2][0], _M3_SLOTS[-2][0]):
         evaluate(Word("m3", 3, sub))
     w = Word("m3", 3, _Node((p12, _slot(_M3_SLOTS, 2, 5), e12, _slot(_M3_SLOTS, 2, -5), p13, p12)))
@@ -954,9 +954,9 @@ def test_module_caches_do_not_grow_with_entry_values():
     for mask in range(512):
         _m3_fill(mask)
     for n in sizes_n:
-        for img in itertools.permutations(range(1, n + 1)):
+        for img in itertools.permutations(range(n)):
             for d in (1, -1):
-                m = mat_mul(diag([d] * n), construct_P(Perm(img)))
+                m = mat_mul(diag([d] * n), construct_P(img))
                 assert evaluate(factor_gl(m)) == m
     rng = random.Random(108)
 
@@ -968,9 +968,9 @@ def test_module_caches_do_not_grow_with_entry_values():
             if kind == "m3":
                 rows = [[BOTTOM if rng.random() < 0.3 else big() for _ in range(3)] for _ in range(3)]
             elif kind == "gl":
-                img = list(range(1, n + 1))
+                img = list(range(n))
                 rng.shuffle(img)
-                rows = mat_mul(diag([big() for _ in range(n)]), construct_P(Perm(img))).rows
+                rows = mat_mul(diag([big() for _ in range(n)]), construct_P(img)).rows
             else:
                 rows = [
                     [(0 if kind == "u" else big()) if i == j else big() if j > i else BOTTOM for j in range(n)]
@@ -1138,9 +1138,9 @@ def test_factor_gl_random():
     rng = random.Random(103)
     for n in (2, 3, 4, 5, 6):
         for _ in range(120):
-            img = list(range(1, n + 1))
+            img = list(range(n))
             rng.shuffle(img)
-            m = mat_mul(diag([rng.randint(-15, 15) for _ in range(n)]), construct_P(Perm(img)))
+            m = mat_mul(diag([rng.randint(-15, 15) for _ in range(n)]), construct_P(img))
             assert is_invertible(m)
             w = factor_gl(m)
             assert evaluate(w) == m
@@ -1267,7 +1267,7 @@ def test_factor_m3_route_table_matches_first_hit_search():
     # scalar-plus-block (four or more).  The remaining branches must at
     # least land on their normal forms.  Every table entry also holds
     # the step that gathers that form.
-    perms = [Perm(img) for img in itertools.permutations((1, 2, 3))]
+    perms = list(itertools.permutations(range(3)))
 
     def is_block(u):
         r = u.rows
@@ -1288,21 +1288,21 @@ def test_factor_m3_route_table_matches_first_hit_search():
         expected = None
         if is_invertible(m):
             # m P_t is diagonal for t the inverse of m's permutation
-            perm, _ = is_monomial(m)
-            expected = ("gl", (1, 2, 3), perm.inverse().img)
+            img, _ = is_monomial(m)
+            expected = ("gl", (0, 1, 2), inverse(img))
         for branch, least, shape in (("ut", 3, is_upper_triangular), ("block", 4, is_block)):
             if expected is None and z >= least:
-                hits = [(s.img, t.img) for s in perms for t in perms if shape(permute(m, s, t))]
+                hits = [(s, t) for s in perms for t in perms if shape(permute(m, s, t))]
                 if hits:
                     expected = (branch, *hits[0])
         branch, s, t, (cells, left, right) = _m3_fill(mask)
         # The stored cells gather P_s m P_t out of m's nine entries, and
         # the stored words are P_{s^-1} and P_{t^-1}.
         assert tuple(tuple(distinct_flat[k] for k in row) for row in cells) == permute(distinct, s, t).rows
-        assert left is _gl_perm_node(3, s.inverse())
-        assert right is _gl_perm_node(3, t.inverse())
+        assert left is _gl_perm_node(inverse(s))
+        assert right is _gl_perm_node(inverse(t))
         if expected is not None:
-            assert (branch, s.img, t.img) == expected, mask
+            assert (branch, s, t) == expected, mask
             continue
         assert z < 4 and branch in forms, mask
         u = permute(m, s, t)
@@ -1343,11 +1343,12 @@ def test_factor_m3_dag_shape_pinned():
 def test_factor_m3_routes_pinned():
     # The route of every bottom mask, (branch, s, t), is fixed output: a
     # changed route changes the words, so its bytes are pinned here, where
-    # a failure names the route rather than the word text.
+    # a failure names the route rather than the word text.  s and t are
+    # hashed as 1-based image tuples.
     h = hashlib.sha256()
     for mask in range(512):
         branch, s, t, _ = _m3_fill(mask)
-        h.update(repr((branch, s.img, t.img)).encode())
+        h.update(repr((branch, tuple(x + 1 for x in s), tuple(x + 1 for x in t))).encode())
     assert h.hexdigest() == "3f060e747d25e8ebeadc6a2a415e4404cf50cdeb3b76add7695d83d9a6d5b2e8"
 
 
@@ -1398,10 +1399,10 @@ def test_factor_gl_and_u_word_text_digest_pinned():
     for n in range(2, 9):
         cases = [identity(n)]
         for _ in range(3):
-            img = list(range(1, n + 1))
+            img = list(range(n))
             rng.shuffle(img)
             scale = [rng.randint(-3, 3) for _ in range(n)]
-            cases += [construct_P(Perm(img)), diag(scale), mat_mul(diag(scale), construct_P(Perm(img)))]
+            cases += [construct_P(img), diag(scale), mat_mul(diag(scale), construct_P(img))]
         words += [factor_gl(m) for m in cases]
     for n in range(1, 9):
         for _ in range(20):
@@ -1441,9 +1442,9 @@ def shape_cases():
             yield factor_unitriangular, rnd_upper(rng, n, lambda: 0)
     for n in range(2, 9):
         for _ in range(3):
-            img = list(range(1, n + 1))
+            img = list(range(n))
             rng.shuffle(img)
-            yield factor_gl, mat_mul(diag([rng.randint(-10 ** 9, 10 ** 9) for _ in range(n)]), construct_P(Perm(img)))
+            yield factor_gl, mat_mul(diag([rng.randint(-10 ** 9, 10 ** 9) for _ in range(n)]), construct_P(img))
     for size, factorizer in ((2, factor_m2), (3, factor_m3)):
         for mask in range(1 << size * size):
             vals = [BOTTOM if mask >> k & 1 else rng.randint(-20, 20) for k in range(size * size)]
@@ -1486,8 +1487,8 @@ def test_factor_dispatch():
 def test_factor_words_stay_inside_claimed_alphabet():
     # gl words on invertible 3x3s should never leak E or X letters
     rng = random.Random(107)
-    img = [2, 3, 1]
-    m = mat_mul(diag([3, -1, 4]), construct_P(Perm(img)))
+    img = [1, 2, 0]
+    m = mat_mul(diag([3, -1, 4]), construct_P(img))
     w = factor(m, "gl")
     assert {g.text() for g in w.distinct_letters()} <= {"A", "B"}
     assert evaluate(w) == m

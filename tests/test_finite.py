@@ -36,7 +36,6 @@ from tropmono.genset import (
     x_letter,
 )
 from tropmono.matrix import (
-    Perm,
     _bool_code,
     _right_product,
     boolean_image,
@@ -281,7 +280,7 @@ def test_queries_build_no_element_matrix():
     monoids += [m2, m3]
     assert [len(jclasses(fm)) for fm in monoids] == [6, 33, 384, 4, 11]
     x = boolean_image(x_letter(0).realize(3, ZMAX))
-    assert prime_certificate(permute(x, Perm([2, 3, 1]), Perm([3, 1, 2])), m3)
+    assert prime_certificate(permute(x, (1, 2, 0), (2, 0, 1)), m3)
     assert rank_search(m2, 2) is None and len(rank_search(m2, 3)) == 3
     assert is_generating(m2, m2.gens)
     assert irredundant(m3, m3.gens) == [True] * 5
@@ -324,7 +323,7 @@ def test_cayley_walk_products_match_mat_mul():
 
 def test_zero_bottom_zmax_closure_runs_the_same_path():
     # tropical letters with entries in {0, -inf}: a zmax copy of M_3(B)
-    perms = [construct_P(Perm.from_cycles(3, c), ZMAX) for c in ([(1, 2, 3)], [(1, 2)])]
+    perms = [construct_P(img, ZMAX) for img in ((1, 2, 0), (1, 0, 2))]
     tokens = ["Ai(1,-inf)", "E(1,2,0)", "X(0)"]
     fm = closure(perms + [parse_generator(t, "m3", ZMAX).realize(3, ZMAX) for t in tokens])
     assert len(fm) == 512 and fm.closed
@@ -376,7 +375,7 @@ def test_infinite_witness_powers_are_pairwise_distinct():
 
 def test_closed_zmax_monoids_get_no_witness():
     # 0/-inf letters: the permutation matrices, and the zmax copy of M_3(B)
-    perms = [construct_P(Perm.from_cycles(3, c), ZMAX) for c in ([(1, 2, 3)], [(1, 2)])]
+    perms = [construct_P(img, ZMAX) for img in ((1, 2, 0), (1, 0, 2))]
     assert infinite_witness(perms) is None
     fm = closure(perms)
     assert len(fm) == 6 and fm.closed
@@ -625,9 +624,9 @@ def test_unit_flags_match_is_invertible_with_permutation_generators():
     # a transposition beside a 3-cycle, and a permutation generator
     # listed twice all meet the power walk
     monoids = unit_rich_monoids(20261024, 24)
-    cycle, swap = Perm.from_cycles(4, [(1, 2, 3, 4)]), Perm.from_cycles(3, [(1, 2)])
+    cycle, swap = (1, 2, 3, 0), (1, 0, 2)
     monoids.append(closure([construct_P(cycle, BOOLEAN), matrix([[1, 1, 0, 0]] + [[0] * 4] * 3, BOOLEAN)]))
-    s3 = [construct_P(swap, BOOLEAN), construct_P(Perm.from_cycles(3, [(1, 2, 3)]), BOOLEAN)]
+    s3 = [construct_P(swap, BOOLEAN), construct_P((1, 2, 0), BOOLEAN)]
     monoids.append(closure(s3 + [s3[0], matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]], BOOLEAN)]))
     for fm in monoids:
         assert _units(fm)[0] == [is_invertible(m) for m in fm.elements]

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from tropmono.matrix import (
     MAX_DIM,
     Matrix,
-    Perm,
     _residuation,
     boolean_image,
     construct_A,
@@ -262,7 +261,7 @@ def test_construct_shapes():
     assert construct_A(2, 5, 3) == parse_matrix("0 -inf -inf; -inf 5 -inf; -inf -inf 0")
     assert construct_E(1, 3, 3, lam=-2) == parse_matrix("0 -inf -2; -inf 0 -inf; -inf -inf 0")
     assert construct_E(1, 2, 2) == parse_matrix("0 0; -inf 0")
-    sigma = Perm((2, 3, 1))
+    sigma = (1, 2, 0)
     assert construct_P(sigma) == parse_matrix("-inf 0 -inf; -inf -inf 0; 0 -inf -inf")
     assert diag((1, 2)) == parse_matrix("1 -inf; -inf 2")
 
@@ -279,37 +278,27 @@ def test_perm_matrix_multiplies_like_composition():
     rng = random.Random(10)
     for _ in range(200):
         n = rng.randint(1, 5)
-        s = list(range(1, n + 1))
-        t = list(range(1, n + 1))
+        s = list(range(n))
+        t = list(range(n))
         rng.shuffle(s)
         rng.shuffle(t)
-        ps, pt = Perm(s), Perm(t)
-        assert mat_mul(construct_P(ps), construct_P(pt)) == construct_P(Perm(pt(ps(i)) for i in range(1, n + 1)))
+        assert mat_mul(construct_P(s), construct_P(t)) == construct_P(tuple(t[s[i]] for i in range(n)))
 
 
 def test_perm_basics():
-    s = Perm((2, 1, 3))
-    assert s(1) == 2 and s(2) == 1 and s(3) == 3
-    assert s.inverse() == s
-    assert Perm.transposition(4, 2, 4).img == (1, 4, 3, 2)
-    c = Perm.from_cycles(4, [(1, 2, 3)])
-    assert c.img == (2, 3, 1, 4)
-
-
-def test_perm_rejects_junk():
-    for bad in ((1, 1), (0, 1), (2, 3)):
-        try:
-            Perm(bad)
-            assert False, bad
-        except ValueError:
-            pass
+    # a permutation is a 0-based image tuple: construct_P and is_monomial
+    # are inverse to each other on every one of them
+    for n in range(1, 6):
+        for img in itertools.permutations(range(n)):
+            assert is_monomial(construct_P(img)) == (img, (0,) * n)
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Matrix(0, ZMAX, ()), f"dimension 0 outside supported range 1..{MAX_DIM}"),
     (lambda: Matrix(2, ZMAX, ((0, 0), (0,))), "expected 2x2 rows"),
-    (lambda: Perm.from_cycles(3, [(1, 4)]), "cycle entry 4 outside 1..3"),
-    (lambda: Perm.from_cycles(3, [(1, 2), (2, 3)]), "cycles not disjoint at 2"),
+    (lambda: construct_P((0, 0)), "not a permutation of 0..1: (0, 0)"),
+    (lambda: construct_P((1, 2)), "not a permutation of 0..1: (1, 2)"),
+    (lambda: construct_P((-1, 0)), "not a permutation of 0..1: (-1, 0)"),
     (lambda: construct_A(4, 0, 3), "index 4 outside 1..3"),
     (lambda: construct_E(1, 4, 3), "index (1,4) outside 1..3"),
     (lambda: boolean_image(identity(2, BOOLEAN)), "boolean_image expects a zmax matrix"),
@@ -322,11 +311,11 @@ def test_constructors_refuse_out_of_range_input(build, message):
 
 def test_permute_orientation():
     m = parse_matrix("1 2; 3 4")
-    swap = Perm((2, 1))
-    # row permutation: entry (i, j) comes from row swap(i)
-    assert permute(m, swap, Perm.identity(2)) == parse_matrix("3 4; 1 2")
-    # column permutation: entry lands at column swap(j)
-    assert permute(m, Perm.identity(2), swap) == parse_matrix("2 1; 4 3")
+    swap, ident = (1, 0), (0, 1)
+    # row permutation: entry (i, j) comes from row swap[i]
+    assert permute(m, swap, ident) == parse_matrix("3 4; 1 2")
+    # column permutation: entry lands at column swap[j]
+    assert permute(m, ident, swap) == parse_matrix("2 1; 4 3")
     # and permute really is P_row * m * P_col
     assert permute(m, swap, swap) == mat_mul(mat_mul(construct_P(swap), m), construct_P(swap))
 
@@ -334,11 +323,11 @@ def test_permute_orientation():
 # -- monomial structure -------------------------------------------------------
 
 def test_is_monomial_reads_off_perm_and_values():
-    m = mat_mul(diag((5, -1, 2)), construct_P(Perm((3, 1, 2))))
+    m = mat_mul(diag((5, -1, 2)), construct_P((2, 0, 1)))
     mono = is_monomial(m)
     assert mono is not None
-    perm, vals = mono
-    assert perm == Perm((3, 1, 2))
+    img, vals = mono
+    assert img == (2, 0, 1)
     assert vals == (5, -1, 2)
     assert is_monomial(parse_matrix("0 0; -inf 0")) is None
     assert is_monomial(matrix([[BOTTOM] * 2] * 2)) is None
@@ -365,7 +354,7 @@ def test_invertible_needs_units():
     m = diag((BOTTOM, 0))
     assert not is_invertible(m)
     # boolean: permutation matrices only
-    assert is_invertible(construct_P(Perm((2, 1)), BOOLEAN))
+    assert is_invertible(construct_P((1, 0), BOOLEAN))
     assert not is_invertible(matrix([[1, 1], [0, 1]], BOOLEAN))
 
 

@@ -3,8 +3,9 @@
 Units: which scalars and which matrices have a multiplicative inverse.
 The library reads units off its Cayley graphs instead, and the tests
 compare the two.  Powers and permutations: mat_pow by repeated squaring
-and permute by index lookup, against which the tests check the
-factorizer's cached powers and the m3 dispatch table's normal forms.
+and permute by index lookup over 0-based image tuples (with their own
+inverse), against which the tests check the factorizer's cached powers
+and the m3 dispatch table's normal forms.
 Words: own_eval multiplies a word DAG out with own_mul, the max-plus
 product by its definition, sharing no code with the library's evaluator.
 """
@@ -44,12 +45,18 @@ def mat_pow(m, k: int):
     return identity(m.n, m.semiring) if acc is None else acc
 
 
-def permute(m, row_perm, col_perm):
-    """P_row * m * P_col.  Entry (i, j) of the result is m[row(i), col^{-1}(j)]."""
-    if row_perm.n != m.n or col_perm.n != m.n:
+def inverse(img):
+    """The inverse of a 0-based image tuple: the positions sorted by image."""
+    return tuple(sorted(range(len(img)), key=img.__getitem__))
+
+
+def permute(m, row_img, col_img):
+    """P_row * m * P_col for 0-based image tuples.  Entry (i, j) of the
+    result is m[row[i], col^{-1}[j]]."""
+    if len(row_img) != m.n or len(col_img) != m.n:
         raise ValueError("permutation degree does not match matrix dimension")
-    cinv = col_perm.inverse()
-    rows = [[m.rows[row_perm(i) - 1][cinv(j) - 1] for j in range(1, m.n + 1)] for i in range(1, m.n + 1)]
+    cinv = inverse(col_img)
+    rows = [[m.rows[row_img[i]][cinv[j]] for j in range(m.n)] for i in range(m.n)]
     return Matrix(m.n, m.semiring, rows)
 
 
