@@ -23,8 +23,8 @@ O(log k) products.
 For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
 entry: a monomial moves the entry in O(n), and with dense rows it is a
 gather or scatter plus one row or column max-update (only the
-max-update over the unit); the column update rebuilds only the rows it
-raises.  Of two such values the left one is made dense first.
+max-update over the unit, made in place in a node's own row lists until
+its next product).  Of two such values the left one is made dense first.
 The monomials among a node's parts are held back as one pending
 monomial, an image and a shift list that the first copies and each
 next composes into in place, so a stretch of unit letters costs no
@@ -38,9 +38,9 @@ diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
 an E letter moves its entry past a diagonal pending monomial, so the
 slot scalings that conjugate each E letter of a ut word cancel without
 a product; any other value multiplies the pending monomial in first,
-with one product, and a zero diagonal is dropped.  Only dense times
-dense is a matrix product.  Each leaf is checked against the word's
-alphabet when it is evaluated.
+with one product (dense rows by a direct gather or scatter), and a
+pending unit is dropped.  Only dense times dense is a matrix product.
+Each leaf is checked against the word's alphabet when it is evaluated.
 A Matrix is built only for the result.  The letter count and the text
 form are each one bottom-up fold that visits every node once, a run
 repeating each part's text k times; the distinct
@@ -337,7 +337,7 @@ def _times(a, b, ev):
     row max-update and dense rows times a _Plus one column max-update,
     which rebuilds only the rows whose entry it raises; of two _Plus
     values the left one is made dense first.  A node's monomial parts
-    compose in _value's pending monomial, not here."""
+    compose, and meet dense rows and E letters, in _value's part loop."""
     ta, tb = type(a), type(b)
     if ta is _Mono:
         img, sh = a.img, a.sh
@@ -454,14 +454,18 @@ def _run_sum(parts, key, ev: _Eval):
     return pairs
 
 
-def _then_pending(val, img, sh, ev: _Eval):
-    """val (None for the unit) times the pending monomial: row i holds
-    sh[i] in column img[i], img None while it is diagonal; a zero
-    diagonal is dropped."""
-    if img is None and not any(sh):
-        return val
-    m = _Mono(ev.ident if img is None else _ident(tuple(img)), tuple(sh))
-    return m if val is None else _times(val, m, ev)
+def _then_pending(val, img, sh, v, ev: _Eval):
+    """(val times the pending monomial, v), where row i of the monomial
+    holds sh[i] in column img[i] (img None while diagonal): dense rows
+    scatter, or gather as a first v, with no _Mono; a unit is dropped."""
+    img = ev.ident if img is None else _ident(tuple(img))
+    if img is ev.ident and not any(sh):
+        return val, v
+    if val is None:
+        return (None, ev.gather(img, sh, v)) if type(v) is tuple else (_Mono(img, tuple(sh)), v)
+    if type(val) is _Plus:
+        return _times(val, _Mono(img, tuple(sh)), ev), v
+    return ev.scatter(img, sh, val), v
 
 
 def _value(node, key, ev: _Eval):
@@ -489,14 +493,13 @@ def _value(node, key, ev: _Eval):
     else:
         # The monomial parts are held back as one pending monomial, the
         # lists img and sh (None while nothing is pending; img None while
-        # it is diagonal): the first copies its image and shifts, and each
-        # next one composes into them in place.  Since
-        # diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d), a _Plus over a
-        # diagonal moves its entry past a diagonal pending monomial; any
-        # other value, and the end of the parts, multiply it in with one
-        # product (a zero diagonal is dropped).
+        # diagonal): the first copies its image and shifts, and each next
+        # composes into them in place.  Since diag(d) E(r,c,x) =
+        # E(r,c,x + d[r] - d[c]) diag(d), a _Plus over a diagonal moves its
+        # entry past a diagonal pending monomial; any other value, and the
+        # end, multiply it in with one product (a pending unit is dropped).
         val = img = sh = None
-        ident = ev.ident
+        ident, unit = ev.ident, ev.unit
         for p in node.parts:
             v = p._vals.get(key)
             pairs = None
@@ -545,13 +548,26 @@ def _value(node, key, ev: _Eval):
                 if type(v) is _Plus and v.m.img is ident and img is None:
                     v = _Plus(v.m, v.r, v.c, v.v + sh[v.r] - sh[v.c])
                 else:
-                    val = _then_pending(val, img, sh, ev)
+                    val, v = _then_pending(val, img, sh, v, ev)
                     img = sh = None
-            val = v if val is None else _times(val, v, ev)
+            if val is None:
+                val = v
+            elif type(v) is _Plus and v.m is unit:
+                # Column c takes column r plus x, in the loop's own row lists.
+                val = val if type(val) is list else [list(row) for row in _rows(val)]
+                r, c, x = v.r, v.c, v.v
+                for row in val:
+                    y = row[r] + x
+                    if y > row[c]:
+                        row[c] = y
+            else:
+                val = _times(tuple(map(tuple, val)) if type(val) is list else val, v, ev)
         if sh is not None:
-            val = _then_pending(val, img, sh, ev)
+            val = _then_pending(val, img, sh, None, ev)[0]
         if val is None:
             val = ev.unit
+        elif type(val) is list:
+            val = tuple(map(tuple, val))
     node._vals[key] = val
     return val
 
@@ -911,6 +927,7 @@ _M3_BLOCK = _M2Letters(
 
 
 _S3 = list(itertools.permutations(range(3)))
+_M3_ROW = cache(itemgetter)  # one itemgetter per index triple, shared by the routes
 
 
 def _bits(cells):
@@ -948,15 +965,15 @@ def _m3_fill(mask: int):
     """The route (branch, s, t, step) of one mask: the branch of the
     first rule in _M3_RULES that matches it (dense if none does), the
     row and column permutations of its normal form P_s m P_t, and the
-    step (cells, left, right) that builds the normal form: row i of
-    P_s m P_t is the entries cells[i] of m's rows laid end to end, and
+    step (rows, left, right) that builds the normal form: the itemgetter
+    rows[i] takes row i of P_s m P_t from m's rows laid end to end, and
     the permutation words left = P_{s^-1} and right = P_{t^-1} (None
     for the identity) wrap the branch's word.
     """
     branch, s, t = _m3_find_route(mask)
     tinv = _inverse(t)
-    cells = tuple(tuple(3 * s[i] + tinv[j] for j in range(3)) for i in range(3))
-    return branch, s, t, (cells, _gl_perm_node(_inverse(s)), _gl_perm_node(tinv))
+    rows = tuple(_M3_ROW(*[3 * s[i] + tinv[j] for j in range(3)]) for i in range(3))
+    return branch, s, t, (rows, _gl_perm_node(_inverse(s)), _gl_perm_node(tinv))
 
 
 def _m3_find_route(mask: int):
@@ -1082,10 +1099,10 @@ def _m3_node(g, depth: int, out):
     for k, x in enumerate(f):
         if x == BOTTOM:
             mask |= 1 << k
-    branch, _, _, ((c1, c2, c3), left, right) = _m3_fill(mask)
+    branch, _, _, ((r1, r2, r3), left, right) = _m3_fill(mask)
     if left is not None:
         out.append(left)
-    _M3_BRANCHES[branch]((itemgetter(*c1)(f), itemgetter(*c2)(f), itemgetter(*c3)(f)), depth, out)
+    _M3_BRANCHES[branch]((r1(f), r2(f), r3(f)), depth, out)
     if right is not None:
         out.append(right)
     return out

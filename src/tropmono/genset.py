@@ -60,9 +60,10 @@ class Generator:
     __slots__ = ("kind", "params", "_vals")
 
     def __init__(self, kind: str, params=()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "_vals", {})
+        # The slots' own setters, as __setattr__ refuses: half object.__setattr__'s cost.
+        _SET_KIND(self, kind)
+        _SET_PARAMS(self, tuple(params))
+        _SET_VALS(self, {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
@@ -132,7 +133,8 @@ def _realize(g: Generator, n: int, semiring: Semiring) -> Matrix:
     raise AssertionError(f"unknown generator kind {k}")
 
 
-# Shared letter constants.
+# Generator.__init__'s slot setters, and the shared letter constants.
+_SET_KIND, _SET_PARAMS, _SET_VALS = Generator.kind.__set__, Generator.params.__set__, Generator._vals.__set__
 GL_A = Generator("GL_A")
 GL_B = Generator("GL_B")
 M2_A = Generator("M2_A")

@@ -3,6 +3,7 @@ multiply-back as the universal oracle: evaluate(factor(m)) must equal m
 entry for entry, no tolerance.
 """
 
+import copy
 import hashlib
 import itertools
 import random
@@ -18,12 +19,16 @@ from tropmono.factorize import (
     _IDENT,
     _M2,
     _M3_BLOCK,
+    _M3_E,
     _M3_SLOTS,
     _Mono,
     _Node,
     _Plus,
     _Run,
+    _UNIT,
+    _UT_E,
     _eval_context,
+    _gl_bits,
     _gl_perm_node,
     _gl_slots,
     _leaf_value,
@@ -687,11 +692,13 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
         assert evaluate(w).rows == own_eval(w)
         assert calls == {"times": 0, "mono": 1}
     # a whole ut word: each run joins the pending diagonal, and the slot
-    # scalings around each E letter cancel in it, so the products are one
-    # per E letter after the first and the final flush; summing leaf
-    # powers one product at a time made 185 calls, multiplying each
-    # conjugating diagonal in made 95, and multiplying dense rows by each
-    # E letter's unit monomial as well as its entry made 29.  Spelling a
+    # scalings around each E letter cancel in it, so each E letter after
+    # the first max-updates the loop's row lists in place and the final
+    # flush scatters them, with no _times call; summing leaf powers one
+    # product at a time made 185 calls, multiplying each conjugating
+    # diagonal in made 95, multiplying dense rows by each E letter's unit
+    # monomial as well as its entry made 29, and one product per E letter
+    # after the first and one for the final flush made 15.  Spelling a
     # negative slot as n one-letter powers built 160 nodes, and as one
     # run 52; splicing each E letter's three parts into the root, not a
     # node of their own, leaves the 36 diagonal runs and the root.
@@ -709,16 +716,18 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
     assert len(built) == 37
     calls.update(times=0, mono=0)
     assert evaluate(w) == m
-    assert calls["times"] <= 15
+    assert calls["times"] == 0
 
 
 def test_warm_slot_runs_make_no_sum_and_no_monomial(monkeypatch):
     # once the slot table holds a word's tuples, each slot run joins the
-    # pending monomial straight from ev.slots: no _run_sum call, and the
-    # one _Mono built is the flush of the pending monomial at the end.  A
-    # seeded ut n = 6 word at +-10^6 (51 root parts, 36 of them slot runs)
-    # made 36 _run_sum calls and 29 products before the table, a gl n = 6
-    # word 6 calls and no product.
+    # pending monomial straight from ev.slots: no _run_sum call.  The gl
+    # word's one _Mono is its pending monomial at the end; the ut word's
+    # final flush scatters its dense rows with no _Mono and no _times
+    # call.  A seeded ut n = 6 word at +-10^6 (51 root parts, 36 of them
+    # slot runs) made 36 _run_sum calls and 29 products before the table,
+    # and 1 _Mono and 15 _times calls before the in-place E letters and
+    # the direct flush; a gl n = 6 word 6 calls and no product.
     from tropmono import factorize
 
     calls = dict.fromkeys(("sum", "mono", "times"), 0)
@@ -736,13 +745,12 @@ def test_warm_slot_runs_make_no_sum_and_no_monomial(monkeypatch):
     rng = random.Random(17)
     ut = matrix([[rng.randint(-10 ** 6, 10 ** 6) if j >= i else BOTTOM for j in range(6)] for i in range(6)])
     gl = mat_mul(diag([rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)]), construct_P((2, 0, 5, 1, 4, 3)))
-    for m, factorizer, products in ((ut, factor_ut, 15), (gl, factor_gl, 0)):
+    for m, factorizer, monos in ((ut, factor_ut, 0), (gl, factor_gl, 1)):
         evaluate(factorizer(m))
         w = factorizer(m)
         calls.update(sum=0, mono=0, times=0)
         assert evaluate(w) == m
-        assert calls["sum"] == 0 and calls["mono"] == 1
-        assert calls["times"] <= products
+        assert calls == {"sum": 0, "mono": monos, "times": 0}
 
 
 def test_run_sums_are_kept_only_for_the_shared_slot_letters():
@@ -876,52 +884,166 @@ def test_dense_rows_times_an_e_letter_rebuild_only_the_rows_it_raises():
             assert (new is not old) == cells[i % 5][2], i
 
 
+def _cached_values(roots):
+    # a plain copy of the cached values of every node and letter under
+    # roots, by id; a _Mono or _Plus as its fields, since they have no ==
+    def plain(v):
+        if type(v) is _Mono:
+            return ("mono", v.img, v.sh)
+        if type(v) is _Plus:
+            return ("plus", plain(v.m), v.r, v.c, v.v)
+        return copy.deepcopy(v)
+
+    out, stack = {}, list(roots)
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            stack.extend(node)
+        elif id(node) not in out:
+            out[id(node)] = {key: plain(v) for key, v in node._vals.items()}
+            stack.extend(getattr(node, "parts", ()))
+    return out
+
+
+def test_in_place_e_letters_write_no_cached_value():
+    # From n = 4 an E letter over the unit max-updates one column of the
+    # part loop's own row lists in place, and the lists are frozen before
+    # any other product and before the value is cached.  Seeded ut and u
+    # words at n = 4..8 (entries up to +-10^9, zeros and -inf), gl and m3
+    # words, and hand-built n = 4, 5 words that reach that update from
+    # every side each evaluate to their product.  Then each is built
+    # again, fresh nodes over the same shared and cached sub-words, and
+    # both words evaluate to that product once more: every value cached
+    # by the first pass, on the shared nodes and on the first words'
+    # nodes, is left as it was.
+    rng = random.Random(34)
+
+    def entry():
+        return rng.choice((0, BOTTOM, rng.randint(-10 ** 9, 10 ** 9), rng.randint(-10 ** 9, 10 ** 9)))
+
+    builds = []  # (a word builder, the word's product or None for own_eval's)
+    for n in range(4, 9):
+        for _ in range(4):
+            ut = matrix([[entry() if j >= i else BOTTOM for j in range(n)] for i in range(n)])
+            u = matrix([[0 if i == j else entry() if j > i else BOTTOM for j in range(n)] for i in range(n)])
+            builds += [(lambda m=ut: factor_ut(m), None), (lambda m=u: factor_unitriangular(m), None)]
+        img = list(range(n))
+        rng.shuffle(img)
+        gl = mat_mul(diag([rng.randint(-9, 9) for _ in range(n)]), construct_P(img))
+        builds.append((lambda m=gl: factor_gl(m), None))
+    for _ in range(20):
+        m3 = matrix([[entry() for _ in range(3)] for _ in range(3)])
+        builds.append((lambda m=m3: factor_m3(m), None))
+    for n in (4, 5):
+        key, e, slots = ("ut", n), elem_letter, _ut_slots(n)
+        # dense sub-words, frozen from the loop's row lists or scattered,
+        # and a shared letter's rows
+        dense = _Node((e(1, 2, 5), e(2, n, -3)))
+        scaled = _Node((_UT_E[1, 2], _UT_E[2, n], _slot(slots, 1, 3)))
+        bottom = _Node((diag_letter(2, BOTTOM), _UT_E[1, 2]))
+        plus = _Node((diag_letter(1, 1), _UT_E[1, 2]))
+        for monoid, parts in (
+            ("u", (e(1, 2, 4), e(2, 3, -1), e(1, 3, 9))),  # first in a node, then after a _Plus leaf
+            ("u", (dense,)),
+            ("u", (dense, e(1, n, 7), dense, e(2, 3, 1))),  # after cached dense rows
+            ("ut", (plus, _UT_E[2, 3], _UT_E[1, n])),  # after a _Plus sub-word
+            ("ut", (scaled, _UT_E[1, n], scaled, _UT_E[2, 3])),
+            ("ut", (bottom, _UT_E[1, 3], diag_letter(1, BOTTOM), _UT_E[1, 2])),  # after a letter's rows
+            ("ut", (_slot(slots, 3, 2), _UT_E[1, 3], _UT_E[2, 3], scaled)),  # moved past a pending diagonal
+        ):
+            builds.append((lambda monoid=monoid, n=n, parts=parts: Word(monoid, n, _Node(parts)), None))
+        # a permutation value, which no n >= 4 alphabet with E letters
+        # spells, planted in fresh nodes' caches
+        swap, zero_swap = _Node(()), _Node(())
+        swap._vals[key] = _Mono((1, 0, *range(2, n)), (3, -2, *[0] * (n - 3), 5))
+        zero_swap._vals[key] = _Mono((1, 0, *range(2, n)), (0,) * n)
+        for parts in (
+            (swap, _UT_E[1, 2], _UT_E[2, n]),  # after a pending permutation
+            (scaled, _UT_E[2, 3], swap, _UT_E[1, n], _UT_E[1, 2]),  # dense, then the permutation
+            (_UT_E[1, 3], zero_swap, zero_swap, _UT_E[2, 3]),  # a pending unit, dropped
+        ):
+            expected = identity(n)
+            for part in parts:
+                v = part._vals.get(key)
+                expected = mat_mul(expected, mono_matrix(v) if type(v) is _Mono else evaluate(Word("ut", n, part)))
+            builds.append((lambda n=n, parts=parts: Word("ut", n, _Node(parts)), expected.rows))
+    first = [build() for build, _ in builds]
+    products = [own_eval(w) if expected is None else expected for w, (_, expected) in zip(first, builds)]
+    for w, product in zip(first, products):
+        assert evaluate(w).rows == product
+    shared = [_UT_E, _M3_E, _M3_SLOTS, *(_ut_slots(n) for n in range(4, 9)), *(_gl_bits(n) for n in range(4, 9))]
+    roots = [tuple(d.values()) for d in shared] + [w.root for w in first]
+    before = _cached_values(roots)
+    units = copy.deepcopy([(u.img, u.sh) for u in _UNIT])
+    for w, (build, _), product in zip(first, builds, products):
+        again = build()
+        assert again.root is not w.root
+        assert evaluate(w).rows == evaluate(again).rows == product
+    assert _cached_values(roots) == before
+    assert [(u.img, u.sh) for u in _UNIT] == units
+
+
 def test_m3_words_make_no_more_products_than_before(monkeypatch):
     # criterion-1 traffic as in test_m3_words_evaluate_without_the_generic_kernels:
     # the monomial parts between two dense values compose into one
     # pending monomial, which multiplies in with one product, and a
     # fresh sub-word is spliced into its parent, so a run of unit letters
-    # joins the pending monomial across sub-word ends.  The count may
-    # only fall below 5708 (measured in a fresh process; cached shared
-    # sub-words lower it).  Multiplying every diagonal value in as it
-    # came made 13483 calls, flushing a pending diagonal at the end of
+    # joins the pending monomial across sub-word ends.  Both counts may
+    # only fall (measured in a fresh process; cached shared sub-words
+    # lower them).  Products are counted as kernel calls, the dense
+    # product and the two monomial-times-dense kernels: 5664 (mul 2089,
+    # gather 910, scatter 2665).  The pending monomial flushes with one
+    # direct gather or scatter, so _times runs only where a dense value
+    # meets another, 2093 times; flushing through a _Mono and _times made
+    # 5708 _times calls.  Multiplying every diagonal value in as it came
+    # made 13483 _times calls, flushing a pending diagonal at the end of
     # each fresh sub-word 12956, holding back only the diagonal values,
     # each permutation value one product, 11499, and the pending
     # monomial without shared adjacent-swap nodes 5711.
     from tropmono import factorize
 
-    calls = {"times": 0}
-    times = factorize._times
+    calls = dict.fromkeys(("times", "mul", "gather", "scatter"), 0)
 
-    def counted_times(a, b, ev):
-        calls["times"] += 1
-        return times(a, b, ev)
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
 
-    monkeypatch.setattr(factorize, "_times", counted_times)
+    ev = _eval_context("m3", 3)
+    monkeypatch.setattr(factorize, "_times", counted("times", factorize._times))
+    for name in ("mul", "gather", "scatter"):
+        monkeypatch.setattr(ev, name, counted(name, getattr(ev, name)))
     rng = random.Random(18)
     for mask in range(512):
         grid = matrix([[BOTTOM if mask >> (3 * i + j) & 1 else rng.randint(0, 1) for j in range(3)] for i in range(3)])
         rand = matrix([[rnd_entry(rng) for _ in range(3)] for _ in range(3)])
         for m in (grid, rand):
             assert evaluate(factor_m3(m)) == m
-    assert calls["times"] <= 5708
+    assert calls["mul"] + calls["gather"] + calls["scatter"] <= 5664
+    assert calls["times"] <= 2093
 
 
 def test_unit_runs_compose_into_one_pending_monomial(monkeypatch):
     # slot runs and permutation words between two dense values compose
     # into one pending monomial without a product, and it multiplies in
-    # with one product where a dense value or the end meets it; each
-    # part's own value is cached first, so only the root is counted
+    # with one direct gather or scatter, not through _times, where a
+    # dense value or the end meets it; each part's own value is cached
+    # first, so only the root is counted
     from tropmono import factorize
 
-    calls = {"times": 0}
-    times = factorize._times
+    calls = dict.fromkeys(("times", "mul", "gather", "scatter"), 0)
 
-    def counted_times(a, b, ev):
-        calls["times"] += 1
-        return times(a, b, ev)
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
 
-    monkeypatch.setattr(factorize, "_times", counted_times)
+    monkeypatch.setattr(factorize, "_times", counted("times", factorize._times))
+    ev = _eval_context("m3", 3)
+    for name in ("mul", "gather", "scatter"):
+        monkeypatch.setattr(ev, name, counted(name, getattr(ev, name)))
     for n in range(2, 7):
         words, img = _gl_slots(n), tuple(range(n - 1, -1, -1))
         perm = _gl_perm_node(img)
@@ -933,14 +1055,15 @@ def test_unit_runs_compose_into_one_pending_monomial(monkeypatch):
         assert evaluate(w).rows == own_eval(w) == m.rows
         assert calls["times"] == 0
     # P12 slot(2,5) E(1,2,0) slot(2,-5) P13 P12: the dense letter meets one
-    # pending monomial on each side
+    # pending monomial on each side, a gather on its left and a scatter on
+    # its right (through _Mono and _times these were 2 _times calls)
     p12, p13, e12 = _gl_perm_node((1, 0, 2)), _gl_perm_node((2, 1, 0)), elem_letter(1, 2, 0)
     for sub in (p12, p13, e12, _M3_SLOTS[2][0], _M3_SLOTS[-2][0]):
         evaluate(Word("m3", 3, sub))
     w = Word("m3", 3, _Node((p12, _slot(_M3_SLOTS, 2, 5), e12, _slot(_M3_SLOTS, 2, -5), p13, p12)))
-    calls["times"] = 0
+    calls.update(times=0, mul=0, gather=0, scatter=0)
     assert evaluate(w).rows == own_eval(w)
-    assert calls["times"] == 2
+    assert calls == {"times": 0, "mul": 0, "gather": 1, "scatter": 1}
 
 
 def test_module_caches_do_not_grow_with_entry_values():
@@ -1295,10 +1418,10 @@ def test_factor_m3_route_table_matches_first_hit_search():
                 hits = [(s, t) for s in perms for t in perms if shape(permute(m, s, t))]
                 if hits:
                     expected = (branch, *hits[0])
-        branch, s, t, (cells, left, right) = _m3_fill(mask)
-        # The stored cells gather P_s m P_t out of m's nine entries, and
+        branch, s, t, (rows, left, right) = _m3_fill(mask)
+        # The stored getters gather P_s m P_t out of m's nine entries, and
         # the stored words are P_{s^-1} and P_{t^-1}.
-        assert tuple(tuple(distinct_flat[k] for k in row) for row in cells) == permute(distinct, s, t).rows
+        assert tuple(row(distinct_flat) for row in rows) == permute(distinct, s, t).rows
         assert left is _gl_perm_node(inverse(s))
         assert right is _gl_perm_node(inverse(t))
         if expected is not None:

@@ -253,6 +253,20 @@ def test_letter_text_round_trip():
         assert parse_generator(g.text(), "u", ZMAX) == g
 
 
+def test_letters_are_immutable():
+    # __init__ writes its slots through their own setters; every
+    # assignment afterwards, to a slot or to a new name, is refused and
+    # leaves the letter as it was
+    g = elem_letter(1, 2, 5)
+    for name, value in (("kind", "GL_A"), ("params", (1, 3, 5)), ("_vals", {}), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    with pytest.raises(AttributeError):
+        g.kind = "GL_A"
+    assert (g.kind, g.params, g.text()) == ("ELEM_E", (1, 2, 5), "E(1,2,5)")
+    assert Generator("M3_X", [7]).params == (7,)
+
+
 def test_parse_generator_grammar():
     assert parse_generator("A", "m2", ZMAX).kind == "M2_A"
     assert parse_generator("A", "gl", ZMAX) is GL_A
