@@ -243,7 +243,7 @@ def _cmd_closure(args):
 
 
 def _cmd_rank(args):
-    fm = _closure(args, finite_only=True, limit=finite.RANK_LIMIT)
+    fm = _closure(args, finite_only=True, limit=2 ** 15)  # UT_5(B) fills it
     subset = finite.rank_search(fm, args.k)
     found = subset is not None
     report = {

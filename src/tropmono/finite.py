@@ -38,9 +38,9 @@ generated by the generators whose powers reach 1.  For a non-unit x:
   when u z v = x, both factors outside O as O is closed under units.
 
 A prime is a non-unit that no two non-units multiply to.  An orbit that
-does not split is required, met by every generating set; rank_search
-prunes by these.  Orbits holding a generator fall back to _splits, which
-scans the product rows of x's left divisors, walked back over
+does not split is required, met by every generating set; _rank builds
+the rank from these.  Orbits holding a generator fall back to _splits,
+which scans the product rows of x's left divisors, walked back over
 predecessor lists built once per monoid.
 """
 
@@ -52,7 +52,7 @@ from .matrix import Matrix, _bool_code, _mk, _right_product, _row_product, forma
 from .semiring import BOTTOM, ZMAX
 
 DEFAULT_CAP = 10 ** 6
-RANK_LIMIT = 64  # the most elements rank_search searches
+RANK_WORK = 2 * 10 ** 6  # generation tests times elements, per rank search
 
 
 class FiniteMonoid:
@@ -71,7 +71,7 @@ class FiniteMonoid:
     """
 
     __slots__ = ("n", "semiring", "codes", "gens", "cayley", "left", "parent", "last", "closed",
-                 "_index", "_codec", "_elements", "_preds", "_units")
+                 "_index", "_codec", "_elements", "_preds", "_units", "_rank")
 
     def __init__(self, n, semiring, codes, gens, cayley, left, parent, last, closed, index, codec):
         self.n = n
@@ -88,6 +88,7 @@ class FiniteMonoid:
         self._elements = None  # the Matrix list, built by elements
         self._preds = None  # right Cayley predecessor lists, built by _predecessors
         self._units = None  # (unit flags, unit generator columns), built by _units
+        self._rank = None  # (rank, least generating tuple), built by _rank
 
     @property
     def elements(self) -> list:
@@ -165,8 +166,8 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             cayley.append(row)
             for gi, r in enumerate(cayley[s]):
                 # s * g is no tree word: e * g = a * r = (a * parent[r]) * last[r]
-                if r == 0:
-                    i = gen_idx[a]
+                if r < lo:  # every element below lo has its left row
+                    i = left[r][a]
                 elif parent[r] != s or last[r] != gi:
                     i = cayley[left[parent[r]][a]][last[r]]
                 else:
@@ -391,12 +392,15 @@ def _splits(fm: FiniteMonoid, x: int, outside) -> bool:
     return False
 
 
-def _required_orbits(fm: FiniteMonoid) -> list:
-    """The required unit orbits of a closed monoid as sets, by least
-    member.  U x U is what x reaches by unit generator steps, right and
-    left; one pass over the right edges marks the orbits that split by
-    the edge lemma, and an unmarked orbit holding a generator falls back
-    to _splits."""
+def _orbits(fm: FiniteMonoid):
+    """(orbits, required): the unit orbits U x U of a closed monoid's
+    non-units as member lists, least member first, in order of it, and
+    whether each is required.  U x U is what x reaches by unit generator
+    steps, right and left; one pass over the right edges marks the
+    orbits that split by the edge lemma, and an unmarked orbit holding a
+    generator falls back to _splits.  A generating set missing a
+    required orbit O would spell its x from elements outside O, and the
+    first prefix landing in O, a b, would split it: x = (u a)(b v)."""
     units, unit_gens = _units(fm)
     orbit_of, orbits = [-1] * len(units), []
     for x in range(len(units)):
@@ -409,42 +413,63 @@ def _required_orbits(fm: FiniteMonoid) -> list:
         for og, z in zip(gen_orbits, row):
             if orbit_of[z] not in (orbit_of[y], og, -1):
                 entered[orbit_of[z]] = True
-    return [set(members) for o, members in enumerate(orbits) if not entered[o]
-            and (o not in gen_orbits or not _splits(fm, members[0], [i != o for i in orbit_of]))]
+    return orbits, [not entered[o] and (o not in gen_orbits or not _splits(fm, members[0], [i != o for i in orbit_of]))
+                    for o, members in enumerate(orbits)]
+
+
+def _first(fm: FiniteMonoid, items, sizes, words, whole, above=""):
+    """The first tuple of items, by size in sizes and then in order, that
+    with words generates whole elements, or None; ValueError once its
+    generation tests times the elements pass RANK_WORK."""
+    for tests, c in enumerate(s for r in sizes for s in itertools.combinations(items, r)):
+        if tests * len(fm) > RANK_WORK:
+            raise ValueError(f"rank search gave up after {tests} generation tests on {len(fm)} elements{above}")
+        if len(_generated(fm, words + [_word(fm, x) for x in c])) == whole:
+            return c
+
+
+def _rank(fm: FiniteMonoid):
+    """(rank, least generating index tuple of that size) of a closed
+    monoid, kept on the monoid.
+
+    In a finite monoid a b in U implies a, b in U, so G generates M iff
+    G & U generates U and U | (G - U) generates M.  With U generated, one
+    member of an orbit U x U gives all of it, so G - U needs one member
+    of each required orbit and of the fewest j further orbits, none
+    inside what U and the required orbits generate, that complete them:
+    rank(M) = rank(U) + required + j, the relative rank of Howie &
+    Ribeiro, "Rank properties in finite semigroups" (1999).  Of two sets
+    of one size the least sorted one holds the least element of their
+    difference, so as the parts come from disjoint sets at fixed sizes,
+    the least union is the least unit r-tuple and the least members of
+    the required and the j orbits, tried in order of least member.
+    """
+    if fm._rank is None:
+        units, unit_gens = _units(fm)
+        orbits, required = _orbits(fm)
+        group = [u for u in range(1, len(units)) if units[u]]
+        least = _first(fm, group, range(len(group) + 1), [], len(group) + 1)
+        reps = tuple(members[0] for members, req in zip(orbits, required) if req)
+        words = [[g] for g in unit_gens] + [_word(fm, x) for x in reps]
+        base = _generated(fm, words)
+        others = [members[0] for members in orbits if members[0] not in base]
+        extra = _first(fm, others, range(1, len(others) + 1), words, len(fm)) or ()
+        fm._rank = len(least) + len(reps) + len(extra), sorted(least + reps + extra)
+    return fm._rank
 
 
 def rank_search(fm: FiniteMonoid, k: int):
-    """Exhaustive search for a generating subset of size k, smallest
-    index tuples first; None when no size-k subset generates.
-
-    Candidates must meet every required orbit.  The orbit O = U x U of a
-    non-unit x under the units U is required when x is no product of two
-    elements outside O.  A generating set G that missed O would write x
-    as a product of elements outside O; the first prefix of it landing
-    in O is y = a * b with a and b outside O, and x = (u a)(b v) for
-    units u and v with u y v = x, where u a and b v stay outside O since
-    O is closed under unit multiples.  So G meets O, and U - {1} when
-    that is not empty; these sets are disjoint, so more than k of them
-    answer None at once.  If O holds no generator, x is a product of two
-    elements outside O iff an edge y -g-> z has z in O and y, g outside
-    O: the walk from a along b's word enters O by one, and conversely
-    x = (u y)(g v) when u z v = x.  So one pass over the edges finds the
-    required orbits.  Each candidate is tested by is_generating.
-    """
+    """The least sorted index k-tuple, as a list, that generates a closed
+    monoid, or None: at once below the rank, and _rank's tuple at it.
+    Above it the index k-subsets are tested in order.  Either search
+    stops with ValueError once its tests times elements pass RANK_WORK."""
     if not fm.closed:
         raise ValueError("rank_search needs a closed monoid")
-    if len(fm) > RANK_LIMIT:
-        raise ValueError(f"rank_search supports at most {RANK_LIMIT} elements, got {len(fm)}")
-    if not 0 <= k <= 4:
-        raise ValueError(f"rank_search supports 0 <= k <= 4, got k = {k}")
-    group = {u for u, unit in enumerate(_units(fm)[0]) if unit} - {0}
-    orbits = _required_orbits(fm) + [group] * bool(group)
-    if len(orbits) > k:
-        return None
-    for subset in itertools.combinations(range(len(fm)), k):
-        if all(not orbit.isdisjoint(subset) for orbit in orbits) and is_generating(fm, subset):
-            return list(subset)
-    return None
+    rank, least = _rank(fm)
+    if k <= rank:
+        return list(least) if k == rank else None
+    found = _first(fm, range(len(fm)), (k,), [], len(fm), f" above the rank {rank}")
+    return None if found is None else list(found)
 
 
 def prime_certificate(x: Matrix, fm: FiniteMonoid) -> bool:

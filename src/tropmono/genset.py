@@ -65,8 +65,10 @@ class Generator:
         _SET_PARAMS(self, tuple(params))
         _SET_VALS(self, {})
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Generator is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return isinstance(other, Generator) and self.kind == other.kind and self.params == other.params

@@ -364,31 +364,42 @@ def test_closure_that_reaches_its_cap_is_refused_by_name(cmd, tmp_path, capsys):
     rc, out, err = run(cmd + ["--gens-file", str(f), "--semiring", "zmax", "--cap", "50"], capsys)
     assert rc == 2 and out == ""
     assert err == f"error: {cmd[0]} needs a finite monoid, but its closure reached the cap of 50 elements\n"
-    # M_3(B) has 512 elements: rank stops one past the 64 it searches
+    # M_3(B) has 512 elements, past a cap of 100
     rc, out, err = run(cmd + ["--monoid", "m3", "--cap", "100"], capsys)
     assert rc == 2 and out == ""
-    if cmd[0] == "rank":
-        assert err == "error: rank supports monoids of at most 64 elements, but this one has more\n"
-    else:
-        assert err == "error: irredundant needs a finite monoid, but its closure reached the cap of 100 elements\n"
+    assert err == f"error: {cmd[0]} needs a finite monoid, but its closure reached the cap of 100 elements\n"
 
 
-def test_rank_refuses_a_wide_monoid_at_65_elements(tmp_path, capsys):
+def test_rank_refuses_a_wide_monoid_past_2_15_elements(tmp_path, capsys):
     # UT_6(B) has 2^21 elements; closing it to the default cap took 15 s
-    # and 428 MB before rank refused it as if it were infinite
-    refusal = "error: rank supports monoids of at most 64 elements, but this one has more\n"
+    # and 428 MB before rank refused it as if it were infinite.  rank
+    # closes to one past 2^15, which UT_5(B) fills
     start = time.perf_counter()
     rc, out, err = run(["rank", "-k", "2", "--monoid", "ut_boolean", "-n", "6"], capsys)
     assert time.perf_counter() - start < 2.0
-    assert rc == 2 and out == "" and err == refusal
-    assert "infinite" not in err and "finite monoid" not in err
-    # 70 generators are more than 65 elements to start from: the same
-    # refusal, not a complaint about a cap the user never set
+    assert rc == 2 and out == ""
+    assert err == "error: rank supports monoids of at most 32768 elements, but this one has more\n"
+    # 70 generators close to 121 elements with one unit and no required
+    # orbit, so the rank is a search over 120 orbits: it stops at its
+    # budget with exit 2, not after hours
     f = tmp_path / "gens.txt"
     gens = ["; ".join(" ".join(str(k >> (3 * i + j) & 1) for j in range(3)) for i in range(3)) for k in range(1, 71)]
     f.write_text("\n".join(gens) + "\n")
+    start = time.perf_counter()
     rc, out, err = run(["rank", "-k", "2", "--gens-file", str(f)], capsys)
-    assert rc == 2 and out == "" and err == refusal
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2 and out == ""
+    assert err == "error: rank search gave up after 16529 generation tests on 121 elements\n"
+
+
+def test_rank_of_m3_boolean_is_5(capsys):
+    # four elements do not generate M_3(B) and five do, each answered
+    # from the unit orbits in well under a second
+    for k, verdict in ((4, "found: false"), (5, "found: true, subset: 1 2 3 4 5")):
+        start = time.perf_counter()
+        rc, out, _ = run(["rank", "--monoid", "m3", "-k", str(k)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0 and out == f"elements: 512\n{verdict}\n"
 
 
 def test_closed_zmax_monoid_is_not_refused(tmp_path, capsys):

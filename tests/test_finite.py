@@ -13,8 +13,9 @@ import pytest
 
 from tropmono import finite
 from tropmono.finite import (
+    _orbits,
     _products,
-    _required_orbits,
+    _rank,
     _splits,
     _units,
     _word,
@@ -55,6 +56,11 @@ def walk(fm, e, word):
     for g in word:
         e = fm.cayley[e][g]
     return e
+
+
+def required_orbits(fm):
+    """The orbits that _orbits marks required, as sets."""
+    return [set(members) for members, req in zip(*_orbits(fm)) if req]
 
 
 def m2_boolean_gens():
@@ -296,6 +302,23 @@ def test_cayley_table_is_right_action():
             assert fm.elements[fm.cayley[e][gi]] == expected
 
 
+def test_cayley_and_left_graphs_match_mat_mul():
+    # closure multiplies out only tree edges and reads the rest off the
+    # graphs, the left row of an element of a shorter word included:
+    # every edge of both graphs against mat_mul, on the benchmark's five
+    # Boolean monoids and on random ones (those against product_table)
+    named = [ut_boolean_gens(2), ut_boolean_gens(3), ut_boolean_gens(4), m2_boolean_gens(), m3_boolean_gens()]
+    for fm in [closure(gens) for gens in named]:
+        where = {m: i for i, m in enumerate(fm.elements)}
+        gens = [fm.elements[g] for g in fm.gens]
+        assert fm.cayley == [[where[mat_mul(m, g)] for g in gens] for m in fm.elements]
+        assert fm.left == [[where[mat_mul(g, m)] for g in gens] for m in fm.elements]
+    for fm in small_random_monoids(20261030, 12):
+        table = product_table(fm)
+        assert fm.cayley == [[row[g] for g in fm.gens] for row in table]
+        assert fm.left == [[table[g][e] for g in fm.gens] for e in range(len(fm))]
+
+
 def test_cayley_walk_products_match_mat_mul():
     # Every product inside finite.py is a walk in the Cayley graphs:
     # whole rows u * S, and v's spanning-tree word walked from u, in the
@@ -510,20 +533,23 @@ def test_rank_of_full_2x2_boolean_is_3():
     assert is_generating(fm, triple)
 
 
-def test_rank_search_respects_preconditions():
+def test_rank_search_respects_preconditions(monkeypatch):
+    # below the rank the answer is None at once, a negative k included;
+    # above it the search runs at any size, to the least k-tuple
     fm = closure(m2_boolean_gens())
-    for k in (5, -1):
-        try:
-            rank_search(fm, k)
-            assert False, k
-        except ValueError as exc:
-            assert "k = " in str(exc)
+    assert [rank_search(fm, k) for k in (-1, 0, 2)] == [None] * 3
+    assert rank_search(fm, 5) == unpruned_rank_search(product_table(fm), 5) == [0, 1, 2, 3, 4]
+    assert rank_search(fm, 17) is None
     big = closure(m3_boolean_gens())
-    try:
-        rank_search(big, 2)  # 512 elements > 64
-        assert False
-    except ValueError:
-        pass
+    assert rank_search(big, 2) is None and rank_search(big, 6) == [0, 1, 2, 3, 4, 5]
+    # past its budget of tests times elements the search stops, naming the rank
+    monkeypatch.setattr(finite, "RANK_WORK", -1)
+    with pytest.raises(ValueError) as exc:
+        rank_search(big, 7)
+    assert str(exc.value) == "rank search gave up after 0 generation tests on 512 elements above the rank 5"
+    with pytest.raises(ValueError) as exc:
+        rank_search(closure(m3_boolean_gens()), 5)
+    assert str(exc.value) == "rank search gave up after 0 generation tests on 512 elements"
 
 
 def test_rank_search_finds_singleton():
@@ -636,13 +662,13 @@ def test_unit_flags_match_is_invertible_with_permutation_generators():
 
 
 def test_units_are_walked_once_per_monoid():
-    # prime_certificate, _required_orbits and rank_search read the one
+    # prime_certificate, _orbits and rank_search read the one
     # (flags, unit generators) pair kept on the monoid
     fm = closure(m2_boolean_gens())
     assert fm._units is None
     kept = _units(fm)
     assert _units(fm) is kept and kept[0] == [is_invertible(m) for m in fm.elements]
-    _required_orbits(fm)
+    required_orbits(fm)
     rank_search(fm, 3)
     prime_certificate(next(m for m in fm.elements if not is_invertible(m)), fm)
     assert fm._units is kept
@@ -703,7 +729,7 @@ def test_required_orbits_match_closure_oracle():
     counts = {}
     for name, fm in cases:
         required = [orbit for _, orbit, req in unit_orbits(fm, product_table(fm)) if req]
-        assert _required_orbits(fm) == required
+        assert required_orbits(fm) == required
         counts[name] = len(required)
     assert (counts["m2"], counts["ut2"], counts["ut3"], counts["m3"]) == (1, 3, 6, 2)
 
@@ -711,11 +737,11 @@ def test_required_orbits_match_closure_oracle():
 def test_required_orbit_counts_at_scale():
     # M_3(B) 2, UT_4(B) 10 and UT_5(B) 15 required orbits; the UT_5(B)
     # closure and its one pass over 2^15 * 16 edges take under 10 s
-    assert len(_required_orbits(closure(m3_boolean_gens()))) == 2
-    assert len(_required_orbits(closure(ut_boolean_gens(4)))) == 10
+    assert len(required_orbits(closure(m3_boolean_gens()))) == 2
+    assert len(required_orbits(closure(ut_boolean_gens(4)))) == 10
     t0 = time.monotonic()
     fm = closure(ut_boolean_gens(5))
-    assert len(_required_orbits(fm)) == 15
+    assert len(required_orbits(fm)) == 15
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"UT_5(B) required orbits took {elapsed:.2f}s"
 
@@ -729,14 +755,61 @@ def unpruned_rank_search(table, k):
 
 
 def test_rank_search_matches_unpruned_search():
-    cases = [(closure(m2_boolean_gens()), 3), (closure(ut_boolean_gens(2)), 3), (closure(ut_boolean_gens(3)), 2)]
-    cases += [(fm, 3) for fm in small_random_monoids(20261021, 20)]
+    # up to one past the rank, where the unpruned search stops early;
+    # UT_3(B)'s rank 6 would have it try all C(64, 5) 5-subsets.  The
+    # unit-rich monoids have 2 or 3 units, so their rank counts rank(U)
+    cases = [(closure(m2_boolean_gens()), 4), (closure(ut_boolean_gens(2)), 4), (closure(ut_boolean_gens(3)), 2)]
+    cases += [(fm, _rank(fm)[0] + 1) for fm in small_random_monoids(20261021, 20) + unit_rich_monoids(20261031, 24, 40)]
     for fm, top in cases:
         table = product_table(fm)
         for k in range(top + 1):
             assert rank_search(fm, k) == unpruned_rank_search(table, k), (len(fm), k)
     # UT_3(B) has six required orbits, so no four elements generate it
     assert rank_search(closure(ut_boolean_gens(3)), 4) is None
+
+
+def test_rank_of_the_built_in_boolean_monoids():
+    # UT_n(B) has rank n(n+1)/2 (criterion 10: its letters are singleton
+    # required orbits and 1 is its only unit); M_3(B) has rank 5
+    # (Konieczny, Semigroup Forum, 2011)
+    named = [(m2_boolean_gens(), 3), (ut_boolean_gens(2), 3), (ut_boolean_gens(3), 6), (ut_boolean_gens(4), 10),
+             (m3_boolean_gens(), 5)]
+    for gens, rank in named:
+        fm = closure(gens)
+        got = rank_search(fm, rank)
+        assert _rank(fm) == (rank, got) and is_generating(fm, got)
+        assert rank_search(fm, rank - 1) is None
+
+
+def test_rank_of_m3_boolean_term_by_term():
+    # rank(M_3(B)) = rank(S_3) + 2 required orbits + 1, each term from
+    # test-owned code: the unit matrices and their powers by mat_mul, the
+    # closure oracle of unit_orbits, and generation over product_table
+    fm = closure(m3_boolean_gens())
+    table = product_table(fm)
+    units = [u for u, m in enumerate(fm.elements) if is_invertible(m)]
+    assert len(units) == 6 and all(len(generated(table, [u])) < 6 for u in units)
+    required = [x for x, _, req in unit_orbits(fm, table) if req]
+    assert len(required) == 2
+    assert len(generated(table, units + required)) < 512
+    tuple5 = rank_search(fm, 5)
+    assert len(generated(table, tuple5)) == 512 and rank_search(fm, 4) is None
+    assert sum(is_invertible(fm.elements[x]) for x in tuple5) == 2
+
+
+def test_rank_is_computed_once_per_monoid(monkeypatch):
+    # every rank_search on a monoid reads the one (rank, tuple) pair kept
+    # on it, after one orbit pass; a caller's copy does not write it
+    calls = []
+    real_orbits = finite._orbits
+    monkeypatch.setattr(finite, "_orbits", lambda fm: calls.append(fm) or real_orbits(fm))
+    fm = closure(m2_boolean_gens())
+    assert fm._rank is None
+    kept = _rank(fm)
+    answers = [rank_search(fm, k) for k in (3, 2, 4, 3, 0, 5)]
+    answers[0].append(99)
+    assert fm._rank is kept and kept == (3, [1, 2, 3]) and rank_search(fm, 3) == [1, 2, 3]
+    assert calls == [fm]
 
 
 def test_irredundant_matches_closure_oracle():

@@ -255,8 +255,8 @@ def test_letter_text_round_trip():
 
 def test_letters_are_immutable():
     # __init__ writes its slots through their own setters; every
-    # assignment afterwards, to a slot or to a new name, is refused and
-    # leaves the letter as it was
+    # assignment or deletion afterwards, of a slot or of a new name, is
+    # refused and leaves the letter as it was
     g = elem_letter(1, 2, 5)
     for name, value in (("kind", "GL_A"), ("params", (1, 3, 5)), ("_vals", {}), ("other", 1)):
         with pytest.raises(AttributeError):
@@ -264,6 +264,12 @@ def test_letters_are_immutable():
     with pytest.raises(AttributeError):
         g.kind = "GL_A"
     assert (g.kind, g.params, g.text()) == ("ELEM_E", (1, 2, 5), "E(1,2,5)")
+    # nor can a slot be deleted, which would break hash and text for
+    # every holder of a shared letter
+    for name in ("kind", "params", "_vals", "other"):
+        with pytest.raises(AttributeError, match="Generator is immutable"):
+            delattr(GL_A, name)
+    assert hash(GL_A) == hash(("GL_A", ())) and GL_A.text() == "A" and repr(GL_A) == "Generator('A')"
     assert Generator("M3_X", [7]).params == (7,)
 
 
