@@ -14,8 +14,6 @@ check; never expected).  The message of an error on one line of a
 --batch or --gens-file file starts with "line N: ".
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

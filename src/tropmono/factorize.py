@@ -70,8 +70,6 @@ s = (1,2,0) last and split-col tries t = (2,1,0) before (2,0,1)), and
 every ordered comparison sends ties to the first-listed branch.  Words are not minimized.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import cache
 from operator import itemgetter

@@ -44,8 +44,6 @@ which scans the product rows of x's left divisors, walked back over
 predecessor lists built once per monoid.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .matrix import Matrix, _bool_code, _mk, _right_product, _row_product, format_matrix, identity

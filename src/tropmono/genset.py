@@ -19,9 +19,7 @@ context: the invertible-group letters in gl and m3 words, the 2x2
 letters in m2 words.
 """
 
-from __future__ import annotations
-
-import re
+from functools import cache
 
 from .matrix import (
     MAX_DIM,
@@ -268,9 +266,18 @@ def gens_ut_boolean(n: int) -> GeneratingSet:
 
 # -- letter token grammar --------------------------------------------------
 
-_AI_RE = re.compile(r"^Ai\((\d+),([^)]+)\)$", re.ASCII)
-_E_RE = re.compile(r"^E\((\d+),(\d+),([^)]+)\)$", re.ASCII)
-_X_RE = re.compile(r"^X\((\d+)\)$", re.ASCII)
+@cache
+def _token_patterns():
+    """The fullmatch of the Ai, E and X tokens, compiled on the first
+    parse: only word parsing needs re, so importing it waits until then.
+    A token with anything around it, trailing whitespace too, fails."""
+    import re
+
+    return tuple(
+        re.compile(p, re.ASCII).fullmatch
+        for p in (r"Ai\((\d+),([^)]+)\)", r"E\((\d+),(\d+),([^)]+)\)", r"X\((\d+)\)")
+    )
+
 
 # Letters without parameters by name; monoid context resolves A and B.
 _COMMON = {"I": IDENTITY_LETTER, "NEG_I": NEG_I}
@@ -286,13 +293,14 @@ def parse_generator(token: str, monoid: str, semiring: Semiring) -> Generator:
     bare = _BARE.get(monoid, _COMMON)
     if token in bare:
         return bare[token]
-    m = _AI_RE.match(token)
+    ai, e, x = _token_patterns()
+    m = ai(token)
     if m:
         return diag_letter(int(m.group(1)), parse_scalar(m.group(2), semiring))
-    m = _E_RE.match(token)
+    m = e(token)
     if m:
         return elem_letter(int(m.group(1)), int(m.group(2)), parse_scalar(m.group(3), semiring))
-    m = _X_RE.match(token)
+    m = x(token)
     if m:
         return x_letter(int(m.group(1)))
     raise ValueError(f"bad letter token {token!r}")

@@ -11,8 +11,6 @@ integer (or -inf) arithmetic; +inf appears only inside the regularity
 residuation and never escapes a returned witness.
 """
 
-from __future__ import annotations
-
 from functools import cache, reduce
 from itertools import compress, product
 from operator import add, or_

@@ -17,8 +17,6 @@ never wrap; there is no overflow to detect.
 Boolean scalars are the ints 0 and 1.
 """
 
-from __future__ import annotations
-
 BOTTOM = float("-inf")
 
 

@@ -280,8 +280,10 @@ def test_parse_generator_grammar():
     assert parse_generator("E(1,3,-7)", "u", ZMAX) == elem_letter(1, 3, -7)
     assert parse_generator("X(4)", "m3", ZMAX) == x_letter(4)
     assert parse_generator("I", "u", ZMAX) is IDENTITY_LETTER
-    # digits are ASCII only, as in scalars: no Arabic-Indic three or one
-    for bad in ("Q", "A", "E(1,2)", "X(-1)", "Ai(0)", "E(0,1,2", "P((1,2))", "X(\u0663)", "E(\u0661,2,0)"):
+    # digits are ASCII only, as in scalars: no Arabic-Indic three or one;
+    # trailing whitespace is refused, a newline as much as a space
+    for bad in ("Q", "A", "E(1,2)", "X(-1)", "Ai(0)", "E(0,1,2", "P((1,2))", "X(\u0663)", "E(\u0661,2,0)",
+                "X(1)\n", "Ai(1,0)\n", "E(1,2,3)\n", "X(1) "):
         try:
             parse_generator(bad, "ut", ZMAX)
             assert False, bad

@@ -1,12 +1,17 @@
 """The package promises to run on the standard library alone
 (``dependencies = []`` in pyproject.toml): every absolute import in its
-modules must name a standard-library module.  And every name it exports
-is used by the package, the bench or the README, not by the tests only."""
+modules must name a standard-library module.  Every name it exports is
+used by the package, the bench or the README, not by the tests only.
+And ``import tropmono`` loads only the layers a caller uses."""
 
 import ast
+import importlib
 import os
 import re
+import subprocess
 import sys
+
+import pytest
 
 import tropmono
 
@@ -100,6 +105,9 @@ def test_every_top_level_name_is_referenced_in_the_package():
             with open(os.path.join(src, f), encoding="utf-8") as fh:
                 stmts += [(f, stmt) for stmt in ast.parse(fh.read(), f).body]
     refs = [_loaded_names(stmt) for _, stmt in stmts]
+    # The package names its exports in a table of strings: re-exporting
+    # a name refers to it.
+    refs.append(set(tropmono.__all__))
     unused = [
         f"{f}:{stmt.lineno} {name}"
         for k, (f, stmt) in enumerate(stmts)
@@ -108,3 +116,62 @@ def test_every_top_level_name_is_referenced_in_the_package():
         and not any(name in r for j, r in enumerate(refs) if j != k)
     ]
     assert unused == []
+
+
+def _modules_after(code, *flags):
+    """The modules a fresh interpreter holds after import tropmono and code."""
+    src = os.path.dirname(os.path.dirname(tropmono.__file__))
+    script = f"import sys, tropmono\n{code}\nprint(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, *flags, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return set(out.split())
+
+
+def _package_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "tropmono"}
+
+
+def test_import_loads_only_the_layers_used():
+    """The package loads semiring and matrix; the first use of a name
+    loads the layer that defines it, and that layer's imports only."""
+    base = {"tropmono", "tropmono.semiring", "tropmono.matrix"}
+    assert _package_modules(_modules_after("")) == base
+    assert _package_modules(_modules_after("tropmono.closure")) == base | {"tropmono.finite"}
+    assert _package_modules(_modules_after("tropmono.factor")) == base | {"tropmono.genset", "tropmono.factorize"}
+    # A layer's module loads by its own name, as when the package loaded them all.
+    assert _package_modules(_modules_after("assert tropmono.finite.closure")) == base | {"tropmono.finite"}
+    # Without site's preloads, only parsing a letter token imports re:
+    # not the import, a factorization or a Boolean closure.
+    assert "re" not in _modules_after("", "-S")
+    work = (
+        "m = tropmono.parse_matrix('-inf 0 5; 0 -inf 0; 0 0 -inf')\n"
+        "assert tropmono.evaluate(tropmono.factor(m, 'm3')) == m\n"
+        "tropmono.jclasses(tropmono.closure([tropmono.boolean_image(m)]))"
+    )
+    assert "re" not in _modules_after(work, "-S")
+    assert "re" in _modules_after("tropmono.parse_generator('X(1)', 'm3', tropmono.ZMAX)", "-S")
+
+
+def test_every_export_is_its_modules_object():
+    """Each name of the export table is defined at the top of its module,
+    and the package's name is that very object, bound in the package
+    after the first lookup.  The table is __all__, so they cannot drift."""
+    src = os.path.dirname(tropmono.__file__)
+    assert tropmono.__all__ == [name for names in tropmono._EXPORTS.values() for name in names]
+    assert len(set(tropmono.__all__)) == len(tropmono.__all__) == 58
+    for module, names in tropmono._EXPORTS.items():
+        with open(os.path.join(src, f"{module}.py"), encoding="utf-8") as fh:
+            defined = set().union(*map(_defined_names, ast.parse(fh.read()).body))
+        mod = importlib.import_module(f"tropmono.{module}")
+        for name in names:
+            assert name in defined, (module, name)
+            assert getattr(tropmono, name) is getattr(mod, name), name
+            assert vars(tropmono)[name] is getattr(mod, name), name
+    star = {}
+    exec("from tropmono import *", star)
+    assert set(tropmono.__all__) <= set(star) and len(set(star) - {"__builtins__"}) == 58
+    assert set(tropmono.__all__) <= set(dir(tropmono))
+    with pytest.raises(AttributeError, match="^module 'tropmono' has no attribute 'closures'$"):
+        tropmono.closures
+    # The function matrix hides the module of that name, as it always has.
+    assert tropmono.matrix is importlib.import_module("tropmono.matrix").matrix
