@@ -12,19 +12,13 @@ grows with the entries, while the node count stays small.
 
 Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
-row), a monomial plus one finite entry, or dense rows.  Every unit
-letter starts as a monomial, and most of every word is a product of
-them: two monomials compose in O(n), and a monomial times dense rows
-is a row gather or a column scatter, unrolled at n = 3 like the dense
-product.  A run whose parts are all diagonal monomials (their image
-the shared identity tuple) scales its parts' summed shifts by k, in
-O(n) for any exponent; every other power squares and multiplies, in
-O(log k) products.
-For n >= 4 an elementary letter E(i,j,z) starts as a monomial plus an
-entry: a monomial moves the entry in O(n), and with dense rows it is a
-gather or scatter plus one row or column max-update (only the
-max-update over the unit, made in place in a node's own row lists until
-its next product).  Of two such values the left one is made dense first.
+row), an elementary letter as the unit plus one finite entry, or dense
+rows.  Every unit letter starts as a monomial, and most of every word
+is a product of them.  Two monomials compose in O(n); any other two
+values are made dense and take the dense product.  A run whose parts
+are all diagonal monomials (their image the shared identity tuple)
+scales its parts' summed shifts by k, in O(n) for any exponent; every
+other power squares and multiplies, in O(log k) products.
 The monomials among a node's parts are held back as one pending
 monomial, an image and a shift list that the first copies and each
 next composes into in place, so a stretch of unit letters costs no
@@ -33,13 +27,16 @@ alphabet, is fresh in every word: it joins the pending monomial as k
 times each nonzero (slot, shift) pair of its parts' product, one O(1)
 update per pair for any k, and is not cached.  The pairs of every
 slot table's parts tuples are kept per alphabet, so their letters are
-checked once.  Any other run multiplies its parts' k-th powers.  Since
+checked once.  Any other run multiplies its parts' k-th powers.
+For n >= 4 an elementary letter E(i,j,z) is the unit plus its entry.
+Since
 diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
-an E letter moves its entry past a diagonal pending monomial, so the
-slot scalings that conjugate each E letter of a ut word cancel without
-a product; any other value multiplies the pending monomial in first,
-with one product (dense rows by a direct gather or scatter), and a
-pending unit is dropped.  Only dense times dense is a matrix product.
+it moves its entry past a diagonal pending monomial, so the slot
+scalings that conjugate each E letter of a ut word cancel without a
+product; after dense rows it raises one column of the node's own row
+lists in place, O(n), until the next product.  Any other value meets
+the pending monomial with one row gather or column scatter, unrolled
+at n = 3 like the dense product, and a pending unit is dropped.
 Each leaf is checked against the word's alphabet when it is evaluated.
 A Matrix is built only for the result.  The letter count and the text
 form are each one bottom-up fold that visits every node once, a run
@@ -264,31 +261,28 @@ class _Mono:
         self.sh = sh
 
 
-# The zmax unit of each dimension, shared by every alphabet, so that a
-# _Plus over it is told by identity.
-_UNIT = [_Mono(img, (0,) * len(img)) for img in _IDENT]
-
-
 class _Plus:
-    """The _Mono m plus the finite entry v at (r, c), with c != m.img[r]
-    (0-based): an elementary letter, moved by monomials."""
+    """The unit plus the finite entry v at (r, c), r != c (0-based): an
+    elementary letter from n = 4, moved by a diagonal pending monomial."""
 
-    __slots__ = ("m", "r", "c", "v")
+    __slots__ = ("r", "c", "v")
 
-    def __init__(self, m, r, c, v):
-        self.m, self.r, self.c, self.v = m, r, c, v
+    def __init__(self, r, c, v):
+        self.r, self.c, self.v = r, c, v
 
 
-def _rows(v):
-    """A value as dense rows."""
-    m = v.m if type(v) is _Plus else v
-    if type(m) is not _Mono:
-        return v
-    rows = [[BOTTOM] * len(m.img) for _ in m.img]
-    for i, (j, s) in enumerate(zip(m.img, m.sh)):
-        rows[i][j] = s
-    if m is not v:
+def _rows(v, n: int):
+    """Any n x n value as dense rows: a _Mono or _Plus is built out, and
+    dense rows (tuples, or a node's own row lists) come back as they are."""
+    if type(v) is _Mono:
+        rows = [[BOTTOM] * n for _ in range(n)]
+        for i, (j, s) in enumerate(zip(v.img, v.sh)):
+            rows[i][j] = s
+    elif type(v) is _Plus:
+        rows = [[0 if i == j else BOTTOM for j in range(n)] for i in range(n)]
         rows[v.r][v.c] = v.v
+    else:
+        return v
     return tuple([tuple(r) for r in rows])
 
 
@@ -328,52 +322,14 @@ def _scatter3(img, sh, a):
 
 
 def _times(a, b, ev):
-    """The product of two values, with ev's kernels.  The unit returns
-    the other value; a monomial times dense rows gathers their rows and
-    dense rows times a monomial, diagonal or not, scatter their columns;
-    a monomial moves a _Plus's entry, a _Plus times dense rows adds one
-    row max-update and dense rows times a _Plus one column max-update,
-    which rebuilds only the rows whose entry it raises; of two _Plus
-    values the left one is made dense first.  A node's monomial parts
-    compose, and meet dense rows and E letters, in _value's part loop."""
-    ta, tb = type(a), type(b)
-    if ta is _Mono:
-        img, sh = a.img, a.sh
-        if img is _IDENT[len(img)] and not any(sh):
-            return b
-        if tb is _Mono:
-            bimg, bsh = b.img, b.sh
-            return _Mono(_ident(tuple([bimg[k] for k in img])), tuple([s + bsh[k] for k, s in zip(img, sh)]))
-        if tb is _Plus:
-            # Row i of the product gathers row r of b.
-            i = img.index(b.r)
-            return _Plus(_times(a, b.m, ev), i, b.c, sh[i] + b.v)
-        return ev.gather(img, sh, b)
-    if ta is _Plus:
-        if tb is _Mono:
-            # Row r's entry meets row c of b: b.sh[c] in column b.img[c].
-            return _Plus(_times(a.m, b, ev), a.r, b.img[a.c], a.v + b.sh[a.c])
-        if tb is not _Plus:
-            # Row r of the product also takes v plus row c of b.
-            rows = list(_times(a.m, b, ev))
-            rows[a.r] = tuple([max(x, a.v + y) for x, y in zip(rows[a.r], b[a.c])])
-            return tuple(rows)
-        a = _rows(a)
-    if tb is _Mono:
-        if b.img is _IDENT[len(b.img)] and not any(b.sh):
-            return a
-        return ev.scatter(b.img, b.sh, a)
-    if tb is _Plus:
-        # Column c of the product also takes column r of a plus v: only
-        # the rows where that is larger are rebuilt.
-        r, c, v = b.r, b.c, b.v
-        rows = list(a if b.m is ev.unit else _times(a, b.m, ev))
-        for i, x in enumerate(a):
-            y = x[r] + v
-            if y > rows[i][c]:
-                rows[i] = rows[i][:c] + (y,) + rows[i][c + 1:]
-        return tuple(rows)
-    return ev.mul(a, b)
+    """The product of two values, with ev's kernels: two monomials
+    compose, any other pair is made dense and takes the dense product.
+    A node's monomial parts compose, and meet dense rows and E letters,
+    in _value's part loop."""
+    if type(a) is _Mono and type(b) is _Mono:
+        img, sh, bimg, bsh = a.img, a.sh, b.img, b.sh
+        return _Mono(_ident(tuple([bimg[k] for k in img])), tuple([s + bsh[k] for k, s in zip(img, sh)]))
+    return ev.mul(_rows(a, ev.n), _rows(b, ev.n))
 
 
 def _power(v, k: int, ev):
@@ -406,7 +362,7 @@ class _Eval:
         self.semiring = semiring = self.alphabet.semiring
         self.mul = _row_product(n, semiring)
         self.gather, self.scatter = (_gather3, _scatter3) if n == 3 else (_gather, _scatter)
-        self.unit = _UNIT[n] if semiring is ZMAX else _identity_rows(n, semiring)
+        self.unit = _Mono(self.ident, (0,) * n) if semiring is ZMAX else _identity_rows(n, semiring)
         # The nonzero (slot, shift) pairs of each _SLOT_PARTS tuple's
         # product under this alphabet, by tuple id, filled by _run_sum.
         self.slots = {}
@@ -422,8 +378,8 @@ def _leaf_value(g: Generator, ev: _Eval):
     if g.kind == "ELEM_E" and ev.semiring is ZMAX:
         # Read off its entry; dense rows where the unrolled product is faster.
         i, j, v = g.params
-        e = _Plus(ev.unit, i - 1, j - 1, v)
-        return e if ev.n > 3 else _rows(e)
+        e = _Plus(i - 1, j - 1, v)
+        return e if ev.n > 3 else _rows(e, ev.n)
     if g.kind == "M3_X":
         return ((BOTTOM, 0, g.params[0]), (0, BOTTOM, 0), (0, 0, BOTTOM))
     m = g.realize(ev.n, ev.semiring)
@@ -454,16 +410,17 @@ def _run_sum(parts, key, ev: _Eval):
 
 def _then_pending(val, img, sh, v, ev: _Eval):
     """(val times the pending monomial, v), where row i of the monomial
-    holds sh[i] in column img[i] (img None while diagonal): dense rows
-    scatter, or gather as a first v, with no _Mono; a unit is dropped."""
+    holds sh[i] in column img[i] (img None while diagonal): val made dense
+    scatters, or v made dense gathers as a first value; a unit is dropped,
+    and a _Mono is built only for a node of monomials alone."""
     img = ev.ident if img is None else _ident(tuple(img))
     if img is ev.ident and not any(sh):
         return val, v
-    if val is None:
-        return (None, ev.gather(img, sh, v)) if type(v) is tuple else (_Mono(img, tuple(sh)), v)
-    if type(val) is _Plus:
-        return _times(val, _Mono(img, tuple(sh)), ev), v
-    return ev.scatter(img, sh, val), v
+    if val is not None:
+        return ev.scatter(img, sh, _rows(val, ev.n)), v
+    if v is None:
+        return _Mono(img, tuple(sh)), v
+    return None, ev.gather(img, sh, _rows(v, ev.n))
 
 
 def _value(node, key, ev: _Eval):
@@ -493,11 +450,11 @@ def _value(node, key, ev: _Eval):
         # lists img and sh (None while nothing is pending; img None while
         # diagonal): the first copies its image and shifts, and each next
         # composes into them in place.  Since diag(d) E(r,c,x) =
-        # E(r,c,x + d[r] - d[c]) diag(d), a _Plus over a diagonal moves its
+        # E(r,c,x + d[r] - d[c]) diag(d), an E letter's _Plus moves its
         # entry past a diagonal pending monomial; any other value, and the
         # end, multiply it in with one product (a pending unit is dropped).
         val = img = sh = None
-        ident, unit = ev.ident, ev.unit
+        ident = ev.ident
         for p in node.parts:
             v = p._vals.get(key)
             pairs = None
@@ -543,23 +500,23 @@ def _value(node, key, ev: _Eval):
                         sh[i] += vsh[j]
                 continue
             if sh is not None:
-                if type(v) is _Plus and v.m.img is ident and img is None:
-                    v = _Plus(v.m, v.r, v.c, v.v + sh[v.r] - sh[v.c])
+                if type(v) is _Plus and img is None:
+                    v = _Plus(v.r, v.c, v.v + sh[v.r] - sh[v.c])
                 else:
                     val, v = _then_pending(val, img, sh, v, ev)
                     img = sh = None
             if val is None:
                 val = v
-            elif type(v) is _Plus and v.m is unit:
+            elif type(v) is _Plus:
                 # Column c takes column r plus x, in the loop's own row lists.
-                val = val if type(val) is list else [list(row) for row in _rows(val)]
+                val = val if type(val) is list else [list(row) for row in _rows(val, ev.n)]
                 r, c, x = v.r, v.c, v.v
                 for row in val:
                     y = row[r] + x
                     if y > row[c]:
                         row[c] = y
             else:
-                val = _times(tuple(map(tuple, val)) if type(val) is list else val, v, ev)
+                val = ev.mul(_rows(val, ev.n), v)
         if sh is not None:
             val = _then_pending(val, img, sh, None, ev)[0]
         if val is None:
@@ -579,7 +536,7 @@ def evaluate(w: Word) -> Matrix:
     """
     key = (w.monoid, w.n)
     ev = _eval_context(*key)
-    return _mk(w.n, ev.semiring, _rows(_value(w.root, key, ev)))
+    return _mk(w.n, ev.semiring, _rows(_value(w.root, key, ev), w.n))
 
 
 def parse_word(text: str, monoid: str, n: int) -> Word:

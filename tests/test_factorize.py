@@ -25,7 +25,6 @@ from tropmono.factorize import (
     _Node,
     _Plus,
     _Run,
-    _UNIT,
     _UT_E,
     _eval_context,
     _gl_bits,
@@ -277,12 +276,13 @@ def test_u_and_finite_diagonal_ut_words_make_no_dense_products(monkeypatch):
 
 @st.composite
 def monomials_and_dense(draw):
-    """Values of every kind, all n x n: two monomials, two monomials plus
-    one entry off their monomial's cell, dense rows, two diagonal
-    monomials made the way evaluation makes them (the unit, a leaf, a
-    power of a leaf, a product of two leaves, a monomial times one with
-    the inverse image), and two E letters over the unit.  At n = 1 there
-    is no cell off the monomial, so no _Plus values."""
+    """Values of every kind, all n x n: two monomials, dense rows, two
+    diagonal monomials made the way evaluation makes them (the unit, a
+    leaf, a power of a leaf, a product of two leaves, a monomial times one
+    with the inverse image), and four _Plus values, the unit plus one
+    entry off the diagonal: two at any cell, two E letters above the
+    diagonal.  At n = 1 there is no cell off the diagonal, so no _Plus
+    values."""
     n = draw(st.integers(1, 8))
     ev = _Eval("ut", n)
     shifts = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
@@ -290,10 +290,10 @@ def monomials_and_dense(draw):
     def mono():
         return _Mono(tuple(draw(st.permutations(range(n)))), tuple(draw(shifts)))
 
-    def plus(m):
+    def plus():
         r = draw(st.integers(0, n - 1))
-        c = draw(st.sampled_from([j for j in range(n) if j != m.img[r]]))
-        return _Plus(m, r, c, draw(st.integers(-50, 50)))
+        c = draw(st.sampled_from([j for j in range(n) if j != r]))
+        return _Plus(r, c, draw(st.integers(-50, 50)))
 
     def leaf():
         letters = [diag_letter(i, 1) for i in range(1, n + 1)] + [NEG_I]
@@ -319,11 +319,11 @@ def monomials_and_dense(draw):
         # from n = 4 on, an E letter's leaf value is a _Plus over the unit
         i, j = draw(st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]))
         v = draw(st.integers(-50, 50))
-        return _leaf_value(elem_letter(i, j, v), _Eval("u", n)) if n > 3 else _Plus(ev.unit, i - 1, j - 1, v)
+        return _leaf_value(elem_letter(i, j, v), _Eval("u", n)) if n > 3 else _Plus(i - 1, j - 1, v)
 
     entry = st.one_of(st.just(BOTTOM), st.integers(-50, 50))
     dense = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n))
-    pluses = [plus(mono()), plus(mono()), e_letter(), e_letter()] if n > 1 else []
+    pluses = [plus(), plus(), e_letter(), e_letter()] if n > 1 else []
     return n, [mono(), mono()], pluses, dense, [diagonal(), diagonal()]
 
 
@@ -332,12 +332,12 @@ def mono_matrix(v):
     return mat_mul(diag(v.sh), construct_P(v.img))
 
 
-def value_matrix(v):
+def value_matrix(v, n):
     if type(v) is _Mono:
         return mono_matrix(v)
     if type(v) is _Plus:
-        assert v.c != v.m.img[v.r] and v.v != BOTTOM
-        rows = [list(r) for r in mono_matrix(v.m).rows]
+        assert v.r != v.c and v.v != BOTTOM
+        rows = [list(r) for r in identity(n).rows]
         rows[v.r][v.c] = v.v
         return matrix(rows)
     return matrix(v)
@@ -346,28 +346,19 @@ def value_matrix(v):
 @given(monomials_and_dense(), st.integers(0, 10 ** 4))
 @settings(max_examples=200, deadline=None)
 def test_value_products_match_mat_mul(values, k):
-    # every pairing of the kinds, each diagonal and E letter over the unit
-    # on both sides of dense rows
+    # every pairing of the kinds, each diagonal and _Plus on both sides of
+    # dense rows
     n, monos, pluses, dense, diagonals = values
     # evaluation's own kernels, with mat_mul for the dense product
     kernels = _Eval("ut", n)
     kernels.mul = lambda x, y: mat_mul(matrix(x), matrix(y)).rows
-    unit = lambda v: type(v) is _Mono and v.img is _IDENT[n] and not any(v.sh)  # noqa: E731
     lefts = [monos[0], dense, *diagonals, *pluses[0::2]]
     rights = [monos[1], dense, *diagonals, *pluses[1::2]]
     for a, b in itertools.product(lefts, rights):
         product = _times(a, b, kernels)
-        assert value_matrix(product) == mat_mul(value_matrix(a), value_matrix(b))
-        # two monomials make a monomial, a monomial and a _Plus a _Plus,
-        # everything else dense rows
-        kinds = {type(a), type(b)}
-        assert type(product) is (_Mono if kinds == {_Mono} else _Plus if kinds == {_Mono, _Plus} else tuple)
-        # the unit on the left, or on the right of dense rows, hands the
-        # other operand back
-        if unit(a):
-            assert product is b
-        if unit(b) and type(a) is tuple:
-            assert product is a
+        assert value_matrix(product, n) == mat_mul(value_matrix(a, n), value_matrix(b, n))
+        # two monomials make a monomial, anything else dense rows
+        assert type(product) is (_Mono if type(a) is type(b) is _Mono else tuple)
     # a diagonal is found by its shared identity image, also after a power
     for d in diagonals:
         assert d.img is _IDENT[n] and _power(d, k, kernels).img is _IDENT[n]
@@ -376,7 +367,7 @@ def test_value_products_match_mat_mul(values, k):
     assert mono_matrix(_power(a, k, kernels)) == mat_pow(mono_matrix(a), k)
     ev = _Eval("ut", n)
     for p in pluses:
-        assert value_matrix(_power(p, k, ev)) == mat_pow(value_matrix(p), k)
+        assert value_matrix(_power(p, k, ev), n) == mat_pow(value_matrix(p, n), k)
 
 
 def test_unrolled_3x3_kernels_match_mat_mul_on_every_image():
@@ -396,16 +387,14 @@ def test_unrolled_3x3_kernels_match_mat_mul_on_every_image():
     for img in itertools.permutations(range(3)):
         img = _IDENT[3] if img == _IDENT[3] else img
         for sh in shifts:
-            m = _Mono(img, sh)
+            m = mono_matrix(_Mono(img, sh))
             for d in dense:
-                for a, b in ((m, d), (d, m)):
-                    product = _times(a, b, ev)
+                for product, expected in (
+                    (ev.gather(img, sh, d), mat_mul(m, matrix(d))),
+                    (ev.scatter(img, sh, d), mat_mul(matrix(d), m)),
+                ):
                     assert type(product) is tuple
-                    assert matrix(product) == mat_mul(value_matrix(a), value_matrix(b)), (img, sh, d)
-                    # the unit, and a zero shift on the right, hand the
-                    # dense rows back
-                    if img is _IDENT[3] and not any(sh):
-                        assert product is d
+                    assert matrix(product) == expected, (img, sh, d)
 
 
 def test_m3_words_evaluate_without_the_generic_kernels(monkeypatch):
@@ -451,8 +440,8 @@ def test_monomial_powers_with_huge_exponents_are_exact():
             assert evaluate(Word(monoid, n, _pow(node, k))) == mat_pow(m, k), (monoid, n, k)
 
     # every value but a diagonal monomial squares and multiplies: non-diagonal
-    # monomials, _Plus values from n = 4 (a u letter, and a diagonal times an
-    # E letter), dense rows at n = 3
+    # monomials, a _Plus from n = 4 (a u letter), and dense rows (a diagonal
+    # times an E letter, and every E letter at n = 3)
     for n in range(2, 7):
         # the full n-cycle and the transposition of rows 1 and n
         for img in ((*range(1, n), 0), (n - 1, *range(1, n - 1), 0)):
@@ -790,7 +779,7 @@ def test_e_letters_are_dense_up_to_n_3_and_an_entry_from_4():
         for monoid, i, j, v in (("ut", 1, n, 0), ("ut", n - 1, n, 0), ("u", 1, n, -7), ("u", 1, 2, 10 ** 12)):
             val = _leaf_value(elem_letter(i, j, v), _Eval(monoid, n))
             assert type(val) is (tuple if n <= 3 else _Plus)
-            assert value_matrix(val) == construct_E(i, j, n, lam=v)
+            assert value_matrix(val, n) == construct_E(i, j, n, lam=v)
         boolean = _leaf_value(elem_letter(1, n, 1), _Eval("ut_boolean", n))
         assert boolean == construct_E(1, n, n, BOOLEAN, 1).rows
     assert _leaf_value(elem_letter(1, 2, 0), _Eval("m3", 3)) == construct_E(1, 2, 3, lam=0).rows
@@ -862,26 +851,49 @@ def test_diagonals_commute_past_e_letters(w):
     assert evaluate(w) == fold_letters(w)
 
 
-def test_dense_rows_times_an_e_letter_rebuild_only_the_rows_it_raises():
-    # column c takes column r plus v: a row where that is not larger,
-    # equal included, is the same row tuple in the product
-    # (entry r, entry c, raised) with v = 5: -inf at r, equal, above,
-    # far under, and -inf at c
-    cells = [(BOTTOM, 1, False), (10, 15, False), (9, 3, True), (4, 100, False), (2, BOTTOM, True)]
-    for n in (5, 7):
-        ev = _Eval("ut", n)
-        e = _leaf_value(elem_letter(1, n, 5), _Eval("u", n))
-        r, c = 0, n - 1
-        rows = []
-        for i in range(n):
-            row = [i - 3] * n
-            row[r], row[c], _ = cells[i % 5]
-            rows.append(tuple(row))
-        a = tuple(rows)
-        product = _times(a, e, ev)
-        assert matrix(product) == mat_mul(matrix(a), construct_E(1, n, n, lam=5))
-        for i, (old, new) in enumerate(zip(a, product)):
-            assert (new is not old) == cells[i % 5][2], i
+@st.composite
+def letter_texts(draw):
+    """(monoid, n, text): a flat word of up to 30 letter tokens, written
+    out by hand.  ut and u at n = 2..8, ut over Ai(i,1), Ai(i,-inf),
+    NEG_I and E(i,j,0), u over I and E(i,j,z) with z up to +-10^9, so E
+    letters meet pending diagonals, -inf letters and each other; and gl,
+    m2 and m3 over their letters and X(s)."""
+    name = draw(st.sampled_from(["ut", "u", "gl", "m2", "m3"]))
+    n = {"m2": 2, "m3": 3}.get(name) or draw(st.integers(2, 8))
+    above = st.sampled_from([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    slot = st.integers(1, n)
+    if name == "ut":
+        token = st.one_of(
+            slot.map("Ai({},1)".format),
+            slot.map("Ai({},-inf)".format),
+            st.just("NEG_I"),
+            above.map(lambda ij: "E({},{},0)".format(*ij)),
+        )
+    elif name == "u":
+        token = st.one_of(
+            st.just("I"),
+            st.tuples(above, st.integers(-10 ** 9, 10 ** 9)).map(lambda t: "E({},{},{})".format(*t[0], t[1])),
+        )
+    elif name == "m3":
+        token = st.one_of(
+            st.sampled_from(["A", "B", "E(1,2,0)", "Ai(1,-inf)"]),
+            st.integers(0, 10 ** 9).map("X({})".format),
+        )
+    else:
+        token = st.sampled_from(["A", "B", "C", "D"] if name == "m2" else ["A", "B"])
+    return name, n, " ".join(draw(st.lists(token, max_size=30)))
+
+
+@given(letter_texts())
+@settings(max_examples=300, deadline=None)
+def test_parsed_letter_texts_evaluate_to_their_letter_fold(case):
+    # the eval and verify path of the CLI: a letter text, parsed, is the
+    # letter-by-letter mat_mul product of its letters and prints back as
+    # written
+    monoid, n, text = case
+    w = parse_word(text, monoid, n)
+    assert evaluate(w) == fold_letters(w)
+    assert w.text() == (text or "ε")
 
 
 def _cached_values(roots):
@@ -891,7 +903,7 @@ def _cached_values(roots):
         if type(v) is _Mono:
             return ("mono", v.img, v.sh)
         if type(v) is _Plus:
-            return ("plus", plain(v.m), v.r, v.c, v.v)
+            return ("plus", v.r, v.c, v.v)
         return copy.deepcopy(v)
 
     out, stack = {}, list(roots)
@@ -941,12 +953,12 @@ def test_in_place_e_letters_write_no_cached_value():
         dense = _Node((e(1, 2, 5), e(2, n, -3)))
         scaled = _Node((_UT_E[1, 2], _UT_E[2, n], _slot(slots, 1, 3)))
         bottom = _Node((diag_letter(2, BOTTOM), _UT_E[1, 2]))
-        plus = _Node((diag_letter(1, 1), _UT_E[1, 2]))
+        ae = _Node((diag_letter(1, 1), _UT_E[1, 2]))
         for monoid, parts in (
             ("u", (e(1, 2, 4), e(2, 3, -1), e(1, 3, 9))),  # first in a node, then after a _Plus leaf
             ("u", (dense,)),
             ("u", (dense, e(1, n, 7), dense, e(2, 3, 1))),  # after cached dense rows
-            ("ut", (plus, _UT_E[2, 3], _UT_E[1, n])),  # after a _Plus sub-word
+            ("ut", (ae, _UT_E[2, 3], _UT_E[1, n])),  # after a diagonal times an E letter, scattered
             ("ut", (scaled, _UT_E[1, n], scaled, _UT_E[2, 3])),
             ("ut", (bottom, _UT_E[1, 3], diag_letter(1, BOTTOM), _UT_E[1, 2])),  # after a letter's rows
             ("ut", (_slot(slots, 3, 2), _UT_E[1, 3], _UT_E[2, 3], scaled)),  # moved past a pending diagonal
@@ -974,13 +986,16 @@ def test_in_place_e_letters_write_no_cached_value():
     shared = [_UT_E, _M3_E, _M3_SLOTS, *(_ut_slots(n) for n in range(4, 9)), *(_gl_bits(n) for n in range(4, 9))]
     roots = [tuple(d.values()) for d in shared] + [w.root for w in first]
     before = _cached_values(roots)
-    units = copy.deepcopy([(u.img, u.sh) for u in _UNIT])
+    units = [_eval_context("ut", n).unit for n in range(1, 9)]
     for w, (build, _), product in zip(first, builds, products):
         again = build()
         assert again.root is not w.root
         assert evaluate(w).rows == evaluate(again).rows == product
     assert _cached_values(roots) == before
-    assert [(u.img, u.sh) for u in _UNIT] == units
+    # each alphabet's unit is still the zero-shift identity
+    for n, u in enumerate(units, start=1):
+        assert u is _eval_context("ut", n).unit
+        assert (u.img, u.sh) == (_IDENT[n], (0,) * n)
 
 
 def test_m3_words_make_no_more_products_than_before(monkeypatch):
@@ -993,9 +1008,11 @@ def test_m3_words_make_no_more_products_than_before(monkeypatch):
     # lower them).  Products are counted as kernel calls, the dense
     # product and the two monomial-times-dense kernels: 5664 (mul 2089,
     # gather 910, scatter 2665).  The pending monomial flushes with one
-    # direct gather or scatter, so _times runs only where a dense value
-    # meets another, 2093 times; flushing through a _Mono and _times made
-    # 5708 _times calls.  Multiplying every diagonal value in as it came
+    # direct gather or scatter, and the part loop multiplies two dense
+    # values with the dense product itself, so _times runs only in the
+    # powers of permutation words, 4 times; multiplying dense values
+    # through _times made 2093 calls, and flushing through a _Mono and
+    # _times 5708.  Multiplying every diagonal value in as it came
     # made 13483 _times calls, flushing a pending diagonal at the end of
     # each fresh sub-word 12956, holding back only the diagonal values,
     # each permutation value one product, 11499, and the pending
@@ -1021,7 +1038,7 @@ def test_m3_words_make_no_more_products_than_before(monkeypatch):
         for m in (grid, rand):
             assert evaluate(factor_m3(m)) == m
     assert calls["mul"] + calls["gather"] + calls["scatter"] <= 5664
-    assert calls["times"] <= 2093
+    assert calls["times"] <= 4
 
 
 def test_unit_runs_compose_into_one_pending_monomial(monkeypatch):
