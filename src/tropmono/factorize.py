@@ -2,13 +2,14 @@
 that rewrite a matrix as such a word.
 
 A Word is internally a DAG rather than a flat letter list: a letter (a
-Generator) is its own leaf, a run repeats each of its parts k times in
-a row (every power, of a letter or a sub-word, is a one-part run), and
-every other node concatenates its parts.  A node is kept only where it
-is shared or repeated: any other sub-word is a flat part list spliced
-into its parent.  The group-case words repeat large sub-words (powers
-of rotation words, conjugated diagonal scalings) whose flattened length
-grows with the entries, while the node count stays small.
+Generator) is its own leaf, a run repeats each part of its body, a
+shared node, k times in a row (every power, of a letter or a sub-word,
+is a run over a one-part body), and every other node concatenates its
+parts.  A node is kept only where it is shared or repeated: any other
+sub-word is a flat part list spliced into its parent.  The group-case
+words repeat large sub-words (powers of rotation words, conjugated
+diagonal scalings) whose flattened length grows with the entries, while
+the node count stays small.
 
 Evaluation computes one value per node and keeps it on the node, per
 alphabet.  A value is a monomial (a column image and a finite shift per
@@ -24,10 +25,10 @@ monomial, an image and a shift list that the first copies and each
 next composes into in place, so a stretch of unit letters costs no
 product.  A diagonal run, such as a slot scaling past |a| = 1 in any
 alphabet, is fresh in every word: it joins the pending monomial as k
-times each nonzero (slot, shift) pair of its parts' product, one O(1)
-update per pair for any k, and is not cached.  The pairs of every
-slot table's parts tuples are kept per alphabet, so their letters are
-checked once.  Any other run multiplies its parts' k-th powers.
+times each nonzero (slot, shift) pair of its body's product, one O(1)
+update per pair for any k, and keeps no value.  The pairs are kept on
+the body per alphabet, so each body's letters are checked and summed
+once.  Any other run multiplies its parts' k-th powers.
 For n >= 4 an elementary letter E(i,j,z) is the unit plus its entry.
 Since
 diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
@@ -124,20 +125,21 @@ def _cat(flat):
 
 
 class _Run(_Node):
-    """Each of its parts repeated k times in a row: a letter power, the
-    letters of a negative slot scaling, or a power of a sub-word."""
+    """Each of the parts of its body, a _Node that runs may share,
+    repeated k times in a row: a letter power, the letters of a negative
+    slot scaling, or a power of a sub-word.  parts is the body's parts.
+    A body is never a part itself: its _vals keep _run_sum's pairs."""
 
-    __slots__ = ("k",)
+    __slots__ = ("body", "k")
 
-    def __init__(self, parts, k: int):
-        self.parts = tuple(parts)
-        self.k = k
+    def __init__(self, body: _Node, k: int):
+        self.body, self.parts, self.k = body, body.parts, k
         self._vals = {}
 
 
 def _pow(node, k: int):
-    """node repeated k times: a one-part run, the node itself once."""
-    return node if k == 1 else _Run((node,), k)
+    """node repeated k times: a run over a one-part body, the node itself once."""
+    return node if k == 1 else _Run(_Node((node,)), k)
 
 
 _EMPTY = _Node(())
@@ -229,7 +231,8 @@ class Word:
 # A node's value is a _Mono, a _Plus or dense rows (a tuple of row
 # tuples), cached in node._vals (a leaf letter's own _vals) under the
 # word's (monoid, n), which names its alphabet: a value cached for one
-# alphabet says nothing about the node's letters in another.
+# alphabet says nothing about the node's letters in another.  A run
+# body's _vals hold its run sum the same way.
 
 # The identity image of each dimension: a _Mono with this very img is
 # diagonal.
@@ -353,7 +356,7 @@ class _Eval:
     two monomial-times-dense kernels, gather and scatter, unrolled at
     n = 3."""
 
-    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "unit", "slots")
+    __slots__ = ("alphabet", "n", "ident", "semiring", "mul", "gather", "scatter", "unit")
 
     def __init__(self, monoid: str, n: int):
         self.alphabet = generating_set(monoid, n)
@@ -363,9 +366,6 @@ class _Eval:
         self.mul = _row_product(n, semiring)
         self.gather, self.scatter = (_gather3, _scatter3) if n == 3 else (_gather, _scatter)
         self.unit = _Mono(self.ident, (0,) * n) if semiring is ZMAX else _identity_rows(n, semiring)
-        # The nonzero (slot, shift) pairs of each _SLOT_PARTS tuple's
-        # product under this alphabet, by tuple id, filled by _run_sum.
-        self.slots = {}
 
 
 # One _Eval per (monoid, n) seen; that pair also keys the node values.
@@ -391,20 +391,18 @@ def _leaf_value(g: Generator, ev: _Eval):
     return m.rows
 
 
-def _run_sum(parts, key, ev: _Eval):
-    """The nonzero (slot, shift) pairs of the product of a run's parts,
-    each checked, if all are diagonal (so they commute), else None; kept
-    in ev.slots for the slot-table tuples, so each is checked and summed
-    once per alphabet."""
-    pairs = ev.slots.get(id(parts))
-    if pairs is not None:
-        return pairs
-    vals = [_value(p, key, ev) for p in parts]
-    if not all(type(x) is _Mono and x.img is ev.ident for x in vals):
-        return None
-    pairs = [(c, s) for c, s in enumerate(map(sum, zip(*[x.sh for x in vals]))) if s]
-    if id(parts) in _SLOT_PARTS:
-        ev.slots[id(parts)] = pairs
+def _run_sum(body: _Node, key, ev: _Eval):
+    """The nonzero (slot, shift) pairs of the product of a run body's
+    parts, each checked, if all are diagonal (so they commute), else
+    False; kept in the body's own _vals under key, so each body is checked
+    and summed once per alphabet."""
+    pairs = body._vals.get(key)
+    if pairs is None:
+        vals = [_value(p, key, ev) for p in body.parts]
+        pairs = False
+        if all(type(x) is _Mono and x.img is ev.ident for x in vals):
+            pairs = [(c, s) for c, s in enumerate(map(sum, zip(*[x.sh for x in vals]))) if s]
+        body._vals[key] = pairs
     return pairs
 
 
@@ -434,8 +432,8 @@ def _value(node, key, ev: _Eval):
     if type(node) is Generator:
         val = _leaf_value(node, ev)
     elif type(node) is _Run:
-        pairs = _run_sum(node.parts, key, ev)
-        if pairs is not None:
+        pairs = _run_sum(node.body, key, ev)
+        if pairs is not False:
             sh = [0] * ev.n
             for c, s in pairs:
                 sh[c] = node.k * s
@@ -457,24 +455,22 @@ def _value(node, key, ev: _Eval):
         ident = ev.ident
         for p in node.parts:
             v = p._vals.get(key)
-            pairs = None
+            pairs = False
             if v is None:
-                # A diagonal run is fresh per word: it joins the pending
-                # monomial by the nonzero (slot, shift) pairs of its parts'
-                # product, kept per alphabet for the slot-table tuples (read
-                # here first, so a warm slot run costs no call), and is not
-                # cached.
+                # A diagonal run joins the pending monomial by its body's
+                # pairs (read here first, so a warm run costs no call) and
+                # keeps no value of its own.
                 if type(p) is _Run:
-                    pairs = ev.slots.get(id(p.parts))
+                    pairs = p.body._vals.get(key)
                     if pairs is None:
-                        pairs = _run_sum(p.parts, key, ev)
-                if pairs is None:
+                        pairs = _run_sum(p.body, key, ev)
+                if pairs is False:
                     v = _value(p, key, ev)
-            if pairs is not None or type(v) is _Mono:
+            if pairs is not False or type(v) is _Mono:
                 # pending times v: row i moves to column v.img[img[i]] and
                 # adds v.sh[img[i]]; for a run, the row that lands in column
                 # c adds k s per pair (c, s).
-                if pairs is not None:
+                if pairs is not False:
                     if sh is None:
                         sh = [0] * ev.n
                     k = p.k
@@ -563,44 +559,33 @@ _UT_E = {
 }
 
 
-# Every slot table's parts tuples by id, kept alive so that no other tuple
-# takes their ids: evaluation keeps their products per alphabet.
-_SLOT_PARTS = {}
-
-
-def _slot_table(words):
-    """Register the parts tuples of the slot table words; return words."""
-    _SLOT_PARTS.update({id(t): t for t in words.values() if type(t) is tuple})
-    return words
-
-
 def _slot(words, i: int, a):
     """The word for the diagonal with a in slot i, from the slot table
-    words: words[i, BOTTOM] for -inf, else each of the parts words[i]
-    (a > 0) or words[-i] (a < 0) repeated |a| times in one run, a
-    one-part entry at |a| = 1 being that part itself; None for 0."""
+    words: words[i, BOTTOM] for -inf, else a run of |a| over the body
+    words[i] (a > 0) or words[-i] (a < 0), the one part of a one-part
+    body at |a| = 1; None for 0."""
     if a > 0:
-        parts = words[i]
+        body = words[i]
     elif a == BOTTOM:
         return words[i, BOTTOM]
     elif a:
-        parts, a = words[-i], -a
+        body, a = words[-i], -a
     else:
         return None
-    return parts[0] if a == 1 and len(parts) == 1 else _Run(parts, a)
+    return body.parts[0] if a == 1 and len(body.parts) == 1 else _Run(body, a)
 
 
 @cache
 def _ut_slots(n: int) -> dict:
-    """The ut slot table of dimension n: for slot i, the +1 letter, the
-    letters whose product scales it by -1, (-1 * I) and the +1 letter of
-    every other slot (so a negative slot is one run over them), and the
-    bottom letter."""
+    """The ut slot table of dimension n: for slot i, the bodies of the +1
+    letter and of the letters whose product scales it by -1, (-1 * I) and
+    the +1 letter of every other slot (so a negative slot is one run over
+    them), and the bottom letter."""
     words = {}
     for i in range(1, n + 1):
-        words[i], words[i, BOTTOM] = (_UT_UP[i],), _UT_BOT[i]
-        words[-i] = (NEG_I, *[_UT_UP[j] for j in range(1, n + 1) if j != i])
-    return _slot_table(words)
+        words[i], words[i, BOTTOM] = _Node((_UT_UP[i],)), _UT_BOT[i]
+        words[-i] = _Node((NEG_I, *[_UT_UP[j] for j in range(1, n + 1) if j != i]))
+    return words
 
 
 def _ut_walk(g, words, elems, out):
@@ -716,16 +701,16 @@ def _gl_perm_node(img):
 
 @cache
 def _gl_slots(n: int) -> dict:
-    """The gl slot table of dimension n: the words for +1 (key i) and -1
-    (key -i) in slot i, slot 1's A1p and A1m conjugated by the
-    transposition (1 i); keyed by the sign, never the value, so the
-    table grows with n alone."""
+    """The gl slot table of dimension n: the one-part bodies of the words
+    for +1 (key i) and -1 (key -i) in slot i, slot 1's A1p and A1m
+    conjugated by the transposition (1 i); keyed by the sign, never the
+    value, so the table grows with n alone."""
     bits, words = _gl_bits(n), {}
     for i in range(1, n + 1):
         conj = _gl_perm_node((i - 1, *range(1, i - 1), 0, *range(i, n))) if i > 1 else None
         for s, base in ((1, bits["A1p"]), (-1, bits["A1m"])):
-            words[s * i] = (base if conj is None else _Node((conj, base, conj)),)
-    return _slot_table(words)
+            words[s * i] = _Node((base if conj is None else _Node((conj, base, conj)),))
+    return words
 
 
 def _gl_word(out, words, vals, perm=None):
@@ -764,14 +749,14 @@ class _M2Letters:
     """The words the 2x2 factorization writes for its letters A, B, C
     and D: C and D, F = B A, which swaps the two rows (on the left) or
     columns (on the right), F F = I, and the slot table of the diagonal
-    (z, 0): B (key 1) and A B A = B(-1) (key -1)."""
+    (z, 0), one-part bodies: B (key 1) and A B A = B(-1) (key -1)."""
 
     __slots__ = ("C", "D", "F", "slots")
 
     def __init__(self, a, b, c, d):
         self.C, self.D = c, d
         self.F = _Node((b, a))
-        self.slots = _slot_table({1: (b,), -1: (_Node((a, b, a)),)})
+        self.slots = {1: _Node((b,)), -1: _Node((_Node((a, b, a)),))}
 
 
 _M2 = _M2Letters(M2_A, M2_B, M2_C, M2_D)
@@ -875,7 +860,7 @@ _M3_SLOTS = {**_gl_slots(3), (1, BOTTOM): _A1INF, (2, BOTTOM): _cat([_P12, _A1IN
 
 _M3_BLOCK = _M2Letters(
     _cat(_gl_word([], _M3_SLOTS, (0, -1, 0), _P23)),
-    _M3_SLOTS[2][0],
+    _M3_SLOTS[2].parts[0],
     _M3_SLOTS[2, BOTTOM],
     _cat([_gl_perm_node((2, 0, 1)), _E12, _P13]),
 )

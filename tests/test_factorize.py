@@ -149,8 +149,10 @@ def random_dags(draw):
     """A word over a whole alphabet, built as a DAG of shared nodes on
     top of the alphabet's letters: concatenations (empty ones included),
     powers of one node, runs of several letters, runs of one sub-word,
-    and several parts as one node, to a power k (k = 0 included), with
-    its flat letter count kept small enough to fold."""
+    several parts as one node, to a power k (k = 0 included), and one
+    node of runs over one drawn body under several k, so that the pairs
+    kept on the body are read back, with its flat letter count kept
+    small enough to fold."""
     # Half the words use m2 or m3, whose alphabets mix permuting
     # monomial letters with dense ones; u words draw their E letters.
     name, n = draw(st.one_of(
@@ -164,8 +166,9 @@ def random_dags(draw):
         for i, j in draw(st.lists(st.sampled_from(above), min_size=1, max_size=4)):
             pool.append(elem_letter(i, j, draw(st.integers(-10 ** 9, 10 ** 9))))
     letters = list(pool)
+    bodies = []
     for _ in range(draw(st.integers(1, 8))):
-        shape = draw(st.integers(0, 4))
+        shape = draw(st.integers(0, 5))
         if shape == 0:
             picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
             pool.append(_Node([pool[i] for i in picks]))
@@ -174,13 +177,18 @@ def random_dags(draw):
         elif shape == 2:
             # several letters, each repeated k times in a row; most
             # alphabets hold letters that are not diagonal
-            pool.append(_Run(draw(st.lists(st.sampled_from(letters), min_size=2, max_size=4)), draw(st.integers(0, 3))))
+            bodies.append(_Node(draw(st.lists(st.sampled_from(letters), min_size=2, max_size=4))))
+            pool.append(_Run(bodies[-1], draw(st.integers(0, 3))))
         elif shape == 3:
             picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=4))
             pool.append(_pow(_Node([pool[i] for i in picks]), draw(st.integers(0, 3))))
-        elif len(pool) > len(letters):
+        elif shape == 4 and len(pool) > len(letters):
             # a sub-word's letters, all of them, k times over
-            pool.append(_Run((draw(st.sampled_from(pool[len(letters):])),), draw(st.integers(0, 3))))
+            bodies.append(_Node((draw(st.sampled_from(pool[len(letters):])),)))
+            pool.append(_Run(bodies[-1], draw(st.integers(0, 3))))
+        elif bodies:
+            body = draw(st.sampled_from(bodies))
+            pool.append(_Node([_Run(body, k) for k in draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))]))
     w = Word(name, n, pool[-1])
     assume(w.letter_count() <= 3000)
     return w
@@ -519,7 +527,7 @@ def test_foreign_letters_under_a_leaf_power_are_rejected(k):
             _Node((_pow(g, k), _pow(g, k))),
             _Node((side, _pow(g, k), side)),
             _Node((side, g, side)),
-            _Run((g, g), k),
+            _Run(_Node((g, g)), k),
         )
         for cached in (False, True):
             if cached:
@@ -527,13 +535,13 @@ def test_foreign_letters_under_a_leaf_power_are_rejected(k):
             for root in roots:
                 with pytest.raises(MembershipError):
                     evaluate(Word(monoid, n, root))
-    # a negative ut slot is one run over shared letters, whose product is
-    # kept per alphabet: kept for ut, it vouches for nothing in u or gl
+    # a negative ut slot is one run over a shared body, whose pairs the
+    # body keeps per alphabet: kept for ut, they vouch for nothing in u or gl
     for n in (2, 5):
         run = _slot(_ut_slots(n), 1, -(k + 2))
         evaluate(Word("ut", n, run))
         for monoid, side in (("u", elem_letter(1, 2, 3)), ("gl", GL_A)):
-            for root in (run, _Node((side, run, side)), _pow(run, 0), _Node((side, _Run(run.parts, k)))):
+            for root in (run, _Node((side, run, side)), _pow(run, 0), _Node((side, _Run(run.body, k)))):
                 with pytest.raises(MembershipError):
                     evaluate(Word(monoid, n, root))
 
@@ -556,7 +564,7 @@ def _run_cases(n):
         _Node((_slot(words, 1, 6), _slot(words, 1, -6), bot, e)),
         _Node((_slot(words, n, -11), _slot(words, n, 11), e, bot)),
         _Node((_pow(up[0], 0), _pow(NEG_I, 0), e, _pow(up[-1], 0))),
-        _Run((_Node((_pow(up[-1], 3), neg, _pow(NEG_I, 4), e)),), 3),
+        _Run(_Node((_Node((_pow(up[-1], 3), neg, _pow(NEG_I, 4), e)),)), 3),
         _Node((_pow(up[0], 10 ** 12), _Node((neg, _pow(up[-1], 2))), NEG_I)),
     ]
 
@@ -597,8 +605,9 @@ SLOT_TABLES = (
 @pytest.mark.parametrize("monoid, n, words, lifted, bottom", [t[1:] for t in SLOT_TABLES], ids=[t[0] for t in SLOT_TABLES])
 def test_every_slot_table_spells_its_diagonal_scalings(monoid, n, words, lifted, bottom):
     # _slot(words, i, a) is a in slot i and the unit elsewhere, for both
-    # signs, at |a| = 1 (a one-part entry is its part, not a run) and beyond,
-    # and at -inf where the table has a bottom word; a zero is no word
+    # signs, at |a| = 1 (a one-part body gives its part, not a run) and
+    # beyond, where it is a run over the table's own body, and at -inf
+    # where the table has a bottom word; a zero is no word
     for i, slot in enumerate(lifted, start=1):
         assert ((i, BOTTOM) in words) == bottom
         for a in (1, -1, 7, -7) + (BOTTOM,) * bottom:
@@ -606,33 +615,33 @@ def test_every_slot_table_spells_its_diagonal_scalings(monoid, n, words, lifted,
             scaled[slot - 1] = a
             w = Word(monoid, n, _slot(words, i, a))
             assert evaluate(w) == construct_A(slot, a, n) == diag(scaled), (i, a)
-        for a, parts in ((1, words[i]), (-1, words[-i])):
-            assert (_slot(words, i, a) is parts[0]) == (len(parts) == 1)
+        for a, body in ((1, words[i]), (-1, words[-i])):
+            assert (_slot(words, i, a) is body.parts[0]) == (len(body.parts) == 1)
+            assert _slot(words, i, 7 * a).body is body
         assert _slot(words, i, 0) is None
 
 
 @pytest.mark.parametrize("monoid, n, words, lifted", [t[1:5] for t in SLOT_TABLES], ids=[t[0] for t in SLOT_TABLES])
 def test_every_slot_table_tuple_multiplies_to_a_unit_in_its_slot(monoid, n, words, lifted):
-    # the parts of words[i] and words[-i] multiply out, by own_eval, to
-    # +1 and -1 in the slot that slot i scales and 0 elsewhere, and the
-    # pair that evaluation keeps for the tuple, read by a run over it,
-    # says the same
-    ev = _eval_context(monoid, n)
+    # the parts of the bodies words[i] and words[-i] multiply out, by
+    # own_eval, to +1 and -1 in the slot that slot i scales and 0
+    # elsewhere, and the pair that evaluation keeps on the body, read by
+    # a run over it, says the same
     for i, slot in enumerate(lifted, start=1):
         for s in (1, -1):
-            parts = words[s * i]
-            assert type(parts) is tuple
+            body = words[s * i]
+            assert type(body) is _Node
             scaled = [0] * n
             scaled[slot - 1] = s
-            assert own_eval(Word(monoid, n, _Node(parts))) == diag(scaled).rows
-            assert evaluate(Word(monoid, n, _Run(parts, 2))) == diag([2 * d for d in scaled])
-            assert ev.slots[id(parts)] == [(slot - 1, s)]
+            assert own_eval(Word(monoid, n, _Node(body.parts))) == diag(scaled).rows
+            assert evaluate(Word(monoid, n, _Run(body, 2))) == diag([2 * d for d in scaled])
+            assert body._vals[monoid, n] == [(slot - 1, s)]
 
 
 def test_a_slot_run_from_another_alphabet_is_refused():
     # the kept slot pairs belong to one alphabet: a ut slot run in a gl
     # word and a 2x2 slot run in an m3 word are refused by their letters,
-    # before and after the run's tuple is summed for its own alphabet
+    # before and after the run's body is summed for its own alphabet
     for monoid, n, own, words, side in (("gl", 3, "ut", _ut_slots(3), GL_A), ("m3", 3, "m2", _M2.slots, GL_B)):
         for warm in (False, True):
             for key in (1, -1):
@@ -709,8 +718,8 @@ def test_diagonal_runs_make_one_monomial_and_no_products(monkeypatch):
 
 
 def test_warm_slot_runs_make_no_sum_and_no_monomial(monkeypatch):
-    # once the slot table holds a word's tuples, each slot run joins the
-    # pending monomial straight from ev.slots: no _run_sum call.  The gl
+    # once the slot table's bodies hold their pairs, each slot run joins
+    # the pending monomial straight from its body: no _run_sum call.  The gl
     # word's one _Mono is its pending monomial at the end; the ut word's
     # final flush scatters its dense rows with no _Mono and no _times
     # call.  A seeded ut n = 6 word at +-10^6 (51 root parts, 36 of them
@@ -742,33 +751,55 @@ def test_warm_slot_runs_make_no_sum_and_no_monomial(monkeypatch):
         assert calls == {"sum": 0, "mono": monos, "times": 0}
 
 
-def test_run_sums_are_kept_only_for_the_shared_slot_letters():
-    # every slot scaling of a ut word past |a| = 1 is a run over a parts
-    # tuple of the slot table, whose product's nonzero (slot, shift) pairs
-    # are kept once per alphabet in ev.slots: the table keeps exactly the
-    # tuples met under that alphabet, and a run over any other tuple, equal
-    # letters included, is summed each time, keeps nothing and stays exact
+def test_run_sums_are_kept_only_for_the_shared_slot_letters(monkeypatch):
+    # every slot scaling of a ut word past |a| = 1 is a run over a body of
+    # the slot table, which keeps its product's nonzero (slot, shift) pairs
+    # under the word's alphabet: the bodies met hold exactly their pair,
+    # each summed once, and no other body of the table holds any.  A run
+    # over a fresh body, equal in letters to a table body, is summed once
+    # per alphabet and kept on that body alone, and stays exact; the
+    # table's pairs do not change
+    from tropmono import factorize
+
+    summed, run_sum = [], factorize._run_sum
+
+    def counted(body, key, ev):
+        if key not in body._vals:
+            summed.append((id(body), key))
+        return run_sum(body, key, ev)
+
+    monkeypatch.setattr(factorize, "_run_sum", counted)
     rng = random.Random(23)
     for n in range(2, 7):
-        ev, words = _eval_context("ut", n), _ut_slots(n)
-        ev.slots.clear()
+        key, words = ("ut", n), _ut_slots(n)
+        table = {id(words[s * i]): [(i - 1, s)] for i in range(1, n + 1) for s in (1, -1)}
+        bodies = [words[s * i] for i in range(1, n + 1) for s in (1, -1)]
+        for body in bodies:
+            body._vals.pop(key, None)
+        summed.clear()
         met = set()
         for _ in range(10):
             m = rnd_upper(rng, n, lambda: rng.randint(-10 ** 6, -1))
             w = factor_ut(m)
-            met |= {id(p.parts) for p in w.root.parts if type(p) is _Run}
+            met |= {id(p.body) for p in w.root.parts if type(p) is _Run}
             assert evaluate(w) == m
-        assert set(ev.slots) == met
-        table = {id(words[s * i]): [(i - 1, s)] for i in range(1, n + 1) for s in (1, -1)}
         assert met <= set(table)
-        assert all(ev.slots[t] == table[t] for t in met)
-        kept = dict(ev.slots)
-        run = _Run(list(words[-1]), 3)
-        assert run.parts is not words[-1]
-        w = Word("ut", n, _Node((run, elem_letter(1, 2, 0), run)))
-        assert evaluate(w) == mat_mul(mat_mul(construct_A(1, -3, n), construct_E(1, 2, n, lam=0)), construct_A(1, -3, n))
-        assert evaluate(w).rows == own_eval(w)
-        assert ev.slots == kept
+        assert sorted(summed) == sorted((t, key) for t in met)
+        assert all(body._vals.get(key) == (table[id(body)] if id(body) in met else None) for body in bodies)
+        kept = [dict(body._vals) for body in bodies]
+        fresh = _Node(words[-1].parts)
+        assert fresh is not words[-1]
+        summed.clear()
+        for _ in range(2):
+            w = Word("ut", n, _Node((_Run(fresh, 3), elem_letter(1, 2, 0), _Run(fresh, 5))))
+            assert evaluate(w) == mat_mul(mat_mul(construct_A(1, -3, n), construct_E(1, 2, n, lam=0)), construct_A(1, -5, n))
+            assert evaluate(w).rows == own_eval(w)
+        assert summed == [(id(fresh), key)]
+        # one dimension up, the same letters scale slots 1 and n + 1
+        assert evaluate(Word("ut", n + 1, _Run(fresh, 3))) == diag([-3, *[0] * (n - 1), -3])
+        assert summed == [(id(fresh), key), (id(fresh), ("ut", n + 1))]
+        assert fresh._vals == {key: [(0, -1)], ("ut", n + 1): [(0, -1), (n, -1)]}
+        assert [dict(body._vals) for body in bodies] == kept
 
 
 def test_e_letters_are_dense_up_to_n_3_and_an_entry_from_4():
@@ -1064,7 +1095,7 @@ def test_unit_runs_compose_into_one_pending_monomial(monkeypatch):
     for n in range(2, 7):
         words, img = _gl_slots(n), tuple(range(n - 1, -1, -1))
         perm = _gl_perm_node(img)
-        for sub in (words[1][0], words[-n][0], perm):
+        for sub in (words[1].parts[0], words[-n].parts[0], perm):
             evaluate(Word("gl", n, sub))
         w = Word("gl", n, _Node((_slot(words, 1, 5), _slot(words, n, -3), perm)))
         calls["times"] = 0
@@ -1075,7 +1106,7 @@ def test_unit_runs_compose_into_one_pending_monomial(monkeypatch):
     # pending monomial on each side, a gather on its left and a scatter on
     # its right (through _Mono and _times these were 2 _times calls)
     p12, p13, e12 = _gl_perm_node((1, 0, 2)), _gl_perm_node((2, 1, 0)), elem_letter(1, 2, 0)
-    for sub in (p12, p13, e12, _M3_SLOTS[2][0], _M3_SLOTS[-2][0]):
+    for sub in (p12, p13, e12, _M3_SLOTS[2].parts[0], _M3_SLOTS[-2].parts[0]):
         evaluate(Word("m3", 3, sub))
     w = Word("m3", 3, _Node((p12, _slot(_M3_SLOTS, 2, 5), e12, _slot(_M3_SLOTS, 2, -5), p13, p12)))
     calls.update(times=0, mul=0, gather=0, scatter=0)
