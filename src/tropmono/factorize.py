@@ -12,23 +12,23 @@ diagonal scalings) whose flattened length grows with the entries, while
 the node count stays small.
 
 Evaluation computes one value per node and keeps it on the node, per
-alphabet.  A value is a monomial (a column image and a finite shift per
-row), an elementary letter as the unit plus one finite entry, or dense
-rows.  Every unit letter starts as a monomial, and most of every word
-is a product of them.  Two monomials compose in O(n); any other two
-values are made dense and take the dense product.  A run whose parts
-are all diagonal monomials (their image the shared identity tuple)
-scales its parts' summed shifts by k, in O(n) for any exponent; every
-other power squares and multiplies, in O(log k) products.
-The monomials among a node's parts are held back as one pending
-monomial, an image and a shift list that the first copies and each
-next composes into in place, so a stretch of unit letters costs no
-product.  A diagonal run, such as a slot scaling past |a| = 1 in any
-alphabet, is fresh in every word: it joins the pending monomial as k
+evaluation context (an _Eval, one per monoid and n).  A value is a
+monomial (a column image and a finite shift per row), an elementary
+letter as the unit plus one finite entry, or dense rows.  Every unit
+letter starts as a monomial, and most of every word is a product of
+them.  Two monomials compose in O(n); any other two values are made
+dense and take the dense product.  The monomials among a node's parts
+are held back as one pending monomial, an image and a shift list that
+the first copies and each next composes into in place, so a stretch of
+unit letters costs no product.  A run whose parts are all diagonal
+monomials (their image the shared identity tuple), such as a slot
+scaling past |a| = 1 in any alphabet, joins the pending monomial as k
 times each nonzero (slot, shift) pair of its body's product, one O(1)
-update per pair for any k, and keeps no value.  The pairs are kept on
-the body per alphabet, so each body's letters are checked and summed
-once.  Any other run multiplies its parts' k-th powers.
+update per pair for any k, and keeps no value as a part; a diagonal
+run on its own is summed as a one-part concatenation.  The pairs are
+kept on the body per evaluation context, so each body's letters are
+checked and summed once.  Any other run multiplies its parts' k-th
+powers, in O(log k) products.
 For n >= 4 an elementary letter E(i,j,z) is the unit plus its entry.
 Since
 diag(d) E(r,c,x) = E(r,c,x + d[r] - d[c]) diag(d),
@@ -128,7 +128,9 @@ class _Run(_Node):
     """Each of the parts of its body, a _Node that runs may share,
     repeated k times in a row: a letter power, the letters of a negative
     slot scaling, or a power of a sub-word.  parts is the body's parts.
-    A body is never a part itself: its _vals keep _run_sum's pairs."""
+    A body is never a part itself: its _vals keep _run_sum's pairs per
+    evaluation context.  A diagonal run on its own is summed as a
+    one-part concatenation."""
 
     __slots__ = ("body", "k")
 
@@ -229,10 +231,10 @@ class Word:
 # -- evaluation -------------------------------------------------------------
 #
 # A node's value is a _Mono, a _Plus or dense rows (a tuple of row
-# tuples), cached in node._vals (a leaf letter's own _vals) under the
-# word's (monoid, n), which names its alphabet: a value cached for one
-# alphabet says nothing about the node's letters in another.  A run
-# body's _vals hold its run sum the same way.
+# tuples), cached in node._vals (a leaf letter's own _vals) per
+# evaluation context, the _Eval of the word's (monoid, n): a value
+# cached for one alphabet says nothing about the node's letters in
+# another.  A run body's _vals hold its run sum the same way.
 
 # The identity image of each dimension: a _Mono with this very img is
 # diagonal.
@@ -368,7 +370,7 @@ class _Eval:
         self.unit = _Mono(self.ident, (0,) * n) if semiring is ZMAX else _identity_rows(n, semiring)
 
 
-# One _Eval per (monoid, n) seen; that pair also keys the node values.
+# One _Eval per (monoid, n) seen: node values are kept per evaluation context.
 _eval_context = cache(_Eval)
 
 
@@ -391,18 +393,18 @@ def _leaf_value(g: Generator, ev: _Eval):
     return m.rows
 
 
-def _run_sum(body: _Node, key, ev: _Eval):
+def _run_sum(body: _Node, ev: _Eval):
     """The nonzero (slot, shift) pairs of the product of a run body's
-    parts, each checked, if all are diagonal (so they commute), else
-    False; kept in the body's own _vals under key, so each body is checked
-    and summed once per alphabet."""
-    pairs = body._vals.get(key)
+    parts if all are diagonal (so they commute), else False, kept in the
+    body's _vals per evaluation context so its letters are checked once;
+    a diagonal run on its own is summed as a one-part concatenation."""
+    pairs = body._vals.get(ev)
     if pairs is None:
-        vals = [_value(p, key, ev) for p in body.parts]
+        vals = [_value(p, ev) for p in body.parts]
         pairs = False
         if all(type(x) is _Mono and x.img is ev.ident for x in vals):
             pairs = [(c, s) for c, s in enumerate(map(sum, zip(*[x.sh for x in vals]))) if s]
-        body._vals[key] = pairs
+        body._vals[ev] = pairs
     return pairs
 
 
@@ -421,28 +423,23 @@ def _then_pending(val, img, sh, v, ev: _Eval):
     return None, ev.gather(img, sh, _rows(v, ev.n))
 
 
-def _value(node, key, ev: _Eval):
-    """The node's value under key, the word's (monoid, n), cached on the
-    node: a leaf's from its letter, a run's as the product of its parts'
-    k-th powers, any other node's as the product of its parts' values with
-    their monomials held back as one pending monomial that E letters pass."""
-    hit = node._vals.get(key)
+def _value(node, ev: _Eval):
+    """The node's value, cached on the node per evaluation context ev: a
+    leaf's from its letter, a run that is not diagonal as the product of
+    its parts' k-th powers, any other node's as the product of its parts'
+    values with their monomials held back as one pending monomial that E
+    letters pass; a diagonal run on its own is summed as a one-part
+    concatenation."""
+    hit = node._vals.get(ev)
     if hit is not None:
         return hit
     if type(node) is Generator:
         val = _leaf_value(node, ev)
-    elif type(node) is _Run:
-        pairs = _run_sum(node.body, key, ev)
-        if pairs is not False:
-            sh = [0] * ev.n
-            for c, s in pairs:
-                sh[c] = node.k * s
-            val = _Mono(ev.ident, tuple(sh))
-        else:
-            val = None
-            for g in node.parts:
-                v = _power(_value(g, key, ev), node.k, ev)
-                val = v if val is None else _times(val, v, ev)
+    elif type(node) is _Run and _run_sum(node.body, ev) is False:
+        val = None
+        for g in node.parts:
+            v = _power(_value(g, ev), node.k, ev)
+            val = v if val is None else _times(val, v, ev)
     else:
         # The monomial parts are held back as one pending monomial, the
         # lists img and sh (None while nothing is pending; img None while
@@ -453,30 +450,28 @@ def _value(node, key, ev: _Eval):
         # end, multiply it in with one product (a pending unit is dropped).
         val = img = sh = None
         ident = ev.ident
-        for p in node.parts:
-            v = p._vals.get(key)
-            pairs = False
+        for p in (node,) if type(node) is _Run else node.parts:
+            v = p._vals.get(ev)
             if v is None:
-                # A diagonal run joins the pending monomial by its body's
-                # pairs (read here first, so a warm run costs no call) and
-                # keeps no value of its own.
                 if type(p) is _Run:
-                    pairs = p.body._vals.get(key)
+                    # A diagonal run joins the pending monomial by its
+                    # body's pairs (read here first, so a warm run costs
+                    # no call) and keeps no value of its own: the row
+                    # that lands in column c adds k s per pair (c, s).
+                    pairs = p.body._vals.get(ev)
                     if pairs is None:
-                        pairs = _run_sum(p.body, key, ev)
-                if pairs is False:
-                    v = _value(p, key, ev)
-            if pairs is not False or type(v) is _Mono:
-                # pending times v: row i moves to column v.img[img[i]] and
-                # adds v.sh[img[i]]; for a run, the row that lands in column
-                # c adds k s per pair (c, s).
-                if pairs is not False:
-                    if sh is None:
-                        sh = [0] * ev.n
-                    k = p.k
-                    for c, s in pairs:
-                        sh[c if img is None else img.index(c)] += k * s
-                elif sh is None:
+                        pairs = _run_sum(p.body, ev)
+                    if pairs is not False:
+                        if sh is None:
+                            sh = [0] * ev.n
+                        k = p.k
+                        for c, s in pairs:
+                            sh[c if img is None else img.index(c)] += k * s
+                        continue
+                v = _value(p, ev)
+            if type(v) is _Mono:
+                # pending times v: row i moves to column v.img[img[i]], adds v.sh[img[i]].
+                if sh is None:
                     img = None if v.img is ident else list(v.img)
                     sh = list(v.sh)
                 elif img is None:
@@ -485,10 +480,6 @@ def _value(node, key, ev: _Eval):
                     for i, s in enumerate(v.sh):
                         if s:
                             sh[i] += s
-                elif v.img is ident:
-                    vsh = v.sh
-                    for i, j in enumerate(img):
-                        sh[i] += vsh[j]
                 else:
                     vimg, vsh = v.img, v.sh
                     for i, j in enumerate(img):
@@ -519,7 +510,7 @@ def _value(node, key, ev: _Eval):
             val = ev.unit
         elif type(val) is list:
             val = tuple(map(tuple, val))
-    node._vals[key] = val
+    node._vals[ev] = val
     return val
 
 
@@ -530,9 +521,8 @@ def evaluate(w: Word) -> Matrix:
     the symbolic E and X families, and letters under a zero power); a
     stray letter raises MembershipError.
     """
-    key = (w.monoid, w.n)
-    ev = _eval_context(*key)
-    return _mk(w.n, ev.semiring, _rows(_value(w.root, key, ev), w.n))
+    ev = _eval_context(w.monoid, w.n)
+    return _mk(w.n, ev.semiring, _rows(_value(w.root, ev), w.n))
 
 
 def parse_word(text: str, monoid: str, n: int) -> Word:

@@ -64,14 +64,14 @@ class FiniteMonoid:
     edge by which closure first reached e, so parent[e] < e.
 
     closed is False when the cap cut the walk short; such a monoid keeps
-    its elements and spanning tree, but cayley and left are None, and
-    every query below refuses it.
+    its elements and spanning tree, but cayley and left are None (which
+    is what closed reads), and every query below refuses it.
     """
 
-    __slots__ = ("n", "semiring", "codes", "gens", "cayley", "left", "parent", "last", "closed",
-                 "_index", "_codec", "_elements", "_preds", "_units", "_rank")
+    __slots__ = ("n", "semiring", "codes", "gens", "cayley", "left", "parent", "last", "_index",
+                 "_codec", "_elements", "_preds", "_units", "_rank")
 
-    def __init__(self, n, semiring, codes, gens, cayley, left, parent, last, closed, index, codec):
+    def __init__(self, n, semiring, codes, gens, cayley, left, parent, last, index, codec):
         self.n = n
         self.semiring = semiring
         self.codes = codes
@@ -80,13 +80,16 @@ class FiniteMonoid:
         self.left = left
         self.parent = parent
         self.last = last
-        self.closed = closed
         self._index = index
         self._codec = codec  # (encode, decode) between row tuples and codes
         self._elements = None  # the Matrix list, built by elements
         self._preds = None  # right Cayley predecessor lists, built by _predecessors
         self._units = None  # (unit flags, unit generator columns), built by _units
         self._rank = None  # (rank, least generating tuple), built by _rank
+
+    @property
+    def closed(self) -> bool:
+        return self.cayley is not None
 
     @property
     def elements(self) -> list:
@@ -173,7 +176,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
                     i = index.get(p)
                     if i is None:
                         if len(codes) == cap:
-                            return FiniteMonoid(n, semiring, codes, gen_idx, None, None, parent, last, False, index, codec)
+                            return FiniteMonoid(n, semiring, codes, gen_idx, None, None, parent, last, index, codec)
                         i = len(codes)
                         index[p] = i
                         codes.append(p)
@@ -187,7 +190,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
             step = last[e]
             left.append([cayley[i][step] for i in left[parent[e]]])
         lo = hi
-    return FiniteMonoid(n, semiring, codes, gen_idx, cayley, left, parent, last, True, index, codec)
+    return FiniteMonoid(n, semiring, codes, gen_idx, cayley, left, parent, last, index, codec)
 
 
 def infinite_witness(gens):

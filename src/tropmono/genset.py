@@ -54,7 +54,8 @@ class Generator:
     """A symbolic alphabet letter: kind tag plus parameter tuple."""
 
     # _vals caches the letter's values as a word leaf (factorize._value),
-    # per alphabet, so a letter is realized at most once per alphabet.
+    # per evaluation context, so a letter is realized at most once per
+    # alphabet.
     __slots__ = ("kind", "params", "_vals")
 
     def __init__(self, kind: str, params=()):

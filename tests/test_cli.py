@@ -209,6 +209,19 @@ def test_eval_word(capsys):
     assert out == "0 3 1; -inf 0 -4; -inf -inf 0\n"
 
 
+@pytest.mark.parametrize("monoid, n, text", [("m2", 2, "A B C D"), ("m3", 3, "A B X(2)")])
+def test_eval_bare_letters_is_their_realized_fold(monoid, n, text, capsys):
+    # bare letter names resolve in the monoid's alphabet; the result is the
+    # mat_mul fold of the letters' own realizations
+    letters = {g.text(): g for g in [*tropmono.generating_set(monoid, n).letters, tropmono.x_letter(2)]}
+    expected = tropmono.identity(n)
+    for t in text.split():
+        expected = tropmono.mat_mul(expected, letters[t].realize(n, tropmono.ZMAX))
+    rc, out, _ = run(["eval", "--monoid", monoid, text], capsys)
+    assert rc == 0
+    assert tropmono.parse_matrix(out) == expected
+
+
 def test_eval_epsilon(capsys):
     rc, out, _ = run(["eval", "--monoid", "m3", "ε"], capsys)
     assert rc == 0
@@ -433,6 +446,17 @@ def test_rank_plain(capsys):
     rc, out, _ = run(["rank", "--monoid", "m2", "-n", "2", "-k", "3"], capsys)
     assert rc == 0
     assert out.splitlines()[1].startswith("found: true, subset:")
+
+
+def test_rank_above_the_rank_finds_a_generating_subset(capsys):
+    # M_2(B) has rank 3, so k = 4 tests the index 4-subsets in order; the
+    # reported elements, closed on their own, give all 16 elements
+    rc, out, _ = run(["rank", "--monoid", "m2", "-k", "4"], capsys)
+    assert rc == 0 and out == "elements: 16\nfound: true, subset: 0 1 2 3\n"
+    gens = [tropmono.boolean_image(m) for m in tropmono.generating_set("m2", 2).realized()]
+    fm = tropmono.closure(gens)
+    assert len(fm) == 16
+    assert len(tropmono.closure([fm.elements[i] for i in (0, 1, 2, 3)])) == 16
 
 
 def test_irredundant_plain(capsys):

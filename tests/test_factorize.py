@@ -37,6 +37,7 @@ from tropmono.factorize import (
     _m3_fill,
     _slot,
     _ut_slots,
+    _value,
     evaluate,
     factor,
     factor_gl,
@@ -481,6 +482,38 @@ def test_cached_values_do_not_vouch_for_another_alphabet():
             evaluate(Word("gl", 3, _Node((GL_A, _pow(shared, 0)))))
 
 
+def test_cached_values_are_keyed_by_their_evaluation_context(monkeypatch):
+    # a gl word and an m3 word over one body of the n = 3 gl slot table
+    # leave its run sum under exactly their two evaluation contexts; a
+    # fresh gl context at n = 3 reads neither, so it realizes the body's
+    # two letters again, where the cached gl context realizes none
+    from tropmono import factorize
+
+    body = _gl_slots(3)[2]
+    body._vals.clear()  # other tests evaluate it under contexts of their own
+    gl = factor_gl(mat_mul(diag([0, 4, 0]), construct_P((1, 2, 0))))
+    m3 = factor_m3(matrix([[0, 1, BOTTOM], [BOTTOM, 4, BOTTOM], [BOTTOM, BOTTOM, 0]]))
+    for w in (gl, m3):
+        assert any(type(p) is _Run and p.body is body for p in w.root.parts)
+        assert evaluate(w).rows == own_eval(w)
+    contexts = [_eval_context("gl", 3), _eval_context("m3", 3)]
+    assert list(body._vals) == contexts
+    calls, leaf = [], factorize._leaf_value
+
+    def counted(g, ev):
+        calls.append(g)
+        return leaf(g, ev)
+
+    monkeypatch.setattr(factorize, "_leaf_value", counted)
+    w = Word("gl", 3, _Run(body, 5))
+    assert evaluate(w) == diag([0, 5, 0]) and calls == []
+    fresh = _Eval("gl", 3)
+    v = _value(w.root, fresh)
+    assert (v.img, v.sh) == (_IDENT[3], (0, 5, 0))
+    assert sorted(g.text() for g in calls) == ["A", "B"]
+    assert list(body._vals) == [*contexts, fresh]
+
+
 def test_leaf_powers_match_an_independent_dag_walk():
     # A letter power is a run.  A run of a dense letter is evaluated and
     # cached on the run like any node; a run of a diagonal letter joins
@@ -499,14 +532,14 @@ def test_leaf_powers_match_an_independent_dag_walk():
     for w, dense in cases:
         assert type(dense) is _Run
         assert evaluate(w).rows == own_eval(w)
-        assert (w.monoid, w.n) in dense._vals
+        assert _eval_context(w.monoid, w.n) in dense._vals
     up = diag_letter(1, 1)
     shared = _pow(up, 7)
     for n in (2, 5):
         e = elem_letter(1, 2, 0)
         w = Word("ut", n, _Node((_Node((shared, e)), _Node((e, shared)), shared)))
         assert evaluate(w).rows == own_eval(w)
-        assert shared._vals == {} and ("ut", n) in up._vals
+        assert shared._vals == {} and _eval_context("ut", n) in up._vals
 
 
 @pytest.mark.parametrize("k", (0, 1, 5))
@@ -635,7 +668,7 @@ def test_every_slot_table_tuple_multiplies_to_a_unit_in_its_slot(monoid, n, word
             scaled[slot - 1] = s
             assert own_eval(Word(monoid, n, _Node(body.parts))) == diag(scaled).rows
             assert evaluate(Word(monoid, n, _Run(body, 2))) == diag([2 * d for d in scaled])
-            assert body._vals[monoid, n] == [(slot - 1, s)]
+            assert body._vals[_eval_context(monoid, n)] == [(slot - 1, s)]
 
 
 def test_a_slot_run_from_another_alphabet_is_refused():
@@ -763,15 +796,15 @@ def test_run_sums_are_kept_only_for_the_shared_slot_letters(monkeypatch):
 
     summed, run_sum = [], factorize._run_sum
 
-    def counted(body, key, ev):
-        if key not in body._vals:
-            summed.append((id(body), key))
-        return run_sum(body, key, ev)
+    def counted(body, ev):
+        if ev not in body._vals:
+            summed.append((id(body), ev))
+        return run_sum(body, ev)
 
     monkeypatch.setattr(factorize, "_run_sum", counted)
     rng = random.Random(23)
     for n in range(2, 7):
-        key, words = ("ut", n), _ut_slots(n)
+        key, words = _eval_context("ut", n), _ut_slots(n)
         table = {id(words[s * i]): [(i - 1, s)] for i in range(1, n + 1) for s in (1, -1)}
         bodies = [words[s * i] for i in range(1, n + 1) for s in (1, -1)]
         for body in bodies:
@@ -797,8 +830,8 @@ def test_run_sums_are_kept_only_for_the_shared_slot_letters(monkeypatch):
         assert summed == [(id(fresh), key)]
         # one dimension up, the same letters scale slots 1 and n + 1
         assert evaluate(Word("ut", n + 1, _Run(fresh, 3))) == diag([-3, *[0] * (n - 1), -3])
-        assert summed == [(id(fresh), key), (id(fresh), ("ut", n + 1))]
-        assert fresh._vals == {key: [(0, -1)], ("ut", n + 1): [(0, -1), (n, -1)]}
+        assert summed == [(id(fresh), key), (id(fresh), _eval_context("ut", n + 1))]
+        assert fresh._vals == {key: [(0, -1)], _eval_context("ut", n + 1): [(0, -1), (n, -1)]}
         assert [dict(body._vals) for body in bodies] == kept
 
 
@@ -978,7 +1011,7 @@ def test_in_place_e_letters_write_no_cached_value():
         m3 = matrix([[entry() for _ in range(3)] for _ in range(3)])
         builds.append((lambda m=m3: factor_m3(m), None))
     for n in (4, 5):
-        key, e, slots = ("ut", n), elem_letter, _ut_slots(n)
+        key, e, slots = _eval_context("ut", n), elem_letter, _ut_slots(n)
         # dense sub-words, frozen from the loop's row lists or scattered,
         # and a shared letter's rows
         dense = _Node((e(1, 2, 5), e(2, n, -3)))
