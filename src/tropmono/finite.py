@@ -8,9 +8,9 @@ monoid carries no Cayley graphs).
 Matrices are met only at the boundary.  Closure keys, stores and
 multiplies each element as a code: over B one packed int of n^2 bits,
 whose n-bit rows are looked up in g's table of all 2^n rows to give
-e * g; over zmax the row tuples themselves.  FiniteMonoid.elements
-builds the Matrix list from the codes on first read, and every query
-here works on element indices alone.
+e * g; over zmax the row tuples themselves (see _codec).
+FiniteMonoid.elements builds the Matrix list from the codes on first
+read, and every query here works on element indices alone.
 
 Closure is the Froidure-Pin enumeration (Froidure & Pin, 1997): a
 breadth-first walk that records, for every element but the identity,
@@ -45,8 +45,9 @@ predecessor lists built once per monoid.
 """
 
 import itertools
+from functools import cache
 
-from .matrix import Matrix, _bool_code, _mk, _right_product, _row_product, format_matrix, identity
+from .matrix import Matrix, _bool_rows, _mk, _row_product, format_matrix, identity
 from .semiring import BOTTOM, ZMAX
 
 DEFAULT_CAP = 10 ** 6
@@ -81,7 +82,7 @@ class FiniteMonoid:
         self.parent = parent
         self.last = last
         self._index = index
-        self._codec = codec  # (encode, decode) between row tuples and codes
+        self._codec = codec  # (encode, decode, times), see _codec
         self._elements = None  # the Matrix list, built by elements
         self._preds = None  # right Cayley predecessor lists, built by _predecessors
         self._units = None  # (unit flags, unit generator columns), built by _units
@@ -110,6 +111,47 @@ class FiniteMonoid:
         return self.index_of(m) is not None
 
 
+@cache
+def _codec(n: int, semiring):
+    """(encode, decode, times) for closure's element codes of n x n
+    matrices over semiring: encode and decode map row tuples to codes and
+    back, and times(g) is a -> a * g on codes for one row tuple g.
+
+    Over zmax a code is the row tuple itself.  Over B it is a packed int
+    of n^2 bits, row 1 in the top n bits and each row as its mask.  Row i
+    of a * g depends on row i of a alone, so times(g) looks each n-bit
+    row up in a table of all 2^n rows, filled by mask from the last
+    column up: a row whose top bit is j is a lower row plus column n - j,
+    so its product ors in the mask of g's row n - j.
+    """
+    if semiring.name == "zmax":
+        mul = _row_product(n, semiring)
+        return tuple, tuple, lambda g: lambda a: mul(a, g)
+    rows, mask = _bool_rows(n)
+    shifts, full = range(n * n - n, -1, -n), (1 << n) - 1
+
+    def encode(a):
+        code = 0
+        for r in a:
+            code = code << n | mask[r]
+        return code
+
+    def times(g):
+        products = [0]
+        for r in reversed(g):
+            products += [p | mask[r] for p in products]
+
+        def times_g(code):
+            out = 0
+            for s in shifts:
+                out = out << n | products[code >> s & full]
+            return out
+
+        return times_g
+
+    return encode, lambda code: tuple([rows[code >> s & full] for s in shifts]), times
+
+
 def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     """Multiply out the monoid generated by gens (plus the identity).
 
@@ -121,7 +163,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     the other products are multiplied out.  The left graph of each
     length is filled from the right graph.  Elements are keyed, stored
     and multiplied as codes, packed ints over B and row tuples over zmax
-    (see _right_product); no Matrix is built here.
+    (see _codec); no Matrix is built here.
 
     Returns at the first new product that would pass cap, flagged not
     closed, with its elements and spanning tree but no Cayley graphs.  A
@@ -129,15 +171,13 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     ValueError.
     """
     gens = list(gens)
-    if gens:
-        n, semiring = gens[0].n, gens[0].semiring
-        for g in gens:
-            if g.n != n or g.semiring is not semiring:
-                raise ValueError("generators disagree on dimension or semiring")
-    else:
+    if not gens:
         raise ValueError("closure needs at least one matrix to fix n; pass [identity(n, sr)]")
-    codec = (tuple, tuple) if semiring.name == "zmax" else _bool_code(n)
-    encode = codec[0]
+    n, semiring = gens[0].n, gens[0].semiring
+    if any(g.n != n or g.semiring is not semiring for g in gens):
+        raise ValueError("generators disagree on dimension or semiring")
+    codec = _codec(n, semiring)
+    encode, _, times = codec
     codes = [encode(identity(n, semiring).rows)]
     index = {codes[0]: 0}
     parent, last = [-1], [-1]
@@ -153,7 +193,7 @@ def closure(gens, cap: int = DEFAULT_CAP) -> FiniteMonoid:
     if cap < len(codes):
         raise ValueError(f"cap {cap} is below the {len(codes)} elements it starts from "
                          "(the identity and the distinct generators)")
-    right = [_right_product(n, semiring, g.rows) for g in gens]
+    right = [times(g.rows) for g in gens]
     first, suffix = last[:], [0] * len(codes)
     cayley, left = [list(gen_idx)], [list(gen_idx)]
     lo = 1
@@ -242,17 +282,25 @@ def _word(fm: FiniteMonoid, f: int) -> list:
 
 # -- J-classes -------------------------------------------------------------
 
-def _sccs(succ) -> list:
-    """Strongly connected components of the graph v -> succ[v], all of
-    whose vertices vertex 0 reaches, sinks first (Tarjan, with an
-    explicit stack of vertices and edge iterators)."""
-    order = [-1] * len(succ)
-    low = [0] * len(succ)
-    done = [False] * len(succ)
+def jclasses(fm: FiniteMonoid) -> list:
+    """J-classes of a closed monoid, each a sorted list of element
+    indices, ordered by least member: x and y share a class exactly when
+    each lies in the other's two-sided ideal.
+
+    The ideal of x is what x reaches in the two-sided Cayley graph, the
+    right and left graphs closure stored (left and right steps commute,
+    so walks reach exactly S^1 x S^1), so the classes are its strongly
+    connected components, found by an iterative Tarjan from the
+    identity, which reaches every element by right steps.  A vertex's
+    right and left rows are joined only while it is on the DFS stack.
+    """
+    if not fm.closed:
+        raise ValueError("jclasses needs a closed monoid (closure hit its cap)")
+    right, left = fm.cayley, fm.left
+    order, low, done = [-1] * len(right), [0] * len(right), [False] * len(right)
     order[0] = low[0] = 0
-    count = 1
-    stack, out = [0], []
-    work = [(0, iter(succ[0]))]
+    count, stack, out = 1, [0], []
+    work = [(0, iter(right[0] + left[0]))]
     while work:
         v, edges = work[-1]
         for w in edges:
@@ -260,7 +308,7 @@ def _sccs(succ) -> list:
                 order[w] = low[w] = count
                 count += 1
                 stack.append(w)
-                work.append((w, iter(succ[w])))
+                work.append((w, iter(right[w] + left[w])))
                 break
             if not done[w] and order[w] < low[v]:
                 low[v] = order[w]
@@ -273,25 +321,8 @@ def _sccs(succ) -> list:
                 while not comp or comp[-1] != v:
                     comp.append(stack.pop())
                     done[comp[-1]] = True
-                out.append(comp)
-    return out
-
-
-def jclasses(fm: FiniteMonoid) -> list:
-    """J-classes of a closed monoid, each a sorted list of element
-    indices, ordered by least member: x and y share a class exactly when
-    each lies in the other's two-sided ideal.
-
-    The ideal of x is what x reaches in the two-sided Cayley graph, the
-    right and left graphs closure stored (left and right steps commute,
-    so walks reach exactly S^1 x S^1), so the classes are its strongly
-    connected components.  The identity reaches every element by right
-    steps.
-    """
-    if not fm.closed:
-        raise ValueError("jclasses needs a closed monoid (closure hit its cap)")
-    succ = [row + left for row, left in zip(fm.cayley, fm.left)]
-    return sorted(sorted(members) for members in _sccs(succ))
+                out.append(sorted(comp))
+    return sorted(out)
 
 
 # -- generation, units, rank and primes ----------------------------------------

@@ -188,14 +188,14 @@ class GeneratingSet:
     def contains(self, g: Generator) -> bool:
         """Membership including the symbolic families (any E(i,j,z) for the
         unitriangular alphabet, any X(i) for the 3x3 alphabet).  No letter
-        holds a bool, though True == 1 and False == 0."""
+        holds a bool or a float, though True == 1 and 0.0 == 0."""
         p = g.params
         if self.monoid == "u" and g.kind == "ELEM_E":
             i, j, v = p
             return type(i) is type(j) is type(v) is int and 1 <= i < j <= self.n
         if self.monoid == "m3" and g.kind == "M3_X":
             return type(p[0]) is int and p[0] >= 0
-        return bool not in map(type, p) and g in self.letters
+        return all(type(x) is int or x == BOTTOM for x in p) and g in self.letters
 
     def __repr__(self):
         return f"GeneratingSet({self.monoid}, n={self.n}, {len(self.letters)} letters)"

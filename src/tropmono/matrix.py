@@ -164,48 +164,6 @@ def _row_product(n: int, semiring: Semiring):
     return _mulb
 
 
-@cache
-def _bool_code(n: int):
-    """(encode, decode) between n x n Boolean row tuples and packed ints
-    of n^2 bits: row 1 in the top n bits, each row as its mask."""
-    rows, mask = _bool_rows(n)
-    shifts, full = range(n * n - n, -1, -n), (1 << n) - 1
-
-    def encode(a):
-        code = 0
-        for r in a:
-            code = code << n | mask[r]
-        return code
-
-    return encode, lambda code: tuple([rows[code >> s & full] for s in shifts])
-
-
-def _right_product(n: int, semiring: Semiring, g):
-    """a -> a * g for one fixed n x n row tuple g, as a function on
-    closure's element codes.  Over B a is a packed int (_bool_code), and
-    row i of a * g depends on row i of a alone, so each n-bit row is
-    looked up in a table of all 2^n rows, filled by mask from the last
-    column up: a row whose top bit is j is a lower row plus column n - j,
-    so its product ors in the mask of g's row n - j.  Over zmax a is a
-    row tuple and this is the row product."""
-    if semiring.name == "zmax":
-        mul = _row_product(n, semiring)
-        return lambda a: mul(a, g)
-    _, mask = _bool_rows(n)
-    products = [0]
-    for r in reversed(g):
-        products += [p | mask[r] for p in products]
-    shifts, full = range(n * n - n, -1, -n), (1 << n) - 1
-
-    def times_g(code):
-        out = 0
-        for s in shifts:
-            out = out << n | products[code >> s & full]
-        return out
-
-    return times_g
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Product (ab)_ij = max over k of a_ik * b_kj, * the semiring product."""
     if a.semiring is not b.semiring:
@@ -232,7 +190,6 @@ def construct_A(i: int, lam, n: int, semiring: Semiring = ZMAX) -> Matrix:
     """Diagonal matrix with lam in slot i and ones elsewhere on the diagonal."""
     if not (1 <= i <= n):
         raise ValueError(f"index {i} outside 1..{n}")
-    semiring.check(lam)
     return diag(tuple(lam if k == i else semiring.one for k in range(1, n + 1)), semiring)
 
 
@@ -244,7 +201,6 @@ def construct_E(i: int, j: int, n: int, semiring: Semiring = ZMAX, lam=None) -> 
         raise ValueError(f"index ({i},{j}) outside 1..{n}")
     if lam is None:
         lam = semiring.one
-    semiring.check(lam)
     rows = [[semiring.one if r == c else semiring.zero for c in range(1, n + 1)] for r in range(1, n + 1)]
     rows[i - 1][j - 1] = lam
     return Matrix(n, semiring, rows)

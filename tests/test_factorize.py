@@ -145,6 +145,14 @@ def test_evaluate_rejects_bool_scalars_in_u_letters(n):
             evaluate(Word("ut", n, letter))
 
 
+def test_evaluate_rejects_float_scalars_in_listed_letters():
+    # E(1,2,0.0) == E(1,2,0) and Ai(1,1.0) == Ai(1,1) are ut letters,
+    # but no letter holds a float
+    for letter in (elem_letter(1, 2, 0.0), diag_letter(1, 1.0)):
+        with pytest.raises(MembershipError):
+            evaluate(Word("ut", 3, letter))
+
+
 @st.composite
 def random_dags(draw):
     """A word over a whole alphabet, built as a DAG of shared nodes on

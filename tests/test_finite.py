@@ -13,6 +13,7 @@ import pytest
 
 from tropmono import finite
 from tropmono.finite import (
+    _codec,
     _orbits,
     _products,
     _rank,
@@ -37,8 +38,6 @@ from tropmono.genset import (
     x_letter,
 )
 from tropmono.matrix import (
-    _bool_code,
-    _right_product,
     boolean_image,
     construct_P,
     identity,
@@ -224,7 +223,13 @@ def test_capped_closure_stops_at_its_first_product_past_the_cap(monkeypatch):
             return wrapper
         return make
 
-    monkeypatch.setattr(finite, "_right_product", counted("right", finite._right_product))
+    def counted_codec(n, semiring):
+        encode, decode, times = codec(n, semiring)
+        return encode, decode, counted("right", times)
+
+    codec = finite._codec
+    codec(3, ZMAX)  # cached before _row_product is counted
+    monkeypatch.setattr(finite, "_codec", counted_codec)
     monkeypatch.setattr(finite, "_row_product", counted("row", finite._row_product))
     fm = closure(gens_m3_zmax().realized(), cap=10 ** 4)
     assert len(fm) == 10 ** 4 and not fm.closed
@@ -245,9 +250,9 @@ def test_boolean_row_table_product_matches_mat_mul():
             return matrix(rows, BOOLEAN)
 
         factors = [ident, zero_rows, ones] + [rand(p) for p in (0.1, 0.3, 0.5, 0.8) for _ in range(3)]
-        encode, decode = _bool_code(n)
+        encode, decode, times = _codec(n, BOOLEAN)
         for g in factors:
-            times_g = _right_product(n, BOOLEAN, g.rows)
+            times_g = times(g.rows)
             lefts = factors + [rand(0.5) for _ in range(10)]
             for _ in range(2):
                 for a in lefts:
@@ -258,7 +263,7 @@ def test_boolean_codes_round_trip():
     # a code is the matrix's n^2 bits read row by row, row 1 on top
     rng = random.Random(20261020)
     for n in range(1, 9):
-        encode, decode = _bool_code(n)
+        encode, decode, _ = _codec(n, BOOLEAN)
         zero, ones = ((0,) * n,) * n, ((1,) * n,) * n
         assert encode(zero) == 0 and encode(ones) == (1 << n * n) - 1
         samples = [zero, ones] + [tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(n)) for _ in range(40)]
@@ -272,7 +277,7 @@ def test_lookup_refuses_a_matrix_of_another_dimension():
     # the 3x3 code 0b000_001_001 is the 2x2 identity's 0b10_01
     fm = closure(m2_boolean_gens())
     stranger = matrix([[0, 0, 0], [0, 0, 1], [0, 0, 1]], BOOLEAN)
-    assert _bool_code(3)[0](stranger.rows) == _bool_code(2)[0](identity(2, BOOLEAN).rows) == 9
+    assert _codec(3, BOOLEAN)[0](stranger.rows) == _codec(2, BOOLEAN)[0](identity(2, BOOLEAN).rows) == 9
     assert fm.index_of(identity(2, BOOLEAN)) == 0
     assert fm.index_of(stranger) is None
     assert stranger not in fm
@@ -446,6 +451,17 @@ def test_jclasses_match_naive_oracle_on_full_2x2():
             for j, y in enumerate(fm.elements):
                 same = (x in ideals[j]) and (y in ideals[i])
                 assert (class_of[i] == class_of[j]) == same
+
+
+def test_jclasses_match_naive_oracle_on_ut3():
+    # UT_3(B): 64 elements in 33 classes, each ideal by brute force
+    fm = closure(ut_boolean_gens(3))
+    class_of = class_index(jclasses(fm), len(fm))
+    assert len(set(class_of)) == 33
+    ideals = [naive_ideal(fm.elements, x) for x in fm.elements]
+    for i, x in enumerate(fm.elements):
+        for j, y in enumerate(fm.elements):
+            assert (class_of[i] == class_of[j]) == (x in ideals[j] and y in ideals[i])
 
 
 def test_jclass_counts_pinned():

@@ -120,7 +120,9 @@ def test_contains_matches_an_own_oracle():
     letters |= {Generator("M3_X", (s,)) for s in (0, 1, 17, 10 ** 9, -1, True, False)}
     letters |= {GL_A, GL_B, M2_A, M2_D, NEG_I, IDENTITY_LETTER}
     # a set holds one of each == class: True == 1 hides one of them
+    # and 0.0 == 0 hides a float parameter
     cases = list(letters) + [elem_letter(1, 2, True), elem_letter(True, 2, 0), diag_letter(1, True), Generator("M3_X", (True,))]
+    cases += [elem_letter(1, 2, 0.0), diag_letter(1, 1.0), Generator("M3_X", (1.0,))]
     hits = 0
     for gs in alphabets:
         for g in cases:
